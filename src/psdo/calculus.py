@@ -27,13 +27,15 @@ from psdo.geometry import (
     Geometry,
     collar_cutoff,
     cutoff_family,
-    translation_matrix,
 )
 from psdo.quantize import (
     DiscretizedOperator,
     op_circle,
     op_edge,
     op_mellin,
+    side_norm,
+    spectral_norm,
+    spectral_norms,
 )
 from psdo.symexpr import Const, Node, add, diff, mul, parse, substitute, variables_of
 
@@ -160,7 +162,7 @@ class ExtractedSymbol:
     operator_norm: float
 
     def block_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(b, 2) for b in self.blocks])
+        return spectral_norms(self.blocks)
 
 
 def _axis_layout(g: Geometry, axis: str) -> tuple[int, int, int, np.ndarray, np.ndarray]:
@@ -219,18 +221,11 @@ def extract_symbol(
     # regroup as (mode, mode, block, block) with block = pre x post
     D = D.transpose(1, 4, 0, 2, 3, 5).reshape(n, n, d, d)
     norm_A = A.norm()
-    off = 0.0
-    for k in range(n):
-        for m in range(n):
-            if k == m:
-                continue
-            v = float(np.linalg.norm(D[k, m], 2))
-            if v > off:
-                off = v
+    off = spectral_norm(D[~np.eye(n, dtype=bool)])
     if require_invariant and off > tol * max(norm_A, 1e-300):
         raise NotTranslationInvariant(off, norm_A)
     blocks = np.ascontiguousarray(D[np.arange(n), np.arange(n)])
-    esssup = max(float(np.linalg.norm(b, 2)) for b in blocks)
+    esssup = spectral_norm(blocks)
     return ExtractedSymbol(axis, covar.copy(), blocks, off, abs(esssup - norm_A), norm_A)
 
 
@@ -277,13 +272,15 @@ class ConvergenceDiagnostics:
 class InfinitesimalOperator:
     """Frozen-coefficient local representative of an operator at a point
     of its stratum, with the cutoff-ladder diagnostics that certify the
-    freezing."""
+    freezing. `source` is the unfrozen operator the ladder compared it
+    against."""
 
     geometry: Geometry
     z: float
     frozen_expr: Node
     operator: DiscretizedOperator
     diagnostics: ConvergenceDiagnostics
+    source: DiscretizedOperator
 
     def translation_defect(self, shifts: Sequence[int] = (1, 3)) -> float:
         """Worst commutator norm with stratum translations.
@@ -295,13 +292,15 @@ class InfinitesimalOperator:
         if isinstance(g, Cone):
             return 0.0
         n_x = g.n_x if isinstance(g, Circle) else g.circle.n_x
-        fiber = self.operator.dim // n_x
-        worst = 0.0
-        for s in shifts:
-            T = np.kron(translation_matrix(n_x, int(s)), np.eye(fiber))
-            M = self.operator.matrix
-            worst = max(worst, float(np.linalg.norm(T @ M - M @ T, 2)))
-        return worst
+        M = self.operator.matrix
+        return max((spectral_norm(_shift_commutator(M, n_x, int(s))) for s in shifts), default=0.0)
+
+
+def _shift_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
+    """T M - M T for T the circular shift by `steps` x nodes acting on
+    whole fibers; T permutes rows and columns, so this is two rolls."""
+    step = steps * (M.shape[0] // n_x)
+    return np.roll(M, step, axis=0) - np.roll(M, -step, axis=1)
 
 
 def _axis_values(g: Geometry, axis: str, values: np.ndarray) -> np.ndarray:
@@ -315,16 +314,6 @@ def _restrict_values(vals: np.ndarray, g: Geometry) -> np.ndarray:
     pre = g.circle.n_x if isinstance(g, Edge) else 1
     post = g.dim_total // (pre * cone.n_t)
     return vals.reshape(pre, cone.n_t, post)[:, 1:, :].reshape(-1)
-
-
-def _side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
-    """||M diag(vals)|| or ||diag(vals) M|| using only the support of vals."""
-    idx = np.nonzero(vals > 1e-300)[0]
-    if idx.size == 0:
-        return 0.0
-    if side == "right":
-        return float(np.linalg.norm(M[:, idx] * vals[idx][None, :], 2))
-    return float(np.linalg.norm(M[idx, :] * vals[idx][:, None], 2))
 
 
 def _feasible_scales(base: float, h: float) -> int:
@@ -424,14 +413,14 @@ def infinitesimal(
         raise CalculusError(f"cannot freeze on {type(g).__name__}")
     lambdas, diags = _cutoff_ladder(g, z, n_scales, base_scale, A.interior)
     Dm = A.matrix - Fz.matrix
-    d_right = tuple(_side_norm(Dm, w, "right") for w in diags)
-    d_left = tuple(_side_norm(Dm, w, "left") for w in diags)
+    d_right = tuple(side_norm(Dm, w, "right") for w in diags)
+    d_left = tuple(side_norm(Dm, w, "left") for w in diags)
     non_inc = all(d_right[i + 1] <= 1.1 * d_right[i] + 1e-14 for i in range(len(d_right) - 1))
     final = d_right[-1]
     diag = ConvergenceDiagnostics(
         lambdas, d_right, d_left, final, non_inc, bool(final <= tol), tol
     )
-    return InfinitesimalOperator(g, float(z), frozen_expr, Fz, diag)
+    return InfinitesimalOperator(g, float(z), frozen_expr, Fz, diag, A)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from psdo.geometry import (
     cutoff_family,
     plateau_profile,
 )
-from psdo.quantize import DiscretizedOperator, op_mellin
+from psdo.quantize import DiscretizedOperator, op_mellin, side_norm
 from psdo.symbols import EdgeSymbol, SymbolTuple
 from psdo.symexpr import Const, Node, substitute
 
@@ -223,8 +223,8 @@ def local_norm(
     norms, conorms = [], []
     for i in range(len(ladder)):
         d = _flat_multiplier(g, ladder.axis_name, ladder[i])
-        norms.append(float(np.linalg.norm(A.matrix * d[None, :], 2)))
-        conorms.append(float(np.linalg.norm(d[:, None] * A.matrix, 2)))
+        norms.append(side_norm(A.matrix, d, "right"))
+        conorms.append(side_norm(A.matrix, d, "left"))
     limit = norms[-1]
     return LocalNormReport(
         float(x), ladder.scales, tuple(norms), tuple(conorms), limit, limit <= tol, tol

@@ -16,6 +16,7 @@ v the edge parameter, t the base Fourier mode on circle-base cones
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -48,6 +49,9 @@ class DiscretizedOperator:
     v is the edge-parameter value the operator was assembled at (None
     for parameter-independent constructions). For interval-mode cones
     the matrix is the interior-node restriction; `interior` marks this.
+    x-free edge operators also keep their per-mode fiber blocks B_k:
+    the matrix is U diag(B_k) U^H with U the unitary edge DFT, so the
+    norm is the largest block norm. Derived operators carry no blocks.
     """
 
     geometry: Geometry
@@ -55,6 +59,7 @@ class DiscretizedOperator:
     matrix: np.ndarray
     interior: bool = False
     _norm: Optional[float] = field(default=None, repr=False, compare=False)
+    _blocks: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -71,7 +76,7 @@ class DiscretizedOperator:
 
     def norm(self) -> float:
         if self._norm is None:
-            self._norm = float(np.linalg.norm(self.matrix, 2))
+            self._norm = spectral_norm(self.matrix if self._blocks is None else self._blocks)
         return self._norm
 
     def singular_values(self) -> np.ndarray:
@@ -108,6 +113,51 @@ class DiscretizedOperator:
             raise QuantizeError("operators live on different geometries")
 
 
+# ---------------------------------------------------------------------------
+# Spectral norms
+
+
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack (..., m, n)."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def spectral_norm(M: np.ndarray) -> float:
+    """Largest singular value of a matrix, or of any matrix in a stack;
+    0.0 for an empty stack."""
+    if M.ndim == 2:
+        return float(np.linalg.norm(M, 2))
+    return float(spectral_norms(M).max(initial=0.0))
+
+
+def side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
+    """||M diag(vals)|| (side "right") or ||diag(vals) M|| ("left"),
+    using only the support of vals.
+
+    On a proper support of k nodes the norm is sqrt(lambda_max) of the
+    k x k Gram matrix of the thin factor. The factor is scaled by a
+    power of two first, so the Gram neither underflows nor rounds
+    differently; sigma_max keeps its eps-relative accuracy.
+    """
+    idx = np.nonzero(np.abs(vals) > 1e-300)[0]
+    if idx.size == 0:
+        return 0.0
+    if side == "right":
+        X = M[:, idx] * vals[idx][None, :]
+    else:
+        X = M[idx, :] * vals[idx][:, None]
+    if idx.size == vals.size:
+        return spectral_norm(X)
+    peak = float(np.max(np.abs(X)))
+    if peak == 0.0:
+        return 0.0
+    exp = int(np.frexp(peak)[1])
+    X = X * 2.0**-exp
+    gram = X.conj().T @ X if side == "right" else X @ X.conj().T
+    lam = float(np.linalg.eigvalsh(gram)[-1])
+    return math.sqrt(max(lam, 0.0)) * 2.0**exp
+
+
 def interior_dim(g: Geometry) -> int:
     """Flat dimension after interval-mode interior restriction."""
     if isinstance(g, Cone):
@@ -124,16 +174,20 @@ def identity_operator(g: Geometry, v: Optional[float] = None, interior: bool = F
     return DiscretizedOperator(g, v, np.eye(n, dtype=complex), interior)
 
 
-def _restrict_t_axis(matrix: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
-    """Principal submatrix on interior t nodes (drops the seam node t_0)."""
+def _interior_nodes(g: Union[Cone, Edge]) -> np.ndarray:
+    """Flat indices of the interior t nodes (all but the seam node t_0)."""
     cone = g if isinstance(g, Cone) else g.cone
     n_t = cone.n_t
     pre = 1
     if isinstance(g, Edge):
         pre = g.circle.n_x
     post = g.dim_total // (pre * n_t)
-    n = g.dim_total
-    keep = np.arange(n).reshape(pre, n_t, post)[:, 1:, :].reshape(-1)
+    return np.arange(g.dim_total).reshape(pre, n_t, post)[:, 1:, :].reshape(-1)
+
+
+def _restrict_t_axis(matrix: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
+    """Principal submatrix on interior t nodes (drops the seam node t_0)."""
+    keep = _interior_nodes(g)
     return matrix[np.ix_(keep, keep)]
 
 
@@ -307,7 +361,8 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
     xi_k (with eta = r xi_k, w = r v), mixed along x by KN quantization.
 
     x-independent families produce block-circulant operators that are
-    exactly block diagonal in edge modes.
+    exactly block diagonal in edge modes; the operator keeps those mode
+    blocks for its norm.
     """
     q = shape_of(expr)
     if q != g.q:
@@ -326,6 +381,7 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
         F = _dft_matrix(n_x)
         A = np.einsum("jk,kab,kl->jalb", E, blocks, F, optimize=True)
         A = A.reshape(n_x * fiber_dim, n_x * fiber_dim)
+        mode_blocks = blocks
     else:
         # x-dependent: fiber per (output x, mode) pair
         blocks = np.empty((n_x, n_x, fiber_dim, fiber_dim), dtype=complex)
@@ -336,11 +392,14 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
         F = _dft_matrix(n_x)
         A = np.einsum("jk,jkab,kl->jalb", E, blocks, F, optimize=True)
         A = A.reshape(n_x * fiber_dim, n_x * fiber_dim)
+        mode_blocks = None
     if cone.boundary == "interval":
-        A_full = A
-        A = _restrict_t_axis(A_full, g)
-        return DiscretizedOperator(g, v, A, interior=True)
-    return DiscretizedOperator(g, v, A)
+        A = _restrict_t_axis(A, g)
+        if mode_blocks is not None:
+            keep = _interior_nodes(cone)
+            mode_blocks = mode_blocks[:, keep[:, None], keep[None, :]]
+        return DiscretizedOperator(g, v, A, interior=True, _blocks=mode_blocks)
+    return DiscretizedOperator(g, v, A, _blocks=mode_blocks)
 
 
 def _periodic_mellin_matrix(

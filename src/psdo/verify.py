@@ -28,7 +28,7 @@ from psdo.fredholm import (
     large_parameter_scan,
     winding_oracle,
 )
-from psdo.geometry import Circle, Cone, Edge
+from psdo.geometry import Circle
 from psdo.localization import (
     continuity_check,
     glue,
@@ -40,8 +40,6 @@ from psdo.quantize import (
     DiscretizedOperator,
     negligible_test,
     op_circle,
-    op_edge,
-    op_mellin,
 )
 from psdo.stock import (
     GLUING_COUNTS,
@@ -361,12 +359,7 @@ def suite_infinitesimal(seed: int) -> SuiteResult:
     for g, expr, z in infinitesimal_stock():
         inst = infinitesimal(g, expr, z=z)
         d = inst.diagnostics
-        if isinstance(g, Circle):
-            A = op_circle(g, expr)
-        elif isinstance(g, Cone):
-            A = op_mellin(g, expr)
-        else:
-            A = op_edge(g, expr)
+        A = inst.source
         tdef = inst.translation_defect()
         contract = inst.operator.norm() <= A.norm() + 1e-12
         checks.append(

@@ -1,0 +1,160 @@
+"""Structure-aware spectral norms against the dense path.
+
+Every fast path is checked against np.linalg.norm(., 2) on the full
+dense matrix: the roll commutator against the kron-built one, edge-mode
+block norms against the assembled matrix, the thin-Gram ladder norm
+against the dense restricted product, and the stacked extraction norms
+against per-block norms.
+"""
+
+import numpy as np
+import pytest
+
+from psdo.calculus import _shift_commutator, extract_symbol
+from psdo.geometry import Circle, Cone, Edge, Point, translation_matrix
+from psdo.quantize import (
+    op_circle,
+    op_edge,
+    quantize,
+    side_norm,
+    spectral_norm,
+    spectral_norms,
+)
+from psdo.stock import infinitesimal_stock
+from psdo.symexpr import Const, parse, substitute
+
+EDGE_EXPR = parse("chi(p) + r / (1 + r) + 0.3 * chi(eta) * chi(w)")
+
+
+def _frozen_stock(kind):
+    for g, expr, z in infinitesimal_stock():
+        if isinstance(g, kind):
+            frozen = substitute(expr, {"x": Const(float(z))})
+            return g, quantize(g, frozen, freeze_r=True)
+    raise AssertionError(f"no {kind.__name__} in the infinitesimal stock")
+
+
+# ---------------------------------------------------------------------------
+# Translation commutators
+
+
+@pytest.mark.parametrize("kind", [Circle, Edge])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_roll_commutator_equals_kron(kind, steps):
+    g, op = _frozen_stock(kind)
+    n_x = g.n_x if isinstance(g, Circle) else g.circle.n_x
+    M = op.matrix
+    T = np.kron(translation_matrix(n_x, steps), np.eye(M.shape[0] // n_x))
+    assert np.array_equal(_shift_commutator(M, n_x, steps), T @ M - M @ T)
+
+
+# ---------------------------------------------------------------------------
+# Edge-mode block norms
+
+
+def test_xfree_edge_norm_periodic_cone():
+    g = Edge(Circle(8), Cone(Point(), T=4.0, n_t=32))
+    op = op_edge(g, EDGE_EXPR, v=2.0)
+    assert op._blocks is not None and op._blocks.shape == (8, 32, 32)
+    assert op.norm() == pytest.approx(np.linalg.norm(op.matrix, 2), rel=1e-13, abs=0.0)
+
+
+def test_xfree_edge_norm_interval_cone():
+    # A circle-base cone puts several nodes behind each t node, so the
+    # interior restriction of the blocks has to keep whole t slices.
+    cone = Cone(Circle(8), T=2.0, n_t=8, boundary="interval")
+    g = Edge(Circle(8), cone)
+    expr = parse("chi(p) + r / (1 + r) + 0.3 * chi(eta) * chi(t)")
+    op = op_edge(g, expr, v=1.0)
+    assert op.interior
+    assert op._blocks is not None and op._blocks.shape == (8, 56, 56)
+    assert op.norm() == pytest.approx(np.linalg.norm(op.matrix, 2), rel=1e-13, abs=0.0)
+
+
+def test_xfree_edge_norm_frozen_stock():
+    _, op = _frozen_stock(Edge)
+    assert op._blocks is not None
+    assert op.norm() == pytest.approx(np.linalg.norm(op.matrix, 2), rel=1e-13, abs=0.0)
+
+
+def test_derived_operators_carry_no_blocks():
+    g = Edge(Circle(8), Cone(Point(), T=4.0, n_t=16))
+    free = op_edge(g, EDGE_EXPR)
+    assert free._blocks is not None
+    xdep = op_edge(g, parse("chi(p) + 0.1 * cos(x) * chi(eta)"))
+    assert xdep._blocks is None
+    derived = (
+        free + free,
+        free - free,
+        free @ free,
+        free.scaled(2.0),
+        free.adjoint(),
+    )
+    for op in derived:
+        assert op._blocks is None
+        assert op.norm() == np.linalg.norm(op.matrix, 2)
+
+
+# ---------------------------------------------------------------------------
+# Ladder norms
+
+
+def _dense_side(M, vals, side):
+    return np.linalg.norm(M * vals[None, :] if side == "right" else vals[:, None] * M, 2)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_side_norm_matches_dense(side, scale):
+    rng = np.random.default_rng(5)
+    n = 96
+    M = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    proper = np.zeros(n)
+    proper[20:45] = rng.uniform(0.1, 1.0, 25)
+    full = rng.uniform(0.1, 1.0, n)
+    for vals in (proper, full):
+        want = _dense_side(M, vals, side)
+        assert side_norm(M, vals, side) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_side_norm_empty_support_is_zero(side):
+    M = np.ones((8, 8), dtype=complex)
+    assert side_norm(M, np.zeros(8), side) == 0.0
+
+
+def test_side_norm_zero_matrix_on_proper_support():
+    vals = np.zeros(8)
+    vals[2:5] = 1.0
+    for side in ("right", "left"):
+        assert side_norm(np.zeros((8, 8), dtype=complex), vals, side) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked norms in extraction
+
+
+def test_stacked_norms_equal_per_matrix_norms():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+    per = [np.linalg.norm(b, 2) for b in stack]
+    assert np.array_equal(spectral_norms(stack), per)
+    assert spectral_norm(stack) == max(per)
+    assert spectral_norm(stack[:0]) == 0.0
+
+
+def test_extraction_norms_match_block_loop():
+    g = Edge(Circle(8), Cone(Point(), T=4.0, n_t=16))
+    ex = extract_symbol(op_edge(g, EDGE_EXPR, v=1.0))
+    assert np.array_equal(ex.block_norms(), [np.linalg.norm(b, 2) for b in ex.blocks])
+
+    # An x-dependent circle operator: the off-diagonal maximum must be
+    # the largest per-block norm over every mode pair k != m.
+    c = Circle(16)
+    A = op_circle(c, parse("(2 + sin(x)) * chi(xi)"))
+    ex = extract_symbol(A, require_invariant=False)
+    F = np.exp(-1j * np.outer(c.modes, c.x)) / c.n_x
+    iF = np.exp(1j * np.outer(c.x, c.modes))
+    D = F @ A.matrix @ iF
+    off = max(abs(D[k, m]) for k in range(16) for m in range(16) if k != m)
+    assert ex.max_offdiag == pytest.approx(off, rel=1e-12)

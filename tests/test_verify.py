@@ -1,7 +1,13 @@
 """Verification battery: catalog, determinism, filtering, threading."""
 
+import numpy as np
 import pytest
 
+from psdo.calculus import _cutoff_ladder
+from psdo.geometry import Cone, Edge, translation_matrix
+from psdo.quantize import quantize
+from psdo.stock import infinitesimal_stock
+from psdo.symexpr import Const, substitute
 from psdo.verify import SUITES, VerifyError, run_suites, suite_names
 
 EXPECTED_SUITES = (
@@ -78,3 +84,31 @@ def test_threaded_matches_serial():
     assert tuple(s.suite for s in threaded.suites) == EXPECTED_SUITES
     assert serial.passed and threaded.passed
     assert serial.payload() == threaded.payload()
+
+
+def _dense_infinitesimal_detail(g, expr, z):
+    """The infinitesimal suite's detail string from the dense oracle:
+    fresh operators, kron-built shift commutators and full-matrix
+    np.linalg.norm(., 2) everywhere."""
+    A = quantize(g, expr)
+    F = quantize(g, substitute(expr, {"x": Const(float(z))}), freeze_r=True).matrix
+    _, diags = _cutoff_ladder(g, z, None, None, A.interior)
+    final = np.linalg.norm((A.matrix - F) * diags[-1][None, :], 2)
+    tdef = 0.0
+    if not isinstance(g, Cone):
+        n_x = g.circle.n_x if isinstance(g, Edge) else g.n_x
+        for steps in (1, 3):
+            T = np.kron(translation_matrix(n_x, steps), np.eye(F.shape[0] // n_x))
+            tdef = max(tdef, float(np.linalg.norm(T @ F - F @ T, 2)))
+    return (
+        f"final {final:.3e}, translation defect {tdef:.3e}, "
+        f"norm {np.linalg.norm(F, 2):.4f} <= {np.linalg.norm(A.matrix, 2):.4f}"
+    )
+
+
+def test_infinitesimal_details_match_dense_oracle():
+    # Guards the canonical bytes of the suite's structured norm paths.
+    rep = run_suites(seed=0, only="infinitesimal")
+    got = [c.detail for c in rep.suites[0].checks]
+    want = [_dense_infinitesimal_detail(g, expr, z) for g, expr, z in infinitesimal_stock()]
+    assert got == want
