@@ -30,6 +30,7 @@ from psdo.geometry import (
 )
 from psdo.quantize import (
     DiscretizedOperator,
+    _interior_nodes,
     op_circle,
     op_edge,
     op_mellin,
@@ -309,13 +310,6 @@ def _axis_values(g: Geometry, axis: str, values: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(values)[None, :, None], (pre, n, post)).reshape(-1)
 
 
-def _restrict_values(vals: np.ndarray, g: Geometry) -> np.ndarray:
-    cone = g if isinstance(g, Cone) else g.cone
-    pre = g.circle.n_x if isinstance(g, Edge) else 1
-    post = g.dim_total // (pre * cone.n_t)
-    return vals.reshape(pre, cone.n_t, post)[:, 1:, :].reshape(-1)
-
-
 def _feasible_scales(base: float, h: float) -> int:
     """Rungs of a dyadic family starting at base whose smallest scale
     still spans 3 grid steps."""
@@ -375,7 +369,8 @@ def _cutoff_ladder(
     if len(diags) < 2:
         raise CalculusError("grid too coarse for a localization ladder")
     if interior:
-        diags = [_restrict_values(w, g) for w in diags]
+        keep = _interior_nodes(g)
+        diags = [w[keep] for w in diags]
     return tuple(lambdas), diags
 
 

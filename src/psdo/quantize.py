@@ -134,8 +134,8 @@ def side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
     """||M diag(vals)|| (side "right") or ||diag(vals) M|| ("left"),
     using only the support of vals.
 
-    On a proper support of k nodes the norm is sqrt(lambda_max) of the
-    k x k Gram matrix of the thin factor. The factor is scaled by a
+    On a support of k nodes the norm is sqrt(lambda_max) of the k x k
+    Gram matrix of the restricted factor. The factor is scaled by a
     power of two first, so the Gram neither underflows nor rounds
     differently; sigma_max keeps its eps-relative accuracy.
     """
@@ -146,8 +146,6 @@ def side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
         X = M[:, idx] * vals[idx][None, :]
     else:
         X = M[idx, :] * vals[idx][:, None]
-    if idx.size == vals.size:
-        return spectral_norm(X)
     peak = float(np.max(np.abs(X)))
     if peak == 0.0:
         return 0.0
