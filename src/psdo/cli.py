@@ -10,7 +10,7 @@ Four commands share one JSON config file:
 Config schema (CONFIG_SCHEMA below; every field is optional unless the
 command requires it):
 
-    seed      int, default 0
+    seed      int >= 0, default 0
     geometry  descriptor dict, see psdo.geometry.build_geometry
     symbol    DSL source for the generating family or circle symbol
     interior  DSL source overriding the extracted interior symbol
@@ -443,16 +443,22 @@ def _threads_from_env() -> int:
     return n
 
 
+def _check_seed(raw: object) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        raise ConfigError(f"seed must be an int >= 0, got {raw!r}")
+    return raw
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config) if args.config else {}
+        seed = _check_seed(args.seed if args.seed is not None else cfg.get("seed", 0))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out_dir = args.out if args.out is not None else cfg.get("out")
     fmt = args.format if args.format is not None else cfg.get("format", "report")
     only = args.only if args.only is not None else cfg.get("only")

@@ -70,6 +70,18 @@ def _as_node(expr: ExprLike) -> Node:
     return parse(expr) if isinstance(expr, str) else expr
 
 
+def _sphere_min(expr: Node, n_x: int, n_sphere: int, lam: float) -> float:
+    """Smallest singular value of expr over the (x, sphere direction)
+    grid, (xi, v) = lam (cos th, sin th), r = 0: one evaluation on the
+    whole grid, one stacked SVD."""
+    xs = 2.0 * np.pi * np.arange(n_x) / n_x
+    thetas = 2.0 * np.pi * np.arange(n_sphere) / n_sphere
+    bindings = {"x": xs[:, None], "xi": lam * np.cos(thetas), "v": lam * np.sin(thetas), "r": 0.0}
+    m = evaluate(expr, bindings)
+    m = np.broadcast_to(m, (n_x, n_sphere) + m.shape[-2:])
+    return float(np.min(np.linalg.svd(m, compute_uv=False)[..., -1], initial=math.inf))
+
+
 # ---------------------------------------------------------------------------
 # Ellipticity
 
@@ -121,15 +133,7 @@ def check_elliptic(
             f"symbol tuple fails compatibility at {comp.mismatch:.3e}; ellipticity scan may be meaningless",
             stacklevel=2,
         )
-    xs = 2.0 * np.pi * np.arange(n_x) / n_x
-    thetas = 2.0 * np.pi * np.arange(n_sphere) / n_sphere
-    q = t.sigma0.q
-    interior_min = math.inf
-    for x0 in xs:
-        for th in thetas:
-            a = t.sigma0.value(x0, lam * np.cos(th), lam * np.sin(th), r=0.0)
-            a = np.asarray(a, dtype=complex).reshape(q, q)
-            interior_min = min(interior_min, float(np.linalg.svd(a, compute_uv=False)[-1]))
+    interior_min = _sphere_min(t.sigma0.expr, n_x, n_sphere, lam)
     con = conormal(t.sigma1.family)
     ps = np.linspace(-p_max, p_max, n_p)
     profile = con.min_singular(ps)
@@ -301,6 +305,25 @@ class WindingReport:
     index_convention: str = "index = +winding (pinned against the Mellin quantization)"
 
 
+def _contour(
+    g: Union[ConormalSymbol, Node, str, Callable[[float], complex]], p_max: float, n: int
+) -> np.ndarray:
+    """g(p), or det g(p) for matrix symbols, on the grid p = tan u.
+
+    Symbols are evaluated once on the whole grid; a plain callable is
+    called once per node, since its contract is scalar.
+    """
+    u_max = math.atan(p_max)
+    ps = np.tan(np.linspace(-u_max, u_max, n))
+    if isinstance(g, ConormalSymbol):
+        return np.linalg.det(g.values(ps))
+    if isinstance(g, (Node, str)):
+        m = evaluate(_as_node(g), {"p": ps, "t": 0.0})
+        m = np.broadcast_to(m, ps.shape + m.shape[-2:])
+        return m[:, 0, 0] if m.shape[-1] == 1 else np.linalg.det(m)
+    return np.array([g(float(p)) for p in ps])
+
+
 def winding_oracle(
     g: Union[ConormalSymbol, Node, str, Callable[[float], complex]],
     p_max: float = 1e6,
@@ -315,19 +338,10 @@ def winding_oracle(
     p = 0 and the endpoints reach far enough for the contour to close;
     n must stay odd so p = 0 itself is sampled and zero crossings at
     the origin are seen directly.
-    Scalar symbols are used directly; matrix conormal symbols through
-    their determinant.
+    Scalar symbols are used directly; matrix symbols, DSL or conormal,
+    through their determinant.
     """
-    if isinstance(g, ConormalSymbol):
-        f = lambda p: complex(np.linalg.det(g.value(p)))
-    elif isinstance(g, (Node, str)):
-        expr = _as_node(g)
-        f = lambda p: complex(np.asarray(evaluate(expr, {"p": p, "t": 0.0})).reshape(-1)[0])
-    else:
-        f = g
-    u_max = math.atan(p_max)
-    us = np.linspace(-u_max, u_max, n)
-    vals = np.array([f(float(np.tan(u))) for u in us])
+    vals = _contour(g, p_max, n)
     amin = float(np.min(np.abs(vals)))
     if amin < min_abs:
         raise FredholmError(f"symbol passes through zero on the weight line (min |g| = {amin:.3e})")
@@ -484,19 +498,8 @@ def large_parameter_scan(
     sphere_min: Optional[float] = None
     ewp: Optional[bool] = None
     if variables_of(expr) <= {"x", "xi", "v"}:
-        xs = 2.0 * np.pi * np.arange(16) / 16
-        thetas = 2.0 * np.pi * np.arange(n_sphere) / n_sphere
-        worst = math.inf
-        for x0 in xs:
-            for th in thetas:
-                val = evaluate(
-                    expr, {"x": x0, "xi": lam * np.cos(th), "v": lam * np.sin(th)}
-                )
-                m = np.asarray(val, dtype=complex)
-                m = m.reshape(1, 1) if m.ndim == 0 else m.reshape(m.shape[-1], m.shape[-1])
-                worst = min(worst, float(np.linalg.svd(m, compute_uv=False)[-1]))
-        sphere_min = worst
-        ewp = worst >= floor
+        sphere_min = _sphere_min(expr, 16, n_sphere, lam)
+        ewp = sphere_min >= floor
     s_min = []
     for u in v_values:
         A = quantize(g, expr, v=float(u))

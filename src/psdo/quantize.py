@@ -224,26 +224,25 @@ def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOp
 
 
 def _cone_bindings(
-    cone: Cone,
+    r: np.ndarray,
+    p: np.ndarray,
     v: float,
     xi: float,
     x_value: float,
     freeze_r: bool,
-    t_shape: tuple[int, ...],
-    p_shape: tuple[int, ...],
     mu: Optional[np.ndarray] = None,
 ) -> dict:
-    r = cone.r.reshape(t_shape)
-    b = {
+    """Bindings of a cone family at radial values r and Mellin
+    covariables p, each already shaped to broadcast."""
+    return {
         "r": np.zeros_like(r) if freeze_r else r,
         "w": v * r,
         "eta": xi * r,
-        "p": cone.p.reshape(p_shape),
+        "p": p,
         "v": v,
         "x": x_value,
         "t": 0.0 if mu is None else mu,
     }
-    return b
 
 
 def _kn_t_block(cone: Cone, S: np.ndarray) -> np.ndarray:
@@ -280,13 +279,15 @@ def op_mellin(
         raise QuantizeError(f"symbol shape {q} != geometry fiber {g.q}")
     n_t = g.n_t
     if isinstance(g.base, Point):
-        b = _cone_bindings(g, v, xi, x_value, freeze_r, (n_t, 1), (1, n_t))
+        b = _cone_bindings(g.r.reshape(n_t, 1), g.p.reshape(1, n_t), v, xi, x_value, freeze_r)
         S = np.broadcast_to(evaluate(expr, b), (n_t, n_t, q, q))
         A = _kn_t_block(g, S)
     else:
         n_w = g.base.n_x
         mu = g.base.modes.astype(float).reshape(1, 1, n_w)
-        b = _cone_bindings(g, v, xi, x_value, freeze_r, (n_t, 1, 1), (1, n_t, 1), mu=mu)
+        b = _cone_bindings(
+            g.r.reshape(n_t, 1, 1), g.p.reshape(1, n_t, 1), v, xi, x_value, freeze_r, mu=mu
+        )
         S = np.broadcast_to(evaluate(expr, b), (n_t, n_t, n_w, q, q))
         E = np.exp(1j * g.t[:, None] * g.p[None, :])
         F = np.exp(-1j * g.p[:, None] * g.t[None, :]) / n_t
@@ -316,34 +317,18 @@ def _check_support_policy(g: Cone, expr: Node, v: float, xi: float, x_value: flo
     n_t = g.n_t
     idx_pairs = [(0, 1), (n_t - 1, n_t - 2)]
     mu = None
+    p = g.p.reshape(-1, 1)
     if isinstance(g.base, Circle):
         mu = g.base.modes.astype(float).reshape(1, -1)
-    vals = []
-    for i, _ in idx_pairs:
-        r_i = g.r[i]
-        b = {
-            "r": 0.0 if freeze_r else r_i,
-            "w": v * r_i,
-            "eta": xi * r_i,
-            "p": g.p.reshape(-1, 1) if mu is None else g.p.reshape(-1, 1, 1),
-            "v": v,
-            "x": x_value,
-            "t": 0.0 if mu is None else mu,
-        }
-        vals.append(evaluate(expr, b))
+        p = g.p.reshape(-1, 1, 1)
+
+    def at(node: int) -> np.ndarray:
+        return evaluate(expr, _cone_bindings(g.r[node], p, v, xi, x_value, freeze_r, mu))
+
+    vals = [at(i) for i, _ in idx_pairs]
     sup = max(float(np.max(np.abs(v_))) for v_ in vals) or 1.0
-    for (i, j), ref in zip(idx_pairs, vals):
-        r_j = g.r[j]
-        b = {
-            "r": 0.0 if freeze_r else r_j,
-            "w": v * r_j,
-            "eta": xi * r_j,
-            "p": g.p.reshape(-1, 1) if mu is None else g.p.reshape(-1, 1, 1),
-            "v": v,
-            "x": x_value,
-            "t": 0.0 if mu is None else mu,
-        }
-        other = evaluate(expr, b)
+    for (_, j), ref in zip(idx_pairs, vals):
+        other = at(j)
         if float(np.max(np.abs(other - ref))) > 1e-2 * sup:
             raise QuantizeError(
                 "interval mode: family is not constant in r near the window boundary (support policy)"

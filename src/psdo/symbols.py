@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from psdo.geometry import Circle, Cone, DilationAction, Geometry, Point
-from psdo.quantize import DiscretizedOperator, op_mellin
+from psdo.quantize import DiscretizedOperator, op_mellin, spectral_norms
 from psdo.symexpr import (
     Call,
     Const,
@@ -395,40 +395,42 @@ class ConormalSymbol:
             return self.base.n_x * self.q
         return self.q
 
-    def value(self, p: float) -> np.ndarray:
+    def values(self, ps: Sequence[float]) -> np.ndarray:
+        """Fiber matrices at every p of ps, stacked as (n, d, d), from one
+        evaluation on the whole grid."""
+        ps = np.asarray(ps, dtype=float).reshape(-1)
         if isinstance(self.base, Point):
-            m = np.asarray(evaluate(self.expr, {"p": p, "t": 0.0}), dtype=complex)
-            m = m.reshape(self.q, self.q)
+            m = evaluate(self.expr, {"p": ps, "t": 0.0})
+            m = np.broadcast_to(m, (ps.size, self.q, self.q)).astype(complex)
         else:
             modes = self.base.modes.astype(float)
-            vals = evaluate(self.expr, {"p": p, "t": modes})
-            d = np.broadcast_to(vals.reshape(-1), modes.shape).astype(complex)
+            vals = evaluate(self.expr, {"p": ps[:, None], "t": modes[None, :]})
+            d = np.broadcast_to(vals[..., 0, 0], (ps.size, modes.size)).astype(complex)
             n = self.base.n_x
             iFw = np.exp(1j * np.outer(self.base.x, modes))
             Fw = np.exp(-1j * np.outer(modes, self.base.x)) / n
-            m = iFw @ np.diag(d) @ Fw
+            m = (iFw[None, :, :] * d[:, None, :]) @ Fw
         if self.conj is not None:
             L, R = self.conj
             m = L @ m @ R
         return m
 
+    def value(self, p: float) -> np.ndarray:
+        return self.values([p])[0]
+
     def min_singular(self, ps: Sequence[float]) -> np.ndarray:
-        return np.array([np.linalg.svd(self.value(p), compute_uv=False)[-1] for p in ps])
+        return np.linalg.svd(self.values(ps), compute_uv=False)[:, -1]
 
     def modulus_of_continuity(self, p_max: float = 32.0, n: int = 129, h: float = 1e-3) -> float:
         """max_p |value(p + h) - value(p)| over a uniform sample grid."""
         ps = np.linspace(-p_max, p_max, n)
-        return max(
-            float(np.linalg.norm(self.value(p + h) - self.value(p), 2)) for p in ps
-        )
+        return float(np.max(spectral_norms(self.values(ps + h) - self.values(ps))))
 
     def limit_drift(self, p_large: float = 1e6, factor: float = 1e3) -> float:
         """Distance between values at +-p_large and +-p_large*factor;
         small drift certifies convergence to the frozen limits."""
-        return max(
-            float(np.linalg.norm(self.value(s * p_large * factor) - self.value(s * p_large), 2))
-            for s in (1.0, -1.0)
-        )
+        m = self.values([p_large * factor, -p_large * factor, p_large, -p_large])
+        return float(np.max(spectral_norms(m[:2] - m[2:])))
 
 
 def conormal(P: ConeSymbolFamily) -> ConormalSymbol:

@@ -17,7 +17,7 @@ from psdo.calculus import compose_symbols, extract_symbol, infinitesimal
 from psdo.cli import canonical_report_bytes
 from psdo.cli import main as cli_main
 from psdo.fredholm import finite_section, large_parameter_scan, winding_oracle
-from psdo.geometry import Circle, Cone
+from psdo.geometry import Circle
 from psdo.localization import (
     continuity_check,
     glue,
@@ -25,13 +25,7 @@ from psdo.localization import (
     partition_bound_check,
     partition_of_unity,
 )
-from psdo.quantize import (
-    DiscretizedOperator,
-    negligible_test,
-    op_circle,
-    op_edge,
-    op_mellin,
-)
+from psdo.quantize import DiscretizedOperator, negligible_test, op_circle
 from psdo.stock import (
     GLUING_COUNTS,
     degenerate_stock,
@@ -243,12 +237,7 @@ def test_a10_infinitesimal():
     for g, expr, z in infinitesimal_stock():
         inst = infinitesimal(g, expr, z=z)
         d = inst.diagnostics
-        if isinstance(g, Circle):
-            A = op_circle(g, expr)
-        elif isinstance(g, Cone):
-            A = op_mellin(g, expr)
-        else:
-            A = op_edge(g, expr)
+        A = inst.source
         tdef = inst.translation_defect()
         finals.append(d.final)
         ok = (

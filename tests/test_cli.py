@@ -300,6 +300,29 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert report["result"]["seed"] == 9
 
 
+def test_negative_seed_flag_exit_64(capsys):
+    assert main(["verify", "--seed", "-1", "--only", "partition-bound"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: seed must be an int >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["abc", -3, 1.5, True, None])
+def test_invalid_config_seed_exit_64(tmp_path, capsys, seed):
+    cfg = {"seed": seed, "only": "partition-bound"}
+    assert run(tmp_path, "verify", cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: seed must be an int >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_invalid_seed_rejected_before_dispatch(tmp_path, capsys):
+    # check would otherwise run its scans and exit 0
+    cfg = {"geometry": CONE, "symbol": ELLIPTIC, "seed": -1}
+    assert run(tmp_path, "check", cfg) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 # -- atomic writes ----------------------------------------------------------
 
 
