@@ -31,8 +31,10 @@ atomically (temp file in the target directory, then rename).
 
 Exit codes: 0 ok, 2 compatibility failure, 3 ellipticity failure,
 4 indeterminate sections, 5 index/oracle inconsistency, 64 config or
-schema error, 65 DSL parse error (message carries the byte offset),
-74 output I/O error. Verification failures exit 1.
+schema error (also a command-line usage error, and a symbol that is
+non-finite or unbound on the grid it is evaluated on), 65 DSL parse
+error (message carries the byte offset), 74 output I/O error.
+Verification failures exit 1; --help exits 0.
 
 PSDO_THREADS caps suite parallelism in verify (default 1).
 """
@@ -79,7 +81,7 @@ from psdo.symbols import (
     SymbolTuple,
     compat_check,
 )
-from psdo.symexpr import Const, ParseError, parse, shape_of, substitute
+from psdo.symexpr import Const, EvalError, ParseError, parse, shape_of, substitute
 from psdo.verify import VerifyError, run_suites
 
 __all__ = [
@@ -417,8 +419,16 @@ def verify_csv(result: dict) -> str:
 # Entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_CONFIG; argparse's own 2 is EXIT_COMPAT."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="psdo", description=__doc__)
+    p = _ArgumentParser(prog="psdo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("check", "quantize", "index", "verify"):
         sp = sub.add_parser(name)
@@ -478,6 +488,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_PARSE
     except (
         ConfigError,
+        EvalError,
         FredholmError,
         GeometryError,
         SymbolError,

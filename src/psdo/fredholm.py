@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from psdo.geometry import Circle, Cone, Edge, Geometry, Point, collar_cutoff
-from psdo.quantize import DiscretizedOperator, _restrict_t_axis, op_edge, quantize
+from psdo.quantize import DiscretizedOperator, _dft_matrix, _restrict_t_axis, op_edge, quantize
 from psdo.symbols import (
     ConeSymbolFamily,
     ConormalSymbol,
@@ -404,7 +404,7 @@ def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
     S = evaluate(expr, bindings)
     S = np.broadcast_to(S, (n, n, n_t, q, q))
     E = np.exp(1j * np.outer(circ.x, k))
-    F = np.fft.fft(np.eye(n), axis=0) / n
+    F = _dft_matrix(n)
     M = np.einsum("jk,jktab,kl->tjalb", E, S, F, optimize=True)  # (t, j, a, l, b)
     full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
     idx = np.arange(n_t)
@@ -491,8 +491,10 @@ def large_parameter_scan(
 
     When the symbol is an interior one (x, xi, v), joint parameter
     ellipticity is verified first on the (xi, v)-sphere and recorded;
-    families in other variables skip that precheck. Never raises: the
-    verdict is the report.
+    families in other variables skip that precheck. A failed check is
+    the report's verdict, not an exception. A symbol that is non-finite
+    on the (x, sphere) grid or on the grid of a ladder operator raises
+    EvalError from evaluate.
     """
     expr = _as_node(expr)
     sphere_min: Optional[float] = None

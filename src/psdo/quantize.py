@@ -29,7 +29,6 @@ from psdo.geometry import (
     Geometry,
     GeometryError,
     GridFunction,
-    Point,
 )
 from psdo.symexpr import Node, evaluate, shape_of, variables_of
 
@@ -195,7 +194,7 @@ def _restrict_t_axis(matrix: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
 
 def _dft_matrix(n: int) -> np.ndarray:
     """F[k, j] = exp(-i k x_j)/n, modes in FFT order."""
-    return np.fft.fft(np.eye(n), axis=0) / n
+    return np.fft.fft(np.eye(n), axis=1).T / n
 
 
 def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOperator:
@@ -245,13 +244,48 @@ def _cone_bindings(
     }
 
 
-def _kn_t_block(cone: Cone, S: np.ndarray) -> np.ndarray:
-    """KN assembly along the t axis. S has axes (t, p, q, q); returns
-    the (n_t*q) x (n_t*q) matrix."""
-    n_t, q = cone.n_t, S.shape[-1]
+def _mellin_fibers(
+    cone: Cone,
+    expr: Node,
+    v: float,
+    xi: Union[float, np.ndarray],
+    x_value: Union[float, np.ndarray],
+    freeze_r: bool,
+) -> np.ndarray:
+    """Periodic Mellin fiber matrices of a cone family, one per edge
+    point: xi and x_value broadcast to a batch shape B, and the result
+    is (*B, d, d) with d = cone.dim_total.
+
+    The whole batch takes one evaluate on the (*B, t, p[, mu]) grid and
+    one contraction along t; a circle base is then conjugated back to
+    nodal representation by its DFT, batched the same way. Assembly is
+    periodic whatever the cone's boundary mode.
+    """
+    xi, x_value = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(x_value, dtype=float))
+    batch = xi.shape
+    n_t, q = cone.n_t, cone.q
+    if isinstance(cone.base, Circle):
+        n_w = cone.base.n_x
+        r, p = cone.r.reshape(n_t, 1, 1), cone.p.reshape(1, n_t, 1)
+        mu = cone.base.modes.astype(float).reshape(1, 1, n_w)
+        grid: tuple[int, ...] = (n_t, n_t, n_w)
+    else:
+        r, p, mu, grid = cone.r.reshape(n_t, 1), cone.p.reshape(1, n_t), None, (n_t, n_t)
+    pad = (1,) * len(grid)
+    b = _cone_bindings(r, p, v, xi.reshape(batch + pad), x_value.reshape(batch + pad), freeze_r, mu=mu)
+    S = np.broadcast_to(evaluate(expr, b), batch + grid + (q, q))
     E = np.exp(1j * cone.t[:, None] * cone.p[None, :])
     F = np.exp(-1j * cone.p[:, None] * cone.t[None, :]) / n_t
-    return np.einsum("jk,jkab,kl->jalb", E, S, F, optimize=True).reshape(n_t * q, n_t * q)
+    if mu is None:
+        A = np.einsum("jk,...jkab,kl->...jalb", E, S, F, optimize=True)
+    else:
+        blocks = np.einsum("jk,...jkmab,kl->...mjalb", E, S, F, optimize=True)
+        modes, x = cone.base.modes.astype(float), cone.base.x
+        iFw = np.exp(1j * modes[None, :] * x[:, None])  # (l, mu)
+        Fw = np.exp(-1j * modes[:, None] * x[None, :]) / cone.base.n_x  # (mu, l')
+        A = np.einsum("lm,...mjase,mn->...jlasne", iFw, blocks, Fw, optimize=True)
+    d = cone.dim_total
+    return A.reshape(batch + (d, d))
 
 
 def op_mellin(
@@ -277,27 +311,7 @@ def op_mellin(
     q = shape_of(expr)
     if q != g.q:
         raise QuantizeError(f"symbol shape {q} != geometry fiber {g.q}")
-    n_t = g.n_t
-    if isinstance(g.base, Point):
-        b = _cone_bindings(g.r.reshape(n_t, 1), g.p.reshape(1, n_t), v, xi, x_value, freeze_r)
-        S = np.broadcast_to(evaluate(expr, b), (n_t, n_t, q, q))
-        A = _kn_t_block(g, S)
-    else:
-        n_w = g.base.n_x
-        mu = g.base.modes.astype(float).reshape(1, 1, n_w)
-        b = _cone_bindings(
-            g.r.reshape(n_t, 1, 1), g.p.reshape(1, n_t, 1), v, xi, x_value, freeze_r, mu=mu
-        )
-        S = np.broadcast_to(evaluate(expr, b), (n_t, n_t, n_w, q, q))
-        E = np.exp(1j * g.t[:, None] * g.p[None, :])
-        F = np.exp(-1j * g.p[:, None] * g.t[None, :]) / n_t
-        # per-mode t blocks
-        blocks = np.einsum("jk,jkmab,kl->mjalb", E, S, F, optimize=True)
-        iFw = np.exp(1j * g.base.modes[None, :].astype(float) * g.base.x[:, None])  # (l, mu)
-        Fw = np.exp(-1j * g.base.modes[:, None].astype(float) * g.base.x[None, :]) / n_w  # (mu, l')
-        A = np.einsum("lm,mjase,mn->jlasne", iFw, blocks, Fw, optimize=True)
-        d = n_t * n_w * q
-        A = A.reshape(d, d)
+    A = _mellin_fibers(g, expr, v, xi, x_value, freeze_r)
     if g.boundary == "interval":
         _check_support_policy(g, expr, v, xi, x_value, freeze_r)
         A = _restrict_t_axis(A, g)
@@ -345,37 +359,27 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
 
     x-independent families produce block-circulant operators that are
     exactly block diagonal in edge modes; the operator keeps those mode
-    blocks for its norm.
+    blocks for its norm. Fibers are assembled on the periodic window
+    whatever the cone's boundary mode; an interval cone restricts the
+    result to interior nodes, with no support-policy check.
     """
     q = shape_of(expr)
     if q != g.q:
         raise QuantizeError(f"symbol shape {q} != geometry fiber {g.q}")
     cone, circ = g.cone, g.circle
-    n_x = circ.n_x
     xi = circ.modes.astype(float)
-    fiber_dim = cone.dim_total
-    used = variables_of(expr)
-    if "x" not in used:
-        # fiber per mode, block circulant
-        blocks = np.empty((n_x, fiber_dim, fiber_dim), dtype=complex)
-        for idx, xi_k in enumerate(xi):
-            blocks[idx] = _periodic_mellin_matrix(cone, expr, v, xi_k, 0.0, freeze_r)
-        E = np.exp(1j * circ.x[:, None] * xi[None, :])
-        F = _dft_matrix(n_x)
-        A = np.einsum("jk,kab,kl->jalb", E, blocks, F, optimize=True)
-        A = A.reshape(n_x * fiber_dim, n_x * fiber_dim)
-        mode_blocks = blocks
-    else:
-        # x-dependent: fiber per (output x, mode) pair
-        blocks = np.empty((n_x, n_x, fiber_dim, fiber_dim), dtype=complex)
-        for j in range(n_x):
-            for idx, xi_k in enumerate(xi):
-                blocks[j, idx] = _periodic_mellin_matrix(cone, expr, v, xi_k, circ.x[j], freeze_r)
-        E = np.exp(1j * circ.x[:, None] * xi[None, :])
-        F = _dft_matrix(n_x)
+    E = np.exp(1j * circ.x[:, None] * xi[None, :])
+    F = _dft_matrix(circ.n_x)
+    if "x" in variables_of(expr):
+        # one fiber per (output x, mode) pair
+        blocks = _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r)
         A = np.einsum("jk,jkab,kl->jalb", E, blocks, F, optimize=True)
-        A = A.reshape(n_x * fiber_dim, n_x * fiber_dim)
         mode_blocks = None
+    else:
+        # one fiber per mode, block circulant
+        mode_blocks = _mellin_fibers(cone, expr, v, xi, 0.0, freeze_r)
+        A = np.einsum("jk,kab,kl->jalb", E, mode_blocks, F, optimize=True)
+    A = A.reshape(g.dim_total, g.dim_total)
     if cone.boundary == "interval":
         A = _restrict_t_axis(A, g)
         if mode_blocks is not None:
@@ -383,16 +387,6 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
             mode_blocks = mode_blocks[:, keep[:, None], keep[None, :]]
         return DiscretizedOperator(g, v, A, interior=True, _blocks=mode_blocks)
     return DiscretizedOperator(g, v, A, _blocks=mode_blocks)
-
-
-def _periodic_mellin_matrix(
-    cone: Cone, expr: Node, v: float, xi: float, x_value: float, freeze_r: bool
-) -> np.ndarray:
-    """Periodic-assembly fiber matrix regardless of the cone's boundary mode."""
-    if cone.boundary == "periodic":
-        return op_mellin(cone, expr, v=v, xi=xi, x_value=x_value, freeze_r=freeze_r).matrix
-    periodic = Cone(base=cone.base, T=cone.T, n_t=cone.n_t, boundary="periodic", q=cone.q)
-    return op_mellin(periodic, expr, v=v, xi=xi, x_value=x_value, freeze_r=freeze_r).matrix
 
 
 def quantize(g: Geometry, expr: Node, v: Optional[float] = None, freeze_r: bool = False) -> DiscretizedOperator:

@@ -165,6 +165,25 @@ def test_quantize_io_error_exit_74(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "geometry, symbol",
+    [
+        ({"kind": "circle", "n_x": 32}, "1 / (xi)"),
+        # eta = xi r vanishes on the xi = 0 fiber of the batched edge path
+        ({"kind": "edge", "n_x": 8, "cone": {"n_t": 16}}, "(1 + 0.1 * sin(x)) / eta"),
+    ],
+    ids=["circle", "edge"],
+)
+def test_quantize_non_finite_symbol_exit_64(tmp_path, capsys, geometry, symbol):
+    cfg = {"geometry": geometry, "symbol": symbol}
+    code = run(tmp_path, "quantize", cfg, "--out", str(tmp_path / "q"))
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert "config error: evaluation produced a non-finite value" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "q" / "operator.psdo").exists()
+
+
 def test_container_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.psdo"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -321,6 +340,32 @@ def test_invalid_seed_rejected_before_dispatch(tmp_path, capsys):
     cfg = {"geometry": CONE, "symbol": ELLIPTIC, "seed": -1}
     assert run(tmp_path, "check", cfg) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["index", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ],
+    ids=["seed", "unknown-flag", "format"],
+)
+def test_usage_error_exit_64(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_CONFIG
+    assert message in captured.err
+    assert "usage: psdo" in captured.err
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    assert "usage: psdo" in capsys.readouterr().out
 
 
 # -- atomic writes ----------------------------------------------------------

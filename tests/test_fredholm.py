@@ -38,7 +38,7 @@ from psdo.symbols import (
     SymbolTuple,
     compat_check,
 )
-from psdo.symexpr import parse
+from psdo.symexpr import EvalError, parse
 
 CAYLEY = "(p - (0,1)) / (p + (0,1))"
 MIRROR = "(p + (0,1)) / (p - (0,1))"
@@ -356,6 +356,12 @@ def test_large_parameter_scan_decaying_family_fails():
     rep = large_parameter_scan(Circle(64), "1 / (1 + v^2) + 0*xi")
     assert not rep.passed
     assert rep.s_min[-1] <= 1e-3
+
+
+def test_large_parameter_scan_non_finite_symbol_raises():
+    # v = 0 at theta = 0 on the (xi, v)-sphere of the precheck
+    with pytest.raises(EvalError, match="non-finite"):
+        large_parameter_scan(Circle(32), "1 / v + 0*xi")
 
 
 def test_large_parameter_scan_zero_symbol_reports_not_raises():

@@ -7,6 +7,7 @@ from psdo.quantize import (
     NegligibleVerdict,
     OperatorFamily,
     QuantizeError,
+    _dft_matrix,
     dyadic_ladder,
     identity_operator,
     interior_dim,
@@ -346,3 +347,8 @@ class TestFamilies:
         assert quantize(Cone(Point(), n_t=16), parse("chi(p)")).matrix.shape == (16, 16)
         g = Edge(Circle(8), Cone(Point(), n_t=16))
         assert quantize(g, parse("chi(eta)")).matrix.shape == (128, 128)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+def test_dft_matrix_bits_match_column_transform(n):
+    assert np.array_equal(_dft_matrix(n), np.fft.fft(np.eye(n), axis=0) / n)
