@@ -25,6 +25,7 @@ from psdo.geometry import (
     Cone,
     Edge,
     Geometry,
+    axis_layout,
     collar_cutoff,
     cutoff_family,
 )
@@ -32,13 +33,12 @@ from psdo.quantize import (
     DiscretizedOperator,
     _interior_nodes,
     op_circle,
-    op_edge,
-    op_mellin,
+    quantize,
     side_norm,
     spectral_norm,
     spectral_norms,
 )
-from psdo.symexpr import Const, Node, add, diff, mul, parse, substitute, variables_of
+from psdo.symexpr import Const, Node, add, diff, mul, parse, substitute
 
 __all__ = [
     "CalculusError",
@@ -166,32 +166,6 @@ class ExtractedSymbol:
         return spectral_norms(self.blocks)
 
 
-def _axis_layout(g: Geometry, axis: str) -> tuple[int, int, int, np.ndarray, np.ndarray]:
-    """(pre, n, post, covariable grid, node grid) for the named axis.
-
-    Flat index factorizes as (pre, n, post) with the axis in the middle.
-    """
-    if axis == "x":
-        if isinstance(g, Circle):
-            n, post = g.n_x, g.q
-        elif isinstance(g, Edge):
-            n, post = g.circle.n_x, g.cone.dim_total
-        else:
-            raise CalculusError("geometry has no x axis")
-        circ = g if isinstance(g, Circle) else g.circle
-        return 1, n, post, circ.modes.astype(float), circ.x
-    if axis == "t":
-        if isinstance(g, Cone):
-            cone, pre = g, 1
-        elif isinstance(g, Edge):
-            cone, pre = g.cone, g.circle.n_x
-        else:
-            raise CalculusError("geometry has no t axis")
-        post = cone.dim_total // cone.n_t
-        return pre, cone.n_t, post, cone.p, cone.t
-    raise CalculusError(f"unknown axis {axis!r}")
-
-
 def extract_symbol(
     A: DiscretizedOperator,
     axis: Optional[str] = None,
@@ -208,14 +182,12 @@ def extract_symbol(
     which case the diagonal blocks are returned with the off-diagonal
     maximum recorded.
     """
-    g = A.geometry
-    if axis is None:
-        axis = "t" if isinstance(g, Cone) else "x"
     if A.interior:
         raise CalculusError("interval-mode operators have no periodic axis to extract along")
-    pre, n, post, covar, phase = _axis_layout(g, axis)
-    F = np.exp(-1j * np.outer(covar, phase)) / n
-    iF = np.exp(1j * np.outer(phase, covar))
+    lay = axis_layout(A.geometry, axis)
+    pre, n, post, covar = lay.pre, lay.n, lay.post, lay.covar
+    F = np.exp(-1j * np.outer(covar, lay.nodes)) / n
+    iF = np.exp(1j * np.outer(lay.nodes, covar))
     d = pre * post
     M = A.matrix.reshape(pre, n, post, pre, n, post)
     D = np.einsum("kj,ajbcld,lm->akbcmd", F, M, iF, optimize=True)
@@ -227,7 +199,7 @@ def extract_symbol(
         raise NotTranslationInvariant(off, norm_A)
     blocks = np.ascontiguousarray(D[np.arange(n), np.arange(n)])
     esssup = spectral_norm(blocks)
-    return ExtractedSymbol(axis, covar.copy(), blocks, off, abs(esssup - norm_A), norm_A)
+    return ExtractedSymbol(lay.name, covar.copy(), blocks, off, abs(esssup - norm_A), norm_A)
 
 
 def probe_symbol(
@@ -292,7 +264,7 @@ class InfinitesimalOperator:
         g = self.geometry
         if isinstance(g, Cone):
             return 0.0
-        n_x = g.n_x if isinstance(g, Circle) else g.circle.n_x
+        n_x = axis_layout(g, "x").n
         M = self.operator.matrix
         return max((spectral_norm(_shift_commutator(M, n_x, int(s))) for s in shifts), default=0.0)
 
@@ -302,12 +274,6 @@ def _shift_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
     whole fibers; T permutes rows and columns, so this is two rolls."""
     step = steps * (M.shape[0] // n_x)
     return np.roll(M, step, axis=0) - np.roll(M, -step, axis=1)
-
-
-def _axis_values(g: Geometry, axis: str, values: np.ndarray) -> np.ndarray:
-    """Broadcast per-node axis values to the flat-representation diagonal."""
-    pre, n, post, _, _ = _axis_layout(g, axis)
-    return np.broadcast_to(np.asarray(values)[None, :, None], (pre, n, post)).reshape(-1)
 
 
 def _feasible_scales(base: float, h: float) -> int:
@@ -338,7 +304,7 @@ def _cutoff_ladder(
         fam = cutoff_family(g, z, m, base_x)
         for i in range(len(fam)):
             lambdas.append(2.0**i)
-            diags.append(_axis_values(g, "x", fam[i]))
+            diags.append(axis_layout(g, "x").spread(fam[i]))
     elif isinstance(g, Cone):
         m = n_scales if n_scales is not None else 16
         base_r = base_scale if base_scale is not None else 1.0
@@ -348,7 +314,7 @@ def _cutoff_ladder(
             if r1 < r_floor:
                 break
             lambdas.append(2.0**i)
-            diags.append(_axis_values(g, "t", collar_cutoff(g, r1)))
+            diags.append(axis_layout(g, "t").spread(collar_cutoff(g, r1)))
     elif isinstance(g, Edge):
         m = n_scales if n_scales is not None else 16
         base_x = base_scale if base_scale is not None else np.pi / 2.0
@@ -356,12 +322,13 @@ def _cutoff_ladder(
         fam = cutoff_family(g.circle, z, kx, base_x) if kx >= 1 else None
         cone = g.cone
         r_floor = float(np.exp(-cone.T + 3.0 * cone.h_t))
+        x_lay, t_lay = axis_layout(g, "x"), axis_layout(g, "t")
         for i in range(m):
             r1 = 1.0 / 2.0**i
             if r1 < r_floor:
                 break
             phi_x = fam[min(i, kx - 1)] if fam is not None else np.ones(g.circle.n_x)
-            vals = _axis_values(g, "x", phi_x) * _axis_values(g, "t", collar_cutoff(g, r1))
+            vals = x_lay.spread(phi_x) * t_lay.spread(collar_cutoff(g, r1))
             lambdas.append(2.0**i)
             diags.append(vals)
     else:
@@ -394,18 +361,8 @@ def infinitesimal(
     """
     expr = _as_node(expr)
     frozen_expr = substitute(expr, {"x": Const(float(z))})
-    if isinstance(g, Circle):
-        vv = v if "v" in variables_of(expr) else None
-        A = op_circle(g, expr, vv)
-        Fz = op_circle(g, frozen_expr, vv)
-    elif isinstance(g, Cone):
-        A = op_mellin(g, expr, v=v)
-        Fz = op_mellin(g, frozen_expr, v=v, freeze_r=True)
-    elif isinstance(g, Edge):
-        A = op_edge(g, expr, v=v)
-        Fz = op_edge(g, frozen_expr, v=v, freeze_r=True)
-    else:
-        raise CalculusError(f"cannot freeze on {type(g).__name__}")
+    A = quantize(g, expr, v=v)
+    Fz = quantize(g, frozen_expr, v=v, freeze_r=True)
     lambdas, diags = _cutoff_ladder(g, z, n_scales, base_scale, A.interior)
     Dm = A.matrix - Fz.matrix
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)

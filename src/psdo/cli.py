@@ -35,8 +35,6 @@ schema error (also a command-line usage error, and a symbol that is
 non-finite or unbound on the grid it is evaluated on), 65 DSL parse
 error (message carries the byte offset), 74 output I/O error.
 Verification failures exit 1; --help exits 0.
-
-PSDO_THREADS caps suite parallelism in verify (default 1).
 """
 
 from __future__ import annotations
@@ -62,17 +60,17 @@ from psdo.fredholm import (
     check_elliptic,
     extract_tuple,
     finite_section,
+    interval_section,
     winding_oracle,
 )
 from psdo.geometry import (
-    Circle,
     Cone,
-    Edge,
     GeometryError,
     build_geometry,
     describe_geometry,
+    is_int,
 )
-from psdo.quantize import QuantizeError, op_circle, op_edge, op_mellin
+from psdo.quantize import QuantizeError, quantize
 from psdo.symbols import (
     ConeSymbolFamily,
     EdgeSymbol,
@@ -309,14 +307,7 @@ def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int]:
     expr = parse(str(_require(cfg, "symbol")))
     g = build_geometry(_require(cfg, "geometry"))
     v = cfg.get("v")
-    if isinstance(g, Circle):
-        op = op_circle(g, expr, None if v is None else float(v))
-    elif isinstance(g, Cone):
-        op = op_mellin(g, expr, v=0.0 if v is None else float(v))
-    elif isinstance(g, Edge):
-        op = op_edge(g, expr, v=0.0 if v is None else float(v))
-    else:
-        raise ConfigError("quantization needs a circle, cone, or edge geometry")
+    op = quantize(g, expr, None if v is None else float(v))
     target = os.path.join(out_dir or ".", "operator.psdo")
     try:
         os.makedirs(out_dir or ".", exist_ok=True)
@@ -335,17 +326,6 @@ def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int]:
     return result, EXIT_OK
 
 
-def _section_builder(cone: Cone, expr):
-    h_t = 2.0 * cone.T / cone.n_t
-
-    def build(n_t: int):
-        T = h_t * n_t / 2.0
-        g = Cone(cone.base, T=T, n_t=n_t, boundary="interval", q=cone.q)
-        return op_mellin(g, expr)
-
-    return build
-
-
 def cmd_index(cfg: dict) -> tuple[dict, int]:
     """Finite-section ladder with the winding oracle cross-check."""
     expr = parse(str(_require(cfg, "symbol")))
@@ -356,7 +336,11 @@ def cmd_index(cfg: dict) -> tuple[dict, int]:
     # Coarser than the raw finite_section default so slowly-closing conormal
     # gaps read as indeterminate rather than feeding the oracle a zero crossing.
     tau_coef = float(cfg.get("tau_coef", 1e-4))
-    rep = finite_section(_section_builder(cone, expr), sizes=sizes, tau_coef=tau_coef)
+    rep = finite_section(
+        lambda n_t: interval_section(expr, cone.h_t, n_t, cone.base, cone.q),
+        sizes=sizes,
+        tau_coef=tau_coef,
+    )
     rows = rep.rows()
     result: dict = {
         "rows": [list(r) for r in rows],
@@ -396,11 +380,9 @@ def index_csv(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(
-    cfg: dict, seed: int, only: Optional[str], threads: int
-) -> tuple[dict, int, dict]:
+def cmd_verify(cfg: dict, seed: int, only: Optional[str]) -> tuple[dict, int, dict]:
     """Run the suite battery; timings go to the volatile block."""
-    rep = run_suites(seed=seed, only=only, threads=threads)
+    rep = run_suites(seed=seed, only=only)
     code = EXIT_OK if rep.passed else EXIT_FAIL
     return rep.payload(), code, rep.timings()
 
@@ -440,21 +422,8 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("PSDO_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PSDO_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("PSDO_THREADS must be >= 1")
-    return n
-
-
 def _check_seed(raw: object) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+    if not is_int(raw) or raw < 0:
         raise ConfigError(f"seed must be an int >= 0, got {raw!r}")
     return raw
 
@@ -482,7 +451,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "index":
             result, code = cmd_index(cfg)
         else:
-            result, code, timings = cmd_verify(cfg, seed, only, _threads_from_env())
+            result, code, timings = cmd_verify(cfg, seed, only)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

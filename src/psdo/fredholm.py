@@ -30,8 +30,16 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from psdo.geometry import Circle, Cone, Edge, Geometry, Point, collar_cutoff
-from psdo.quantize import DiscretizedOperator, _dft_matrix, _restrict_t_axis, op_edge, quantize
+from psdo.geometry import Circle, Cone, Edge, Geometry, Point, axis_layout, collar_cutoff
+from psdo.quantize import (
+    DiscretizedOperator,
+    _dft_matrix,
+    _interior_nodes,
+    _restrict_t_axis,
+    op_edge,
+    op_mellin,
+    quantize,
+)
 from psdo.symbols import (
     ConeSymbolFamily,
     ConormalSymbol,
@@ -49,6 +57,7 @@ __all__ = [
     "check_elliptic",
     "SectionStats",
     "FredholmReport",
+    "interval_section",
     "finite_section",
     "WindingReport",
     "winding_oracle",
@@ -204,12 +213,10 @@ def _collar_fraction(vec: np.ndarray, A: DiscretizedOperator, frac: float = 0.1)
     if total <= 0.0:
         return 0.0
     if isinstance(g, (Cone, Edge)):
-        cone = g if isinstance(g, Cone) else g.cone
-        pre = g.circle.n_x if isinstance(g, Edge) else 1
-        n_t = cone.n_t - 1 if A.interior else cone.n_t
-        post = vec.size // (pre * n_t)
+        lay = axis_layout(g, "t")
+        n_t = lay.n - 1 if A.interior else lay.n
         m = max(1, math.ceil(frac * n_t))
-        slab = vec.reshape(pre, n_t, post)
+        slab = vec.reshape(lay.pre, n_t, lay.post)
         mass = float(np.sum(np.abs(slab[:, :m, :]) ** 2 + np.abs(slab[:, -m:, :]) ** 2))
         return mass / total
     # circle: artifacts live near the Nyquist seam in mode space
@@ -219,6 +226,21 @@ def _collar_fraction(vec: np.ndarray, A: DiscretizedOperator, frac: float = 0.1)
     seam = k >= (1.0 - frac) * (n / 2.0)
     mass = float(np.sum(np.abs(coeffs[seam, :]) ** 2))
     return mass / float(np.sum(np.abs(coeffs) ** 2))
+
+
+def interval_section(
+    expr: Node,
+    h_t: float,
+    n_t: int,
+    base: Union[Point, Circle] = Point(),
+    q: int = 1,
+    freeze_r: bool = False,
+) -> DiscretizedOperator:
+    """One rung of a finite-section ladder held at step h_t: the family
+    quantized on the interval cone with n_t nodes, T = h_t n_t / 2, so
+    refining the section extends the window instead of crowding it."""
+    cone = Cone(base, T=h_t * n_t / 2.0, n_t=n_t, boundary="interval", q=q)
+    return op_mellin(cone, expr, freeze_r=freeze_r)
 
 
 def finite_section(
@@ -449,13 +471,10 @@ def quantize_tuple(
     )
     correction = sub(t.sigma0.expr, carried)
     C = _op_interior_on_edge(g, correction, v)
-    phi = np.broadcast_to(
-        collar_cutoff(g, r1)[None, :, None], (g.circle.n_x, g.cone.n_t, g.q)
-    )
+    phi = axis_layout(g, "t").spread(collar_cutoff(g, r1))
     if A.interior:
         C = _restrict_t_axis(C, g)
-        phi = phi[:, 1:, :]
-    phi = phi.reshape(-1)
+        phi = phi[_interior_nodes(g)]
     M = A.matrix + (phi[:, None] * C) * phi[None, :]
     return DiscretizedOperator(g, v, M, A.interior)
 

@@ -11,9 +11,10 @@ representation, which is what makes plain SVDs meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -171,11 +172,6 @@ class Cone:
             d = np.broadcast_to(d[:, None], self.axes_shape).copy()
         return d
 
-    @cached_property
-    def interior_idx(self) -> np.ndarray:
-        """Interval-mode interior t-node indices (the seam node t_0 = -T dropped)."""
-        return np.arange(1, self.n_t)
-
     @property
     def dim_total(self) -> int:
         return self.n_nodes * self.q
@@ -224,6 +220,56 @@ class Edge:
 Geometry = Union[Circle, Cone, Edge]
 
 
+@dataclass(frozen=True)
+class AxisLayout:
+    """One grid axis of a geometry in the flat representation.
+
+    The flat index factorizes as (pre, n, post) with the axis in the
+    middle. nodes are the axis coordinates (x or t), covar the matching
+    covariables (Fourier modes or Mellin p), step the node spacing.
+    """
+
+    name: str
+    pre: int
+    n: int
+    post: int
+    nodes: np.ndarray
+    covar: np.ndarray
+    step: float
+    periodic: bool
+
+    @property
+    def span(self) -> float:
+        return 2.0 * np.pi if self.periodic else float(self.nodes[-1] - self.nodes[0])
+
+    def distance(self, center: float) -> np.ndarray:
+        """Node distances to center, wrapped on a periodic axis."""
+        d = np.abs(self.nodes - center)
+        return np.minimum(d, 2.0 * np.pi - d) if self.periodic else d
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Per-node axis values broadcast to the flat-representation diagonal."""
+        shape = (self.pre, self.n, self.post)
+        return np.broadcast_to(np.asarray(values)[None, :, None], shape).reshape(-1)
+
+
+def axis_layout(g: Geometry, axis: Optional[str] = None) -> AxisLayout:
+    """Layout of the x (circle) or t (cone) axis of g; None picks t on a
+    cone and x otherwise. A geometry without the axis raises
+    GeometryError."""
+    if axis is None:
+        axis = "t" if isinstance(g, Cone) else "x"
+    if axis == "x" and isinstance(g, (Circle, Edge)):
+        circ = g if isinstance(g, Circle) else g.circle
+        post = g.dim_total // circ.n_x
+        return AxisLayout("x", 1, circ.n_x, post, circ.x, circ.modes.astype(float), circ.h_x, True)
+    if axis == "t" and isinstance(g, (Cone, Edge)):
+        cone = g if isinstance(g, Cone) else g.cone
+        pre, post = g.dim_total // cone.dim_total, cone.dim_total // cone.n_t
+        return AxisLayout("t", pre, cone.n_t, post, cone.t, cone.p, cone.h_t, False)
+    raise GeometryError(f"{type(g).__name__} geometry has no {axis!r} axis")
+
+
 def _check_grid_size(kind: str, n: int) -> None:
     if n % 2 != 0:
         raise GeometryError(f"{kind} grid size must be even, got {n}")
@@ -236,9 +282,31 @@ def _check_q(q: int) -> None:
         raise GeometryError(f"fiber dimension q must be >= 1, got {q}")
 
 
+def is_int(raw: object) -> bool:
+    """The integer rule for config fields: an int, with bool refused."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _int_field(desc: dict, key: str, default: Optional[int] = None) -> int:
+    raw = desc.get(key, default)
+    if raw is None:
+        raise GeometryError(f"{desc['kind']} descriptor needs {key!r}")
+    if not is_int(raw):
+        raise GeometryError(f"{desc['kind']} field {key!r} must be an int, got {raw!r}")
+    return raw
+
+
+def _float_field(desc: dict, key: str, default: float) -> float:
+    raw = desc.get(key, default)
+    if not (is_int(raw) or isinstance(raw, float)) or not math.isfinite(raw):
+        raise GeometryError(f"{desc['kind']} field {key!r} must be a finite number, got {raw!r}")
+    return float(raw)
+
+
 def build_geometry(desc: dict) -> Geometry:
     """Build a geometry from a plain descriptor dict (the CLI config and
-    container format share this schema).
+    container format share this schema). Missing or mistyped fields
+    raise GeometryError.
 
     kinds: {"kind": "circle", "n_x": 64, "q": 1}
            {"kind": "cone", "base": {"kind": "point"} | {"kind": "circle", "n_x": 16},
@@ -249,7 +317,7 @@ def build_geometry(desc: dict) -> Geometry:
         raise GeometryError("geometry descriptor must be a dict with a 'kind'")
     kind = desc["kind"]
     if kind == "circle":
-        return Circle(n_x=int(desc["n_x"]), q=int(desc.get("q", 1)))
+        return Circle(n_x=_int_field(desc, "n_x"), q=_int_field(desc, "q", 1))
     if kind == "point":
         return Point()
     if kind == "cone":
@@ -259,14 +327,16 @@ def build_geometry(desc: dict) -> Geometry:
             raise GeometryError("cone base must be a point or circle")
         return Cone(
             base=base,
-            T=float(desc.get("T", DEFAULT_T)),
-            n_t=int(desc.get("n_t", 64)),
+            T=_float_field(desc, "T", DEFAULT_T),
+            n_t=_int_field(desc, "n_t", 64),
             boundary=desc.get("boundary", "periodic"),
-            q=int(desc.get("q", 1)),
+            q=_int_field(desc, "q", 1),
         )
     if kind == "edge":
+        if not isinstance(desc.get("cone"), dict):
+            raise GeometryError("edge descriptor needs a 'cone' dict")
         cone = build_geometry({**desc["cone"], "kind": "cone"})
-        circle = Circle(n_x=int(desc["n_x"]), q=cone.q)
+        circle = Circle(n_x=_int_field(desc, "n_x"), q=cone.q)
         return Edge(circle=circle, cone=cone)
     raise GeometryError(f"unknown geometry kind {kind!r}")
 
@@ -502,21 +572,6 @@ class CutoffFamily:
         return len(self.scales)
 
 
-def _axis_coords(g: Geometry, axis_name: str) -> tuple[np.ndarray, float, bool]:
-    """Returns (coords, grid step, periodic flag) for the named axis."""
-    if axis_name == "x":
-        circ = g if isinstance(g, Circle) else g.circle if isinstance(g, Edge) else None
-        if circ is None:
-            raise GeometryError("geometry has no x axis")
-        return circ.x, circ.h_x, True
-    if axis_name == "t":
-        cone = g if isinstance(g, Cone) else g.cone if isinstance(g, Edge) else None
-        if cone is None:
-            raise GeometryError("geometry has no t axis")
-        return cone.t, cone.h_t, False
-    raise GeometryError(f"unknown axis {axis_name!r}")
-
-
 def cutoff_family(
     g: Geometry,
     center: float,
@@ -527,20 +582,16 @@ def cutoff_family(
     """Dyadic family phi_i supported in |d| <= s_i, s_i = base_scale / 2^i,
     plateau exactly 1 on |d| <= s_i/2. Smallest scale must be >= 3 grid steps.
     """
-    if axis_name is None:
-        axis_name = "x" if isinstance(g, (Circle, Edge)) else "t"
-    coords, h, periodic = _axis_coords(g, axis_name)
+    lay = axis_layout(g, axis_name)
     if base_scale is None:
-        span = 2.0 * np.pi if periodic else coords[-1] - coords[0]
-        base_scale = span / 4.0
+        base_scale = lay.span / 4.0
     scales = tuple(base_scale / 2.0**i for i in range(n_scales))
-    if scales[-1] < 3.0 * h:
-        raise GeometryError(f"smallest cutoff scale {scales[-1]:.3g} is below 3 grid steps ({3*h:.3g})")
-    d = np.abs(coords - center)
-    if periodic:
-        d = np.minimum(d, 2.0 * np.pi - d)
-    rows = [plateau_profile(d, s / 2.0, s) for s in scales]
-    return CutoffFamily(g, axis_name, center, scales, np.array(rows))
+    if scales[-1] < 3.0 * lay.step:
+        raise GeometryError(
+            f"smallest cutoff scale {scales[-1]:.3g} is below 3 grid steps ({3*lay.step:.3g})"
+        )
+    rows = [plateau_profile(lay.distance(center), s / 2.0, s) for s in scales]
+    return CutoffFamily(g, lay.name, center, scales, np.array(rows))
 
 
 def collar_cutoff(g: Union[Cone, Edge], r1: float) -> np.ndarray:

@@ -15,24 +15,21 @@ center sets at small eps fail honestly instead of passing vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from psdo.calculus import _axis_layout
-from psdo.fredholm import FredholmReport, finite_section
+from psdo.fredholm import FredholmReport, finite_section, interval_section
 from psdo.geometry import (
-    Circle,
-    Cone,
     CutoffFamily,
-    Edge,
     Geometry,
+    axis_layout,
     cutoff_family,
     plateau_profile,
 )
-from psdo.quantize import DiscretizedOperator, op_mellin, side_norm
+from psdo.quantize import DiscretizedOperator, side_norm
 from psdo.symbols import EdgeSymbol, SymbolTuple
-from psdo.symexpr import Const, Node, substitute
+from psdo.symexpr import Const, substitute
 
 __all__ = [
     "LocalizationError",
@@ -53,35 +50,6 @@ __all__ = [
 
 class LocalizationError(ValueError):
     pass
-
-
-def _axis_info(g: Geometry, axis: str) -> tuple[np.ndarray, float, bool]:
-    if axis == "x":
-        circ = g if isinstance(g, Circle) else g.circle if isinstance(g, Edge) else None
-        if circ is None:
-            raise LocalizationError("geometry has no x axis")
-        return circ.x, circ.h_x, True
-    if axis == "t":
-        cone = g if isinstance(g, Cone) else g.cone if isinstance(g, Edge) else None
-        if cone is None:
-            raise LocalizationError("geometry has no t axis")
-        return cone.t, cone.h_t, False
-    raise LocalizationError(f"unknown axis {axis!r}")
-
-
-def _distance(coords: np.ndarray, center: float, periodic: bool) -> np.ndarray:
-    d = np.abs(coords - center)
-    return np.minimum(d, 2.0 * np.pi - d) if periodic else d
-
-
-def _flat_multiplier(g: Geometry, axis: str, values: np.ndarray) -> np.ndarray:
-    """Per-node axis values broadcast to the flat-representation diagonal."""
-    pre, n, post, _, _ = _axis_layout(g, axis)
-    return np.broadcast_to(np.asarray(values)[None, :, None], (pre, n, post)).reshape(-1)
-
-
-def _default_axis(g: Geometry) -> str:
-    return "t" if isinstance(g, Cone) else "x"
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +82,7 @@ class LocalFamily:
         for op in self.operators:
             if op.geometry is not self.geometry and op.dim != dim:
                 raise LocalizationError("representatives must share the geometry")
-        _axis_info(self.geometry, self.axis)
+        axis_layout(self.geometry, self.axis)
 
     def __len__(self) -> int:
         return len(self.centers)
@@ -133,9 +101,9 @@ class PartitionOfUnity:
     functions: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        coords, _, periodic = _axis_info(self.geometry, self.axis)
+        lay = axis_layout(self.geometry, self.axis)
         f = np.asarray(self.functions, dtype=float)
-        if f.shape != (len(self.centers), coords.size):
+        if f.shape != (len(self.centers), lay.n):
             raise LocalizationError("partition shape mismatch")
         if float(f.min()) < -1e-15:
             raise LocalizationError("partition functions must be nonnegative")
@@ -143,7 +111,7 @@ class PartitionOfUnity:
         if float(np.max(np.abs(total - 1.0))) > 1e-12:
             raise LocalizationError("partition functions must sum to 1 at every node")
         for i, (c, r) in enumerate(zip(self.centers, self.radii)):
-            outside = _distance(coords, c, periodic) >= r
+            outside = lay.distance(c) >= r
             if np.any(f[i][outside] > 0.0):
                 raise LocalizationError(
                     f"function {i} is not subordinate to its radius-{r:g} neighborhood"
@@ -163,10 +131,9 @@ def partition_of_unity(
     from any node to its nearest center, doubled so plateaus overlap),
     uniform across centers.
     """
-    axis = axis or _default_axis(g)
-    coords, _, periodic = _axis_info(g, axis)
+    lay = axis_layout(g, axis)
     cs = tuple(float(c) for c in centers)
-    dists = np.stack([_distance(coords, c, periodic) for c in cs])
+    dists = np.stack([lay.distance(c) for c in cs])
     if radii is None:
         floor = 2.0 * float(dists.min(axis=0).max())
         rs = tuple(1.05 * floor for _ in cs)
@@ -178,7 +145,7 @@ def partition_of_unity(
     total = bumps.sum(axis=0)
     if float(total.min()) <= 0.0:
         raise LocalizationError("neighborhoods do not cover the axis; enlarge radii")
-    return PartitionOfUnity(g, axis, cs, rs, float(eps), bumps / total)
+    return PartitionOfUnity(g, lay.name, cs, rs, float(eps), bumps / total)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +180,15 @@ def local_norm(
     g = A.geometry
     if ladder is None:
         if n_scales is None:
-            axis = _default_axis(g)
-            coords, h, periodic = _axis_info(g, axis)
-            span = 2.0 * np.pi if periodic else float(coords[-1] - coords[0])
-            n_scales = max(2, int(np.floor(np.log2(span / 4.0 / (3.0 * h)))) + 1)
-        ladder = cutoff_family(g, x, n_scales, axis_name=_default_axis(g))
+            lay = axis_layout(g)
+            n_scales = max(2, int(np.floor(np.log2(lay.span / 4.0 / (3.0 * lay.step)))) + 1)
+        ladder = cutoff_family(g, x, n_scales)
     elif abs(ladder.center - x) > 1e-12:
         raise LocalizationError("ladder must be centered at x")
+    lay = axis_layout(g, ladder.axis_name)
     norms, conorms = [], []
     for i in range(len(ladder)):
-        d = _flat_multiplier(g, ladder.axis_name, ladder[i])
+        d = lay.spread(ladder[i])
         norms.append(side_norm(A.matrix, d, "right"))
         conorms.append(side_norm(A.matrix, d, "left"))
     limit = norms[-1]
@@ -249,10 +215,8 @@ def _pair_witnesses(
 ) -> np.ndarray:
     """Matrix of ||A_i - A_j|| restricted to columns in the overlap of
     the two neighborhoods; zero when the overlap is empty."""
-    coords, _, periodic = _axis_info(F.geometry, F.axis)
-    masks = [
-        _distance(coords, c, periodic) < r for c, r in zip(F.centers, rs)
-    ]
+    lay = axis_layout(F.geometry, F.axis)
+    masks = [lay.distance(c) < r for c, r in zip(F.centers, rs)]
     m = len(F)
     W = np.zeros((m, m))
     for i in range(m):
@@ -260,7 +224,7 @@ def _pair_witnesses(
             overlap = masks[i] & masks[j]
             if not np.any(overlap):
                 continue
-            cols = _flat_multiplier(F.geometry, F.axis, overlap.astype(float)) > 0.0
+            cols = lay.spread(overlap)
             D = F.operators[i].matrix - F.operators[j].matrix
             W[i, j] = W[j, i] = float(np.linalg.norm(D[:, cols], 2))
     return W
@@ -280,9 +244,9 @@ def continuity_check(
     whenever any do, are the smallest that keep the neighborhoods a
     cover; auto-fit evaluates exactly there.
     """
-    coords, _, periodic = _axis_info(F.geometry, F.axis)
+    lay = axis_layout(F.geometry, F.axis)
     provided = radii if radii is not None else F.radii
-    dists = np.stack([_distance(coords, c, periodic) for c in F.centers])
+    dists = np.stack([lay.distance(c) for c in F.centers])
     cover_floor = 2.0 * float(dists.min(axis=0).max())
     fitted: dict = {}
     witnesses: dict = {}
@@ -321,9 +285,10 @@ def glue(F: LocalFamily, P: PartitionOfUnity) -> DiscretizedOperator:
             f"family is not {P.eps:g}-continuous on the partition neighborhoods "
             f"(worst witness {W.max():.3g})"
         )
+    lay = axis_layout(F.geometry, F.axis)
     M = np.zeros_like(F.operators[0].matrix)
     for i, op in enumerate(F.operators):
-        d = _flat_multiplier(F.geometry, F.axis, P.functions[i])
+        d = lay.spread(P.functions[i])
         M = M + d[:, None] * op.matrix
     first = F.operators[0]
     return DiscretizedOperator(F.geometry, first.v, M, interior=first.interior)
@@ -357,20 +322,17 @@ def partition_bound_check(
     """
     if len(fs) != len(As) or len(fs) == 0:
         raise LocalizationError("need matching nonempty function and operator lists")
-    g = As[0].geometry
-    axis = axis or _default_axis(g)
-    coords, _, _ = _axis_info(g, axis)
+    lay = axis_layout(As[0].geometry, axis)
     stacked = np.stack([np.asarray(f, dtype=float) for f in fs])
-    if stacked.shape[1] != coords.size:
+    if stacked.shape[1] != lay.n:
         raise LocalizationError("functions must be per-node on the chosen axis")
     if float(stacked.min()) < 0.0:
         raise LocalizationError("negative f encountered")
     total = np.zeros_like(As[0].matrix)
     restricted = []
     for f, op in zip(stacked, As):
-        d = _flat_multiplier(g, axis, f)
-        total = total + d[:, None] * op.matrix
-        cols = _flat_multiplier(g, axis, (f > 0.0).astype(float)) > 0.0
+        total = total + lay.spread(f)[:, None] * op.matrix
+        cols = lay.spread(f > 0.0)
         restricted.append(
             float(np.linalg.norm(op.matrix[:, cols], 2)) if np.any(cols) else 0.0
         )
@@ -421,27 +383,19 @@ def fredholm_vs_local(
     sig = t.sigma1
     if not isinstance(sig, EdgeSymbol):
         raise LocalizationError("tuple must carry an edge symbol family")
-    expr = sig.family.expr
-
-    def build(n_t: int) -> DiscretizedOperator:
-        T = h_t * n_t / 2.0
-        cone = Cone(sig.cone.base, T=T, n_t=n_t, boundary="interval", q=sig.cone.q)
-        return op_mellin(cone, expr)
-
-    probe_cone = Cone(
-        sig.cone.base, T=h_t * max(sizes) / 2.0, n_t=max(sizes),
-        boundary="interval", q=sig.cone.q,
-    )
+    expr, base, q = sig.family.expr, sig.cone.base, sig.cone.q
     smins = []
     for c in centers:
         if c == "tip":
-            frozen = op_mellin(probe_cone, expr, freeze_r=True)
+            frozen = interval_section(expr, h_t, max(sizes), base, q, freeze_r=True)
         else:
             pinned = substitute(expr, {"r": Const(float(np.exp(-float(c))))})
-            frozen = op_mellin(probe_cone, pinned)
+            frozen = interval_section(pinned, h_t, max(sizes), base, q)
         smins.append(float(frozen.singular_values()[-1]))
     local_pass = all(s >= floor for s in smins)
-    rep = finite_section(build, sizes=tuple(sizes), tau_coef=tau_coef)
+    rep = finite_section(
+        lambda n_t: interval_section(expr, h_t, n_t, base, q), sizes=tuple(sizes), tau_coef=tau_coef
+    )
     global_ok = bool(rep.determinate and rep.kernel == 0 and rep.cokernel == 0)
     agree = local_pass == global_ok
     note = "" if agree else (

@@ -29,6 +29,7 @@ from psdo.geometry import (
     Geometry,
     GeometryError,
     GridFunction,
+    axis_layout,
 )
 from psdo.symexpr import Node, evaluate, shape_of, variables_of
 
@@ -157,13 +158,10 @@ def side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
 
 def interior_dim(g: Geometry) -> int:
     """Flat dimension after interval-mode interior restriction."""
-    if isinstance(g, Cone):
-        per_t = g.dim_total // g.n_t
-        return (g.n_t - 1) * per_t
-    if isinstance(g, Edge):
-        per_t = g.dim_total // g.cone.n_t
-        return (g.cone.n_t - 1) * per_t
-    return g.dim_total
+    if isinstance(g, Circle):
+        return g.dim_total
+    lay = axis_layout(g, "t")
+    return lay.pre * (lay.n - 1) * lay.post
 
 
 def identity_operator(g: Geometry, v: Optional[float] = None, interior: bool = False) -> DiscretizedOperator:
@@ -173,13 +171,8 @@ def identity_operator(g: Geometry, v: Optional[float] = None, interior: bool = F
 
 def _interior_nodes(g: Union[Cone, Edge]) -> np.ndarray:
     """Flat indices of the interior t nodes (all but the seam node t_0)."""
-    cone = g if isinstance(g, Cone) else g.cone
-    n_t = cone.n_t
-    pre = 1
-    if isinstance(g, Edge):
-        pre = g.circle.n_x
-    post = g.dim_total // (pre * n_t)
-    return np.arange(g.dim_total).reshape(pre, n_t, post)[:, 1:, :].reshape(-1)
+    lay = axis_layout(g, "t")
+    return np.arange(g.dim_total).reshape(lay.pre, lay.n, lay.post)[:, 1:, :].reshape(-1)
 
 
 def _restrict_t_axis(matrix: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:

@@ -18,10 +18,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from psdo.fredholm import extract_tuple
+from psdo.fredholm import extract_tuple, interval_section
 from psdo.geometry import Circle, Cone, Edge, Point
 from psdo.localization import LocalFamily
-from psdo.quantize import DiscretizedOperator, op_circle, op_mellin
+from psdo.quantize import DiscretizedOperator, op_circle
 from psdo.symbols import ConeSymbolFamily, EdgeSymbol, SymbolTuple
 from psdo.symexpr import Const, Node, parse, substitute
 
@@ -61,9 +61,7 @@ class SectionInstance:
     h_t: float = SECTION_STEP
 
     def build(self, n_t: int) -> DiscretizedOperator:
-        T = self.h_t * n_t / 2.0
-        cone = Cone(self.cone.base, T=T, n_t=n_t, boundary="interval", q=self.cone.q)
-        return op_mellin(cone, self.family.expr)
+        return interval_section(self.family.expr, self.h_t, n_t, self.cone.base, self.cone.q)
 
     def extract(self) -> SymbolTuple:
         return extract_tuple(self.family, cone=self.cone)
@@ -91,9 +89,7 @@ class IndexInstance:
         return parse(f"1 + (1 / (1 + r)) * (({self.tip}) - 1)")
 
     def build(self, n_t: int) -> DiscretizedOperator:
-        T = self.h_t * n_t / 2.0
-        cone = Cone(Point(), T=T, n_t=n_t, boundary="interval")
-        return op_mellin(cone, self.expr)
+        return interval_section(self.expr, self.h_t, n_t)
 
 
 @dataclass(frozen=True)

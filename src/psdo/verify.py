@@ -3,16 +3,18 @@
 Each suite maps a seed to a SuiteResult with per-check verdicts and
 fixed-precision detail strings. Only the randomized suites consume the
 seed; the rest take it for interface uniformity, so a seed change can
-alter randomized draws but never verdicts. Per-suite wall time is
-recorded separately from the verdict payload because the report
-contract promises byte-identical payloads across runs.
+alter randomized draws but never verdicts. Suites run one after another
+in catalog order. Per-suite wall time and the measured values the gates
+read (slopes, s_min values, (index, winding) pairs, ...) ride on the
+SuiteResult outside the verdict payload, because the report contract
+promises byte-identical payloads across runs; the acceptance tests
+assert on those values instead of re-running the loops.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +47,6 @@ from psdo.stock import (
     GLUING_COUNTS,
     degenerate_stock,
     elliptic_stock,
-    gluing_expr,
     gluing_family,
     homogeneity_stock,
     index_stock,
@@ -87,6 +88,7 @@ class SuiteResult:
     passed: bool
     checks: tuple[CheckResult, ...]
     elapsed: float  # wall seconds; volatile, excluded from payloads
+    measured: dict = field(default_factory=dict, repr=False)  # gate inputs, excluded from payloads
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,9 @@ class VerifyReport:
         return {s.suite: round(s.elapsed, 6) for s in self.suites}
 
 
-def _result(suite: str, checks: list[CheckResult], t0: float) -> SuiteResult:
+def _result(suite: str, checks: list[CheckResult], t0: float, **measured) -> SuiteResult:
     return SuiteResult(
-        suite, all(c.passed for c in checks), tuple(checks), time.perf_counter() - t0
+        suite, all(c.passed for c in checks), tuple(checks), time.perf_counter() - t0, measured
     )
 
 
@@ -131,9 +133,10 @@ def suite_skruch(seed: int) -> SuiteResult:
     """Twisted homogeneity of the stock edge symbols under every
     grid-admissible dilation."""
     t0 = time.perf_counter()
-    checks = []
+    checks, reports = [], []
     for sigma in homogeneity_stock():
         rep = check_twisted_homogeneity(sigma)
+        reports.append(rep)
         label = to_source(sigma.family.expr)[:40]
         checks.append(
             CheckResult(
@@ -142,15 +145,16 @@ def suite_skruch(seed: int) -> SuiteResult:
                 f"max violation {rep.max_violation:.3e} over k in 1..8",
             )
         )
-    return _result("skruch", checks, t0)
+    return _result("skruch", checks, t0, reports=tuple(reports))
 
 
 def suite_composition(seed: int) -> SuiteResult:
     """Remainder decay of the truncated symbol product."""
     t0 = time.perf_counter()
-    checks = []
+    checks, results = [], []
     for n in (1, 2, 3):
         res = compose_symbols("chi(xi)", "exp((0,1) * x)", n)
+        results.append(res)
         gate = -(n - 0.5)
         checks.append(
             CheckResult(
@@ -160,7 +164,7 @@ def suite_composition(seed: int) -> SuiteResult:
                 f"tail norm {res.remainder_norms[-1]:.3e}",
             )
         )
-    return _result("composition", checks, t0)
+    return _result("composition", checks, t0, results=tuple(results))
 
 
 def _probe_sup_error(n: int) -> float:
@@ -202,16 +206,17 @@ def suite_roundtrip(seed: int) -> SuiteResult:
             f"ratio {e128 / e64:.3f}",
         )
     )
-    return _result("roundtrip", checks, t0)
+    return _result("roundtrip", checks, t0, multiplier_error=err, e64=e64, e128=e128)
 
 
 def suite_sections(seed: int) -> SuiteResult:
     """Finite sections: stable determinate verdicts on the elliptic
     stock, collapsing minima on the degenerate stock."""
     t0 = time.perf_counter()
-    checks = []
+    checks, elliptic, degenerate = [], [], []
     for inst in elliptic_stock():
         rep = finite_section(inst.build, sizes=(128, 256))
+        elliptic.append(rep)
         rows = rep.rows()
         stable = all(r[1] == 0 and r[2] == 0 for r in rows)
         checks.append(
@@ -224,6 +229,7 @@ def suite_sections(seed: int) -> SuiteResult:
     for inst in degenerate_stock():
         s128 = float(inst.build(128).singular_values()[-1])
         s256 = float(inst.build(256).singular_values()[-1])
+        degenerate.append((s128, s256))
         checks.append(
             CheckResult(
                 f"degenerate/{inst.name}",
@@ -231,7 +237,9 @@ def suite_sections(seed: int) -> SuiteResult:
                 f"s_min {s128:.3e} at 128 -> {s256:.3e} at 256",
             )
         )
-    return _result("sections", checks, t0)
+    return _result(
+        "sections", checks, t0, elliptic=tuple(elliptic), degenerate=tuple(degenerate)
+    )
 
 
 def suite_toeplitz(seed: int) -> SuiteResult:
@@ -255,17 +263,18 @@ def suite_toeplitz(seed: int) -> SuiteResult:
                 f"winding {w}",
             )
         )
-    return _result("toeplitz", checks, t0)
+    return _result("toeplitz", checks, t0, winding=w, report=rep)
 
 
 def suite_cone_index(seed: int) -> SuiteResult:
     """Finite-section index equals +winding of the tip factor under the
     pinned orientation (p from -p_max to +p_max)."""
     t0 = time.perf_counter()
-    checks = []
+    checks, pairs = [], []
     for inst in index_stock():
         w = winding_oracle(inst.tip).winding
         rep = finite_section(inst.build, sizes=inst.sizes, tau_coef=inst.tau_coef)
+        pairs.append((rep, w))
         checks.append(
             CheckResult(
                 inst.name,
@@ -273,7 +282,7 @@ def suite_cone_index(seed: int) -> SuiteResult:
                 f"index {rep.index}, winding {w}, rows {rep.rows()}",
             )
         )
-    return _result("cone-index", checks, t0)
+    return _result("cone-index", checks, t0, pairs=tuple(pairs))
 
 
 def suite_partition_bound(seed: int) -> SuiteResult:
@@ -292,14 +301,14 @@ def suite_partition_bound(seed: int) -> SuiteResult:
             f"{count} instances, worst slack {worst:.3e}",
         )
     ]
-    return _result("partition-bound", checks, t0)
+    return _result("partition-bound", checks, t0, count=count, worst=worst)
 
 
 def suite_gluing(seed: int) -> SuiteResult:
     """Reproduction and Cauchy contracts for the gluing ladder."""
     t0 = time.perf_counter()
     checks = []
-    glued = {}
+    glued, reproduction, cauchy = {}, {}, []
     for eps in sorted(GLUING_COUNTS, reverse=True):
         F = gluing_family(eps)
         cont = continuity_check(F, eps_ladder=(eps,))
@@ -312,6 +321,7 @@ def suite_gluing(seed: int) -> SuiteResult:
                 F.geometry, G.v, G.matrix - A_i.matrix, interior=G.interior
             )
             worst = max(worst, local_norm(D, x_i).limit)
+        reproduction[eps] = (cont, worst)
         checks.append(
             CheckResult(
                 f"reproduction/eps={eps:g}",
@@ -325,6 +335,7 @@ def suite_gluing(seed: int) -> SuiteResult:
         for e2 in eps_values[i + 1:]:
             d = float(np.linalg.norm(glued[e1].matrix - glued[e2].matrix, 2))
             gate = max(2.0 * e1, 2.0 * e2)
+            cauchy.append((e1, e2, d))
             checks.append(
                 CheckResult(
                     f"cauchy/{e1:g}-{e2:g}",
@@ -332,7 +343,7 @@ def suite_gluing(seed: int) -> SuiteResult:
                     f"gap {d:.4f} <= {gate:g}",
                 )
             )
-    return _result("gluing", checks, t0)
+    return _result("gluing", checks, t0, reproduction=reproduction, cauchy=tuple(cauchy))
 
 
 def suite_large_parameter(seed: int) -> SuiteResult:
@@ -348,20 +359,21 @@ def suite_large_parameter(seed: int) -> SuiteResult:
             f"s_min {[f'{s:.4f}' for s in rep.s_min]} at |v| in 8..64",
         )
     ]
-    return _result("large-parameter", checks, t0)
+    return _result("large-parameter", checks, t0, report=rep)
 
 
 def suite_infinitesimal(seed: int) -> SuiteResult:
     """Freezing diagnostics: monotone decay, translation equivariance,
     and contraction on every model geometry."""
     t0 = time.perf_counter()
-    checks = []
+    checks, freezings = [], []
     for g, expr, z in infinitesimal_stock():
         inst = infinitesimal(g, expr, z=z)
         d = inst.diagnostics
         A = inst.source
         tdef = inst.translation_defect()
         contract = inst.operator.norm() <= A.norm() + 1e-12
+        freezings.append((d, tdef, inst.operator.norm(), A.norm()))
         checks.append(
             CheckResult(
                 type(g).__name__.lower(),
@@ -370,7 +382,7 @@ def suite_infinitesimal(seed: int) -> SuiteResult:
                 f"norm {inst.operator.norm():.4f} <= {A.norm():.4f}",
             )
         )
-    return _result("infinitesimal", checks, t0)
+    return _result("infinitesimal", checks, t0, freezings=tuple(freezings))
 
 
 def suite_negligible(seed: int) -> SuiteResult:
@@ -378,9 +390,10 @@ def suite_negligible(seed: int) -> SuiteResult:
     t0 = time.perf_counter()
     smoothing, identity = negligible_stock()
     vs = negligible_v_values(seed)
-    checks = []
+    checks, smooth = [], []
     for order in (1, 2, 4):
         verdict = negligible_test(smoothing, order=order, v_values=vs)
+        smooth.append(verdict)
         checks.append(
             CheckResult(
                 f"smoothing/order-{order}",
@@ -396,7 +409,7 @@ def suite_negligible(seed: int) -> SuiteResult:
             f"sup weighted {verdict.sup_weighted:.3e} > {verdict.tau:g}",
         )
     )
-    return _result("negligible", checks, t0)
+    return _result("negligible", checks, t0, smoothing=tuple(smooth), identity=verdict)
 
 
 SUITES: dict[str, Callable[[int], SuiteResult]] = {
@@ -418,16 +431,8 @@ def suite_names() -> tuple[str, ...]:
     return tuple(SUITES)
 
 
-def run_suites(
-    seed: int = 0,
-    only: Optional[str] = None,
-    threads: int = 1,
-) -> VerifyReport:
-    """Run the battery (or one suite) and collect a report.
-
-    threads > 1 runs suites concurrently; results keep catalog order
-    either way, so the payload is independent of the thread count.
-    """
+def run_suites(seed: int = 0, only: Optional[str] = None) -> VerifyReport:
+    """Run the battery (or one suite) and collect a report."""
     if only is not None:
         if only not in SUITES:
             raise VerifyError(
@@ -436,12 +441,7 @@ def run_suites(
         names = [only]
     else:
         names = list(SUITES)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(SUITES[name], seed) for name in names}
-            results = [futures[name].result() for name in names]
-    else:
-        results = [SUITES[name](seed) for name in names]
+    results = [SUITES[name](seed) for name in names]
     return VerifyReport(
         seed=seed,
         suites=tuple(results),

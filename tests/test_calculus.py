@@ -11,7 +11,7 @@ from psdo.calculus import (
     infinitesimal,
     probe_symbol,
 )
-from psdo.geometry import Circle, Cone, Edge, GridFunction, Point
+from psdo.geometry import Circle, Cone, Edge, GeometryError, GridFunction, Point
 from psdo.quantize import DiscretizedOperator, identity_operator, op_circle, op_edge, op_mellin
 from psdo.symexpr import evaluate, mul, parse
 
@@ -173,9 +173,9 @@ def test_extract_interval_mode_rejected():
 
 
 def test_extract_unknown_axis_rejected():
-    with pytest.raises(CalculusError):
+    with pytest.raises(GeometryError):
         extract_symbol(identity_operator(Circle(16)), axis="r")
-    with pytest.raises(CalculusError):
+    with pytest.raises(GeometryError):
         extract_symbol(identity_operator(Circle(16)), axis="t")
 
 

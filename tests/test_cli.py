@@ -166,6 +166,27 @@ def test_quantize_io_error_exit_74(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "geometry, message",
+    [
+        ({"kind": "circle"}, "circle descriptor needs 'n_x'"),
+        ({"kind": "circle", "n_x": "abc"}, "circle field 'n_x' must be an int, got 'abc'"),
+        ({"kind": "circle", "n_x": 32.5}, "circle field 'n_x' must be an int, got 32.5"),
+        ({"kind": "cone", "T": "x"}, "cone field 'T' must be a finite number, got 'x'"),
+        ({"kind": "edge", "n_x": 16}, "edge descriptor needs a 'cone' dict"),
+    ],
+    ids=["circle-no-n_x", "n_x-string", "n_x-float", "T-string", "edge-no-cone"],
+)
+def test_quantize_bad_geometry_exit_64(tmp_path, capsys, geometry, message):
+    cfg = {"geometry": geometry, "symbol": "2 + chi(xi)"}
+    code = run(tmp_path, "quantize", cfg, "--out", str(tmp_path / "q"))
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "q" / "operator.psdo").exists()
+
+
+@pytest.mark.parametrize(
     "geometry, symbol",
     [
         ({"kind": "circle", "n_x": 32}, "1 / (xi)"),
@@ -299,16 +320,6 @@ def test_verify_csv_quotes_commas(tmp_path, capsys):
     assert all(line.endswith(",true") for line in lines[1:])
     # Check labels containing commas stay one field.
     assert any('"' in line for line in lines[1:])
-
-
-def test_verify_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PSDO_THREADS", "frog")
-    assert main(["verify", "--only", "skruch"]) == EXIT_CONFIG
-    monkeypatch.setenv("PSDO_THREADS", "0")
-    assert main(["verify", "--only", "skruch"]) == EXIT_CONFIG
-    monkeypatch.setenv("PSDO_THREADS", "2")
-    capsys.readouterr()
-    assert main(["verify", "--only", "skruch"]) == EXIT_OK
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -10,6 +10,7 @@ from psdo.geometry import (
     GeometryError,
     GridFunction,
     Point,
+    axis_layout,
     build_geometry,
     circle_dft,
     circle_idft,
@@ -21,6 +22,7 @@ from psdo.geometry import (
     plateau_profile,
     translation_matrix,
 )
+from psdo.quantize import _interior_nodes, interior_dim
 
 
 class TestBuild:
@@ -200,3 +202,74 @@ class TestCutoffs:
         fam = cutoff_family(g, center=0.0, n_scales=3, base_scale=3.0, axis_name="t")
         for i in range(2):
             assert np.max(np.abs(fam[i] * fam[i + 1] - fam[i + 1])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Axis layouts
+
+LAYOUT_GEOMETRIES = {
+    "circle-q1": Circle(16),
+    "circle-q2": Circle(16, q=2),
+    "point-cone-periodic": Cone(Point(), T=4.0, n_t=16),
+    "point-cone-interval": Cone(Point(), T=4.0, n_t=16, boundary="interval", q=2),
+    "circle-base-cone": Cone(Circle(8), T=4.0, n_t=16, q=2),
+    "edge-point-cone": Edge(Circle(8), Cone(Point(), T=4.0, n_t=16, boundary="interval")),
+    "edge-circle-base-cone": Edge(Circle(8, q=2), Cone(Circle(8), T=4.0, n_t=8, q=2)),
+}
+
+
+def _old_layout(g, axis):
+    """(pre, n, post, covar, nodes, step, periodic) written out per geometry."""
+    if axis == "x" and isinstance(g, Circle):
+        return 1, g.n_x, g.q, g.modes.astype(float), g.x, g.h_x, True
+    if axis == "x" and isinstance(g, Edge):
+        c = g.circle
+        return 1, c.n_x, g.cone.dim_total, c.modes.astype(float), c.x, c.h_x, True
+    if axis == "t" and isinstance(g, Cone):
+        return 1, g.n_t, g.dim_total // g.n_t, g.p, g.t, g.h_t, False
+    if axis == "t" and isinstance(g, Edge):
+        c = g.cone
+        return g.circle.n_x, c.n_t, c.dim_total // c.n_t, c.p, c.t, c.h_t, False
+    return None
+
+
+def _old_interior(g):
+    """(interior_dim, _interior_nodes) as written out per geometry."""
+    if isinstance(g, Circle):
+        return g.dim_total, None
+    cone = g if isinstance(g, Cone) else g.cone
+    pre = g.circle.n_x if isinstance(g, Edge) else 1
+    post = g.dim_total // (pre * cone.n_t)
+    nodes = np.arange(g.dim_total).reshape(pre, cone.n_t, post)[:, 1:, :].reshape(-1)
+    return (cone.n_t - 1) * (g.dim_total // cone.n_t), nodes
+
+
+@pytest.mark.parametrize("g", LAYOUT_GEOMETRIES.values(), ids=LAYOUT_GEOMETRIES.keys())
+def test_axis_layout_matches_written_out_formulas(g):
+    for axis in ("x", "t"):
+        want = _old_layout(g, axis)
+        if want is None:
+            with pytest.raises(GeometryError, match=f"no '{axis}' axis"):
+                axis_layout(g, axis)
+            continue
+        lay = axis_layout(g, axis)
+        pre, n, post, covar, nodes, step, periodic = want
+        assert (lay.name, lay.pre, lay.n, lay.post) == (axis, pre, n, post)
+        assert lay.pre * lay.n * lay.post == g.dim_total
+        assert np.array_equal(lay.covar, covar) and np.array_equal(lay.nodes, nodes)
+        assert (lay.step, lay.periodic) == (step, periodic)
+    default = axis_layout(g)
+    assert default.name == ("t" if isinstance(g, Cone) else "x")
+    with pytest.raises(GeometryError):
+        axis_layout(g, "r")
+
+
+@pytest.mark.parametrize("g", LAYOUT_GEOMETRIES.values(), ids=LAYOUT_GEOMETRIES.keys())
+def test_interior_layout_bit_equal(g):
+    dim, nodes = _old_interior(g)
+    assert interior_dim(g) == dim
+    if nodes is not None:
+        got = _interior_nodes(g)
+        assert got.dtype == nodes.dtype and np.array_equal(got, nodes)
+        assert got.size == dim
+

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from psdo.calculus import _shift_commutator, extract_symbol
-from psdo.geometry import Circle, Cone, Edge, Point, translation_matrix
+from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, translation_matrix
 from psdo.quantize import (
     op_circle,
     op_edge,
@@ -42,7 +42,7 @@ def _frozen_stock(kind):
 @pytest.mark.parametrize("steps", [1, 3])
 def test_roll_commutator_equals_kron(kind, steps):
     g, op = _frozen_stock(kind)
-    n_x = g.n_x if isinstance(g, Circle) else g.circle.n_x
+    n_x = axis_layout(g, "x").n
     M = op.matrix
     T = np.kron(translation_matrix(n_x, steps), np.eye(M.shape[0] // n_x))
     assert np.array_equal(_shift_commutator(M, n_x, steps), T @ M - M @ T)
