@@ -37,6 +37,7 @@ from psdo.quantize import (
     side_norm,
     spectral_norm,
     spectral_norms,
+    synthesis,
 )
 from psdo.symexpr import Const, Node, add, diff, mul, parse, substitute
 
@@ -186,8 +187,8 @@ def extract_symbol(
         raise CalculusError("interval-mode operators have no periodic axis to extract along")
     lay = axis_layout(A.geometry, axis)
     pre, n, post, covar = lay.pre, lay.n, lay.post, lay.covar
-    F = np.exp(-1j * np.outer(covar, lay.nodes)) / n
-    iF = np.exp(1j * np.outer(lay.nodes, covar))
+    iF = synthesis(lay.nodes, covar)
+    F = iF.conj().T / n
     d = pre * post
     M = A.matrix.reshape(pre, n, post, pre, n, post)
     D = np.einsum("kj,ajbcld,lm->akbcmd", F, M, iF, optimize=True)

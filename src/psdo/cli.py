@@ -69,6 +69,7 @@ from psdo.geometry import (
     build_geometry,
     describe_geometry,
     is_int,
+    is_number,
 )
 from psdo.quantize import QuantizeError, quantize
 from psdo.symbols import (
@@ -254,6 +255,13 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, default: Optional[float] = None) -> float:
+    raw = cfg.get(key, default)
+    if not is_number(raw):
+        raise ConfigError(f"config field {key!r} must be a finite number, got {raw!r}")
+    return float(raw)
+
+
 def _probe_cone(cfg: dict) -> Cone:
     desc = cfg.get(
         "geometry", {"kind": "cone", "T": 6.0, "n_t": 64, "boundary": "interval"}
@@ -307,7 +315,7 @@ def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int]:
     expr = parse(str(_require(cfg, "symbol")))
     g = build_geometry(_require(cfg, "geometry"))
     v = cfg.get("v")
-    op = quantize(g, expr, None if v is None else float(v))
+    op = quantize(g, expr, None if v is None else _number(cfg, "v"))
     target = os.path.join(out_dir or ".", "operator.psdo")
     try:
         os.makedirs(out_dir or ".", exist_ok=True)
@@ -332,13 +340,15 @@ def cmd_index(cfg: dict) -> tuple[dict, int]:
     cone = _probe_cone(cfg)
     if cone.boundary != "interval":
         raise ConfigError("index needs an interval-mode cone geometry")
-    sizes = tuple(int(n) for n in cfg.get("sizes", (64, 128, 256)))
+    sizes = cfg.get("sizes", [64, 128, 256])
+    if not isinstance(sizes, list) or not all(is_int(n) for n in sizes):
+        raise ConfigError(f"config field 'sizes' must be a list of ints, got {sizes!r}")
     # Coarser than the raw finite_section default so slowly-closing conormal
     # gaps read as indeterminate rather than feeding the oracle a zero crossing.
-    tau_coef = float(cfg.get("tau_coef", 1e-4))
+    tau_coef = _number(cfg, "tau_coef", 1e-4)
     rep = finite_section(
         lambda n_t: interval_section(expr, cone.h_t, n_t, cone.base, cone.q),
-        sizes=sizes,
+        sizes=tuple(sizes),
         tau_coef=tau_coef,
     )
     rows = rep.rows()

@@ -36,9 +36,11 @@ from psdo.quantize import (
     _dft_matrix,
     _interior_nodes,
     _restrict_t_axis,
+    kn_assemble,
     op_edge,
     op_mellin,
     quantize,
+    synthesis,
 )
 from psdo.symbols import (
     ConeSymbolFamily,
@@ -425,9 +427,7 @@ def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
     }
     S = evaluate(expr, bindings)
     S = np.broadcast_to(S, (n, n, n_t, q, q))
-    E = np.exp(1j * np.outer(circ.x, k))
-    F = _dft_matrix(n)
-    M = np.einsum("jk,jktab,kl->tjalb", E, S, F, optimize=True)  # (t, j, a, l, b)
+    M = kn_assemble(synthesis(circ.x, k), np.moveaxis(S, 2, 0), _dft_matrix(n))  # (t, j, a, l, b)
     full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
     idx = np.arange(n_t)
     full[:, idx, :, :, idx, :] = M

@@ -12,6 +12,7 @@ representation, which is what makes plain SVDs meaningful.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -287,6 +288,14 @@ def is_int(raw: object) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
+def is_number(raw: object) -> bool:
+    """The number rule for config fields: a finite float, or an int
+    within float range, with bool refused."""
+    if isinstance(raw, float):
+        return math.isfinite(raw)
+    return is_int(raw) and abs(raw) <= sys.float_info.max
+
+
 def _int_field(desc: dict, key: str, default: Optional[int] = None) -> int:
     raw = desc.get(key, default)
     if raw is None:
@@ -298,7 +307,7 @@ def _int_field(desc: dict, key: str, default: Optional[int] = None) -> int:
 
 def _float_field(desc: dict, key: str, default: float) -> float:
     raw = desc.get(key, default)
-    if not (is_int(raw) or isinstance(raw, float)) or not math.isfinite(raw):
+    if not is_number(raw):
         raise GeometryError(f"{desc['kind']} field {key!r} must be a finite number, got {raw!r}")
     return float(raw)
 
@@ -401,41 +410,6 @@ def _full_w_diag(g: Geometry) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Discrete Fourier transforms (normalized so that dft(1) has mode-0
-# coefficient 1) and the Mellin-line variant on the t axis.
-
-
-def circle_dft(values: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
-    """u_hat(k) = (1/N) sum_j u_j exp(-i k x_j), modes in FFT order."""
-    return np.fft.fft(values, axis=axis) / n
-
-
-def circle_idft(coeffs: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
-    return np.fft.ifft(coeffs, axis=axis) * n
-
-
-def cone_tdft(values: np.ndarray, cone: Cone, axis: int = 0) -> np.ndarray:
-    """f_hat(p_k) = (1/N) sum_j f_j exp(-i p_k t_j) on the window grid.
-
-    p_k t_j = -pi k + 2 pi k j / N, so this is an FFT with an alternating
-    phase twist.
-    """
-    k = np.fft.fftfreq(cone.n_t, d=1.0 / cone.n_t)
-    phase = np.exp(1j * np.pi * k)
-    shape = [1] * values.ndim
-    shape[axis] = cone.n_t
-    return np.fft.fft(values, axis=axis) / cone.n_t * phase.reshape(shape)
-
-
-def cone_tidft(coeffs: np.ndarray, cone: Cone, axis: int = 0) -> np.ndarray:
-    k = np.fft.fftfreq(cone.n_t, d=1.0 / cone.n_t)
-    phase = np.exp(-1j * np.pi * k)
-    shape = [1] * coeffs.ndim
-    shape[axis] = cone.n_t
-    return np.fft.ifft(coeffs * phase.reshape(shape), axis=axis) * cone.n_t
-
-
-# ---------------------------------------------------------------------------
 # Translations and dilations
 
 
@@ -469,10 +443,6 @@ class DilationAction:
     def lam(self) -> float:
         return float(np.exp(self.k * self.cone.h_t))
 
-    @property
-    def t_axis(self) -> int:
-        return 0 if isinstance(self.geometry, Cone) else 1
-
     def apply(self, u: GridFunction) -> GridFunction:
         """Conjugated shift W^{-1} S_k W on natural samples.
 
@@ -483,24 +453,22 @@ class DilationAction:
         if u.geometry != self.geometry:
             raise GeometryError("dilation applied to a function on a different geometry")
         w = _full_w_diag(self.geometry)[..., None]
-        rolled = np.roll(u.values * w, self.k, axis=self.t_axis)
-        return GridFunction(self.geometry, rolled / w)
+        lay = axis_layout(self.geometry, "t")
+        rolled = np.roll((u.values * w).reshape(lay.pre, lay.n, lay.post), self.k, axis=1)
+        return GridFunction(self.geometry, rolled.reshape(u.values.shape) / w)
 
     def flat_matrix(self) -> np.ndarray:
         """Matrix of kappa on flat-representation vectors (pure shift)."""
-        g = self.geometry
-        shift = translation_matrix(self.cone.n_t, self.k)
-        blocks = [shift]
-        if isinstance(self.cone.base, Circle):
-            blocks.append(np.eye(self.cone.base.n_x))
-        if isinstance(g, Edge):
-            blocks = [np.eye(g.circle.n_x)] + blocks
-        if g.q > 1:
-            blocks.append(np.eye(g.q))
-        out = blocks[0]
-        for b in blocks[1:]:
-            out = np.kron(out, b)
-        return out
+        lay = axis_layout(self.geometry, "t")
+        d = self.geometry.dim_total
+        return np.roll(np.eye(d).reshape(lay.pre, lay.n, lay.post, d), self.k, axis=1).reshape(d, d)
+
+    def conjugate(self, M: np.ndarray) -> np.ndarray:
+        """kappa M kappa^{-1} for a flat-representation matrix M, as a
+        t-axis roll of its rows and columns."""
+        lay = axis_layout(self.geometry, "t")
+        shape = (lay.pre, lay.n, lay.post) * 2
+        return np.roll(M.reshape(shape), (self.k, self.k), axis=(1, 4)).reshape(M.shape)
 
     def check_relations(self, other_k: int = 3) -> dict[str, float]:
         """Residuals of the dilation-group relations on this grid.
@@ -517,14 +485,14 @@ class DilationAction:
         group = float(np.max(np.abs(ka @ kb - kab)))
         unit = float(np.max(np.abs(ka @ ka.conj().T - np.eye(ka.shape[0]))))
         c = self.cone
-        # Mellin generator as a t-circulant in flat representation
-        gen = np.fft.ifft(c.p[:, None] * np.fft.fft(np.eye(c.n_t), axis=0), axis=0)
+        # Mellin generator as a t-circulant: gen[j, l] = ifft(p)[j - l]
+        js = np.arange(c.n_t)
+        gen = np.fft.ifft(c.p)[(js[:, None] - js[None, :]) % c.n_t]
         shift = translation_matrix(c.n_t, self.k)
         mellin = float(np.max(np.abs(shift @ gen - gen @ shift)))
         # radial homogeneity off the wrapped nodes
         r_op = np.diag(c.r)
         conj_r = shift @ r_op @ shift.conj().T
-        js = np.arange(c.n_t)
         off_seam = (js - self.k >= 0) & (js - self.k < c.n_t)
         resid = np.abs(conj_r - self.lam * r_op)
         radial = float(np.max(resid[np.ix_(off_seam, off_seam)])) if off_seam.any() else 0.0

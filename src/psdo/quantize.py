@@ -12,6 +12,15 @@ Variable bindings used by every quantizer: x and xi on the circle axis,
 r = exp(-t), w = v*r, eta = xi*r on cone axes, p the Mellin covariable,
 v the edge parameter, t the base Fourier mode on circle-base cones
 (0 on point-base ones).
+
+This module is the only home of the Fourier phases that turn a symbol
+into a matrix: `synthesis` builds every phase matrix E, `kn_assemble`
+every Kohn-Nirenberg product E S F, and `kn_circulant` its x-free form.
+Two analysis matrices F remain: `_dft_matrix` on circle x axes and
+E^H/n on t and base axes. They round differently, and the canonical
+verify report prints assembly rounding residues, so unifying them (or
+an FFT kernel in place of the einsums) waits until those residues
+leave the report (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -190,6 +199,25 @@ def _dft_matrix(n: int) -> np.ndarray:
     return np.fft.fft(np.eye(n), axis=1).T / n
 
 
+def synthesis(nodes: np.ndarray, covar: np.ndarray) -> np.ndarray:
+    """Phase matrix E[j, k] = exp(i nodes_j covar_k)."""
+    # not np.outer: its float n x n temporary raises peak memory
+    return np.exp(1j * nodes[:, None] * covar[None, :])
+
+
+def kn_assemble(E: np.ndarray, S: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Kohn-Nirenberg product sum_k E[j, k] S[..., j, k, a, b] F[k, l],
+    shaped (..., j, a, l, b)."""
+    return np.einsum("jk,...jkab,kl->...jalb", E, S, F, optimize=True)
+
+
+def kn_circulant(E: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """x-free Kohn-Nirenberg product sum_k E[j, k] B[..., k, a, b] F[k, l],
+    shaped (..., j, a, l, b). Kept apart from kn_assemble: broadcasting
+    B over j there contracts in another order and changes bits."""
+    return np.einsum("jk,...kab,kl->...jalb", E, B, F, optimize=True)
+
+
 def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOperator:
     """Kohn-Nirenberg quantization of a(x, xi, v) on the circle."""
     q = shape_of(expr)
@@ -205,9 +233,7 @@ def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOp
         raise QuantizeError("symbol depends on v but no parameter value was given")
     S = evaluate(expr, bindings)  # (n, n, q, q) after broadcast
     S = np.broadcast_to(S, (n, n, q, q))
-    E = np.exp(1j * g.x[:, None] * k[None, :])
-    F = _dft_matrix(n)
-    A = np.einsum("jk,jkab,kl->jalb", E, S, F, optimize=True).reshape(n * q, n * q)
+    A = kn_assemble(synthesis(g.x, k), S, _dft_matrix(n)).reshape(n * q, n * q)
     return DiscretizedOperator(g, v, A)
 
 
@@ -267,16 +293,18 @@ def _mellin_fibers(
     pad = (1,) * len(grid)
     b = _cone_bindings(r, p, v, xi.reshape(batch + pad), x_value.reshape(batch + pad), freeze_r, mu=mu)
     S = np.broadcast_to(evaluate(expr, b), batch + grid + (q, q))
-    E = np.exp(1j * cone.t[:, None] * cone.p[None, :])
-    F = np.exp(-1j * cone.p[:, None] * cone.t[None, :]) / n_t
+    E = synthesis(cone.t, cone.p)
+    F = E.conj().T / n_t
     if mu is None:
-        A = np.einsum("jk,...jkab,kl->...jalb", E, S, F, optimize=True)
+        A = kn_assemble(E, S, F)
     else:
-        blocks = np.einsum("jk,...jkmab,kl->...mjalb", E, S, F, optimize=True)
-        modes, x = cone.base.modes.astype(float), cone.base.x
-        iFw = np.exp(1j * modes[None, :] * x[:, None])  # (l, mu)
-        Fw = np.exp(-1j * modes[:, None] * x[None, :]) / cone.base.n_x  # (mu, l')
-        A = np.einsum("lm,...mjase,mn->...jlasne", iFw, blocks, Fw, optimize=True)
+        # t-axis blocks per base mode, then the base DFT across modes
+        m = n_t * q
+        blocks = kn_assemble(E, np.moveaxis(S, -3, -5), F).reshape(batch + (n_w, m, m))
+        Ew = synthesis(cone.base.x, mu.reshape(-1))
+        A = kn_circulant(Ew, blocks, Ew.conj().T / n_w)
+        # (*B, l, j, a, l', s, e) -> rows (j, l, a), columns (s, l', e)
+        A = np.moveaxis(A.reshape(batch + (n_w, n_t, q, n_w, n_t, q)), (-6, -3), (-5, -2))
     d = cone.dim_total
     return A.reshape(batch + (d, d))
 
@@ -361,17 +389,17 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
         raise QuantizeError(f"symbol shape {q} != geometry fiber {g.q}")
     cone, circ = g.cone, g.circle
     xi = circ.modes.astype(float)
-    E = np.exp(1j * circ.x[:, None] * xi[None, :])
+    E = synthesis(circ.x, xi)
     F = _dft_matrix(circ.n_x)
     if "x" in variables_of(expr):
         # one fiber per (output x, mode) pair
         blocks = _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r)
-        A = np.einsum("jk,jkab,kl->jalb", E, blocks, F, optimize=True)
+        A = kn_assemble(E, blocks, F)
         mode_blocks = None
     else:
         # one fiber per mode, block circulant
         mode_blocks = _mellin_fibers(cone, expr, v, xi, 0.0, freeze_r)
-        A = np.einsum("jk,kab,kl->jalb", E, mode_blocks, F, optimize=True)
+        A = kn_circulant(E, mode_blocks, F)
     A = A.reshape(g.dim_total, g.dim_total)
     if cone.boundary == "interval":
         A = _restrict_t_axis(A, g)

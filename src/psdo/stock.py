@@ -179,16 +179,16 @@ def index_stock() -> tuple[IndexInstance, ...]:
     )
 
 
+# Heaviside step on integer modes, exactly 1 for xi >= 0 and 0 below: no
+# quotient but a halving, since complex division multiplies by a rounded reciprocal
+TOEPLITZ_STEP = "(abs(xi + 1) - abs(xi) + 1) / 2"
+
+
 def toeplitz_shift(n: int) -> DiscretizedOperator:
-    """exp(ix) P_+ + P_- on circle modes: the classical index -1 stock."""
-    g = Circle(n)
-    k = g.modes
-    F = np.fft.fft(np.eye(n)) / n
-    E = np.exp(1j * np.outer(g.x, k.astype(float)))
-    Pp = E @ np.diag((k >= 0).astype(float)) @ F
-    Pm = E @ np.diag((k < 0).astype(float)) @ F
-    shift = op_circle(g, parse("exp((0,1)*x)")).matrix
-    return DiscretizedOperator(g, None, shift @ Pp + Pm)
+    """exp(ix) P_+ + P_- on circle modes: the classical index -1 stock,
+    quantized from its symbol exp(ix) H(xi) + 1 - H(xi)."""
+    H = f"({TOEPLITZ_STEP})"
+    return op_circle(Circle(n), parse(f"exp((0,1)*x)*{H} + 1 - {H}"))
 
 
 def partition_stock(seed: int = 0, count: int = 100) -> Iterator[PartitionInstance]:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from psdo.geometry import Circle, Cone, DilationAction, Geometry, Point
-from psdo.quantize import DiscretizedOperator, op_mellin, spectral_norms
+from psdo.quantize import DiscretizedOperator, _dft_matrix, kn_circulant, op_mellin, spectral_norms, synthesis
 from psdo.symexpr import (
     Call,
     Const,
@@ -232,10 +232,8 @@ class ConeSymbolFamily:
             vals = evaluate(self.expr, self._bindings(x, r, w, eta, p, v))
             d = np.broadcast_to(vals.reshape(-1), modes.shape).astype(complex)
             n = self.base.n_x
-            om = self.base.x
-            iFw = np.exp(1j * np.outer(om, modes))
-            Fw = np.exp(-1j * np.outer(modes, om)) / n
-            m = iFw @ np.diag(d) @ Fw
+            E = synthesis(self.base.x, modes)
+            m = kn_circulant(E, d[:, None, None], E.conj().T / n).reshape(n, n)
         if self.conj is not None:
             L, R = self.conj(float(x))
             m = L @ m @ R
@@ -356,10 +354,9 @@ def check_twisted_homogeneity(
     lams, viols = [], []
     for k in ks:
         act = DilationAction(sigma.cone, int(k))
-        inv = DilationAction(sigma.cone, -int(k))
         lam = act.lam
         dilated = sigma.at(x=x, xi=lam * xi, v=lam * v).matrix
-        conj = act.flat_matrix() @ base_m @ inv.flat_matrix()
+        conj = act.conjugate(base_m)
         denom = max(1.0, float(np.linalg.norm(dilated, 2)))
         viols.append(float(np.linalg.norm(dilated - conj, 2)) / denom)
         lams.append(lam)
@@ -407,9 +404,11 @@ class ConormalSymbol:
             vals = evaluate(self.expr, {"p": ps[:, None], "t": modes[None, :]})
             d = np.broadcast_to(vals[..., 0, 0], (ps.size, modes.size)).astype(complex)
             n = self.base.n_x
-            iFw = np.exp(1j * np.outer(self.base.x, modes))
-            Fw = np.exp(-1j * np.outer(modes, self.base.x)) / n
-            m = (iFw[None, :, :] * d[:, None, :]) @ Fw
+            E = synthesis(self.base.x, modes)
+            F = E.conj().T / n
+            # one product per p: a batched one contracts in another order
+            m = np.array([kn_circulant(E, row[:, None, None], F) for row in d], dtype=complex)
+            m = m.reshape(ps.size, n, n)
         if self.conj is not None:
             L, R = self.conj
             m = L @ m @ R
@@ -616,10 +615,8 @@ def base_pullback(
     dreal = dvals.real
     if float(np.min(dreal)) <= 0.0:
         raise SymbolError("base diffeomorphism is not bijective on the grid (Jacobian sign change)")
-    modes = circle.modes.astype(float)
-    F = np.fft.fft(np.eye(circle.n_x), axis=0) / circle.n_x
-    E = np.exp(1j * np.outer(gvals.real, modes))
-    raw = np.diag(np.sqrt(dreal)) @ E @ F
+    E = synthesis(gvals.real, circle.modes.astype(float))
+    raw = np.diag(np.sqrt(dreal)) @ E @ _dft_matrix(circle.n_x)
     if not polar:
         return raw
     U, _, Vh = np.linalg.svd(raw)

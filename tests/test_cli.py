@@ -172,12 +172,31 @@ def test_quantize_io_error_exit_74(tmp_path, capsys):
         ({"kind": "circle", "n_x": "abc"}, "circle field 'n_x' must be an int, got 'abc'"),
         ({"kind": "circle", "n_x": 32.5}, "circle field 'n_x' must be an int, got 32.5"),
         ({"kind": "cone", "T": "x"}, "cone field 'T' must be a finite number, got 'x'"),
+        ({"kind": "cone", "T": 10**400}, "cone field 'T' must be a finite number, got 1000"),
         ({"kind": "edge", "n_x": 16}, "edge descriptor needs a 'cone' dict"),
     ],
-    ids=["circle-no-n_x", "n_x-string", "n_x-float", "T-string", "edge-no-cone"],
+    ids=["circle-no-n_x", "n_x-string", "n_x-float", "T-string", "T-huge-int", "edge-no-cone"],
 )
 def test_quantize_bad_geometry_exit_64(tmp_path, capsys, geometry, message):
     cfg = {"geometry": geometry, "symbol": "2 + chi(xi)"}
+    code = run(tmp_path, "quantize", cfg, "--out", str(tmp_path / "q"))
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "q" / "operator.psdo").exists()
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ("abc", "config field 'v' must be a finite number, got 'abc'"),
+        (True, "config field 'v' must be a finite number, got True"),
+    ],
+    ids=["v-string", "v-bool"],
+)
+def test_quantize_bad_field_exit_64(tmp_path, capsys, v, message):
+    cfg = {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "2 + chi(xi)", "v": v}
     code = run(tmp_path, "quantize", cfg, "--out", str(tmp_path / "q"))
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
@@ -282,6 +301,24 @@ def test_index_single_size_exit_64(tmp_path, capsys):
     cfg = {"geometry": CONE, "symbol": "1 + 0*p", "sizes": [64]}
     assert run(tmp_path, "index", cfg) == EXIT_CONFIG
     assert "two sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"tau_coef": "x"}, "config field 'tau_coef' must be a finite number, got 'x'"),
+        ({"tau_coef": False}, "config field 'tau_coef' must be a finite number, got False"),
+        ({"sizes": [64, 65.5]}, "config field 'sizes' must be a list of ints, got [64, 65.5]"),
+        ({"sizes": "64"}, "config field 'sizes' must be a list of ints, got '64'"),
+    ],
+    ids=["tau_coef-string", "tau_coef-bool", "sizes-float", "sizes-string"],
+)
+def test_index_bad_field_exit_64(tmp_path, capsys, field, message):
+    cfg = {"geometry": CONE, "symbol": "1 + 0*p", **field}
+    assert run(tmp_path, "index", cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
 
 
 # -- verify -----------------------------------------------------------------

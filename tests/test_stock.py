@@ -12,11 +12,13 @@ never violate the bound.
 import numpy as np
 import pytest
 
-from psdo.fredholm import check_elliptic, winding_oracle
+from psdo.fredholm import check_elliptic, finite_section, winding_oracle
+from psdo.geometry import Circle
 from psdo.localization import partition_bound_check
-from psdo.quantize import negligible_test
+from psdo.quantize import negligible_test, op_circle
 from psdo.stock import (
     GLUING_COUNTS,
+    TOEPLITZ_STEP,
     degenerate_stock,
     elliptic_stock,
     gluing_family,
@@ -30,6 +32,7 @@ from psdo.stock import (
     toeplitz_shift,
 )
 from psdo.symbols import check_twisted_homogeneity
+from psdo.symexpr import evaluate, parse
 
 
 def test_homogeneity_stock_passes_dilation_identity():
@@ -78,6 +81,25 @@ def test_toeplitz_shift_shape_and_norm():
     A = toeplitz_shift(32)
     assert A.matrix.shape == (32, 32)
     assert abs(A.norm() - np.sqrt(2.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_toeplitz_shift_matches_explicit_projectors(n):
+    g = Circle(n)
+    k = g.modes
+    H = evaluate(parse(TOEPLITZ_STEP), {"xi": k.astype(float)})[..., 0, 0]
+    assert np.array_equal(H, (k >= 0).astype(complex))  # exactly 0 or 1
+    F = np.fft.fft(np.eye(n)) / n
+    E = np.exp(1j * np.outer(g.x, k.astype(float)))
+    Pp = E @ np.diag((k >= 0).astype(float)) @ F
+    Pm = E @ np.diag((k < 0).astype(float)) @ F
+    shift = op_circle(g, parse("exp((0,1)*x)")).matrix
+    assert np.max(np.abs(toeplitz_shift(n).matrix - (shift @ Pp + Pm))) <= 1e-13
+
+
+def test_toeplitz_shift_section_rows():
+    rep = finite_section(toeplitz_shift, sizes=(64, 128, 256))
+    assert rep.rows() == [(64, 0, 1, -1), (128, 0, 1, -1), (256, 0, 1, -1)]
 
 
 def test_partition_stock_never_violates_bound():
