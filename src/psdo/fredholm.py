@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -419,15 +420,11 @@ def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
     circ, cone = g.circle, g.cone
     n, n_t, q = circ.n_x, cone.n_t, g.q
     k = circ.modes.astype(float)
-    bindings = {
-        "x": circ.x[:, None, None],
-        "xi": k[None, :, None],
-        "r": cone.r[None, None, :],
-        "v": v,
-    }
-    S = evaluate(expr, bindings)
-    S = np.broadcast_to(S, (n, n, n_t, q, q))
-    M = kn_assemble(synthesis(circ.x, k), np.moveaxis(S, 2, 0), _dft_matrix(n))  # (t, j, a, l, b)
+    bindings = {"x": circ.x[:, None], "xi": k, "r": cone.r[:, None, None], "v": v}
+    # the symbol grid goes to the kernel unnamed: it is freed before F is built
+    M = kn_assemble(
+        np.broadcast_to(evaluate(expr, bindings), (n_t, n, n, q, q)), synthesis(circ.x, k), partial(_dft_matrix, n)
+    )  # (t, j, a, l, b)
     full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
     idx = np.arange(n_t)
     full[:, idx, :, :, idx, :] = M

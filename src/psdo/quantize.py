@@ -19,14 +19,29 @@ every Kohn-Nirenberg product E S F, and `kn_circulant` its x-free form.
 Two analysis matrices F remain: `_dft_matrix` on circle x axes and
 E^H/n on t and base axes. They round differently, and the canonical
 verify report prints assembly rounding residues, so unifying them (or
-an FFT kernel in place of the einsums) waits until those residues
-leave the report (ROADMAP item 1).
+an FFT kernel) waits until those residues leave the report (ROADMAP
+item 1).
+
+Memory contract of `kn_assemble`: besides symbol evaluation, at most
+three output-sized arrays are live at once, namely the product S E, the
+analysis matrix F and the result. S is freed once the product is formed
+and F is built only then, so every call site hands S and E over
+unnamed. `op_circle(Circle(1024))` peaks at 3.0x its output under
+tracemalloc; an allocation estimate per dense matrix (ROADMAP item 6)
+can rely on this multiple.
+
+Operand order is fixed: the product is np.multiply(S, E), S first.
+Complex multiplication rounds through fused multiply-adds, so E S and
+S E can differ in the last bit, most visibly on stride-0 grids (x-free,
+xi-free or constant symbols). S first reproduces, bit for bit, the
+einsum contractions the tests keep as oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -195,20 +210,46 @@ def _restrict_t_axis(matrix: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
 
 
 def _dft_matrix(n: int) -> np.ndarray:
-    """F[k, j] = exp(-i k x_j)/n, modes in FFT order."""
-    return np.fft.fft(np.eye(n), axis=1).T / n
+    """F[k, j] = exp(-i k x_j)/n, modes in FFT order: the analysis matrix
+    of circle x axes."""
+    F = np.fft.fft(np.eye(n, dtype=complex), axis=1).T
+    F /= n
+    return F
 
 
 def synthesis(nodes: np.ndarray, covar: np.ndarray) -> np.ndarray:
     """Phase matrix E[j, k] = exp(i nodes_j covar_k)."""
     # not np.outer: its float n x n temporary raises peak memory
-    return np.exp(1j * nodes[:, None] * covar[None, :])
+    E = 1j * nodes[:, None] * covar[None, :]
+    return np.exp(E, out=E)
 
 
-def kn_assemble(E: np.ndarray, S: np.ndarray, F: np.ndarray) -> np.ndarray:
+def kn_assemble(S: np.ndarray, E: np.ndarray, analysis: Optional[Callable[[], np.ndarray]] = None) -> np.ndarray:
     """Kohn-Nirenberg product sum_k E[j, k] S[..., j, k, a, b] F[k, l],
-    shaped (..., j, a, l, b)."""
-    return np.einsum("jk,...jkab,kl->...jalb", E, S, F, optimize=True)
+    shaped (..., j, a, l, b). F = analysis() on circle x axes, and
+    F = E^H/n without `analysis` (t and base axes).
+
+    The kernel takes over S and E: pass them unnamed, so that S is freed
+    once the product S E is formed, before F exists. With `analysis` the
+    product overwrites E when it has E's shape; otherwise it takes one
+    fresh buffer, and E^H/n is formed in place over E. The result is one
+    matmul over k.
+    """
+    shape = S.shape[:-4] + S.shape[-2:] + S.shape[-4:-2]  # (..., a, b, j, k)
+    if analysis is not None and shape == (1, 1) + E.shape:
+        P = np.multiply(S.reshape(E.shape), E, out=E)
+    else:
+        P = np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), E, out=np.empty(shape, dtype=complex))
+    del S
+    if analysis is None:
+        F = E.T
+        np.conjugate(F, out=F)
+        F /= E.shape[0]
+    else:
+        del E
+        F = analysis()
+    R = P.reshape(-1, shape[-1]) @ F
+    return np.moveaxis(R.reshape(shape), (-2, -1), (-4, -2))
 
 
 def kn_circulant(E: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -231,10 +272,11 @@ def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOp
     used = variables_of(expr)
     if "v" in used and v is None:
         raise QuantizeError("symbol depends on v but no parameter value was given")
-    S = evaluate(expr, bindings)  # (n, n, q, q) after broadcast
-    S = np.broadcast_to(S, (n, n, q, q))
-    A = kn_assemble(synthesis(g.x, k), S, _dft_matrix(n)).reshape(n * q, n * q)
-    return DiscretizedOperator(g, v, A)
+    # the symbol grid goes to the kernel unnamed: it is freed before F is built
+    A = kn_assemble(
+        np.broadcast_to(evaluate(expr, bindings), (n, n, q, q)), synthesis(g.x, k), partial(_dft_matrix, n)
+    )
+    return DiscretizedOperator(g, v, A.reshape(n * q, n * q))
 
 
 # ---------------------------------------------------------------------------
@@ -266,43 +308,39 @@ def _cone_bindings(
 def _mellin_fibers(
     cone: Cone,
     expr: Node,
-    v: float,
+    v: Union[float, np.ndarray],
     xi: Union[float, np.ndarray],
     x_value: Union[float, np.ndarray],
     freeze_r: bool,
 ) -> np.ndarray:
     """Periodic Mellin fiber matrices of a cone family, one per edge
-    point: xi and x_value broadcast to a batch shape B, and the result
+    point: v, xi and x_value broadcast to a batch shape B, and the result
     is (*B, d, d) with d = cone.dim_total.
 
-    The whole batch takes one evaluate on the (*B, t, p[, mu]) grid and
+    The whole batch takes one evaluate on the (*B[, mu], t, p) grid and
     one contraction along t; a circle base is then conjugated back to
     nodal representation by its DFT, batched the same way. Assembly is
     periodic whatever the cone's boundary mode.
     """
-    xi, x_value = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(x_value, dtype=float))
+    v, xi, x_value = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (v, xi, x_value)))
     batch = xi.shape
     n_t, q = cone.n_t, cone.q
     if isinstance(cone.base, Circle):
         n_w = cone.base.n_x
-        r, p = cone.r.reshape(n_t, 1, 1), cone.p.reshape(1, n_t, 1)
-        mu = cone.base.modes.astype(float).reshape(1, 1, n_w)
-        grid: tuple[int, ...] = (n_t, n_t, n_w)
+        mu = cone.base.modes.astype(float).reshape(n_w, 1, 1)
+        grid: tuple[int, ...] = (n_w, n_t, n_t)
     else:
-        r, p, mu, grid = cone.r.reshape(n_t, 1), cone.p.reshape(1, n_t), None, (n_t, n_t)
+        mu, grid = None, (n_t, n_t)
     pad = (1,) * len(grid)
-    b = _cone_bindings(r, p, v, xi.reshape(batch + pad), x_value.reshape(batch + pad), freeze_r, mu=mu)
-    S = np.broadcast_to(evaluate(expr, b), batch + grid + (q, q))
-    E = synthesis(cone.t, cone.p)
-    F = E.conj().T / n_t
-    if mu is None:
-        A = kn_assemble(E, S, F)
-    else:
+    v, xi, x_value = (a.reshape(batch + pad) for a in (v, xi, x_value))
+    b = _cone_bindings(cone.r.reshape(n_t, 1), cone.p, v, xi, x_value, freeze_r, mu=mu)
+    # the symbol grid goes to the kernel unnamed: it is freed before F is built
+    A = kn_assemble(np.broadcast_to(evaluate(expr, b), batch + grid + (q, q)), synthesis(cone.t, cone.p))
+    if mu is not None:
         # t-axis blocks per base mode, then the base DFT across modes
         m = n_t * q
-        blocks = kn_assemble(E, np.moveaxis(S, -3, -5), F).reshape(batch + (n_w, m, m))
         Ew = synthesis(cone.base.x, mu.reshape(-1))
-        A = kn_circulant(Ew, blocks, Ew.conj().T / n_w)
+        A = kn_circulant(Ew, A.reshape(batch + (n_w, m, m)), Ew.conj().T / n_w)
         # (*B, l, j, a, l', s, e) -> rows (j, l, a), columns (s, l', e)
         A = np.moveaxis(A.reshape(batch + (n_w, n_t, q, n_w, n_t, q)), (-6, -3), (-5, -2))
     d = cone.dim_total
@@ -389,17 +427,18 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
         raise QuantizeError(f"symbol shape {q} != geometry fiber {g.q}")
     cone, circ = g.cone, g.circle
     xi = circ.modes.astype(float)
-    E = synthesis(circ.x, xi)
-    F = _dft_matrix(circ.n_x)
     if "x" in variables_of(expr):
-        # one fiber per (output x, mode) pair
-        blocks = _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r)
-        A = kn_assemble(E, blocks, F)
+        # one fiber per (output x, mode) pair, handed to the kernel unnamed
+        A = kn_assemble(
+            _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r),
+            synthesis(circ.x, xi),
+            partial(_dft_matrix, circ.n_x),
+        )
         mode_blocks = None
     else:
         # one fiber per mode, block circulant
         mode_blocks = _mellin_fibers(cone, expr, v, xi, 0.0, freeze_r)
-        A = kn_circulant(E, mode_blocks, F)
+        A = kn_circulant(synthesis(circ.x, xi), mode_blocks, _dft_matrix(circ.n_x))
     A = A.reshape(g.dim_total, g.dim_total)
     if cone.boundary == "interval":
         A = _restrict_t_axis(A, g)

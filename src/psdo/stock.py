@@ -14,7 +14,7 @@ of crowding the nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "parameter_family",
     "GLUING_COUNTS",
     "gluing_expr",
+    "gluing_families",
     "gluing_family",
 ]
 
@@ -296,14 +297,29 @@ def gluing_expr() -> Node:
     return parse("2 + 0.2 * sin(x) * chi(xi)")
 
 
-def gluing_family(eps: float, g: Circle = None) -> LocalFamily:
+def gluing_families(
+    eps_values: Sequence[float] = tuple(GLUING_COUNTS), g: Circle = None
+) -> dict[float, LocalFamily]:
     """Frozen-coefficient representatives of the gluing stock symbol at
-    equispaced centers; center count doubles as eps halves."""
-    if eps not in GLUING_COUNTS:
-        raise KeyError(f"no stock center count for eps = {eps}")
+    equispaced centers, one family per eps; center count doubles as eps
+    halves.
+
+    The center sets are nested (2 pi i/8 is 2 pi (4 i)/32 exactly in
+    floating point), so each operator is built once, on the finest
+    requested set, and the coarser families share it.
+    """
+    for eps in eps_values:
+        if eps not in GLUING_COUNTS:
+            raise KeyError(f"no stock center count for eps = {eps}")
     g = g if g is not None else Circle(64)
     expr = gluing_expr()
-    n_c = GLUING_COUNTS[eps]
-    centers = [2.0 * np.pi * i / n_c for i in range(n_c)]
+    n_max = max(GLUING_COUNTS[eps] for eps in eps_values)
+    centers = [2.0 * np.pi * i / n_max for i in range(n_max)]
     ops = [op_circle(g, substitute(expr, {"x": Const(c)})) for c in centers]
-    return LocalFamily(g, centers, ops)
+    steps = {eps: n_max // GLUING_COUNTS[eps] for eps in eps_values}
+    return {eps: LocalFamily(g, centers[::step], ops[::step]) for eps, step in steps.items()}
+
+
+def gluing_family(eps: float, g: Circle = None) -> LocalFamily:
+    """The gluing family of one eps (see gluing_families)."""
+    return gluing_families((eps,), g)[eps]

@@ -23,7 +23,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from psdo.geometry import Circle, Cone, DilationAction, Geometry, Point
-from psdo.quantize import DiscretizedOperator, _dft_matrix, kn_circulant, op_mellin, spectral_norms, synthesis
+from psdo.quantize import (
+    DiscretizedOperator,
+    _dft_matrix,
+    _mellin_fibers,
+    kn_circulant,
+    op_mellin,
+    spectral_norms,
+    synthesis,
+)
 from psdo.symexpr import (
     Call,
     Const,
@@ -317,11 +325,22 @@ class EdgeSymbol:
         op = op_mellin(self.cone, self.family.expr, v=v, xi=xi, x_value=x, freeze_r=True)
         if self.family.conj is None:
             return op
+        return DiscretizedOperator(op.geometry, op.v, self._conjugated(op.matrix, x), op.interior)
+
+    def fibers(self, xi: np.ndarray, v: np.ndarray, x: float = 0.0) -> np.ndarray:
+        """The matrices of at(x, xi_i, v_i) for paired arrays xi and v,
+        stacked as (n, d, d) from one batched Mellin assembly; periodic
+        cones only."""
+        if self.cone.boundary != "periodic":
+            raise SymbolError("batched fibers need a periodic cone grid")
+        A = _mellin_fibers(self.cone, self.family.expr, v, xi, x, freeze_r=True)
+        return A if self.family.conj is None else self._conjugated(A, x)
+
+    def _conjugated(self, A: np.ndarray, x: float) -> np.ndarray:
+        """L A R on each fiber, with the family's conjugation pair at x."""
         L, R = self.family.conj(float(x))
-        blocks = op.matrix.shape[0] // L.shape[0]
-        Lb = np.kron(np.eye(blocks), L)
-        Rb = np.kron(np.eye(blocks), R)
-        return DiscretizedOperator(op.geometry, op.v, Lb @ op.matrix @ Rb, op.interior)
+        blocks = A.shape[-1] // L.shape[0]
+        return np.kron(np.eye(blocks), L) @ A @ np.kron(np.eye(blocks), R)
 
 
 def edge_symbol(P: ConeSymbolFamily, x: float, xi: float, v: float, g: Cone) -> DiscretizedOperator:
@@ -350,16 +369,15 @@ def check_twisted_homogeneity(
     grid-admissible lam = exp(k h_t), as a matrix identity."""
     if sigma.cone.boundary != "periodic":
         raise SymbolError("twisted homogeneity needs a periodic cone grid")
-    base_m = sigma.at(x=x, xi=xi, v=v).matrix
-    lams, viols = [], []
-    for k in ks:
-        act = DilationAction(sigma.cone, int(k))
-        lam = act.lam
-        dilated = sigma.at(x=x, xi=lam * xi, v=lam * v).matrix
+    acts = [DilationAction(sigma.cone, int(k)) for k in ks]
+    lams = [act.lam for act in acts]
+    scale = np.array([1.0] + lams)
+    base_m, *dilated_ms = sigma.fibers(xi=scale * xi, v=scale * v, x=x)
+    viols = []
+    for act, dilated in zip(acts, dilated_ms):
         conj = act.conjugate(base_m)
         denom = max(1.0, float(np.linalg.norm(dilated, 2)))
         viols.append(float(np.linalg.norm(dilated - conj, 2)) / denom)
-        lams.append(lam)
     worst = max(viols)
     return TwistedHomogeneityReport(
         tuple(int(k) for k in ks), tuple(lams), tuple(viols), worst, tol, worst <= tol

@@ -47,7 +47,7 @@ from psdo.stock import (
     GLUING_COUNTS,
     degenerate_stock,
     elliptic_stock,
-    gluing_family,
+    gluing_families,
     homogeneity_stock,
     index_stock,
     infinitesimal_stock,
@@ -309,8 +309,9 @@ def suite_gluing(seed: int) -> SuiteResult:
     t0 = time.perf_counter()
     checks = []
     glued, reproduction, cauchy = {}, {}, []
+    families = gluing_families()
     for eps in sorted(GLUING_COUNTS, reverse=True):
-        F = gluing_family(eps)
+        F = families[eps]
         cont = continuity_check(F, eps_ladder=(eps,))
         P = partition_of_unity(F.geometry, F.centers, eps)
         G = glue(F, P)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import psdo.quantize as quantize_module
-from psdo.geometry import Circle, Cone, Edge, Point
+from psdo.geometry import Circle, Cone, DilationAction, Edge, Point
 from psdo.quantize import QuantizeError, _interior_nodes, op_edge, op_mellin
-from psdo.stock import infinitesimal_stock
+from psdo.stock import homogeneity_stock, infinitesimal_stock
+from psdo.symbols import ConeSymbolFamily, EdgeSymbol, SymbolError, check_twisted_homogeneity, pushforward_edge
 from psdo.symexpr import Const, EvalError, evaluate, parse, substitute, variables_of
 
 
@@ -148,6 +149,8 @@ MELLIN_CASES = {
     "point-frozen": (_point(32), X_DEP, dict(v=0.7, xi=-2.0, x_value=0.4, freeze_r=True)),
     "point-q2": (_point(32, q=2), X_DEP_Q2, dict(v=0.3, x_value=1.1)),
     "point-interval": (_point(32, boundary="interval"), "1 + 0.3*chi(p)", dict()),
+    # r-free: the grid broadcasts over t with stride 0
+    "point-rfree": (_point(32), "1 + 0.3*chi(p) + (0,0.2)*p/(1 + p^2)", dict(v=0.7, xi=3.0)),
     "circle": (_circle_base(16), X_DEP_MU, dict(v=0.7, xi=3.0, x_value=0.4)),
     "circle-q2": (_circle_base(16, q=2), X_DEP_Q2, dict(v=0.7, xi=3.0, x_value=0.4)),
     "circle-interval": (_circle_base(16, boundary="interval"), "1 + 0.3*chi(p)*chi(t)", dict()),
@@ -209,3 +212,50 @@ def test_interval_edge_skips_support_policy():
     assert A.interior
     assert np.array_equal(A.matrix, want)
     assert np.array_equal(A._blocks, want_blocks)
+
+
+def twisted_symbols() -> list[EdgeSymbol]:
+    """The homogeneity stock and a pushforward-conjugated circle-base symbol."""
+    base = Circle(16)
+    P = ConeSymbolFamily("(p - (0,1)*(1 + t^2))/(p + (0,1)*(1 + t^2))", base=base)
+    pushed = EdgeSymbol(pushforward_edge(P, "x + 0.2*sin(x)"), Cone(base=base, T=12.0, n_t=32))
+    return list(homogeneity_stock()) + [pushed]
+
+
+TWISTED_IDS = ["cayley", "eta", "w", "cayley-w", "q2", "pushforward"]
+
+
+@pytest.mark.parametrize("i", range(len(TWISTED_IDS)), ids=TWISTED_IDS)
+def test_edge_symbol_fibers_equal_fiber_loop(i):
+    sigma = twisted_symbols()[i]
+    lams = np.array([DilationAction(sigma.cone, k).lam for k in range(1, 4)])
+    xi, v = np.concatenate([[1.5], 1.5 * lams]), np.concatenate([[-0.5], -0.5 * lams])
+    stack = sigma.fibers(xi=xi, v=v, x=0.3)
+    assert stack.shape == (len(xi), sigma.cone.dim_total, sigma.cone.dim_total)
+    for m, xi_i, v_i in zip(stack, xi, v):
+        assert np.array_equal(m, sigma.at(x=0.3, xi=xi_i, v=v_i).matrix)
+
+
+def twisted_loop_violations(sigma: EdgeSymbol, ks) -> tuple[float, ...]:
+    """check_twisted_homogeneity's violations with one fiber per at() call."""
+    base_m = sigma.at(x=0.0, xi=1.0, v=1.0).matrix
+    out = []
+    for k in ks:
+        act = DilationAction(sigma.cone, k)
+        dilated = sigma.at(x=0.0, xi=act.lam, v=act.lam).matrix
+        denom = max(1.0, float(np.linalg.norm(dilated, 2)))
+        out.append(float(np.linalg.norm(dilated - act.conjugate(base_m), 2)) / denom)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("i", range(len(TWISTED_IDS)), ids=TWISTED_IDS)
+def test_twisted_homogeneity_equals_fiber_loop(i):
+    sigma = twisted_symbols()[i]
+    ks = (1, 2, 3) if TWISTED_IDS[i] == "pushforward" else tuple(range(1, 9))
+    assert check_twisted_homogeneity(sigma, ks=ks).violations == twisted_loop_violations(sigma, ks)
+
+
+def test_edge_symbol_fibers_need_periodic_cone():
+    sigma = EdgeSymbol(ConeSymbolFamily("1 + 0.3*chi(p)"), _point(16, boundary="interval"))
+    with pytest.raises(SymbolError, match="periodic"):
+        sigma.fibers(xi=np.array([1.0]), v=np.array([1.0]))

@@ -32,12 +32,28 @@ def circle_oracle(g: Circle, expr) -> np.ndarray:
     return np.einsum("jk,jkab,kl->jalb", E, S, F, optimize=True).reshape(n * q, n * q)
 
 
-@pytest.mark.parametrize(
-    "n, q", [(8, 1), (8, 2), (16, 1), (64, 2), (256, 1), (512, 2), (1024, 1)]
-)
-def test_op_circle_equals_contraction(n, q):
+# x-free, xi-free and constant symbols: their grids broadcast with stride
+# 0, where the operand order of the complex product decides the bits
+BROADCAST = {
+    "xifree": (1, "1 + chi(xi)"),
+    "xfree": (1, "exp((0,1) * x)"),
+    "const": (1, "2.5"),
+    "const-q2": (2, "[[2.5, 0.5], [(0,1), 2 - (0,0.5)]]"),
+}
+CIRCLE_CASES = [
+    pytest.param(n, q, SCALAR if q == 1 else MATRIX, id=f"{n}-{q}")
+    for n, q in [(8, 1), (8, 2), (16, 1), (64, 2), (256, 1), (512, 2), (1024, 1)]
+] + [
+    pytest.param(n, q, src, id=f"{n}-{name}")
+    for n in (8, 100, 256, 1024)
+    for name, (q, src) in BROADCAST.items()
+]
+
+
+@pytest.mark.parametrize("n, q, src", CIRCLE_CASES)
+def test_op_circle_equals_contraction(n, q, src):
     g = Circle(n, q=q)
-    expr = parse(SCALAR if q == 1 else MATRIX)
+    expr = parse(src)
     assert np.array_equal(op_circle(g, expr).matrix, circle_oracle(g, expr))
 
 

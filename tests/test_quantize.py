@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -352,3 +354,17 @@ class TestFamilies:
 @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
 def test_dft_matrix_bits_match_column_transform(n):
     assert np.array_equal(_dft_matrix(n), np.fft.fft(np.eye(n), axis=0) / n)
+
+
+def test_op_circle_memory_budget():
+    # kn_assemble's memory contract: at most three output-sized arrays
+    # (product, analysis matrix, result) besides the symbol grid
+    expr = parse("(2 + sin(x)) * chi(xi)")
+    op_circle(Circle(8), expr)
+    tracemalloc.start()
+    try:
+        A = op_circle(Circle(1024), expr).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * A.nbytes

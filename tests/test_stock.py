@@ -12,6 +12,7 @@ never violate the bound.
 import numpy as np
 import pytest
 
+import psdo.stock as stock_module
 from psdo.fredholm import check_elliptic, finite_section, winding_oracle
 from psdo.geometry import Circle
 from psdo.localization import partition_bound_check
@@ -21,6 +22,8 @@ from psdo.stock import (
     TOEPLITZ_STEP,
     degenerate_stock,
     elliptic_stock,
+    gluing_expr,
+    gluing_families,
     gluing_family,
     homogeneity_stock,
     index_stock,
@@ -32,7 +35,7 @@ from psdo.stock import (
     toeplitz_shift,
 )
 from psdo.symbols import check_twisted_homogeneity
-from psdo.symexpr import evaluate, parse
+from psdo.symexpr import Const, evaluate, parse, substitute
 
 
 def test_homogeneity_stock_passes_dilation_identity():
@@ -150,3 +153,23 @@ def test_gluing_family_counts_match_eps():
         assert len(F) == n_c
     with pytest.raises(KeyError):
         gluing_family(0.3)
+
+
+def test_gluing_families_build_each_center_once(monkeypatch):
+    # nested center sets: 2 pi i/8 == 2 pi (4 i)/32 exactly, so the
+    # coarse families reuse the finest family's operators
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return op_circle(*args, **kwargs)
+
+    monkeypatch.setattr(stock_module, "op_circle", counting)
+    families = gluing_families()
+    assert len(calls) == max(GLUING_COUNTS.values())
+    g = Circle(64)
+    for eps, n_c in GLUING_COUNTS.items():
+        F = families[eps]
+        assert F.centers == tuple(2.0 * np.pi * i / n_c for i in range(n_c))
+        for c, op in zip(F.centers, F.operators):
+            assert np.array_equal(op.matrix, op_circle(g, substitute(gluing_expr(), {"x": Const(c)})).matrix)
