@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -34,14 +33,12 @@ import numpy as np
 from psdo.geometry import Circle, Cone, Edge, Geometry, Point, axis_layout, collar_cutoff
 from psdo.quantize import (
     DiscretizedOperator,
-    _dft_matrix,
     _interior_nodes,
     _restrict_t_axis,
     kn_assemble,
     op_edge,
     op_mellin,
     quantize,
-    synthesis,
 )
 from psdo.symbols import (
     ConeSymbolFamily,
@@ -421,9 +418,8 @@ def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
     n, n_t, q = circ.n_x, cone.n_t, g.q
     k = circ.modes.astype(float)
     bindings = {"x": circ.x[:, None], "xi": k, "r": cone.r[:, None, None], "v": v}
-    # the symbol grid goes to the kernel unnamed: it is freed before F is built
     M = kn_assemble(
-        np.broadcast_to(evaluate(expr, bindings), (n_t, n, n, q, q)), synthesis(circ.x, k), partial(_dft_matrix, n)
+        lambda: np.broadcast_to(evaluate(expr, bindings), (n_t, n, n, q, q)), circ.x, k, circle_x=True
     )  # (t, j, a, l, b)
     full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
     idx = np.arange(n_t)

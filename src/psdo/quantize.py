@@ -24,11 +24,13 @@ item 1).
 
 Memory contract of `kn_assemble`: besides symbol evaluation, at most
 three output-sized arrays are live at once, namely the product S E, the
-analysis matrix F and the result. S is freed once the product is formed
-and F is built only then, so every call site hands S and E over
-unnamed. `op_circle(Circle(1024))` peaks at 3.0x its output under
-tracemalloc; an allocation estimate per dense matrix (ROADMAP item 6)
-can rely on this multiple.
+analysis matrix F and the result. The kernel evaluates the symbol grid
+S from a callable and builds E from the nodes and covariables, so it
+holds the only references to both whatever the interpreter: S is freed
+once the product is formed, and F is built only then.
+`op_circle(Circle(1024))` peaks at 3.0x its output under tracemalloc;
+an allocation estimate per dense matrix (ROADMAP item 6) can rely on
+this multiple.
 
 Operand order is fixed: the product is np.multiply(S, E), S first.
 Complex multiplication rounds through fused multiply-adds, so E S and
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -224,30 +225,30 @@ def synthesis(nodes: np.ndarray, covar: np.ndarray) -> np.ndarray:
     return np.exp(E, out=E)
 
 
-def kn_assemble(S: np.ndarray, E: np.ndarray, analysis: Optional[Callable[[], np.ndarray]] = None) -> np.ndarray:
+def kn_assemble(
+    symbol: Callable[[], np.ndarray], nodes: np.ndarray, covar: np.ndarray, circle_x: bool = False
+) -> np.ndarray:
     """Kohn-Nirenberg product sum_k E[j, k] S[..., j, k, a, b] F[k, l],
-    shaped (..., j, a, l, b). F = analysis() on circle x axes, and
-    F = E^H/n without `analysis` (t and base axes).
+    shaped (..., j, a, l, b), with S = symbol() (already broadcast to
+    that shape) and E = synthesis(nodes, covar). F is `_dft_matrix` on
+    circle x axes (circle_x) and E^H/n, formed in place over E, on t and
+    base axes.
 
-    The kernel takes over S and E: pass them unnamed, so that S is freed
-    once the product S E is formed, before F exists. With `analysis` the
-    product overwrites E when it has E's shape; otherwise it takes one
-    fresh buffer, and E^H/n is formed in place over E. The result is one
-    matmul over k.
+    The product S E takes one fresh buffer; S is freed before F exists,
+    and the result is one matmul over k.
     """
+    S = symbol()
+    E = synthesis(nodes, covar)
     shape = S.shape[:-4] + S.shape[-2:] + S.shape[-4:-2]  # (..., a, b, j, k)
-    if analysis is not None and shape == (1, 1) + E.shape:
-        P = np.multiply(S.reshape(E.shape), E, out=E)
-    else:
-        P = np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), E, out=np.empty(shape, dtype=complex))
+    P = np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), E, out=np.empty(shape, dtype=complex))
     del S
-    if analysis is None:
+    if circle_x:
+        del E
+        F = _dft_matrix(shape[-1])
+    else:
         F = E.T
         np.conjugate(F, out=F)
         F /= E.shape[0]
-    else:
-        del E
-        F = analysis()
     R = P.reshape(-1, shape[-1]) @ F
     return np.moveaxis(R.reshape(shape), (-2, -1), (-4, -2))
 
@@ -272,10 +273,7 @@ def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOp
     used = variables_of(expr)
     if "v" in used and v is None:
         raise QuantizeError("symbol depends on v but no parameter value was given")
-    # the symbol grid goes to the kernel unnamed: it is freed before F is built
-    A = kn_assemble(
-        np.broadcast_to(evaluate(expr, bindings), (n, n, q, q)), synthesis(g.x, k), partial(_dft_matrix, n)
-    )
+    A = kn_assemble(lambda: np.broadcast_to(evaluate(expr, bindings), (n, n, q, q)), g.x, k, circle_x=True)
     return DiscretizedOperator(g, v, A.reshape(n * q, n * q))
 
 
@@ -334,8 +332,7 @@ def _mellin_fibers(
     pad = (1,) * len(grid)
     v, xi, x_value = (a.reshape(batch + pad) for a in (v, xi, x_value))
     b = _cone_bindings(cone.r.reshape(n_t, 1), cone.p, v, xi, x_value, freeze_r, mu=mu)
-    # the symbol grid goes to the kernel unnamed: it is freed before F is built
-    A = kn_assemble(np.broadcast_to(evaluate(expr, b), batch + grid + (q, q)), synthesis(cone.t, cone.p))
+    A = kn_assemble(lambda: np.broadcast_to(evaluate(expr, b), batch + grid + (q, q)), cone.t, cone.p)
     if mu is not None:
         # t-axis blocks per base mode, then the base DFT across modes
         m = n_t * q
@@ -428,11 +425,9 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
     cone, circ = g.cone, g.circle
     xi = circ.modes.astype(float)
     if "x" in variables_of(expr):
-        # one fiber per (output x, mode) pair, handed to the kernel unnamed
+        # one fiber per (output x, mode) pair
         A = kn_assemble(
-            _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r),
-            synthesis(circ.x, xi),
-            partial(_dft_matrix, circ.n_x),
+            lambda: _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r), circ.x, xi, circle_x=True
         )
         mode_blocks = None
     else:

@@ -43,7 +43,6 @@ __all__ = [
     "GLUING_COUNTS",
     "gluing_expr",
     "gluing_families",
-    "gluing_family",
 ]
 
 SECTION_STEP = 0.1875
@@ -318,8 +317,3 @@ def gluing_families(
     ops = [op_circle(g, substitute(expr, {"x": Const(c)})) for c in centers]
     steps = {eps: n_max // GLUING_COUNTS[eps] for eps in eps_values}
     return {eps: LocalFamily(g, centers[::step], ops[::step]) for eps, step in steps.items()}
-
-
-def gluing_family(eps: float, g: Circle = None) -> LocalFamily:
-    """The gluing family of one eps (see gluing_families)."""
-    return gluing_families((eps,), g)[eps]

@@ -24,7 +24,6 @@ from psdo.stock import (
     elliptic_stock,
     gluing_expr,
     gluing_families,
-    gluing_family,
     homogeneity_stock,
     index_stock,
     infinitesimal_stock,
@@ -149,10 +148,10 @@ def test_parameter_family_is_scalar_multiplier():
 
 def test_gluing_family_counts_match_eps():
     for eps, n_c in GLUING_COUNTS.items():
-        F = gluing_family(eps)
+        F = gluing_families((eps,))[eps]
         assert len(F) == n_c
     with pytest.raises(KeyError):
-        gluing_family(0.3)
+        gluing_families((0.3,))
 
 
 def test_gluing_families_build_each_center_once(monkeypatch):
