@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from psdo.quantize import (
     spectral_norms,
     synthesis,
 )
-from psdo.symexpr import Const, Node, add, diff, mul, parse, substitute
+from psdo.symexpr import Const, ExprLike, Node, add, as_node, diff, mul, substitute
 
 __all__ = [
     "CalculusError",
@@ -70,13 +70,6 @@ class NotTranslationInvariant(CalculusError):
             f"operator is not translation invariant: max off-diagonal block norm "
             f"{max_offdiag:.3e} against operator norm {norm:.3e}"
         )
-
-
-ExprLike = Union[Node, str]
-
-
-def _as_node(expr: ExprLike) -> Node:
-    return parse(expr) if isinstance(expr, str) else expr
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +108,7 @@ def compose_symbols(
     """
     if not 1 <= n_terms <= 6:
         raise CalculusError(f"truncation order must be in 1..6, got {n_terms}")
-    left, right = _as_node(left), _as_node(right)
+    left, right = as_node(left), as_node(right)
     expansion: Optional[Node] = None
     d_left, d_right = left, right
     for gamma in range(n_terms):
@@ -360,7 +353,7 @@ def infinitesimal(
     must be non-increasing (10% jitter allowed) and end below tol;
     failure is reported in the diagnostics, not raised.
     """
-    expr = _as_node(expr)
+    expr = as_node(expr)
     frozen_expr = substitute(expr, {"x": Const(float(z))})
     A = quantize(g, expr, v=v)
     Fz = quantize(g, frozen_expr, v=v, freeze_r=True)

@@ -7,22 +7,13 @@ Four commands share one JSON config file:
     psdo index    --config cfg.json [--format csv]
     psdo verify   [--config cfg.json] [--seed N] [--only SUITE]
 
-Config schema (CONFIG_SCHEMA below; every field is optional unless the
-command requires it):
-
-    seed      int >= 0, default 0
-    geometry  descriptor dict, see psdo.geometry.build_geometry
-    symbol    DSL source for the generating family or circle symbol
-    interior  DSL source overriding the extracted interior symbol
-              (check only; lets a config carry an incompatible tuple)
-    v         float edge parameter
-    sizes     section ladder for index, default [64, 128, 256]
-    tau_coef  artifact threshold coefficient, default 1e-4
-    tip       DSL source for the winding oracle factor (index only;
-              default is the symbol with r, w, eta, x frozen to 0)
-    only      suite name filter for verify
-    out       output directory
-    format    "report" or "csv"
+The config schema is the table CONFIG_SCHEMA below: each field, its
+rule and what the rule asks. Every field is optional unless the command
+requires it. load_config checks every present field against the table
+once, before any command runs and whatever the command, so a field
+error exits 64 even for a command that does not read the field. JSON
+null is outside every rule: write a field's default, or leave it out.
+Schema errors (64) are reported before DSL parse errors (65).
 
 Reports are JSON. Everything outside the "volatile" block (timestamp,
 wall times) is deterministic for a fixed config and seed; byte-identity
@@ -51,7 +42,7 @@ import tempfile
 import time
 import warnings
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,7 +72,7 @@ from psdo.symbols import (
     compat_check,
 )
 from psdo.symexpr import Const, EvalError, ParseError, parse, shape_of, substitute
-from psdo.verify import VerifyError, run_suites
+from psdo.verify import VerifyError, run_suites, suite_names
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -120,25 +111,40 @@ EXIT_IO = 74
 CONTAINER_MAGIC = b"PSDO"
 CONTAINER_VERSION = 1
 
-CONFIG_SCHEMA = {
-    "seed": "int >= 0, default 0",
-    "geometry": "geometry descriptor dict (circle / cone / edge)",
-    "symbol": "DSL source string",
-    "interior": "DSL source string overriding the interior symbol (check)",
-    "v": "float edge parameter",
-    "sizes": "list of section sizes (index), default [64, 128, 256]",
-    "tau_coef": "float artifact threshold coefficient, default 1e-4",
-    "tip": "DSL source for the winding oracle factor (index)",
-    "only": "suite name (verify)",
-    "out": "output directory",
-    "format": "'report' or 'csv'",
-}
-
-_KNOWN_KEYS = frozenset(CONFIG_SCHEMA)
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_str(raw: object) -> bool:
+    return isinstance(raw, str)
+
+
+def _check_seed(raw: object) -> bool:
+    """The seed rule, shared by --seed and the config field."""
+    if not is_int(raw) or raw < 0:
+        raise ConfigError(f"seed must be an int >= 0, got {raw!r}")
+    return True
+
+
+# field -> (rule, what the rule asks). A rule returns false for a value
+# outside it, or raises an error that names the field itself. Defaults
+# live with the command that reads the field.
+CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str]] = {
+    "seed": (_check_seed, "an int >= 0"),
+    "geometry": (build_geometry, "a geometry descriptor, see psdo.geometry.build_geometry"),
+    "symbol": (_is_str, "a DSL source string"),
+    # check only; lets a config carry an incompatible tuple
+    "interior": (_is_str, "a DSL source string"),
+    "v": (is_number, "a finite number"),
+    "sizes": (lambda raw: isinstance(raw, list) and all(map(is_int, raw)), "a list of ints"),
+    "tau_coef": (is_number, "a finite number"),
+    # index only; default is the symbol with r, w, eta, x frozen to 0
+    "tip": (_is_str, "a DSL source string"),
+    "only": (lambda raw: raw in suite_names(), f"a suite name ({', '.join(suite_names())})"),
+    "out": (_is_str, "a directory path"),
+    "format": (lambda raw: raw in ("report", "csv"), "'report' or 'csv'"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +163,13 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _KNOWN_KEYS
+    unknown = set(cfg) - set(CONFIG_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, raw in cfg.items():
+        rule, asks = CONFIG_SCHEMA[key]
+        if not rule(raw):
+            raise ConfigError(f"config field {key!r} must be {asks}, got {raw!r}")
     return cfg
 
 
@@ -255,13 +265,6 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _number(cfg: dict, key: str, default: Optional[float] = None) -> float:
-    raw = cfg.get(key, default)
-    if not is_number(raw):
-        raise ConfigError(f"config field {key!r} must be a finite number, got {raw!r}")
-    return float(raw)
-
-
 def _probe_cone(cfg: dict) -> Cone:
     desc = cfg.get(
         "geometry", {"kind": "cone", "T": 6.0, "n_t": 64, "boundary": "interval"}
@@ -274,14 +277,14 @@ def _probe_cone(cfg: dict) -> Cone:
 
 def cmd_check(cfg: dict) -> tuple[dict, int]:
     """compat_check then check_elliptic on the configured tuple."""
-    expr = parse(str(_require(cfg, "symbol")))
     cone = _probe_cone(cfg)
+    expr = parse(_require(cfg, "symbol"))
     fam = ConeSymbolFamily(expr, q=shape_of(expr))
     if cone.q != fam.q:
         cone = Cone(cone.base, T=cone.T, n_t=cone.n_t, boundary=cone.boundary, q=fam.q)
     t = extract_tuple(fam, cone=cone)
     if "interior" in cfg:
-        s0 = InteriorSymbol(parse(str(cfg["interior"])), q=fam.q)
+        s0 = InteriorSymbol(parse(cfg["interior"]), q=fam.q)
         t = SymbolTuple(s0, EdgeSymbol(fam, cone), tol=t.tol)
     comp = compat_check(t)
     result: dict = {
@@ -312,10 +315,9 @@ def cmd_check(cfg: dict) -> tuple[dict, int]:
 
 def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int]:
     """Quantize the configured symbol and write the container."""
-    expr = parse(str(_require(cfg, "symbol")))
     g = build_geometry(_require(cfg, "geometry"))
-    v = cfg.get("v")
-    op = quantize(g, expr, None if v is None else _number(cfg, "v"))
+    expr = parse(_require(cfg, "symbol"))
+    op = quantize(g, expr, float(cfg["v"]) if "v" in cfg else None)
     target = os.path.join(out_dir or ".", "operator.psdo")
     try:
         os.makedirs(out_dir or ".", exist_ok=True)
@@ -336,20 +338,16 @@ def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int]:
 
 def cmd_index(cfg: dict) -> tuple[dict, int]:
     """Finite-section ladder with the winding oracle cross-check."""
-    expr = parse(str(_require(cfg, "symbol")))
     cone = _probe_cone(cfg)
     if cone.boundary != "interval":
         raise ConfigError("index needs an interval-mode cone geometry")
-    sizes = cfg.get("sizes", [64, 128, 256])
-    if not isinstance(sizes, list) or not all(is_int(n) for n in sizes):
-        raise ConfigError(f"config field 'sizes' must be a list of ints, got {sizes!r}")
+    expr = parse(_require(cfg, "symbol"))
     # Coarser than the raw finite_section default so slowly-closing conormal
     # gaps read as indeterminate rather than feeding the oracle a zero crossing.
-    tau_coef = _number(cfg, "tau_coef", 1e-4)
     rep = finite_section(
         lambda n_t: interval_section(expr, cone.h_t, n_t, cone.base, cone.q),
-        sizes=tuple(sizes),
-        tau_coef=tau_coef,
+        sizes=tuple(cfg.get("sizes", [64, 128, 256])),
+        tau_coef=float(cfg.get("tau_coef", 1e-4)),
     )
     rows = rep.rows()
     result: dict = {
@@ -361,10 +359,9 @@ def cmd_index(cfg: dict) -> tuple[dict, int]:
         result["verdict"] = "indeterminate"
         return result, EXIT_INDETERMINATE
     zero = Const(0.0)
-    tip_src = cfg.get("tip")
     tip = (
-        parse(str(tip_src))
-        if tip_src is not None
+        parse(cfg["tip"])
+        if "tip" in cfg
         else substitute(expr, {"r": zero, "w": zero, "eta": zero, "x": zero})
     )
     try:
@@ -432,22 +429,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_seed(raw: object) -> int:
-    if not is_int(raw) or raw < 0:
-        raise ConfigError(f"seed must be an int >= 0, got {raw!r}")
-    return raw
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config) if args.config else {}
-        seed = _check_seed(args.seed if args.seed is not None else cfg.get("seed", 0))
-    except ConfigError as e:
+        if args.seed is not None:
+            _check_seed(args.seed)
+    except (ConfigError, GeometryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out_dir = args.out if args.out is not None else cfg.get("out")
     fmt = args.format if args.format is not None else cfg.get("format", "report")
     only = args.only if args.only is not None else cfg.get("only")

@@ -49,7 +49,18 @@ from psdo.symbols import (
     compat_check,
     conormal,
 )
-from psdo.symexpr import Const, Node, Var, evaluate, mul, parse, sub, substitute, variables_of
+from psdo.symexpr import (
+    Const,
+    ExprLike,
+    Node,
+    Var,
+    as_node,
+    evaluate,
+    mul,
+    sub,
+    substitute,
+    variables_of,
+)
 
 __all__ = [
     "FredholmError",
@@ -70,13 +81,6 @@ __all__ = [
 
 class FredholmError(ValueError):
     pass
-
-
-ExprLike = Union[Node, str]
-
-
-def _as_node(expr: ExprLike) -> Node:
-    return parse(expr) if isinstance(expr, str) else expr
 
 
 def _sphere_min(expr: Node, n_x: int, n_sphere: int, lam: float) -> float:
@@ -340,7 +344,7 @@ def _contour(
     if isinstance(g, ConormalSymbol):
         return np.linalg.det(g.values(ps))
     if isinstance(g, (Node, str)):
-        m = evaluate(_as_node(g), {"p": ps, "t": 0.0})
+        m = evaluate(as_node(g), {"p": ps, "t": 0.0})
         m = np.broadcast_to(m, ps.shape + m.shape[-2:])
         return m[:, 0, 0] if m.shape[-1] == 1 else np.linalg.det(m)
     return np.array([g(float(p)) for p in ps])
@@ -508,7 +512,7 @@ def large_parameter_scan(
     on the (x, sphere) grid or on the grid of a ladder operator raises
     EvalError from evaluate.
     """
-    expr = _as_node(expr)
+    expr = as_node(expr)
     sphere_min: Optional[float] = None
     ewp: Optional[bool] = None
     if variables_of(expr) <= {"x", "xi", "v"}:

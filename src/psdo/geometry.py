@@ -312,10 +312,19 @@ def _float_field(desc: dict, key: str, default: float) -> float:
     return float(raw)
 
 
+# The keys each descriptor kind accepts; any other key is a typo.
+_DESCRIPTOR_KEYS = {
+    "circle": frozenset({"kind", "n_x", "q"}),
+    "point": frozenset({"kind"}),
+    "cone": frozenset({"kind", "base", "T", "n_t", "boundary", "q"}),
+    "edge": frozenset({"kind", "n_x", "cone"}),
+}
+
+
 def build_geometry(desc: dict) -> Geometry:
     """Build a geometry from a plain descriptor dict (the CLI config and
-    container format share this schema). Missing or mistyped fields
-    raise GeometryError.
+    container format share this schema). Missing, mistyped or unknown
+    fields raise GeometryError.
 
     kinds: {"kind": "circle", "n_x": 64, "q": 1}
            {"kind": "cone", "base": {"kind": "point"} | {"kind": "circle", "n_x": 16},
@@ -325,6 +334,11 @@ def build_geometry(desc: dict) -> Geometry:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise GeometryError("geometry descriptor must be a dict with a 'kind'")
     kind = desc["kind"]
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
+        raise GeometryError(f"unknown geometry kind {kind!r}")
+    unknown = set(desc) - _DESCRIPTOR_KEYS[kind]
+    if unknown:
+        raise GeometryError(f"unknown {kind} descriptor keys: {sorted(unknown)}")
     if kind == "circle":
         return Circle(n_x=_int_field(desc, "n_x"), q=_int_field(desc, "q", 1))
     if kind == "point":
@@ -341,13 +355,12 @@ def build_geometry(desc: dict) -> Geometry:
             boundary=desc.get("boundary", "periodic"),
             q=_int_field(desc, "q", 1),
         )
-    if kind == "edge":
-        if not isinstance(desc.get("cone"), dict):
-            raise GeometryError("edge descriptor needs a 'cone' dict")
-        cone = build_geometry({**desc["cone"], "kind": "cone"})
-        circle = Circle(n_x=_int_field(desc, "n_x"), q=cone.q)
-        return Edge(circle=circle, cone=cone)
-    raise GeometryError(f"unknown geometry kind {kind!r}")
+    # an edge
+    if not isinstance(desc.get("cone"), dict):
+        raise GeometryError("edge descriptor needs a 'cone' dict")
+    cone = build_geometry({**desc["cone"], "kind": "cone"})
+    circle = Circle(n_x=_int_field(desc, "n_x"), q=cone.q)
+    return Edge(circle=circle, cone=cone)
 
 
 def describe_geometry(g: Geometry) -> dict:
@@ -388,25 +401,17 @@ class GridFunction:
     @classmethod
     def from_flat(cls, g: Geometry, flat: np.ndarray) -> "GridFunction":
         flat = np.asarray(flat, dtype=complex).reshape(g.axes_shape + (g.q,))
-        w = _full_w_diag(g)
-        return cls(g, flat / w[..., None])
+        return cls(g, flat / g.w_diag[..., None])
 
     def flat(self) -> np.ndarray:
         """Flat representation vector: r^((n+1)/2)-scaled samples, C-order."""
-        w = _full_w_diag(self.geometry)
-        return (self.values * w[..., None]).reshape(-1)
+        return (self.values * self.geometry.w_diag[..., None]).reshape(-1)
 
     def norm(self) -> float:
         return float(np.sqrt(self.geometry.node_weight) * np.linalg.norm(self.flat()))
 
     def inner(self, other: "GridFunction") -> complex:
         return complex(self.geometry.node_weight * np.vdot(self.flat(), other.flat()))
-
-
-def _full_w_diag(g: Geometry) -> np.ndarray:
-    if isinstance(g, Circle):
-        return np.ones(g.axes_shape)
-    return g.w_diag
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +457,7 @@ class DilationAction:
         """
         if u.geometry != self.geometry:
             raise GeometryError("dilation applied to a function on a different geometry")
-        w = _full_w_diag(self.geometry)[..., None]
+        w = self.geometry.w_diag[..., None]
         lay = axis_layout(self.geometry, "t")
         rolled = np.roll((u.values * w).reshape(lay.pre, lay.n, lay.post), self.k, axis=1)
         return GridFunction(self.geometry, rolled.reshape(u.values.shape) / w)

@@ -18,7 +18,7 @@ in the nodal basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +35,14 @@ from psdo.quantize import (
 from psdo.symexpr import (
     Call,
     Const,
+    ExprLike,
     Node,
     Var,
     add,
+    as_node,
     diff,
     evaluate,
     mul,
-    parse,
     shape_of,
     substitute,
     variables_of,
@@ -75,18 +76,12 @@ class SymbolError(ValueError):
     pass
 
 
-ExprLike = Union[Node, str]
-
 # x -> (L, R): left/right fiber conjugation matrices in the nodal basis
 FiberConjugation = Callable[[float], tuple[np.ndarray, np.ndarray]]
 
 _INTERIOR_VARS = frozenset({"x", "xi", "v", "r"})
 _FAMILY_VARS = frozenset({"x", "r", "w", "eta", "p", "t", "v"})
 _FAMILY_SCALARS = ("x", "r", "w", "eta", "p")
-
-
-def _as_node(expr: ExprLike) -> Node:
-    return parse(expr) if isinstance(expr, str) else expr
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +102,7 @@ class InteriorSymbol:
     R0: float = 1e3
 
     def __post_init__(self):
-        object.__setattr__(self, "expr", _as_node(self.expr))
+        object.__setattr__(self, "expr", as_node(self.expr))
         got = shape_of(self.expr)
         if got != self.q:
             raise SymbolError(f"expression has fiber dim {got}, symbol declares {self.q}")
@@ -194,7 +189,7 @@ class ConeSymbolFamily:
     _derivs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.expr = _as_node(self.expr)
+        self.expr = as_node(self.expr)
         if not isinstance(self.base, (Point, Circle)):
             raise SymbolError(f"cone base must be Point or Circle, got {type(self.base).__name__}")
         got = shape_of(self.expr)
@@ -402,7 +397,7 @@ class ConormalSymbol:
     conj: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        self.expr = _as_node(self.expr)
+        self.expr = as_node(self.expr)
 
     @property
     def fiber_dim(self) -> int:
@@ -543,8 +538,8 @@ def circle_inverse(f: ExprLike, df: Optional[ExprLike] = None, n: int = 256) -> 
     diffeomorphisms have exponentially decaying coefficients). Rigid
     rotations come back exact as x - c.
     """
-    f = _as_node(f)
-    df_n = diff(f, "x") if df is None else _as_node(df)
+    f = as_node(f)
+    df_n = diff(f, "x") if df is None else as_node(df)
     _check_diffeo(f, df_n)
     y = 2.0 * np.pi * np.arange(n) / n
     x = y.copy()
@@ -591,10 +586,10 @@ def pushforward_interior(
     by circle_inverse; the construction is verified against f on grid
     samples and rejected honestly when it fails.
     """
-    f = _as_node(f)
-    df_n = diff(f, "x") if df is None else _as_node(df)
+    f = as_node(f)
+    df_n = diff(f, "x") if df is None else as_node(df)
     dreal = _check_diffeo(f, df_n)
-    f_inv = circle_inverse(f, df_n) if f_inv is None else _as_node(f_inv)
+    f_inv = circle_inverse(f, df_n) if f_inv is None else as_node(f_inv)
     xs = 2.0 * np.pi * np.arange(64) / 64
     round_trip = evaluate(substitute(f, {"x": f_inv}), {"x": xs}).reshape(-1)
     err = float(np.max(np.abs(round_trip - xs)))
@@ -623,8 +618,8 @@ def base_pullback(
     it on low modes to O(1/N), and safe to conjugate by. Pass
     polar=False for the raw interpolation matrix.
     """
-    g = _as_node(g)
-    dg_n = diff(g, "x") if dg is None else _as_node(dg)
+    g = as_node(g)
+    dg_n = diff(g, "x") if dg is None else as_node(dg)
     om = circle.x
     gvals = np.broadcast_to(evaluate(g, {"x": om}).reshape(-1), om.shape)
     dvals = np.broadcast_to(evaluate(dg_n, {"x": om}).reshape(-1), om.shape)

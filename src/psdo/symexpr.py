@@ -14,6 +14,7 @@ reparses to an identical tree.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass, field
 from typing import Union
@@ -96,6 +97,9 @@ class Mat:
 
 
 Node = Union[Const, Var, Neg, BinOp, Pow, Call, Mat]
+
+# Public entry points take either DSL source or a parsed tree.
+ExprLike = Union[Node, str]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +353,11 @@ def parse(src: str) -> Node:
         raise ParseError(f"trailing input {val!r}", pos)
     shape_of(e)
     return e
+
+
+def as_node(expr: ExprLike) -> Node:
+    """Parse DSL source; pass an already parsed tree through."""
+    return parse(expr) if isinstance(expr, str) else expr
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +614,8 @@ _PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 def _prec(e: Node) -> int:
     if isinstance(e, Const):
-        if e.value.imag == 0 and e.value.real < 0:
+        # a real constant prints with its sign, -0.0 included
+        if e.value.imag == 0 and math.copysign(1.0, e.value.real) < 0:
             return _PREC_UNARY
         return _PREC_ATOM
     if isinstance(e, (Var, Call, Mat)):

@@ -14,7 +14,7 @@ assert on those values instead of re-running the loops.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,7 +87,7 @@ class SuiteResult:
     suite: str
     passed: bool
     checks: tuple[CheckResult, ...]
-    elapsed: float  # wall seconds; volatile, excluded from payloads
+    elapsed: float = 0.0  # wall seconds, set by run_suites; volatile, excluded from payloads
     measured: dict = field(default_factory=dict, repr=False)  # gate inputs, excluded from payloads
 
 
@@ -119,10 +119,8 @@ class VerifyReport:
         return {s.suite: round(s.elapsed, 6) for s in self.suites}
 
 
-def _result(suite: str, checks: list[CheckResult], t0: float, **measured) -> SuiteResult:
-    return SuiteResult(
-        suite, all(c.passed for c in checks), tuple(checks), time.perf_counter() - t0, measured
-    )
+def _result(suite: str, checks: list[CheckResult], **measured) -> SuiteResult:
+    return SuiteResult(suite, all(c.passed for c in checks), tuple(checks), measured=measured)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,6 @@ def _result(suite: str, checks: list[CheckResult], t0: float, **measured) -> Sui
 def suite_skruch(seed: int) -> SuiteResult:
     """Twisted homogeneity of the stock edge symbols under every
     grid-admissible dilation."""
-    t0 = time.perf_counter()
     checks, reports = [], []
     for sigma in homogeneity_stock():
         rep = check_twisted_homogeneity(sigma)
@@ -145,12 +142,11 @@ def suite_skruch(seed: int) -> SuiteResult:
                 f"max violation {rep.max_violation:.3e} over k in 1..8",
             )
         )
-    return _result("skruch", checks, t0, reports=tuple(reports))
+    return _result("skruch", checks, reports=tuple(reports))
 
 
 def suite_composition(seed: int) -> SuiteResult:
     """Remainder decay of the truncated symbol product."""
-    t0 = time.perf_counter()
     checks, results = [], []
     for n in (1, 2, 3):
         res = compose_symbols("chi(xi)", "exp((0,1) * x)", n)
@@ -164,7 +160,7 @@ def suite_composition(seed: int) -> SuiteResult:
                 f"tail norm {res.remainder_norms[-1]:.3e}",
             )
         )
-    return _result("composition", checks, t0, results=tuple(results))
+    return _result("composition", checks, results=tuple(results))
 
 
 def _probe_sup_error(n: int) -> float:
@@ -183,7 +179,6 @@ def _probe_sup_error(n: int) -> float:
 def suite_roundtrip(seed: int) -> SuiteResult:
     """Quantize-then-extract identity, exact for multipliers and
     first-order in 1/N for x-dependent symbols."""
-    t0 = time.perf_counter()
     checks = []
     g = Circle(64)
     ex = extract_symbol(op_circle(g, parse("xi / sqrt(1 + xi^2)")))
@@ -206,13 +201,12 @@ def suite_roundtrip(seed: int) -> SuiteResult:
             f"ratio {e128 / e64:.3f}",
         )
     )
-    return _result("roundtrip", checks, t0, multiplier_error=err, e64=e64, e128=e128)
+    return _result("roundtrip", checks, multiplier_error=err, e64=e64, e128=e128)
 
 
 def suite_sections(seed: int) -> SuiteResult:
     """Finite sections: stable determinate verdicts on the elliptic
     stock, collapsing minima on the degenerate stock."""
-    t0 = time.perf_counter()
     checks, elliptic, degenerate = [], [], []
     for inst in elliptic_stock():
         rep = finite_section(inst.build, sizes=(128, 256))
@@ -238,7 +232,7 @@ def suite_sections(seed: int) -> SuiteResult:
             )
         )
     return _result(
-        "sections", checks, t0, elliptic=tuple(elliptic), degenerate=tuple(degenerate)
+        "sections", checks, elliptic=tuple(elliptic), degenerate=tuple(degenerate)
     )
 
 
@@ -249,7 +243,6 @@ def suite_toeplitz(seed: int) -> SuiteResult:
     line; traversing x around the circle gives index = -winding, the
     orientation opposite to the cone convention.
     """
-    t0 = time.perf_counter()
     w = winding_oracle("(1 + (0,1)*p) / (1 - (0,1)*p)").winding
     rep = finite_section(toeplitz_shift, sizes=(64, 128, 256))
     checks = []
@@ -263,13 +256,12 @@ def suite_toeplitz(seed: int) -> SuiteResult:
                 f"winding {w}",
             )
         )
-    return _result("toeplitz", checks, t0, winding=w, report=rep)
+    return _result("toeplitz", checks, winding=w, report=rep)
 
 
 def suite_cone_index(seed: int) -> SuiteResult:
     """Finite-section index equals +winding of the tip factor under the
     pinned orientation (p from -p_max to +p_max)."""
-    t0 = time.perf_counter()
     checks, pairs = [], []
     for inst in index_stock():
         w = winding_oracle(inst.tip).winding
@@ -282,12 +274,11 @@ def suite_cone_index(seed: int) -> SuiteResult:
                 f"index {rep.index}, winding {w}, rows {rep.rows()}",
             )
         )
-    return _result("cone-index", checks, t0, pairs=tuple(pairs))
+    return _result("cone-index", checks, pairs=tuple(pairs))
 
 
 def suite_partition_bound(seed: int) -> SuiteResult:
     """Randomized partition norm bound instances; seeded draws."""
-    t0 = time.perf_counter()
     worst = 0.0
     count = 0
     for inst in partition_stock(seed=seed, count=100):
@@ -301,12 +292,11 @@ def suite_partition_bound(seed: int) -> SuiteResult:
             f"{count} instances, worst slack {worst:.3e}",
         )
     ]
-    return _result("partition-bound", checks, t0, count=count, worst=worst)
+    return _result("partition-bound", checks, count=count, worst=worst)
 
 
 def suite_gluing(seed: int) -> SuiteResult:
     """Reproduction and Cauchy contracts for the gluing ladder."""
-    t0 = time.perf_counter()
     checks = []
     glued, reproduction, cauchy = {}, {}, []
     families = gluing_families()
@@ -344,12 +334,11 @@ def suite_gluing(seed: int) -> SuiteResult:
                     f"gap {d:.4f} <= {gate:g}",
                 )
             )
-    return _result("gluing", checks, t0, reproduction=reproduction, cauchy=tuple(cauchy))
+    return _result("gluing", checks, reproduction=reproduction, cauchy=tuple(cauchy))
 
 
 def suite_large_parameter(seed: int) -> SuiteResult:
     """Invertibility of the parameter multiplier family for large v."""
-    t0 = time.perf_counter()
     g, expr = parameter_family()
     rep = large_parameter_scan(g, expr, lower_bound=0.5)
     monotone = all(b >= 0.9 * a for a, b in zip(rep.s_min, rep.s_min[1:]))
@@ -360,13 +349,12 @@ def suite_large_parameter(seed: int) -> SuiteResult:
             f"s_min {[f'{s:.4f}' for s in rep.s_min]} at |v| in 8..64",
         )
     ]
-    return _result("large-parameter", checks, t0, report=rep)
+    return _result("large-parameter", checks, report=rep)
 
 
 def suite_infinitesimal(seed: int) -> SuiteResult:
     """Freezing diagnostics: monotone decay, translation equivariance,
     and contraction on every model geometry."""
-    t0 = time.perf_counter()
     checks, freezings = [], []
     for g, expr, z in infinitesimal_stock():
         inst = infinitesimal(g, expr, z=z)
@@ -383,12 +371,11 @@ def suite_infinitesimal(seed: int) -> SuiteResult:
                 f"norm {inst.operator.norm():.4f} <= {A.norm():.4f}",
             )
         )
-    return _result("infinitesimal", checks, t0, freezings=tuple(freezings))
+    return _result("infinitesimal", checks, freezings=tuple(freezings))
 
 
 def suite_negligible(seed: int) -> SuiteResult:
     """Negligibility verdicts on seeded parameter draws."""
-    t0 = time.perf_counter()
     smoothing, identity = negligible_stock()
     vs = negligible_v_values(seed)
     checks, smooth = [], []
@@ -410,7 +397,7 @@ def suite_negligible(seed: int) -> SuiteResult:
             f"sup weighted {verdict.sup_weighted:.3e} > {verdict.tau:g}",
         )
     )
-    return _result("negligible", checks, t0, smoothing=tuple(smooth), identity=verdict)
+    return _result("negligible", checks, smoothing=tuple(smooth), identity=verdict)
 
 
 SUITES: dict[str, Callable[[int], SuiteResult]] = {
@@ -442,7 +429,11 @@ def run_suites(seed: int = 0, only: Optional[str] = None) -> VerifyReport:
         names = [only]
     else:
         names = list(SUITES)
-    results = [SUITES[name](seed) for name in names]
+    results = []
+    for name in names:
+        t0 = time.perf_counter()
+        res = SUITES[name](seed)
+        results.append(replace(res, elapsed=time.perf_counter() - t0))
     return VerifyReport(
         seed=seed,
         suites=tuple(results),

@@ -1,12 +1,21 @@
 """Command-line interface: exit codes, reports, containers, determinism."""
 
+import io
 import json
+import math
 import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from psdo.cli import (
+    CONFIG_SCHEMA,
     CONTAINER_MAGIC,
     EXIT_COMPAT,
     EXIT_CONFIG,
@@ -22,6 +31,7 @@ from psdo.cli import (
     main,
     read_container,
 )
+from psdo.verify import suite_names
 
 CONE = {"kind": "cone", "T": 6.0, "n_t": 64, "boundary": "interval"}
 ELLIPTIC = "(p - (0,1)) / (p + (0,1)) + 2"
@@ -174,8 +184,22 @@ def test_quantize_io_error_exit_74(tmp_path, capsys):
         ({"kind": "cone", "T": "x"}, "cone field 'T' must be a finite number, got 'x'"),
         ({"kind": "cone", "T": 10**400}, "cone field 'T' must be a finite number, got 1000"),
         ({"kind": "edge", "n_x": 16}, "edge descriptor needs a 'cone' dict"),
+        ({"kind": "cone", "nt": 256}, "unknown cone descriptor keys: ['nt']"),
+        (
+            {"kind": "edge", "n_x": 16, "q": 2, "cone": {"n_t": 16}},
+            "unknown edge descriptor keys: ['q']",
+        ),
     ],
-    ids=["circle-no-n_x", "n_x-string", "n_x-float", "T-string", "T-huge-int", "edge-no-cone"],
+    ids=[
+        "circle-no-n_x",
+        "n_x-string",
+        "n_x-float",
+        "T-string",
+        "T-huge-int",
+        "edge-no-cone",
+        "cone-typo-nt",
+        "edge-typo-q",
+    ],
 )
 def test_quantize_bad_geometry_exit_64(tmp_path, capsys, geometry, message):
     cfg = {"geometry": geometry, "symbol": "2 + chi(xi)"}
@@ -188,15 +212,20 @@ def test_quantize_bad_geometry_exit_64(tmp_path, capsys, geometry, message):
 
 
 @pytest.mark.parametrize(
-    "v, message",
+    "field, message",
     [
-        ("abc", "config field 'v' must be a finite number, got 'abc'"),
-        (True, "config field 'v' must be a finite number, got True"),
+        ({"v": "abc"}, "config field 'v' must be a finite number, got 'abc'"),
+        ({"v": True}, "config field 'v' must be a finite number, got True"),
+        ({"v": None}, "config field 'v' must be a finite number, got None"),
+        ({"out": 5}, "config field 'out' must be a directory path, got 5"),
+        ({"format": "xml"}, "config field 'format' must be 'report' or 'csv', got 'xml'"),
+        ({"symbol": ["a"]}, "config field 'symbol' must be a DSL source string, got ['a']"),
+        ({"symbol": None}, "config field 'symbol' must be a DSL source string, got None"),
     ],
-    ids=["v-string", "v-bool"],
+    ids=["v-string", "v-bool", "v-null", "out-int", "format-xml", "symbol-list", "symbol-null"],
 )
-def test_quantize_bad_field_exit_64(tmp_path, capsys, v, message):
-    cfg = {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "2 + chi(xi)", "v": v}
+def test_quantize_bad_field_exit_64(tmp_path, capsys, field, message):
+    cfg = {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "2 + chi(xi)", **field}
     code = run(tmp_path, "quantize", cfg, "--out", str(tmp_path / "q"))
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
@@ -310,8 +339,9 @@ def test_index_single_size_exit_64(tmp_path, capsys):
         ({"tau_coef": False}, "config field 'tau_coef' must be a finite number, got False"),
         ({"sizes": [64, 65.5]}, "config field 'sizes' must be a list of ints, got [64, 65.5]"),
         ({"sizes": "64"}, "config field 'sizes' must be a list of ints, got '64'"),
+        ({"tip": 7}, "config field 'tip' must be a DSL source string, got 7"),
     ],
-    ids=["tau_coef-string", "tau_coef-bool", "sizes-float", "sizes-string"],
+    ids=["tau_coef-string", "tau_coef-bool", "sizes-float", "sizes-string", "tip-int"],
 )
 def test_index_bad_field_exit_64(tmp_path, capsys, field, message):
     cfg = {"geometry": CONE, "symbol": "1 + 0*p", **field}
@@ -319,6 +349,108 @@ def test_index_bad_field_exit_64(tmp_path, capsys, field, message):
     captured = capsys.readouterr()
     assert f"config error: {message}" in captured.err
     assert captured.out == ""
+
+
+# -- one schema boundary -----------------------------------------------------
+
+# Any JSON value: null, bools, arbitrary ints, floats with NaN and the
+# infinities (which Python's json module reads and writes), strings and
+# nested containers.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_finite_number(raw):
+    if isinstance(raw, float):
+        return math.isfinite(raw)
+    return type(raw) is int and abs(raw) <= sys.float_info.max
+
+
+def _not_str(raw):
+    return not isinstance(raw, str)
+
+
+# Each field's documented rule, written out independently of the table.
+_OUTSIDE = {
+    "seed": _JSON.filter(lambda raw: not (type(raw) is int and raw >= 0)),
+    "geometry": _JSON.filter(
+        lambda raw: not (isinstance(raw, dict) and raw.get("kind") in ("circle", "cone", "edge", "point"))
+    )
+    | st.text(min_size=1, max_size=4).filter(lambda k: k not in {*CONE, "base", "q"}).map(lambda k: {**CONE, k: 1}),
+    "symbol": _JSON.filter(_not_str),
+    "interior": _JSON.filter(_not_str),
+    "v": _JSON.filter(lambda raw: not _is_finite_number(raw)),
+    "sizes": _JSON.filter(
+        lambda raw: not (isinstance(raw, list) and all(type(n) is int for n in raw))
+    ),
+    "tau_coef": _JSON.filter(lambda raw: not _is_finite_number(raw)),
+    "tip": _JSON.filter(_not_str),
+    "only": _JSON.filter(lambda raw: raw not in suite_names()),
+    "out": _JSON.filter(_not_str),
+    "format": _JSON.filter(lambda raw: raw not in ("report", "csv")),
+}
+
+# Values inside each rule. A symbol that does not parse is inside the
+# schema: parse errors (65) come after schema errors (64).
+_SOURCES = st.sampled_from([ELLIPTIC, "2 + chi(xi)", "1 + * 2"])
+_INSIDE = {
+    "seed": st.integers(min_value=0),
+    "geometry": st.sampled_from([CONE, {"kind": "circle", "n_x": 8}, {"kind": "edge", "n_x": 8, "cone": {"n_t": 16}}]),
+    "symbol": _SOURCES,
+    "interior": _SOURCES,
+    "v": st.floats(allow_nan=False, allow_infinity=False),
+    "sizes": st.lists(st.integers(8, 64), max_size=3),
+    "tau_coef": st.floats(allow_nan=False, allow_infinity=False),
+    "tip": _SOURCES,
+    "only": st.sampled_from(suite_names()),
+    "out": st.just("out"),
+    "format": st.sampled_from(["report", "csv"]),
+}
+
+
+def test_schema_strategies_cover_every_field():
+    assert set(_OUTSIDE) == set(_INSIDE) == set(CONFIG_SCHEMA)
+
+
+@st.composite
+def _bad_configs(draw):
+    """A config with at least one field outside its rule (an unknown key
+    counts as one), the other fields inside theirs."""
+    bad = draw(st.lists(st.sampled_from([*_OUTSIDE, "unknown key"]), min_size=1, unique=True))
+    good = draw(st.sets(st.sampled_from(sorted(_INSIDE)))) - set(bad)
+    cfg = {key: draw(_INSIDE[key]) for key in sorted(good)}
+    for key in bad:
+        if key == "unknown key":
+            cfg[draw(st.text(max_size=6).filter(lambda k: k not in CONFIG_SCHEMA))] = draw(_JSON)
+        else:
+            cfg[key] = draw(_OUTSIDE[key])
+    return cfg
+
+
+def _not_dispatched(*args):
+    raise AssertionError("a config outside the schema reached a command")
+
+
+@given(_bad_configs())
+def test_config_outside_schema_exits_64_before_dispatch(cfg):
+    commands = {f"cmd_{c}": _not_dispatched for c in ("check", "quantize", "index", "verify")}
+    with tempfile.TemporaryDirectory() as d, mock.patch.multiple("psdo.cli", **commands):
+        if isinstance(cfg.get("out"), str):
+            cfg["out"] = os.path.join(d, "out")
+        path = os.path.join(d, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        for command in ("check", "quantize", "index", "verify"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--config", path])
+            assert code == EXIT_CONFIG
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("config error: ")
+        assert os.listdir(d) == ["cfg.json"]
 
 
 # -- verify -----------------------------------------------------------------
@@ -380,6 +512,22 @@ def test_invalid_config_seed_exit_64(tmp_path, capsys, seed):
     assert run(tmp_path, "verify", cfg) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "config error: seed must be an int >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"out": 5}, "config field 'out' must be a directory path, got 5"),
+        ({"only": None}, "config field 'only' must be a suite name"),
+    ],
+    ids=["out-int", "only-null"],
+)
+def test_verify_bad_field_exit_64(tmp_path, capsys, field, message):
+    cfg = {"only": "partition-bound", **field}
+    assert run(tmp_path, "verify", cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
     assert captured.out == ""
 
 

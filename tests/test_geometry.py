@@ -274,3 +274,26 @@ def test_interior_layout_bit_equal(g):
         assert got.dtype == nodes.dtype and np.array_equal(got, nodes)
         assert got.size == dim
 
+
+
+def _written_out_w_diag(g):
+    """The flat-representation weights as GridFunction used to build them:
+    ones on a circle, the geometry's w_diag elsewhere."""
+    return np.ones(g.axes_shape) if isinstance(g, Circle) else g.w_diag
+
+
+@pytest.mark.parametrize("g", LAYOUT_GEOMETRIES.values(), ids=LAYOUT_GEOMETRIES.keys())
+def test_grid_function_weights_bit_equal(g):
+    w = _written_out_w_diag(g)[..., None]
+    assert np.array_equal(g.w_diag[..., None], w)
+    rng = np.random.default_rng(0)
+    shape = g.axes_shape + (g.q,)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u = GridFunction(g, vals)
+    flat = (vals * w).reshape(-1)
+    assert np.array_equal(u.flat(), flat)
+    assert np.array_equal(GridFunction.from_flat(g, flat).values, flat.reshape(shape) / w)
+    if not isinstance(g, Circle):
+        lay = axis_layout(g, "t")
+        rolled = np.roll((vals * w).reshape(lay.pre, lay.n, lay.post), 3, axis=1)
+        assert np.array_equal(DilationAction(g, 3).apply(u).values, rolled.reshape(shape) / w)

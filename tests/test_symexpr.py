@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from psdo.symexpr import (
+    FUNCTIONS,
+    VARIABLES,
     BinOp,
+    Call,
     Const,
     DiffError,
     EvalError,
     Mat,
     ParseError,
+    Pow,
     Var,
     diff,
     evaluate,
+    neg,
     parse,
     shape_of,
     substitute,
@@ -244,6 +251,7 @@ ROUND_TRIP_SOURCES = SMOOTH_SOURCES + [
     "1/(2*x)",
     "x - (xi - 1)",
     "conj(exp((0,1)*x))",
+    "(-0)^-1",
 ]
 
 
@@ -259,6 +267,38 @@ class TestRoundTrip:
         for var in sorted(variables_of(e)) or ["x"]:
             de = diff(e, var)
             assert parse(to_source(de)) == de
+
+
+# Trees in the form the parser builds: negation goes through the parser's
+# sign-folding `neg`, and exponents 0 and 1 fold away.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    st.builds(lambda re, im: Const(complex(re, im)), _FINITE, st.just(0.0) | _FINITE),
+    st.sampled_from(VARIABLES).map(Var),
+)
+
+
+def _square(children, n):
+    return st.lists(st.tuples(*[children] * n), min_size=n, max_size=n).map(lambda rows: Mat(tuple(rows)))
+
+
+def _branches(children):
+    return st.one_of(
+        children.map(neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.sampled_from([-4, -3, -2, -1, 2, 3, 4])),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        st.integers(1, 3).flatmap(lambda n: _square(children, n)),
+    )
+
+
+@given(st.recursive(_LEAVES, _branches, max_leaves=12))
+def test_print_parse_identity_on_generated_trees(e):
+    try:
+        shape_of(e)
+    except ParseError:
+        assume(False)
+    assert parse(to_source(e)) == e
 
 
 class TestSubstitute:
