@@ -265,9 +265,11 @@ class InfinitesimalOperator:
 
 def _shift_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
     """T M - M T for T the circular shift by `steps` x nodes acting on
-    whole fibers; T permutes rows and columns, so this is two rolls."""
+    whole fibers; T permutes rows and columns, so this is two rolls,
+    the second subtracted into the first."""
     step = steps * (M.shape[0] // n_x)
-    return np.roll(M, step, axis=0) - np.roll(M, -step, axis=1)
+    D = np.roll(M, step, axis=0)
+    return np.subtract(D, np.roll(M, -step, axis=1), out=D)
 
 
 def _feasible_scales(base: float, h: float) -> int:

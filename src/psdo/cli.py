@@ -142,7 +142,7 @@ CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str]] = {
     # index only; default is the symbol with r, w, eta, x frozen to 0
     "tip": (_is_str, "a DSL source string"),
     "only": (lambda raw: raw in suite_names(), f"a suite name ({', '.join(suite_names())})"),
-    "out": (_is_str, "a directory path"),
+    "out": (lambda raw: isinstance(raw, str) and raw != "", "a directory path"),
     "format": (lambda raw: raw in ("report", "csv"), "'report' or 'csv'"),
 }
 
@@ -416,6 +416,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _out_flag(raw: str) -> str:
+    """--out follows the rule of the config field it overrides."""
+    rule, asks = CONFIG_SCHEMA["out"]
+    if not rule(raw):
+        raise argparse.ArgumentTypeError(f"must be {asks}, got {raw!r}")
+    return raw
+
+
 def _parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(prog="psdo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -424,7 +432,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--only", default=None)
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default=None, type=_out_flag)
         sp.add_argument("--format", choices=("report", "csv"), default=None)
     return p
 

@@ -261,10 +261,16 @@ def finite_section(
     the right vector, when genuine, counts toward the kernel, the left
     vector toward the cokernel; collar-localized vectors are cut
     artifacts and count toward neither. Determinate iff the last two
-    rungs agree in counts and both show gap ratio >= gap_min.
+    rungs agree in counts and both show gap ratio >= gap_min; so the
+    sizes must strictly increase and tau_coef be positive, else no
+    refinement or no null pair could decide.
     """
     if len(sizes) < 2:
         raise FredholmError("finite-section ladder needs at least two sizes")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise FredholmError(f"finite-section sizes must strictly increase, got {list(sizes)}")
+    if not tau_coef > 0:
+        raise FredholmError(f"finite-section tau_coef must be > 0, got {tau_coef!r}")
     stats = []
     for size in sizes:
         A = build(int(size))

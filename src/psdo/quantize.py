@@ -22,17 +22,27 @@ verify report prints assembly rounding residues, so unifying them (or
 an FFT kernel) waits until those residues leave the report (ROADMAP
 item 1).
 
-Memory contract of `kn_assemble`: besides symbol evaluation, at most
-three output-sized arrays are live at once, namely the product S E, the
-analysis matrix F and the result. The kernel evaluates the symbol grid
-S from a callable and builds E from the nodes and covariables, so it
-holds the only references to both whatever the interpreter: S is freed
-once the product is formed, and F is built only then.
-`op_circle(Circle(1024))` peaks at 3.0x its output under tracemalloc;
-an allocation estimate per dense matrix (ROADMAP item 6) can rely on
-this multiple.
+Memory contract: besides the symbol grid, every dense assembly peaks
+at two output-sized arrays plus at most two blocks of _BLOCK entries
+(2 MiB each), under tracemalloc. `kn_assemble` works in one buffer P:
+the symbol grid S and P are live until the product S E is formed in P
+(on t and base axes with the (j, k) analysis matrix F beside them),
+then P, F and one row block of the matmul. `kn_circulant` fills its
+preallocated output in blocks of j rows, so besides the output only
+one block's contraction is live, and `_dft_matrix` transforms one
+identity slab at a time. Measured at a 1024^2 output:
+`op_circle(Circle(1024))` peaks at 2.25x the output (the grid and P,
+then P, F, one slab and its transform), the x-free `op_edge` on
+16 x 64 at 1.19x (output, mode blocks, one block), `_dft_matrix(1024)`
+at 1.25x, and `op_mellin` on an unbatched point cone with n_t = 1024
+at 3.0x (grid, P and F). Symbol evaluation itself peaks at two
+output-sized arrays for a sum of x-by-xi terms (see
+`psdo.symexpr.evaluate`). An allocation estimate per dense matrix
+(ROADMAP item 6) can rely on these multiples. Blocking keeps the bits:
+the tests compare every call-site shape with the unblocked product.
 
-Operand order is fixed: the product is np.multiply(S, E), S first.
+Operand order is fixed: the product is np.multiply(S, E), S first
+(E being the phases copied into P).
 Complex multiplication rounds through fused multiply-adds, so E S and
 S E can differ in the last bit, most visibly on stride-0 grids (x-free,
 xi-free or constant symbols). S first reproduces, bit for bit, the
@@ -210,18 +220,29 @@ def _restrict_t_axis(matrix: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
 # Circle quantization
 
 
+# complex entries in one block of a blocked product (2 MiB)
+_BLOCK = 1 << 17
+
+
 def _dft_matrix(n: int) -> np.ndarray:
     """F[k, j] = exp(-i k x_j)/n, modes in FFT order: the analysis matrix
-    of circle x axes."""
-    F = np.fft.fft(np.eye(n, dtype=complex), axis=1).T
+    of circle x axes. Built in column blocks, each the FFT of one
+    identity slab, so besides F one slab and its transform are live;
+    a block is at most half of F, so the two never outgrow it."""
+    Ft = np.empty((n, n), dtype=complex)
+    rows = max(1, min(n // 2, _BLOCK // n))
+    for j0 in range(0, n, rows):
+        Ft[j0 : j0 + rows] = np.fft.fft(np.eye(min(rows, n - j0), n, j0, dtype=complex), axis=1)
+    F = Ft.T
     F /= n
     return F
 
 
-def synthesis(nodes: np.ndarray, covar: np.ndarray) -> np.ndarray:
-    """Phase matrix E[j, k] = exp(i nodes_j covar_k)."""
+def synthesis(nodes: np.ndarray, covar: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Phase matrix E[j, k] = exp(i nodes_j covar_k), written into `out`
+    when given."""
     # not np.outer: its float n x n temporary raises peak memory
-    E = 1j * nodes[:, None] * covar[None, :]
+    E = np.multiply(1j * nodes[:, None], covar[None, :], out=out)
     return np.exp(E, out=E)
 
 
@@ -231,33 +252,58 @@ def kn_assemble(
     """Kohn-Nirenberg product sum_k E[j, k] S[..., j, k, a, b] F[k, l],
     shaped (..., j, a, l, b), with S = symbol() (already broadcast to
     that shape) and E = synthesis(nodes, covar). F is `_dft_matrix` on
-    circle x axes (circle_x) and E^H/n, formed in place over E, on t and
-    base axes.
+    circle x axes (circle_x) and E^H/n on t and base axes.
 
-    The product S E takes one fresh buffer; S is freed before F exists,
-    and the result is one matmul over k.
+    Everything happens in one buffer P laid out (..., a, b, j, k): E is
+    written into its first (j, k) slab and copied to the others, the
+    product S E overwrites P, S is freed, and the matmul against F runs
+    in row blocks written back into P. On t and base axes F is taken
+    from the slab before the product overwrites it; on circle x axes
+    it is built once S is freed.
     """
     S = symbol()
-    E = synthesis(nodes, covar)
     shape = S.shape[:-4] + S.shape[-2:] + S.shape[-4:-2]  # (..., a, b, j, k)
-    P = np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), E, out=np.empty(shape, dtype=complex))
+    P = np.empty(shape, dtype=complex)
+    slabs = P.reshape((-1,) + shape[-2:])
+    E = synthesis(nodes, covar, out=slabs[0])
+    if not circle_x:
+        F = np.conjugate(E).T
+        F /= len(nodes)
+    slabs[1:] = E
+    np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), P, out=P)
     del S
     if circle_x:
-        del E
         F = _dft_matrix(shape[-1])
-    else:
-        F = E.T
-        np.conjugate(F, out=F)
-        F /= E.shape[0]
-    R = P.reshape(-1, shape[-1]) @ F
-    return np.moveaxis(R.reshape(shape), (-2, -1), (-4, -2))
+    # near-equal row blocks of at most _BLOCK entries and at least two
+    # rows: a one-row matmul goes through gemv and rounds differently
+    rows = P.reshape(-1, shape[-1])
+    n = len(rows)
+    count = -(-n // max(4, _BLOCK // shape[-1]))
+    block = np.empty((-(-n // count), shape[-1]), dtype=complex)
+    for i in range(count):
+        r = rows[n * i // count : n * (i + 1) // count]
+        r[...] = np.matmul(r, F, out=block[: len(r)])
+    return np.moveaxis(P, (-2, -1), (-4, -2))
 
 
 def kn_circulant(E: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
     """x-free Kohn-Nirenberg product sum_k E[j, k] B[..., k, a, b] F[k, l],
     shaped (..., j, a, l, b). Kept apart from kn_assemble: broadcasting
-    B over j there contracts in another order and changes bits."""
-    return np.einsum("jk,...kab,kl->...jalb", E, B, F, optimize=True)
+    B over j there contracts in another order and changes bits.
+
+    The output is preallocated and filled in blocks of j rows of about
+    _BLOCK entries, one einsum each, so besides it only one block's
+    contraction is live. On 1 x 1 blocks a block of one or three j rows
+    rounds differently from the whole einsum; the step gets that small
+    only for l > 2^15.
+    """
+    j = E.shape[0]
+    out = np.empty(B.shape[:-3] + (j,) + B.shape[-2:-1] + (F.shape[1],) + B.shape[-1:], dtype=complex)
+    step = max(1, _BLOCK * j // out.size)
+    for j0 in range(0, j, step):
+        rows = slice(j0, j0 + step)
+        np.einsum("jk,...kab,kl->...jalb", E[rows], B, F, optimize=True, out=out[..., rows, :, :, :])
+    return out
 
 
 def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOperator:

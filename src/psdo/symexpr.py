@@ -430,74 +430,106 @@ def variables_of(e: Node) -> frozenset[str]:
 
 
 def _chi(s: np.ndarray) -> np.ndarray:
-    return s / np.sqrt(1.0 + s * s)
+    """s / sqrt(1 + s^2), with one temporary of s's shape."""
+    if np.ndim(s) == 0:
+        return s / np.sqrt(1.0 + s * s)
+    t = s * s
+    np.add(1.0, t, out=t)
+    np.sqrt(t, out=t)
+    return np.divide(s, t, out=t)
 
 
-_FN_TABLE = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "conj": np.conj,
+# functions that may write their result into an owned argument
+_UFUNCS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "conj": np.conj}
+_OTHER_FNS = {
     "re": lambda z: np.real(z).astype(complex),
     "im": lambda z: np.imag(z).astype(complex),
     "abs": lambda z: np.abs(z).astype(complex),
     "chi": _chi,
 }
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _ev(e: Node, b: dict[str, np.ndarray]) -> np.ndarray:
+def _into(owned: bool, v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | None:
+    """v as the output buffer of a result shaped `shape`, or None when v
+    may not be written: a binding, a constant, a scalar or another shape.
+    One-element arrays stay out too: a one-element complex product
+    written in place rounds through another loop."""
+    if owned and isinstance(v, np.ndarray) and v.size > 1 and v.shape == shape:
+        return v
+    return None
+
+
+def _ev(e: Node, b: dict[str, np.ndarray]) -> tuple[np.ndarray, bool]:
+    """Value of e, and whether the evaluator owns it: an owned value is a
+    fresh array that nothing else refers to, so the step that consumes
+    it may write its result there. The ufunc and the operand order are
+    those of the out-of-place expression, so the bits are too."""
     if isinstance(e, Const):
-        return np.asarray(e.value, dtype=complex)
+        return np.asarray(e.value, dtype=complex), False
     if isinstance(e, Var):
         try:
-            return b[e.name]
+            return b[e.name], False
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Neg):
-        return -_ev(e.arg, b)
+        a, owned = _ev(e.arg, b)
+        out = _into(owned, a, np.shape(a))
+        return (-a if out is None else np.negative(a, out=out)), True
     if isinstance(e, Pow):
-        base = _ev(e.base, b)
+        base, owned = _ev(e.base, b)
         if shape_of(e.base) == 1:
-            return base**e.n
+            # out of place: numpy's power fast paths pick another loop with out=
+            return base**e.n, True
         m = base
         if e.n < 0:
             m = np.linalg.inv(m)
         out = m
         for _ in range(abs(e.n) - 1):
             out = out @ m
-        return out
+        return out, owned or out is not base
     if isinstance(e, Call):
-        return _FN_TABLE[e.fn](_ev(e.arg, b))
+        a, owned = _ev(e.arg, b)
+        if e.fn in _UFUNCS:
+            return _UFUNCS[e.fn](a, out=_into(owned, a, np.shape(a))), True
+        return _OTHER_FNS[e.fn](a), True
     if isinstance(e, BinOp):
-        va, vb = _ev(e.a, b), _ev(e.b, b)
+        (va, oa), (vb, ob) = _ev(e.a, b), _ev(e.b, b)
         qa, qb = shape_of(e.a), shape_of(e.b)
+        if e.op in ("+", "-") or qa == qb == 1:
+            shape = np.broadcast_shapes(np.shape(va), np.shape(vb))
+            out = _into(oa, va, shape)
+            if out is None:
+                out = _into(ob, vb, shape)
+            if out is not None:
+                return _BINARY[e.op](va, vb, out=out), True
+        # out of place by the operators: on numpy scalars they round
+        # through scalar arithmetic, not through the ufunc loops
         if e.op == "+":
-            return va + vb
+            return va + vb, True
         if e.op == "-":
-            return va - vb
+            return va - vb, True
         if e.op == "*":
             if qa > 1 and qb > 1:
-                return va @ vb
+                return va @ vb, True
             if qa > 1:  # matrix * scalar
-                return va * vb[..., None, None] if np.ndim(vb) else va * vb
+                return (va * vb[..., None, None] if np.ndim(vb) else va * vb), True
             if qb > 1:  # scalar * matrix
-                return vb * va[..., None, None] if np.ndim(va) else vb * va
-            return va * vb
+                return (vb * va[..., None, None] if np.ndim(va) else vb * va), True
+            return va * vb, True
         if e.op == "/":
             if qa > 1:
-                return va / (vb[..., None, None] if np.ndim(vb) else vb)
-            return va / vb
+                return va / (vb[..., None, None] if np.ndim(vb) else vb), True
+            return va / vb, True
     if isinstance(e, Mat):
         q = len(e.rows)
-        vals = [[_ev(entry, b) for entry in row] for row in e.rows]
+        vals = [[_ev(entry, b)[0] for entry in row] for row in e.rows]
         shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
         out = np.empty(shape + (q, q), dtype=complex)
         for i in range(q):
             for j in range(q):
                 out[..., i, j] = np.broadcast_to(vals[i][j], shape)
-        return out
+        return out, True
     raise TypeError(f"not a node: {e!r}")
 
 
@@ -508,10 +540,16 @@ def evaluate(e: Node, bindings: dict[str, object], as_matrix: bool = True, check
     trailing axes (q, q), scalars promoted to (..., 1, 1). With check=True
     a non-finite result (division by zero, log branch point) raises
     EvalError rather than propagating inf/nan.
+
+    Memory: an intermediate the evaluator made is overwritten by the step
+    that consumes it whenever it already has that step's shape, and the
+    bindings are never written. So a sum of terms, each the product of
+    an x-factor and a xi-factor, peaks at two output-sized arrays (the
+    running sum and the current term) whatever the number of terms.
     """
     b = {k: np.asarray(val, dtype=complex) for k, val in bindings.items()}
     with np.errstate(all="ignore"):
-        out = _ev(e, b)
+        out, _ = _ev(e, b)
     q = shape_of(e)
     out = np.asarray(out, dtype=complex)
     if as_matrix and q == 1:

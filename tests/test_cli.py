@@ -218,11 +218,12 @@ def test_quantize_bad_geometry_exit_64(tmp_path, capsys, geometry, message):
         ({"v": True}, "config field 'v' must be a finite number, got True"),
         ({"v": None}, "config field 'v' must be a finite number, got None"),
         ({"out": 5}, "config field 'out' must be a directory path, got 5"),
+        ({"out": ""}, "config field 'out' must be a directory path, got ''"),
         ({"format": "xml"}, "config field 'format' must be 'report' or 'csv', got 'xml'"),
         ({"symbol": ["a"]}, "config field 'symbol' must be a DSL source string, got ['a']"),
         ({"symbol": None}, "config field 'symbol' must be a DSL source string, got None"),
     ],
-    ids=["v-string", "v-bool", "v-null", "out-int", "format-xml", "symbol-list", "symbol-null"],
+    ids=["v-string", "v-bool", "v-null", "out-int", "out-empty", "format-xml", "symbol-list", "symbol-null"],
 )
 def test_quantize_bad_field_exit_64(tmp_path, capsys, field, message):
     cfg = {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "2 + chi(xi)", **field}
@@ -251,6 +252,15 @@ def test_quantize_non_finite_symbol_exit_64(tmp_path, capsys, geometry, symbol):
     assert "config error: evaluation produced a non-finite value" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "q" / "operator.psdo").exists()
+
+
+def test_quantize_empty_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    # "" names no directory; quantize would write into the working one
+    monkeypatch.chdir(tmp_path)
+    cfg = {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "2", "out": ""}
+    assert run(tmp_path, "quantize", cfg) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_container_rejects_bad_magic(tmp_path):
@@ -333,6 +343,26 @@ def test_index_single_size_exit_64(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "symbol, field, message",
+    [
+        # the last two rungs agree by construction
+        ("1 + 0*p", {"sizes": [16, 16]}, "finite-section sizes must strictly increase, got [16, 16]"),
+        ("1 + 0*p", {"sizes": [256, 128]}, "finite-section sizes must strictly increase, got [256, 128]"),
+        # no near-null pair below a non-positive tau: every gap reads open
+        (DEGENERATE, {"sizes": [128, 256], "tau_coef": -1}, "finite-section tau_coef must be > 0, got -1.0"),
+        (DEGENERATE, {"sizes": [128, 256], "tau_coef": 0}, "finite-section tau_coef must be > 0, got 0.0"),
+    ],
+    ids=["sizes-equal", "sizes-decreasing", "tau_coef-negative", "tau_coef-zero"],
+)
+def test_index_undecidable_ladder_exit_64(tmp_path, capsys, symbol, field, message):
+    cfg = {"geometry": CONE, "symbol": symbol, **field}
+    assert run(tmp_path, "index", cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "field, message",
     [
         ({"tau_coef": "x"}, "config field 'tau_coef' must be a finite number, got 'x'"),
@@ -389,7 +419,7 @@ _OUTSIDE = {
     "tau_coef": _JSON.filter(lambda raw: not _is_finite_number(raw)),
     "tip": _JSON.filter(_not_str),
     "only": _JSON.filter(lambda raw: raw not in suite_names()),
-    "out": _JSON.filter(_not_str),
+    "out": _JSON.filter(_not_str) | st.just(""),
     "format": _JSON.filter(lambda raw: raw not in ("report", "csv")),
 }
 
@@ -438,7 +468,7 @@ def _not_dispatched(*args):
 def test_config_outside_schema_exits_64_before_dispatch(cfg):
     commands = {f"cmd_{c}": _not_dispatched for c in ("check", "quantize", "index", "verify")}
     with tempfile.TemporaryDirectory() as d, mock.patch.multiple("psdo.cli", **commands):
-        if isinstance(cfg.get("out"), str):
+        if cfg.get("out") == "out":
             cfg["out"] = os.path.join(d, "out")
         path = os.path.join(d, "cfg.json")
         with open(path, "w") as f:
@@ -519,9 +549,10 @@ def test_invalid_config_seed_exit_64(tmp_path, capsys, seed):
     "field, message",
     [
         ({"out": 5}, "config field 'out' must be a directory path, got 5"),
+        ({"out": ""}, "config field 'out' must be a directory path, got ''"),
         ({"only": None}, "config field 'only' must be a suite name"),
     ],
-    ids=["out-int", "only-null"],
+    ids=["out-int", "out-empty", "only-null"],
 )
 def test_verify_bad_field_exit_64(tmp_path, capsys, field, message):
     cfg = {"only": "partition-bound", **field}
@@ -544,8 +575,9 @@ def test_invalid_seed_rejected_before_dispatch(tmp_path, capsys):
         (["verify", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
         (["verify", "--bogus"], "unrecognized arguments: --bogus"),
         (["index", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["quantize", "--out", ""], "argument --out: must be a directory path, got ''"),
     ],
-    ids=["seed", "unknown-flag", "format"],
+    ids=["seed", "unknown-flag", "format", "out-empty"],
 )
 def test_usage_error_exit_64(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,7 @@ import pytest
 from psdo.calculus import extract_symbol
 from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, translation_matrix
-from psdo.quantize import DiscretizedOperator, op_circle, quantize
+from psdo.quantize import DiscretizedOperator, _dft_matrix, kn_circulant, op_circle, quantize, synthesis
 from psdo.stock import homogeneity_stock
 from psdo.symbols import ConeSymbolFamily, ConormalSymbol, base_pullback
 from psdo.symexpr import evaluate, parse
@@ -198,3 +198,39 @@ def test_base_pullback_equals_matrix_product():
     E = np.exp(1j * np.outer(gvals, c.modes.astype(float)))
     F = np.fft.fft(np.eye(c.n_x), axis=0) / c.n_x
     assert np.array_equal(base_pullback(c, g, polar=False), np.diag(np.sqrt(dvals)) @ E @ F)
+
+
+# (j, B shape) of kn_circulant's call sites, at the shapes the quantizers,
+# the symbols, the battery and the tests pass, plus large ones where the
+# j blocks split. op_edge analyses with the DFT matrix, circle-base cone
+# fibers and ConeSymbolFamily / ConormalSymbol values with E^H/n.
+CIRCULANT_SITES = [
+    ("edge-xfree", True, 8, (8, 64, 64)),
+    ("edge-xfree", True, 8, (8, 128, 128)),
+    ("edge-xfree", True, 16, (16, 32, 32)),
+    ("edge-xfree", True, 16, (16, 64, 64)),
+    ("edge-xfree", True, 16, (16, 128, 128)),
+    ("edge-xfree", True, 32, (32, 64, 64)),
+    ("cone-fibers", False, 8, (8, 16, 16)),
+    ("cone-fibers", False, 8, (8, 32, 32)),
+    ("cone-fibers", False, 8, (8, 8, 8, 8)),
+    ("cone-fibers", False, 8, (8, 8, 8, 8, 8)),
+    ("cone-fibers", False, 8, (8, 8, 16, 16)),
+    ("cone-fibers", False, 16, (4, 16, 32, 32)),
+    ("symbol-values", False, 8, (8, 1, 1)),
+    ("symbol-values", False, 16, (16, 1, 1)),
+    ("symbol-values", False, 1024, (1024, 1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "dft, n, bshape", [pytest.param(*c[1:], id=f"{c[0]}-{c[2]}-{'x'.join(map(str, c[3]))}") for c in CIRCULANT_SITES]
+)
+def test_kn_circulant_blocks_equal_unblocked_einsum(dft, n, bshape):
+    c = Circle(n)
+    E = synthesis(c.x, c.modes.astype(float))
+    F = _dft_matrix(n) if dft else E.conj().T / n
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=bshape) + 1j * rng.normal(size=bshape)
+    want = np.einsum("jk,...kab,kl->...jalb", E, B, F, optimize=True)
+    assert np.array_equal(kn_circulant(E, B, F), want)

@@ -222,6 +222,18 @@ def test_finite_section_needs_two_sizes():
         finite_section(toeplitz_shift, sizes=(64,))
 
 
+@pytest.mark.parametrize("sizes", [(16, 16), (256, 128), (64, 128, 128)])
+def test_finite_section_needs_strictly_increasing_sizes(sizes):
+    with pytest.raises(FredholmError, match="strictly increase"):
+        finite_section(toeplitz_shift, sizes=sizes)
+
+
+@pytest.mark.parametrize("tau_coef", [0.0, -1.0, float("nan")])
+def test_finite_section_needs_positive_tau_coef(tau_coef):
+    with pytest.raises(FredholmError, match="tau_coef must be > 0"):
+        finite_section(toeplitz_shift, sizes=(64, 128), tau_coef=tau_coef)
+
+
 # --- ellipticity verdicts ---------------------------------------------------
 
 

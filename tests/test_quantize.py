@@ -356,9 +356,27 @@ def test_dft_matrix_bits_match_column_transform(n):
     assert np.array_equal(_dft_matrix(n), np.fft.fft(np.eye(n), axis=0) / n)
 
 
+# bytes beside the arrays a memory contract counts: index arrays, small
+# axis arrays and numpy's iteration buffers for broadcast operands
+SMALL = 2**19
+
+
+def traced_peak(build):
+    """Traced peak of one call of build, after a warm-up call, and its
+    result."""
+    build()
+    tracemalloc.start()
+    try:
+        out = build()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
 def test_op_circle_memory_budget():
-    # kn_assemble's memory contract: at most three output-sized arrays
-    # (product, analysis matrix, result) besides the symbol grid
+    # kn_assemble's memory contract: the symbol grid and the buffer P,
+    # then P, the analysis matrix F and, while F is built, one 2 MiB
+    # identity slab and its transform: 2.25x at 1024
     expr = parse("(2 + sin(x)) * chi(xi)")
     op_circle(Circle(8), expr)
     tracemalloc.start()
@@ -367,4 +385,29 @@ def test_op_circle_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * A.nbytes
+    assert peak <= 2.25 * A.nbytes + SMALL
+
+
+def test_xfree_op_edge_memory_budget():
+    # kn_circulant fills its output in blocks of j rows: the output, the
+    # mode blocks (1/16 of it) and one 2 MiB block's contraction
+    g = Edge(Circle(16), Cone(Point(), T=6.0, n_t=64))
+    expr = parse("1.2 + 0.5*chi(p) + 0.3*w/(1 + w) + 0.2*chi(eta)")
+    peak, op = traced_peak(lambda: op_edge(g, expr, v=1.0))
+    assert peak <= 1.19 * op.matrix.nbytes + SMALL
+
+
+def test_dft_matrix_memory_budget():
+    # F plus one 2 MiB identity slab and its transform
+    peak, F = traced_peak(lambda: _dft_matrix(1024))
+    assert peak <= 1.25 * F.nbytes + SMALL
+
+
+def test_evaluate_memory_budget():
+    # a sum of x-by-xi terms: the running sum and the current term
+    g = Circle(1024)
+    expr = parse("1.5 + 0.5*cos(x)*chi(xi) + 0.3*sin(2*x)/(1 + (0.1*xi)^2) + (0,0.2)*exp((0,1)*x)*xi/(1 + xi^2)")
+    bindings = {"x": g.x[:, None], "xi": g.modes.astype(float)[None, :]}
+    peak, S = traced_peak(lambda: evaluate(expr, bindings))
+    assert S.shape == (1024, 1024, 1, 1)
+    assert peak <= 2 * S.nbytes + SMALL

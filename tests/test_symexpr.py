@@ -12,6 +12,7 @@ from psdo.symexpr import (
     DiffError,
     EvalError,
     Mat,
+    Neg,
     ParseError,
     Pow,
     Var,
@@ -314,3 +315,129 @@ class TestSubstitute:
         e = parse("x^2")
         f = parse("x + 1")
         assert np.allclose(evaluate(substitute(e, {"x": f}), {"x": 2.0}), 9.0)
+
+
+# --- buffer reuse in evaluate ------------------------------------------------
+
+
+def _ref_chi(s):
+    return s / np.sqrt(1.0 + s * s)
+
+
+_REF_FNS = {
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "conj": np.conj,
+    "re": lambda z: np.real(z).astype(complex),
+    "im": lambda z: np.imag(z).astype(complex),
+    "abs": lambda z: np.abs(z).astype(complex),
+    "chi": _ref_chi,
+}
+
+
+def _ref_ev(e, b):
+    """The out-of-place evaluator evaluate replaced: every step allocates
+    its result."""
+    if isinstance(e, Const):
+        return np.asarray(e.value, dtype=complex)
+    if isinstance(e, Var):
+        return b[e.name]
+    if isinstance(e, Neg):
+        return -_ref_ev(e.arg, b)
+    if isinstance(e, Pow):
+        base = _ref_ev(e.base, b)
+        if shape_of(e.base) == 1:
+            return base**e.n
+        m = np.linalg.inv(base) if e.n < 0 else base
+        out = m
+        for _ in range(abs(e.n) - 1):
+            out = out @ m
+        return out
+    if isinstance(e, Call):
+        return _REF_FNS[e.fn](_ref_ev(e.arg, b))
+    if isinstance(e, BinOp):
+        va, vb = _ref_ev(e.a, b), _ref_ev(e.b, b)
+        qa, qb = shape_of(e.a), shape_of(e.b)
+        if e.op == "+":
+            return va + vb
+        if e.op == "-":
+            return va - vb
+        if e.op == "*":
+            if qa > 1 and qb > 1:
+                return va @ vb
+            if qa > 1:
+                return va * vb[..., None, None] if np.ndim(vb) else va * vb
+            if qb > 1:
+                return vb * va[..., None, None] if np.ndim(va) else vb * va
+            return va * vb
+        if qa > 1:
+            return va / (vb[..., None, None] if np.ndim(vb) else vb)
+        return va / vb
+    q = len(e.rows)
+    vals = [[_ref_ev(entry, b) for entry in row] for row in e.rows]
+    shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
+    out = np.empty(shape + (q, q), dtype=complex)
+    for i in range(q):
+        for j in range(q):
+            out[..., i, j] = np.broadcast_to(vals[i][j], shape)
+    return out
+
+
+# Every binding shape broadcasts with every other; complex arrays are
+# handed to the evaluator as they are, so a stray write would show.
+# Values come from a seeded generator: full mantissas, so a change of
+# rounding shows too. Half the cases keep to one-element shapes, where
+# a product written in place rounds differently.
+_BINDING_SHAPES = [(), (1,), (3, 1), (1, 4), (3, 4)]
+
+
+@st.composite
+def _array_bindings(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(st.sampled_from([_BINDING_SHAPES, _BINDING_SHAPES[:2]]))
+    out = {}
+    for name in VARIABLES:
+        shape = draw(st.sampled_from(shapes))
+        out[name] = rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
+    return out
+
+
+_EVAL_LEAVES = st.one_of(
+    st.sampled_from(VARIABLES).map(Var),
+    st.floats(-3.0, 3.0).map(lambda v: Const(complex(v))),
+)
+
+
+@st.composite
+def _eval_trees(draw):
+    """Several generated terms joined by + - * /, so that most steps
+    consume an intermediate the evaluator made."""
+    terms = draw(st.lists(st.recursive(_EVAL_LEAVES, _branches, max_leaves=6), min_size=2, max_size=6))
+    e = terms[0]
+    for term in terms[1:]:
+        e = BinOp(draw(st.sampled_from("+-*/")), e, term)
+    return e
+
+
+@given(_eval_trees(), _array_bindings())
+def test_evaluate_bits_equal_out_of_place_evaluation(e, bindings):
+    try:
+        shape_of(e)
+    except ParseError:
+        assume(False)
+    before = {k: v.copy() for k, v in bindings.items()}
+    with np.errstate(all="ignore"):
+        try:
+            want = np.asarray(_ref_ev(e, bindings), dtype=complex)
+        except (np.linalg.LinAlgError, ZeroDivisionError, OverflowError) as err:
+            with pytest.raises(type(err)):
+                evaluate(e, bindings, as_matrix=False, check=False)
+            return
+    got = evaluate(e, bindings, as_matrix=False, check=False)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    for k, v in bindings.items():
+        assert np.array_equal(v, before[k], equal_nan=True), k
