@@ -1,5 +1,5 @@
-"""Operator calculus: composition expansions, symbol extraction,
-infinitesimal (frozen) operators, and adjoints.
+"""Operator calculus: composition expansions, symbol extraction and
+infinitesimal (frozen) operators.
 
 Composition follows the standard asymptotic product: the xi-derivatives
 fall on the left factor (the operator applied second), the x-derivatives
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from psdo.quantize import (
     quantize,
     side_norm,
     spectral_norm,
-    spectral_norms,
     synthesis,
 )
 from psdo.symexpr import Const, ExprLike, Node, add, as_node, diff, mul, substitute
@@ -54,7 +53,6 @@ __all__ = [
     "infinitesimal",
     "ConsistencyReport",
     "consistency_check",
-    "adjoint",
 ]
 
 
@@ -85,26 +83,20 @@ class CompositionResult:
     fitted_exponent: float
 
 
-def _gaussian_probe(g: Circle, xi0: float, width: float = 0.4) -> np.ndarray:
+def _gaussian_probe(g: Circle, xi0: float) -> np.ndarray:
     """Unit-norm probe concentrated at frequency xi0: a modulated
-    Gaussian window (seam value ~ 4e-14 at the default width)."""
-    u = np.exp(1j * xi0 * g.x) * np.exp(-((g.x - np.pi) ** 2) / (2.0 * width**2))
+    Gaussian window of width 0.4 (seam value ~ 4e-14)."""
+    u = np.exp(1j * xi0 * g.x) * np.exp(-((g.x - np.pi) ** 2) / (2.0 * 0.4**2))
     return u / np.linalg.norm(u)
 
 
-def compose_symbols(
-    left: ExprLike,
-    right: ExprLike,
-    n_terms: int,
-    xi_samples: Sequence[float] = (8.0, 16.0, 32.0, 64.0),
-    circle: Optional[Circle] = None,
-) -> CompositionResult:
+def compose_symbols(left: ExprLike, right: ExprLike, n_terms: int) -> CompositionResult:
     """Asymptotic product of two circle symbols, truncated at n_terms.
 
     H = sum_{g < n_terms} (-i)^g/g! (d_xi^g left)(d_x^g right), and the
-    remainder op(left) op(right) - op(H) is measured on Gaussian probes
-    centered at each xi sample. The fitted exponent is the log-log slope
-    of those norms.
+    remainder op(left) op(right) - op(H) is measured on Circle(256), on
+    Gaussian probes centered at xi = 8, 16, 32 and 64. The fitted
+    exponent is the log-log slope of those norms.
     """
     if not 1 <= n_terms <= 6:
         raise CalculusError(f"truncation order must be in 1..6, got {n_terms}")
@@ -120,8 +112,8 @@ def compose_symbols(
         if gamma + 1 < n_terms:
             d_left = diff(d_left, "xi")
             d_right = diff(d_right, "x")
-    if circle is None:
-        circle = Circle(256)
+    xi_samples = (8.0, 16.0, 32.0, 64.0)
+    circle = Circle(256)
     R = (
         op_circle(circle, left).matrix @ op_circle(circle, right).matrix
         - op_circle(circle, expansion).matrix
@@ -156,14 +148,10 @@ class ExtractedSymbol:
     esssup_gap: float
     operator_norm: float
 
-    def block_norms(self) -> np.ndarray:
-        return spectral_norms(self.blocks)
-
 
 def extract_symbol(
     A: DiscretizedOperator,
     axis: Optional[str] = None,
-    tol: float = 1e-8,
     require_invariant: bool = True,
 ) -> ExtractedSymbol:
     """Conjugate by the axis DFT and read off the diagonal blocks.
@@ -171,7 +159,7 @@ def extract_symbol(
     For an operator commuting with the axis translations the conjugated
     matrix is exactly block diagonal and the blocks are the symbol
     values B(xi_k); the esssup identity sup_k ||B(xi_k)|| = ||A|| then
-    holds to rounding. Off-diagonal mass beyond tol (relative to ||A||)
+    holds to rounding. Off-diagonal mass beyond 1e-8 (relative to ||A||)
     raises NotTranslationInvariant unless require_invariant is False, in
     which case the diagonal blocks are returned with the off-diagonal
     maximum recorded.
@@ -189,19 +177,14 @@ def extract_symbol(
     D = D.transpose(1, 4, 0, 2, 3, 5).reshape(n, n, d, d)
     norm_A = A.norm()
     off = spectral_norm(D[~np.eye(n, dtype=bool)])
-    if require_invariant and off > tol * max(norm_A, 1e-300):
+    if require_invariant and off > 1e-8 * max(norm_A, 1e-300):
         raise NotTranslationInvariant(off, norm_A)
     blocks = np.ascontiguousarray(D[np.arange(n), np.arange(n)])
     esssup = spectral_norm(blocks)
     return ExtractedSymbol(lay.name, covar.copy(), blocks, off, abs(esssup - norm_A), norm_A)
 
 
-def probe_symbol(
-    A: DiscretizedOperator,
-    x0: float,
-    k: int,
-    width: Optional[float] = None,
-) -> complex:
+def probe_symbol(A: DiscretizedOperator, x0: float, k: int) -> complex:
     """Estimate the symbol value a(x0, k) as the Rayleigh quotient of A
     on a coherent wave packet centered at (x0, k).
 
@@ -214,7 +197,7 @@ def probe_symbol(
     g = A.geometry
     if not isinstance(g, Circle) or g.q != 1:
         raise CalculusError("coherent probes are defined on scalar circle grids")
-    sigma = width if width is not None else math.sqrt(2.0 * math.pi / g.n_x)
+    sigma = math.sqrt(2.0 * math.pi / g.n_x)
     d = np.angle(np.exp(1j * (g.x - x0)))
     u = np.exp(1j * k * g.x - d**2 / (2.0 * sigma**2))
     return complex(np.vdot(u, A.matrix @ u) / np.vdot(u, u))
@@ -249,8 +232,9 @@ class InfinitesimalOperator:
     diagnostics: ConvergenceDiagnostics
     source: DiscretizedOperator
 
-    def translation_defect(self, shifts: Sequence[int] = (1, 3)) -> float:
-        """Worst commutator norm with stratum translations.
+    def translation_defect(self) -> float:
+        """Worst commutator norm with the stratum translations by 1 and 3
+        x nodes.
 
         The stratum of a cone vertex is a point, so the defect is zero
         by convention there.
@@ -260,7 +244,7 @@ class InfinitesimalOperator:
             return 0.0
         n_x = axis_layout(g, "x").n
         M = self.operator.matrix
-        return max((spectral_norm(_shift_commutator(M, n_x, int(s))) for s in shifts), default=0.0)
+        return max(spectral_norm(_shift_commutator(M, n_x, s)) for s in (1, 3))
 
 
 def _shift_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
@@ -281,20 +265,20 @@ def _feasible_scales(base: float, h: float) -> int:
 
 
 def _cutoff_ladder(
-    g: Geometry, z: float, n_scales: Optional[int], base_scale: Optional[float], interior: bool
+    g: Geometry, z: float, base_scale: Optional[float], interior: bool
 ) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """Dyadic localization ladder: x-cutoffs around z on circle strata,
     collar cutoffs toward the tip on cones, their product on edges.
     Returns (lambda values, flat diagonal value vectors). Ladders run as
-    deep as the grid resolves unless n_scales caps them; on edges the
-    x-window holds at its smallest resolvable scale while the collar
-    keeps shrinking.
+    deep as the grid resolves, at most 16 rungs on cones and edges; on
+    edges the x-window holds at its smallest resolvable scale while the
+    collar keeps shrinking.
     """
     lambdas: list[float] = []
     diags: list[np.ndarray] = []
     if isinstance(g, Circle):
         base_x = base_scale if base_scale is not None else np.pi / 2.0
-        m = n_scales if n_scales is not None else _feasible_scales(base_x, g.h_x)
+        m = _feasible_scales(base_x, g.h_x)
         if m < 2:
             raise CalculusError("grid too coarse for a localization ladder")
         fam = cutoff_family(g, z, m, base_x)
@@ -302,24 +286,22 @@ def _cutoff_ladder(
             lambdas.append(2.0**i)
             diags.append(axis_layout(g, "x").spread(fam[i]))
     elif isinstance(g, Cone):
-        m = n_scales if n_scales is not None else 16
         base_r = base_scale if base_scale is not None else 1.0
         r_floor = float(np.exp(-g.T + 3.0 * g.h_t))  # collar support must stay on the grid
-        for i in range(m):
+        for i in range(16):
             r1 = base_r / 2.0**i
             if r1 < r_floor:
                 break
             lambdas.append(2.0**i)
             diags.append(axis_layout(g, "t").spread(collar_cutoff(g, r1)))
     elif isinstance(g, Edge):
-        m = n_scales if n_scales is not None else 16
         base_x = base_scale if base_scale is not None else np.pi / 2.0
         kx = _feasible_scales(base_x, g.circle.h_x)
         fam = cutoff_family(g.circle, z, kx, base_x) if kx >= 1 else None
         cone = g.cone
         r_floor = float(np.exp(-cone.T + 3.0 * cone.h_t))
         x_lay, t_lay = axis_layout(g, "x"), axis_layout(g, "t")
-        for i in range(m):
+        for i in range(16):
             r1 = 1.0 / 2.0**i
             if r1 < r_floor:
                 break
@@ -342,9 +324,7 @@ def infinitesimal(
     expr: ExprLike,
     z: float = 0.0,
     v: float = 0.0,
-    n_scales: Optional[int] = None,
     base_scale: Optional[float] = None,
-    tol: float = 1e-3,
 ) -> InfinitesimalOperator:
     """Infinitesimal operator at a stratum point z.
 
@@ -352,21 +332,21 @@ def infinitesimal(
     edge geometries the coefficient r-slot goes to 0 while the operator
     arguments w = r v and eta = r xi stay live. The diagnostics sequence
     d_lambda = ||(A - A_z) Phi_lambda|| over the shrinking cutoff ladder
-    must be non-increasing (10% jitter allowed) and end below tol;
+    must be non-increasing (10% jitter allowed) and end below 1e-3;
     failure is reported in the diagnostics, not raised.
     """
     expr = as_node(expr)
     frozen_expr = substitute(expr, {"x": Const(float(z))})
     A = quantize(g, expr, v=v)
     Fz = quantize(g, frozen_expr, v=v, freeze_r=True)
-    lambdas, diags = _cutoff_ladder(g, z, n_scales, base_scale, A.interior)
+    lambdas, diags = _cutoff_ladder(g, z, base_scale, A.interior)
     Dm = A.matrix - Fz.matrix
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)
     d_left = tuple(side_norm(Dm, w, "left") for w in diags)
     non_inc = all(d_right[i + 1] <= 1.1 * d_right[i] + 1e-14 for i in range(len(d_right) - 1))
     final = d_right[-1]
     diag = ConvergenceDiagnostics(
-        lambdas, d_right, d_left, final, non_inc, bool(final <= tol), tol
+        lambdas, d_right, d_left, final, non_inc, bool(final <= 1e-3), 1e-3
     )
     return InfinitesimalOperator(g, float(z), frozen_expr, Fz, diag, A)
 
@@ -386,28 +366,16 @@ def consistency_check(
     z: float = 0.0,
     v: float = 0.0,
     base_scales: tuple[Optional[float], Optional[float]] = (None, None),
-    n_scales: Optional[int] = None,
-    tol: float = 1e-3,
 ) -> ConsistencyReport:
     """Uniqueness of the infinitesimal operator across cutoff ladders.
 
     The frozen operator is cutoff-independent by construction (the gap
     is reported and should be exactly 0); the two ladders' limiting
-    diagnostics must agree within twice the tolerance.
+    diagnostics must agree within twice the tolerance 1e-3 of
+    `infinitesimal`.
     """
-    ia = infinitesimal(g, expr, z=z, v=v, n_scales=n_scales, base_scale=base_scales[0], tol=tol)
-    ib = infinitesimal(g, expr, z=z, v=v, n_scales=n_scales, base_scale=base_scales[1], tol=tol)
+    ia = infinitesimal(g, expr, z=z, v=v, base_scale=base_scales[0])
+    ib = infinitesimal(g, expr, z=z, v=v, base_scale=base_scales[1])
     gap = float(np.max(np.abs(ia.operator.matrix - ib.operator.matrix)))
     fa, fb = ia.diagnostics.final, ib.diagnostics.final
-    return ConsistencyReport(gap, fa, fb, bool(abs(fa - fb) <= 2.0 * tol), tol)
-
-
-# ---------------------------------------------------------------------------
-# Adjoints
-
-
-def adjoint(A: DiscretizedOperator) -> DiscretizedOperator:
-    """Adjoint in the weighted inner product. Matrices live in the flat
-    representation, where the weighted adjoint is the conjugate
-    transpose; (A*)* = A holds exactly."""
-    return A.adjoint()
+    return ConsistencyReport(gap, fa, fb, bool(abs(fa - fb) <= 2e-3), 1e-3)

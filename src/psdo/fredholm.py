@@ -123,22 +123,16 @@ class EllipticityReport:
     conormal_profile: np.ndarray = field(repr=False)
 
 
-def check_elliptic(
-    t: SymbolTuple,
-    n_x: int = 64,
-    n_sphere: int = 32,
-    p_max: float = 64.0,
-    n_p: int = 513,
-    floor: float = 1e-6,
-    lam: float = 1e6,
-    drift_tol: float = 1e-5,
-) -> EllipticityReport:
+def check_elliptic(t: SymbolTuple) -> EllipticityReport:
     """Ellipticity of a compatible tuple: interior invertibility on the
     (xi, v)-sphere and conormal invertibility on the whole weight line.
 
-    The p-grid has odd cardinality so p = 0 is always sampled (a zero at
-    the origin is the canonical failure). Compatibility failure warns
-    but the scan still runs.
+    The interior scan takes 64 x nodes and 32 sphere directions at
+    radius 1e6; the conormal scan takes 513 points of [-64, 64], then
+    the large-|p| limits, which must drift by at most 1e-5. Every
+    minimum must clear the floor 1e-6. The p-grid has odd cardinality
+    so p = 0 is always sampled (a zero at the origin is the canonical
+    failure). Compatibility failure warns but the scan still runs.
     """
     comp = compat_check(t)
     if not comp.passed:
@@ -146,16 +140,17 @@ def check_elliptic(
             f"symbol tuple fails compatibility at {comp.mismatch:.3e}; ellipticity scan may be meaningless",
             stacklevel=2,
         )
-    interior_min = _sphere_min(t.sigma0.expr, n_x, n_sphere, lam)
+    floor = 1e-6
+    interior_min = _sphere_min(t.sigma0.expr, 64, 32, 1e6)
     con = conormal(t.sigma1.family)
-    ps = np.linspace(-p_max, p_max, n_p)
+    ps = np.linspace(-64.0, 64.0, 513)
     profile = con.min_singular(ps)
     conormal_min = float(np.min(profile))
-    large_ps = [s * p_max * f for s in (1.0, -1.0) for f in (8.0, 64.0, 512.0)]
+    large_ps = [s * 64.0 * f for s in (1.0, -1.0) for f in (8.0, 64.0, 512.0)]
     large_p_min = float(np.min(con.min_singular(large_ps)))
     drift = con.limit_drift()
     interior_pass = interior_min >= floor
-    large_p_pass = large_p_min >= floor and drift <= drift_tol
+    large_p_pass = large_p_min >= floor and drift <= 1e-5
     conormal_pass = conormal_min >= floor and large_p_pass
     return EllipticityReport(
         interior_min=interior_min,
@@ -210,8 +205,10 @@ class FredholmReport:
         return [(s.size, s.kernel, s.cokernel, s.index) for s in self.stats]
 
 
-def _collar_fraction(vec: np.ndarray, A: DiscretizedOperator, frac: float = 0.1) -> float:
-    """Mass fraction of a near-null vector in the cut-sensitive region."""
+def _collar_fraction(vec: np.ndarray, A: DiscretizedOperator) -> float:
+    """Mass fraction of a near-null vector in the cut-sensitive region:
+    the outer 10% of interval nodes, or of modes around Nyquist."""
+    frac = 0.1
     g = A.geometry
     total = float(np.vdot(vec, vec).real)
     if total <= 0.0:
@@ -251,8 +248,6 @@ def finite_section(
     build: Callable[[int], DiscretizedOperator],
     sizes: Sequence[int] = (64, 128, 256),
     tau_coef: float = 1e-6,
-    gap_min: float = 100.0,
-    collar_frac: float = 0.1,
 ) -> FredholmReport:
     """Kernel/cokernel/index of a refinement ladder of finite sections.
 
@@ -261,7 +256,7 @@ def finite_section(
     the right vector, when genuine, counts toward the kernel, the left
     vector toward the cokernel; collar-localized vectors are cut
     artifacts and count toward neither. Determinate iff the last two
-    rungs agree in counts and both show gap ratio >= gap_min; so the
+    rungs agree in counts and both show gap ratio >= 100; so the
     sizes must strictly increase and tau_coef be positive, else no
     refinement or no null pair could decide.
     """
@@ -287,8 +282,8 @@ def finite_section(
             gap = float(s[-1]) / max(tau, 1e-300)
         kernel = cokernel = artifacts = 0
         for i in range(dim - count, dim):
-            v_genuine = _collar_fraction(np.conj(Vh[i]), A, collar_frac) < 0.5
-            u_genuine = _collar_fraction(U[:, i], A, collar_frac) < 0.5
+            v_genuine = _collar_fraction(np.conj(Vh[i]), A) < 0.5
+            u_genuine = _collar_fraction(U[:, i], A) < 0.5
             kernel += int(v_genuine)
             cokernel += int(u_genuine)
             artifacts += int(not v_genuine) + int(not u_genuine)
@@ -308,8 +303,8 @@ def finite_section(
         )
     last, prev = stats[-1], stats[-2]
     determinate = (
-        last.gap_ratio >= gap_min
-        and prev.gap_ratio >= gap_min
+        last.gap_ratio >= 100.0
+        and prev.gap_ratio >= 100.0
         and (last.kernel, last.cokernel) == (prev.kernel, prev.cokernel)
     )
     return FredholmReport(
@@ -356,29 +351,24 @@ def _contour(
     return np.array([g(float(p)) for p in ps])
 
 
-def winding_oracle(
-    g: Union[ConormalSymbol, Node, str, Callable[[float], complex]],
-    p_max: float = 1e6,
-    n: int = 4097,
-    min_abs: float = 1e-6,
-    closure_tol: float = 1e-3,
-) -> WindingReport:
+def winding_oracle(g: Union[ConormalSymbol, Node, str, Callable[[float], complex]]) -> WindingReport:
     """Accumulated argument change of det g(p) along the weight line,
     in units of 2 pi.
 
     The grid is tangent-spaced (p = tan u) so steps stay small near
-    p = 0 and the endpoints reach far enough for the contour to close;
-    n must stay odd so p = 0 itself is sampled and zero crossings at
-    the origin are seen directly.
+    p = 0 and the endpoints p = +-1e6 reach far enough for the contour
+    to close; its 4097 nodes are odd in number so p = 0 itself is
+    sampled and zero crossings at the origin are seen directly. |g|
+    must stay at least 1e-6 and the contour close to within 1e-3.
     Scalar symbols are used directly; matrix symbols, DSL or conormal,
     through their determinant.
     """
-    vals = _contour(g, p_max, n)
+    vals = _contour(g, 1e6, 4097)
     amin = float(np.min(np.abs(vals)))
-    if amin < min_abs:
+    if amin < 1e-6:
         raise FredholmError(f"symbol passes through zero on the weight line (min |g| = {amin:.3e})")
     closure = float(np.abs(vals[-1] - vals[0])) / max(1.0, float(np.abs(vals[0])))
-    if closure > closure_tol:
+    if closure > 1e-3:
         raise FredholmError(f"contour does not close: |g(+p_max) - g(-p_max)| = {closure:.3e}")
     steps = np.angle(vals[1:] / vals[:-1])
     total = float(np.sum(steps)) / (2.0 * np.pi)
@@ -396,7 +386,6 @@ def winding_oracle(
 def extract_tuple(
     sigma: Union[EdgeSymbol, ConeSymbolFamily],
     cone: Optional[Cone] = None,
-    tol: float = 1e-8,
 ) -> SymbolTuple:
     """Read the principal symbol tuple off a generating family.
 
@@ -418,7 +407,7 @@ def extract_tuple(
     zero = Const(0.0)
     s0 = substitute(fam.expr, {"r": zero, "p": zero, "w": Var("v"), "eta": Var("xi")})
     sigma0 = InteriorSymbol(s0, q=fam.q, R0=fam.R1)
-    return SymbolTuple(sigma0, EdgeSymbol(fam, cone), tol=tol)
+    return SymbolTuple(sigma0, EdgeSymbol(fam, cone))
 
 
 def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
@@ -441,12 +430,11 @@ def quantize_tuple(
     t: SymbolTuple,
     g: Edge,
     v: float = 0.0,
-    r1: float = 1.0,
 ) -> DiscretizedOperator:
     """Edge operator with principal symbol tuple t, by the two-step
     construction: quantize the generating family, then correct the
-    interior part inside a collar by the difference between sigma0 and
-    the interior content the family already carries at p = 0.
+    interior part inside the collar r < 1 by the difference between
+    sigma0 and the interior content the family already carries at p = 0.
 
     The correction vanishes identically for tuples read off a family by
     extract_tuple at the equator, in the high-frequency regime; what
@@ -474,7 +462,7 @@ def quantize_tuple(
     )
     correction = sub(t.sigma0.expr, carried)
     C = _op_interior_on_edge(g, correction, v)
-    phi = axis_layout(g, "t").spread(collar_cutoff(g, r1))
+    phi = axis_layout(g, "t").spread(collar_cutoff(g, 1.0))
     if A.interior:
         C = _restrict_t_axis(C, g)
         phi = phi[_interior_nodes(g)]
@@ -502,17 +490,14 @@ def large_parameter_scan(
     expr: ExprLike,
     v_values: Sequence[float] = (8.0, 16.0, 32.0, 64.0),
     lower_bound: float = 1e-3,
-    jitter: float = 0.10,
-    n_sphere: int = 32,
-    lam: float = 1e6,
-    floor: float = 1e-6,
 ) -> LargeParameterReport:
     """Invertibility for large |v|: the smallest singular value along
     the parameter ladder must sit above lower_bound and be
-    non-decreasing within the jitter.
+    non-decreasing within a 10% jitter.
 
     When the symbol is an interior one (x, xi, v), joint parameter
-    ellipticity is verified first on the (xi, v)-sphere and recorded;
+    ellipticity is verified first on the (xi, v)-sphere (16 x nodes,
+    32 directions, radius 1e6, floor 1e-6) and recorded;
     families in other variables skip that precheck. A failed check is
     the report's verdict, not an exception. A symbol that is non-finite
     on the (x, sphere) grid or on the grid of a ladder operator raises
@@ -522,20 +507,20 @@ def large_parameter_scan(
     sphere_min: Optional[float] = None
     ewp: Optional[bool] = None
     if variables_of(expr) <= {"x", "xi", "v"}:
-        sphere_min = _sphere_min(expr, 16, n_sphere, lam)
-        ewp = sphere_min >= floor
+        sphere_min = _sphere_min(expr, 16, 32, 1e6)
+        ewp = sphere_min >= 1e-6
     s_min = []
     for u in v_values:
         A = quantize(g, expr, v=float(u))
         s_min.append(float(A.singular_values()[-1]))
     ok_low = all(s >= lower_bound for s in s_min)
-    ok_mono = all(s_min[i + 1] >= (1.0 - jitter) * s_min[i] for i in range(len(s_min) - 1))
+    ok_mono = all(s_min[i + 1] >= 0.9 * s_min[i] for i in range(len(s_min) - 1))
     return LargeParameterReport(
         v_values=tuple(float(u) for u in v_values),
         s_min=tuple(s_min),
         sphere_min=sphere_min,
         elliptic_with_parameter=ewp,
         lower_bound=lower_bound,
-        jitter=jitter,
+        jitter=0.10,
         passed=ok_low and ok_mono and (ewp is not False),
     )

@@ -2,11 +2,11 @@
 
 Three geometries: a periodic circle, a model cone over a point or circle
 base carried on a log-radial cylinder window [-T, T], and an edge (a
-circle of cone fibers). Grid functions on a cone are stored as natural
-samples u(r_j); the flat representation rescales by r^((n+1)/2) so that
-the weighted norm on the cone becomes the uniform-weight norm on the
-cylinder. All operator matrices in this package act on the flat
-representation, which is what makes plain SVDs meaningful.
+circle of cone fibers). All operator matrices in this package act on the
+flat representation r^((n+1)/2) u of a grid function u on a cone over an
+n-dimensional base: that scaling turns the weighted norm on the cone into
+the uniform-weight norm on the cylinder, which is what makes plain SVDs
+meaningful. Natural samples u(r_j) are not modelled.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ class GeometryError(ValueError):
 class Point:
     """Zero-dimensional cone base."""
 
-    @property
-    def dim(self) -> int:
-        return 0
-
-    @property
-    def n_nodes(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -49,10 +41,6 @@ class Circle:
     def __post_init__(self):
         _check_grid_size("circle", self.n_x)
         _check_q(self.q)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     @property
     def h_x(self) -> float:
@@ -68,20 +56,8 @@ class Circle:
         return np.fft.fftfreq(self.n_x, d=1.0 / self.n_x).astype(int)
 
     @property
-    def n_nodes(self) -> int:
-        return self.n_x
-
-    @property
     def axes_shape(self) -> tuple[int, ...]:
         return (self.n_x,)
-
-    @property
-    def node_weight(self) -> float:
-        return self.h_x
-
-    @cached_property
-    def w_diag(self) -> np.ndarray:
-        return np.ones(self.n_x)
 
     @property
     def dim_total(self) -> int:
@@ -117,15 +93,6 @@ class Cone:
             raise GeometryError("cone base circle carries no fiber; set q on the cone")
 
     @property
-    def n(self) -> int:
-        """Base dimension."""
-        return self.base.dim
-
-    @property
-    def weight_exponent(self) -> float:
-        return 0.5 * (self.n + 1)
-
-    @property
     def h_t(self) -> float:
         return 2.0 * self.T / self.n_t
 
@@ -142,12 +109,6 @@ class Cone:
         """Mellin-line covariable grid p_k = pi k / T, FFT mode order."""
         return (np.pi / self.T) * np.fft.fftfreq(self.n_t, d=1.0 / self.n_t)
 
-    @cached_property
-    def omega(self) -> np.ndarray:
-        if not isinstance(self.base, Circle):
-            raise GeometryError("point-base cone has no omega axis")
-        return self.base.x
-
     @property
     def axes_shape(self) -> tuple[int, ...]:
         if isinstance(self.base, Circle):
@@ -157,21 +118,6 @@ class Cone:
     @property
     def n_nodes(self) -> int:
         return int(np.prod(self.axes_shape))
-
-    @property
-    def node_weight(self) -> float:
-        w = self.h_t
-        if isinstance(self.base, Circle):
-            w *= self.base.h_x
-        return w
-
-    @cached_property
-    def w_diag(self) -> np.ndarray:
-        """Flat-representation scaling r^((n+1)/2) per grid point."""
-        d = self.r**self.weight_exponent
-        if isinstance(self.base, Circle):
-            d = np.broadcast_to(d[:, None], self.axes_shape).copy()
-        return d
 
     @property
     def dim_total(self) -> int:
@@ -194,24 +140,12 @@ class Edge:
         return self.cone.q
 
     @property
-    def n(self) -> int:
-        return self.cone.n
-
-    @property
     def axes_shape(self) -> tuple[int, ...]:
         return self.circle.axes_shape + self.cone.axes_shape
 
     @property
     def n_nodes(self) -> int:
         return int(np.prod(self.axes_shape))
-
-    @property
-    def node_weight(self) -> float:
-        return self.circle.node_weight * self.cone.node_weight
-
-    @cached_property
-    def w_diag(self) -> np.ndarray:
-        return np.broadcast_to(self.cone.w_diag, self.axes_shape).copy()
 
     @property
     def dim_total(self) -> int:
@@ -378,43 +312,6 @@ def describe_geometry(g: Geometry) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Grid functions
-
-
-@dataclass
-class GridFunction:
-    """Natural samples on a geometry: values shaped axes_shape + (q,)."""
-
-    geometry: Geometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        want = self.geometry.axes_shape + (self.geometry.q,)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != want:
-            raise GeometryError(f"grid function shape {self.values.shape} != expected {want}")
-
-    @classmethod
-    def zeros(cls, g: Geometry) -> "GridFunction":
-        return cls(g, np.zeros(g.axes_shape + (g.q,), dtype=complex))
-
-    @classmethod
-    def from_flat(cls, g: Geometry, flat: np.ndarray) -> "GridFunction":
-        flat = np.asarray(flat, dtype=complex).reshape(g.axes_shape + (g.q,))
-        return cls(g, flat / g.w_diag[..., None])
-
-    def flat(self) -> np.ndarray:
-        """Flat representation vector: r^((n+1)/2)-scaled samples, C-order."""
-        return (self.values * self.geometry.w_diag[..., None]).reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.geometry.node_weight) * np.linalg.norm(self.flat()))
-
-    def inner(self, other: "GridFunction") -> complex:
-        return complex(self.geometry.node_weight * np.vdot(self.flat(), other.flat()))
-
-
-# ---------------------------------------------------------------------------
 # Translations and dilations
 
 
@@ -427,10 +324,10 @@ def translation_matrix(n: int, steps: int) -> np.ndarray:
 class DilationAction:
     """Grid-admissible dilation kappa_lambda, lambda = exp(k h_t).
 
-    Acts on the cone axis as a circular t-shift by k nodes; in the
-    natural representation the samples additionally pick up the factor
-    lambda^((n+1)/2). Exactly unitary for the weighted inner product,
-    exact group law.
+    Acts on flat-representation vectors as a circular t-shift by k
+    nodes. Conjugated by W = r^((n+1)/2), this is u -> lambda^((n+1)/2)
+    u(lambda r) off the k wrapped seam nodes. Exactly unitary for the
+    weighted inner product, exact group law.
     """
 
     geometry: Union[Cone, Edge]
@@ -447,20 +344,6 @@ class DilationAction:
     @property
     def lam(self) -> float:
         return float(np.exp(self.k * self.cone.h_t))
-
-    def apply(self, u: GridFunction) -> GridFunction:
-        """Conjugated shift W^{-1} S_k W on natural samples.
-
-        Off the periodic seam this is exactly lambda^((n+1)/2) u(lambda r);
-        at the seam the periodic continuation takes over, which is what
-        keeps the action exactly unitary and the group law exact.
-        """
-        if u.geometry != self.geometry:
-            raise GeometryError("dilation applied to a function on a different geometry")
-        w = self.geometry.w_diag[..., None]
-        lay = axis_layout(self.geometry, "t")
-        rolled = np.roll((u.values * w).reshape(lay.pre, lay.n, lay.post), self.k, axis=1)
-        return GridFunction(self.geometry, rolled.reshape(u.values.shape) / w)
 
     def flat_matrix(self) -> np.ndarray:
         """Matrix of kappa on flat-representation vectors (pure shift)."""

@@ -15,7 +15,7 @@ center sets at small eps fail honestly instead of passing vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -123,15 +123,15 @@ def partition_of_unity(
     centers: Sequence[float],
     eps: float,
     radii: Optional[Sequence[float]] = None,
-    axis: Optional[str] = None,
 ) -> PartitionOfUnity:
-    """Normalized plateau bumps at the centers.
+    """Normalized plateau bumps at the centers, along the default axis
+    of g (t on a cone, x otherwise).
 
     Default radii are 1.05 times the cover floor (the largest distance
     from any node to its nearest center, doubled so plateaus overlap),
     uniform across centers.
     """
-    lay = axis_layout(g, axis)
+    lay = axis_layout(g)
     cs = tuple(float(c) for c in centers)
     dists = np.stack([lay.distance(c) for c in cs])
     if radii is None:
@@ -167,21 +167,18 @@ def local_norm(
     A: DiscretizedOperator,
     x: float,
     ladder: Optional[CutoffFamily] = None,
-    n_scales: Optional[int] = None,
-    tol: float = 1e-3,
 ) -> LocalNormReport:
     """||A phi_s|| along a shrinking cutoff ladder at x; membership in
-    the local ideal J_x is judged by the final value. The mirrored
-    ||phi_s A|| sequence is carried for audit, not judged.
+    the local ideal J_x is judged by the final value, against 1e-3. The
+    mirrored ||phi_s A|| sequence is carried for audit, not judged.
 
-    Without an explicit ladder or depth, the ladder descends dyadically
-    from a quarter of the axis span to the finest grid-resolvable scale.
+    Without an explicit ladder, the ladder descends dyadically from a
+    quarter of the axis span to the finest grid-resolvable scale.
     """
     g = A.geometry
     if ladder is None:
-        if n_scales is None:
-            lay = axis_layout(g)
-            n_scales = max(2, int(np.floor(np.log2(lay.span / 4.0 / (3.0 * lay.step)))) + 1)
+        lay = axis_layout(g)
+        n_scales = max(2, int(np.floor(np.log2(lay.span / 4.0 / (3.0 * lay.step)))) + 1)
         ladder = cutoff_family(g, x, n_scales)
     elif abs(ladder.center - x) > 1e-12:
         raise LocalizationError("ladder must be centered at x")
@@ -193,7 +190,7 @@ def local_norm(
         conorms.append(side_norm(A.matrix, d, "left"))
     limit = norms[-1]
     return LocalNormReport(
-        float(x), ladder.scales, tuple(norms), tuple(conorms), limit, limit <= tol, tol
+        float(x), ladder.scales, tuple(norms), tuple(conorms), limit, limit <= 1e-3, 1e-3
     )
 
 
@@ -312,17 +309,17 @@ class PartitionBoundReport:
 def partition_bound_check(
     fs: Sequence[np.ndarray],
     As: Sequence[DiscretizedOperator],
-    axis: Optional[str] = None,
-    tol: float = 1e-12,
 ) -> PartitionBoundReport:
-    """Check ||sum f_j A_j|| <= [max_x sum f_j(x)] max_j ||A_j||_{supp f_j}.
+    """Check ||sum f_j A_j|| <= [max_x sum f_j(x)] max_j ||A_j||_{supp f_j},
+    with the functions on the default axis of the geometry and a slack
+    tolerance of 1e-12.
 
     The bound is not a theorem for arbitrary matrices; the report states
     the verdict and the slack, nothing more.
     """
     if len(fs) != len(As) or len(fs) == 0:
         raise LocalizationError("need matching nonempty function and operator lists")
-    lay = axis_layout(As[0].geometry, axis)
+    lay = axis_layout(As[0].geometry)
     stacked = np.stack([np.asarray(f, dtype=float) for f in fs])
     if stacked.shape[1] != lay.n:
         raise LocalizationError("functions must be per-node on the chosen axis")
@@ -341,7 +338,7 @@ def partition_bound_check(
     bound = cover_max * max(restricted)
     slack = bound - lhs
     return PartitionBoundReport(
-        lhs, cover_max, tuple(restricted), bound, slack, bool(slack >= -tol), tol
+        lhs, cover_max, tuple(restricted), bound, slack, bool(slack >= -1e-12), 1e-12
     )
 
 
@@ -361,25 +358,19 @@ class FredholmVsLocalReport:
     note: str = ""
 
 
-def fredholm_vs_local(
-    t: SymbolTuple,
-    centers: Sequence[Union[str, float]] = ("tip", 0.0),
-    sizes: Sequence[int] = (128, 256),
-    floor: float = 1e-3,
-    tau_coef: float = 1e-4,
-    h_t: float = 0.1875,
-) -> FredholmVsLocalReport:
+def fredholm_vs_local(t: SymbolTuple, sizes: Sequence[int] = (128, 256)) -> FredholmVsLocalReport:
     """Cross-tabulate per-center invertibility proxies against the
     global finite-section verdict.
 
-    Each center freezes the cone family's coefficients: 'tip' keeps
-    r -> 0 with the wedge slots alive, a float t_c pins r = exp(-t_c).
+    Each center freezes the cone family's coefficients: the tip keeps
+    r -> 0 with the wedge slots alive, the center t = 0 pins r = 1.
     The proxy is the smallest singular value of the frozen operator on
     the interval grid; the global side sections the full family on the
-    growing-window ladder. Agreement means: all proxies clear the floor
-    exactly when the sections are determinate with zero kernel and
-    cokernel.
+    growing-window ladder at step h_t = 0.1875 with tau_coef 1e-4.
+    Agreement means: all proxies clear the floor 1e-3 exactly when the
+    sections are determinate with zero kernel and cokernel.
     """
+    centers, floor, h_t = ("tip", 0.0), 1e-3, 0.1875
     sig = t.sigma1
     if not isinstance(sig, EdgeSymbol):
         raise LocalizationError("tuple must carry an edge symbol family")
@@ -394,7 +385,7 @@ def fredholm_vs_local(
         smins.append(float(frozen.singular_values()[-1]))
     local_pass = all(s >= floor for s in smins)
     rep = finite_section(
-        lambda n_t: interval_section(expr, h_t, n_t, base, q), sizes=tuple(sizes), tau_coef=tau_coef
+        lambda n_t: interval_section(expr, h_t, n_t, base, q), sizes=tuple(sizes), tau_coef=1e-4
     )
     global_ok = bool(rep.determinate and rep.kernel == 0 and rep.cokernel == 0)
     agree = local_pass == global_ok

@@ -15,7 +15,8 @@ v the edge parameter, t the base Fourier mode on circle-base cones
 
 This module is the only home of the Fourier phases that turn a symbol
 into a matrix: `synthesis` builds every phase matrix E, `kn_assemble`
-every Kohn-Nirenberg product E S F, and `kn_circulant` its x-free form.
+every Kohn-Nirenberg product E S F, `kn_circulant` its x-free form, and
+`base_to_nodal` every conjugation of circle-base modes to nodal values.
 Two analysis matrices F remain: `_dft_matrix` on circle x axes and
 E^H/n on t and base axes. They round differently, and the canonical
 verify report prints assembly rounding residues, so unifying them (or
@@ -63,7 +64,6 @@ from psdo.geometry import (
     Edge,
     Geometry,
     GeometryError,
-    GridFunction,
     axis_layout,
 )
 from psdo.symexpr import Node, evaluate, shape_of, variables_of
@@ -120,33 +120,6 @@ class DiscretizedOperator:
     def adjoint(self) -> "DiscretizedOperator":
         return DiscretizedOperator(self.geometry, self.v, self.matrix.conj().T, self.interior)
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        if self.interior:
-            raise QuantizeError("interior-restricted operators act on flat interior vectors only")
-        return GridFunction.from_flat(self.geometry, self.matrix @ u.flat())
-
-    def compose(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        self._check_compatible(other)
-        return DiscretizedOperator(self.geometry, self.v, self.matrix @ other.matrix, self.interior)
-
-    def __matmul__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        return self.compose(other)
-
-    def __add__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        self._check_compatible(other)
-        return DiscretizedOperator(self.geometry, self.v, self.matrix + other.matrix, self.interior)
-
-    def __sub__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        self._check_compatible(other)
-        return DiscretizedOperator(self.geometry, self.v, self.matrix - other.matrix, self.interior)
-
-    def scaled(self, c: complex) -> "DiscretizedOperator":
-        return DiscretizedOperator(self.geometry, self.v, c * self.matrix, self.interior)
-
-    def _check_compatible(self, other: "DiscretizedOperator") -> None:
-        if self.geometry != other.geometry or self.interior != other.interior:
-            raise QuantizeError("operators live on different geometries")
-
 
 # ---------------------------------------------------------------------------
 # Spectral norms
@@ -197,11 +170,6 @@ def interior_dim(g: Geometry) -> int:
         return g.dim_total
     lay = axis_layout(g, "t")
     return lay.pre * (lay.n - 1) * lay.post
-
-
-def identity_operator(g: Geometry, v: Optional[float] = None, interior: bool = False) -> DiscretizedOperator:
-    n = interior_dim(g) if interior else g.dim_total
-    return DiscretizedOperator(g, v, np.eye(n, dtype=complex), interior)
 
 
 def _interior_nodes(g: Union[Cone, Edge]) -> np.ndarray:
@@ -306,6 +274,14 @@ def kn_circulant(E: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
     return out
 
 
+def base_to_nodal(base: Circle, B: np.ndarray) -> np.ndarray:
+    """Base-mode blocks B[..., k, a, b] of a circle-base cone conjugated
+    to the nodal basis of the base: kn_circulant with the base DFT pair
+    E and E^H/n."""
+    E = synthesis(base.x, base.modes.astype(float))
+    return kn_circulant(E, B, E.conj().T / base.n_x)
+
+
 def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOperator:
     """Kohn-Nirenberg quantization of a(x, xi, v) on the circle."""
     q = shape_of(expr)
@@ -382,8 +358,7 @@ def _mellin_fibers(
     if mu is not None:
         # t-axis blocks per base mode, then the base DFT across modes
         m = n_t * q
-        Ew = synthesis(cone.base.x, mu.reshape(-1))
-        A = kn_circulant(Ew, A.reshape(batch + (n_w, m, m)), Ew.conj().T / n_w)
+        A = base_to_nodal(cone.base, A.reshape(batch + (n_w, m, m)))
         # (*B, l, j, a, l', s, e) -> rows (j, l, a), columns (s, l', e)
         A = np.moveaxis(A.reshape(batch + (n_w, n_t, q, n_w, n_t, q)), (-6, -3), (-5, -2))
     d = cone.dim_total
@@ -505,44 +480,10 @@ def quantize(g: Geometry, expr: Node, v: Optional[float] = None, freeze_r: bool 
 # Parameter-dependent families
 
 
-def dyadic_ladder(k_max: int = 6, include_zero: bool = True, signed: bool = True) -> tuple[float, ...]:
+def dyadic_ladder(k_max: int = 6) -> tuple[float, ...]:
+    """0 and +-2^k for k = 0..k_max, ascending."""
     vals = [2.0**k for k in range(k_max + 1)]
-    if signed:
-        vals = sorted(set([-u for u in vals] + vals))
-    if include_zero:
-        vals = sorted(set(vals + [0.0]))
-    return tuple(vals)
-
-
-@dataclass
-class OperatorFamily:
-    """A symbol quantized along a ladder of edge-parameter values."""
-
-    geometry: Geometry
-    v_values: tuple[float, ...]
-    operators: tuple[DiscretizedOperator, ...]
-
-    @classmethod
-    def from_expr(
-        cls,
-        g: Geometry,
-        expr: Node,
-        v_values: Optional[Sequence[float]] = None,
-        freeze_r: bool = False,
-    ) -> "OperatorFamily":
-        if v_values is None:
-            v_values = dyadic_ladder()
-        ops = tuple(quantize(g, expr, v=v, freeze_r=freeze_r) for v in v_values)
-        return cls(g, tuple(float(v) for v in v_values), ops)
-
-    def family_norm(self) -> float:
-        return max(op.norm() for op in self.operators)
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-    def __getitem__(self, i: int) -> DiscretizedOperator:
-        return self.operators[i]
+    return tuple(sorted({0.0, *vals, *(-u for u in vals)}))
 
 
 @dataclass
@@ -559,22 +500,18 @@ class NegligibleVerdict:
 
 
 def negligible_test(
-    build: Union[OperatorFamily, Callable[[float], DiscretizedOperator]],
+    build: Callable[[float], DiscretizedOperator],
     order: int = 4,
     tau: float = 50.0,
     v_values: Optional[Sequence[float]] = None,
 ) -> NegligibleVerdict:
     """Decide whether a parameter family decays like (1+|v|)^-order.
 
-    `build` is either an OperatorFamily or a callable v -> operator.
-    At least three parameter samples are required.
+    `build` is a callable v -> operator. At least three parameter
+    samples are required.
     """
-    if isinstance(build, OperatorFamily):
-        vs = build.v_values
-        norms = tuple(op.norm() for op in build.operators)
-    else:
-        vs = tuple(float(u) for u in (v_values if v_values is not None else dyadic_ladder()))
-        norms = tuple(build(u).norm() for u in vs)
+    vs = tuple(float(u) for u in (v_values if v_values is not None else dyadic_ladder()))
+    norms = tuple(build(u).norm() for u in vs)
     if len(vs) < 3:
         raise QuantizeError("negligibility needs at least 3 parameter samples")
     weighted = tuple(nm * (1.0 + abs(u)) ** order for u, nm in zip(vs, norms))

@@ -18,11 +18,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from psdo.fredholm import extract_tuple, interval_section
+from psdo.fredholm import interval_section
 from psdo.geometry import Circle, Cone, Edge, Point
 from psdo.localization import LocalFamily
 from psdo.quantize import DiscretizedOperator, op_circle
-from psdo.symbols import ConeSymbolFamily, EdgeSymbol, SymbolTuple
+from psdo.symbols import ConeSymbolFamily, EdgeSymbol
 from psdo.symexpr import Const, Node, parse, substitute
 
 __all__ = [
@@ -53,7 +53,7 @@ MIRROR = "(p + (0,1)) / (p - (0,1))"
 
 @dataclass(frozen=True)
 class SectionInstance:
-    """A cone family with its extraction probe and section builder."""
+    """A cone family with its section builder."""
 
     name: str
     family: ConeSymbolFamily
@@ -62,10 +62,6 @@ class SectionInstance:
 
     def build(self, n_t: int) -> DiscretizedOperator:
         return interval_section(self.family.expr, self.h_t, n_t, self.cone.base, self.cone.q)
-
-    def extract(self) -> SymbolTuple:
-        return extract_tuple(self.family, cone=self.cone)
-
 
 @dataclass(frozen=True)
 class IndexInstance:
@@ -225,16 +221,14 @@ def partition_stock(seed: int = 0, count: int = 100) -> Iterator[PartitionInstan
         yield PartitionInstance(fs, ops, kind)
 
 
-def negligible_stock(
-    n_x: int = 32,
-) -> tuple[Callable[[float], DiscretizedOperator], Callable[[float], DiscretizedOperator]]:
-    """(smoothing family, identity family) on a small circle.
+def negligible_stock() -> tuple[Callable[[float], DiscretizedOperator], Callable[[float], DiscretizedOperator]]:
+    """(smoothing family, identity family) on Circle(32).
 
     The smoothing family decays like (1 + v^2)^-2, so its weighted
     norms stay bounded through order 4; the identity family has
     constant norm 1 and fails any positive order once |v| clears 2.
     """
-    g = Circle(n_x)
+    g = Circle(32)
     smooth = parse("(2 + cos(x)) * chi(xi) / (1 + v^2)^2")
     ident = parse("1 + 0*v")
 
@@ -247,8 +241,8 @@ def negligible_stock(
     return smoothing, identity
 
 
-def negligible_v_values(seed: int = 0, count: int = 4) -> tuple[float, ...]:
-    """Seeded parameter draws for the negligibility verdicts.
+def negligible_v_values(seed: int = 0) -> tuple[float, ...]:
+    """0 and four seeded parameter draws for the negligibility verdicts.
 
     Magnitudes stay in [2, 64]: large enough that the identity family
     is rejected at order 4 for every draw, small enough that the stock
@@ -256,8 +250,8 @@ def negligible_v_values(seed: int = 0, count: int = 4) -> tuple[float, ...]:
     by construction.
     """
     rng = np.random.default_rng(seed)
-    mags = rng.uniform(2.0, 64.0, size=count)
-    signs = rng.choice((-1.0, 1.0), size=count)
+    mags = rng.uniform(2.0, 64.0, size=4)
+    signs = rng.choice((-1.0, 1.0), size=4)
     return (0.0,) + tuple(sorted(float(s * m) for s, m in zip(signs, mags)))
 
 
@@ -296,12 +290,10 @@ def gluing_expr() -> Node:
     return parse("2 + 0.2 * sin(x) * chi(xi)")
 
 
-def gluing_families(
-    eps_values: Sequence[float] = tuple(GLUING_COUNTS), g: Circle = None
-) -> dict[float, LocalFamily]:
+def gluing_families(eps_values: Sequence[float] = tuple(GLUING_COUNTS)) -> dict[float, LocalFamily]:
     """Frozen-coefficient representatives of the gluing stock symbol at
-    equispaced centers, one family per eps; center count doubles as eps
-    halves.
+    equispaced centers on Circle(64), one family per eps; center count
+    doubles as eps halves.
 
     The center sets are nested (2 pi i/8 is 2 pi (4 i)/32 exactly in
     floating point), so each operator is built once, on the finest
@@ -310,7 +302,7 @@ def gluing_families(
     for eps in eps_values:
         if eps not in GLUING_COUNTS:
             raise KeyError(f"no stock center count for eps = {eps}")
-    g = g if g is not None else Circle(64)
+    g = Circle(64)
     expr = gluing_expr()
     n_max = max(GLUING_COUNTS[eps] for eps in eps_values)
     centers = [2.0 * np.pi * i / n_max for i in range(n_max)]

@@ -27,7 +27,7 @@ from psdo.quantize import (
     DiscretizedOperator,
     _dft_matrix,
     _mellin_fibers,
-    kn_circulant,
+    base_to_nodal,
     op_mellin,
     spectral_norms,
     synthesis,
@@ -62,7 +62,6 @@ __all__ = [
     "check_homogeneity",
     "check_family_smoothness",
     "check_twisted_homogeneity",
-    "edge_symbol",
     "conormal",
     "compat_check",
     "pushforward_interior",
@@ -124,40 +123,34 @@ class HomogeneityReport:
     worst_point: tuple[float, float, float, float]  # (x, xi, v, lam)
 
 
-def check_homogeneity(
-    a: InteriorSymbol,
-    n_x: int = 8,
-    n_dirs: int = 8,
-    radii: Sequence[float] = (1.0, 2.0, 4.0),
-    lambdas: Sequence[float] = (2.0, 4.0),
-    tol: float = 1e-9,
-) -> HomogeneityReport:
-    """Sampled check of a(x, lam xi, lam v) = a(x, xi, v) outside R0.
+def check_homogeneity(a: InteriorSymbol) -> HomogeneityReport:
+    """Sampled check of a(x, lam xi, lam v) = a(x, xi, v) outside R0,
+    for lam = 2 and 4, at 8 x nodes, to tolerance 1e-9.
 
-    Base points run over |(xi, v)| in R0 * radii along n_dirs equally
-    spaced directions (the default 8 keeps the axes and diagonals, so a
+    Base points run over |(xi, v)| in R0 * (1, 2, 4) along 8 equally
+    spaced directions (8 keeps the axes and diagonals, so a
     chi(xi)-type profile is probed no closer to its transition region
     than R0 / sqrt(2)). Violations are relative to max(1, |a|).
     """
-    xs = 2.0 * np.pi * np.arange(n_x) / n_x
-    thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    xs = 2.0 * np.pi * np.arange(8) / 8
+    thetas = 2.0 * np.pi * np.arange(8) / 8
     r_samples = (0.0, 0.7, 2.5) if "r" in variables_of(a.expr) else (0.0,)
     worst = 0.0
     worst_pt = (0.0, 0.0, 0.0, 0.0)
-    for rho_fac in radii:
+    for rho_fac in (1.0, 2.0, 4.0):
         rho = a.R0 * rho_fac
         for th in thetas:
             xi0, v0 = rho * np.cos(th), rho * np.sin(th)
             for r0 in r_samples:
                 base = a.value(xs, xi0, v0, r=r0)
                 scale = np.maximum(1.0, np.max(np.abs(base)))
-                for lam in lambdas:
+                for lam in (2.0, 4.0):
                     dilated = a.value(xs, lam * xi0, lam * v0, r=r0)
                     viol = float(np.max(np.abs(dilated - base)) / scale)
                     if viol > worst:
                         worst = viol
                         worst_pt = (float(xs[0]), float(xi0), float(v0), float(lam))
-    return HomogeneityReport(worst, tol, worst <= tol, worst_pt)
+    return HomogeneityReport(worst, 1e-9, worst <= 1e-9, worst_pt)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +168,14 @@ class ConeSymbolFamily:
     pushforward_edge and are carried by the `conj` hook, a map
     x -> (L, R) applied as L @ value @ R.
 
-    The family is constant in (x, r) for r >= R1 and for x outside the
-    declared window; quantization enforces this softly at the window
-    ends.
+    The family is constant in r for r >= R1; quantization enforces this
+    softly at the window ends.
     """
 
     expr: Node
     base: Geometry = field(default_factory=Point)
     q: int = 1
     R1: float = 1e3
-    x_window: float = float(np.pi)
     conj: Optional[FiberConjugation] = field(default=None, compare=False, repr=False)
     _derivs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -235,8 +226,7 @@ class ConeSymbolFamily:
             vals = evaluate(self.expr, self._bindings(x, r, w, eta, p, v))
             d = np.broadcast_to(vals.reshape(-1), modes.shape).astype(complex)
             n = self.base.n_x
-            E = synthesis(self.base.x, modes)
-            m = kn_circulant(E, d[:, None, None], E.conj().T / n).reshape(n, n)
+            m = base_to_nodal(self.base, d[:, None, None]).reshape(n, n)
         if self.conj is not None:
             L, R = self.conj(float(x))
             m = L @ m @ R
@@ -251,19 +241,15 @@ class SmoothnessReport:
     passed: bool
 
 
-def check_family_smoothness(
-    P: ConeSymbolFamily,
-    seed: int = 0,
-    n_samples: int = 12,
-    h: float = 1e-5,
-    tol: float = 1e-7,
-) -> SmoothnessReport:
+def check_family_smoothness(P: ConeSymbolFamily) -> SmoothnessReport:
     """Finite-difference consistency of the stored symbolic derivatives.
 
-    Central differences at seeded sample points, per scalar argument the
-    family actually uses; errors are relative to max(1, |derivative|).
+    Central differences of step 1e-5 at 12 sample points drawn with
+    seed 0, per scalar argument the family actually uses; errors are
+    relative to max(1, |derivative|) and pass at 1e-7.
     """
-    rng = np.random.default_rng(seed)
+    h = 1e-5
+    rng = np.random.default_rng(0)
     used = variables_of(P.expr) & set(_FAMILY_SCALARS)
     errors: dict[str, float] = {}
     worst = 0.0
@@ -271,7 +257,7 @@ def check_family_smoothness(
     for var in sorted(used):
         err = 0.0
         d_expr = P.derivative(var)
-        for _ in range(n_samples):
+        for _ in range(12):
             pt = {
                 "x": rng.uniform(-2.0, 2.0),
                 "r": rng.uniform(0.1, 3.0),
@@ -290,7 +276,7 @@ def check_family_smoothness(
             err = max(err, float(np.max(np.abs(fd - exact))) / scale)
         errors[var] = err
         worst = max(worst, err)
-    return SmoothnessReport(errors, worst, tol, worst <= tol)
+    return SmoothnessReport(errors, worst, 1e-7, worst <= 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +324,6 @@ class EdgeSymbol:
         return np.kron(np.eye(blocks), L) @ A @ np.kron(np.eye(blocks), R)
 
 
-def edge_symbol(P: ConeSymbolFamily, x: float, xi: float, v: float, g: Cone) -> DiscretizedOperator:
-    return EdgeSymbol(P, g).at(x=x, xi=xi, v=v)
-
-
 @dataclass(frozen=True)
 class TwistedHomogeneityReport:
     ks: tuple[int, ...]
@@ -354,20 +336,18 @@ class TwistedHomogeneityReport:
 
 def check_twisted_homogeneity(
     sigma: EdgeSymbol,
-    xi: float = 1.0,
     v: float = 1.0,
-    x: float = 0.0,
     ks: Sequence[int] = tuple(range(1, 9)),
-    tol: float = 1e-10,
 ) -> TwistedHomogeneityReport:
     """sigma(lam xi, lam v) = kappa_lam sigma(xi, v) kappa_lam^{-1} for
-    grid-admissible lam = exp(k h_t), as a matrix identity."""
+    grid-admissible lam = exp(k h_t), as a matrix identity at xi = 1 and
+    x = 0, to tolerance 1e-10."""
     if sigma.cone.boundary != "periodic":
         raise SymbolError("twisted homogeneity needs a periodic cone grid")
     acts = [DilationAction(sigma.cone, int(k)) for k in ks]
     lams = [act.lam for act in acts]
     scale = np.array([1.0] + lams)
-    base_m, *dilated_ms = sigma.fibers(xi=scale * xi, v=scale * v, x=x)
+    base_m, *dilated_ms = sigma.fibers(xi=scale, v=scale * v, x=0.0)
     viols = []
     for act, dilated in zip(acts, dilated_ms):
         conj = act.conjugate(base_m)
@@ -375,7 +355,7 @@ def check_twisted_homogeneity(
         viols.append(float(np.linalg.norm(dilated - conj, 2)) / denom)
     worst = max(viols)
     return TwistedHomogeneityReport(
-        tuple(int(k) for k in ks), tuple(lams), tuple(viols), worst, tol, worst <= tol
+        tuple(int(k) for k in ks), tuple(lams), tuple(viols), worst, 1e-10, worst <= 1e-10
     )
 
 
@@ -417,10 +397,8 @@ class ConormalSymbol:
             vals = evaluate(self.expr, {"p": ps[:, None], "t": modes[None, :]})
             d = np.broadcast_to(vals[..., 0, 0], (ps.size, modes.size)).astype(complex)
             n = self.base.n_x
-            E = synthesis(self.base.x, modes)
-            F = E.conj().T / n
             # one product per p: a batched one contracts in another order
-            m = np.array([kn_circulant(E, row[:, None, None], F) for row in d], dtype=complex)
+            m = np.array([base_to_nodal(self.base, row[:, None, None]) for row in d], dtype=complex)
             m = m.reshape(ps.size, n, n)
         if self.conj is not None:
             L, R = self.conj
@@ -432,11 +410,6 @@ class ConormalSymbol:
 
     def min_singular(self, ps: Sequence[float]) -> np.ndarray:
         return np.linalg.svd(self.values(ps), compute_uv=False)[:, -1]
-
-    def modulus_of_continuity(self, p_max: float = 32.0, n: int = 129, h: float = 1e-3) -> float:
-        """max_p |value(p + h) - value(p)| over a uniform sample grid."""
-        ps = np.linspace(-p_max, p_max, n)
-        return float(np.max(spectral_norms(self.values(ps + h) - self.values(ps))))
 
     def limit_drift(self, p_large: float = 1e6, factor: float = 1e3) -> float:
         """Distance between values at +-p_large and +-p_large*factor;
@@ -479,23 +452,20 @@ class CompatReport:
     passed: bool
 
 
-def compat_check(
-    t: SymbolTuple,
-    lam_large: float = 1e6,
-    n_x: int = 8,
-    n_dirs: int = 8,
-) -> CompatReport:
+def compat_check(t: SymbolTuple) -> CompatReport:
     """Compatibility of the two principal symbols where strata meet.
 
     The interior symbol is compared, on the equator p = 0 of the large
     (w, eta, p)-sphere, against the generating family evaluated at the
-    scaled arguments w = lam d_v, eta = lam d_xi with r frozen to 0: by
-    degree-0 homogeneity both sides are radial limits and lam = 1e6
-    reaches them to well under the default tolerance.
+    scaled arguments w = lam d_v, eta = lam d_xi with r frozen to 0, at
+    8 x nodes and 8 directions: by degree-0 homogeneity both sides are
+    radial limits and lam = 1e6 reaches them to well under the default
+    tolerance.
     """
+    lam_large = 1e6
     fam = t.sigma1.family
-    xs = 2.0 * np.pi * np.arange(n_x) / n_x
-    thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    xs = 2.0 * np.pi * np.arange(8) / 8
+    thetas = 2.0 * np.pi * np.arange(8) / 8
     fiber = fam.fiber_dim
     worst = 0.0
     for x0 in xs:
@@ -517,8 +487,8 @@ def compat_check(
 # Pushforward along coordinate changes
 
 
-def _check_diffeo(f: Node, df: Node, n_nodes: int = 64) -> np.ndarray:
-    xs = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+def _check_diffeo(f: Node, df: Node) -> np.ndarray:
+    xs = 2.0 * np.pi * np.arange(64) / 64
     dvals = evaluate(df, {"x": xs}).reshape(-1)
     if float(np.max(np.abs(dvals.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(dvals)))):
         raise SymbolError("diffeomorphism derivative is not real on the circle")
@@ -528,11 +498,11 @@ def _check_diffeo(f: Node, df: Node, n_nodes: int = 64) -> np.ndarray:
     return dreal
 
 
-def circle_inverse(f: ExprLike, df: Optional[ExprLike] = None, n: int = 256) -> Node:
+def circle_inverse(f: ExprLike, df: Optional[ExprLike] = None) -> Node:
     """Closed-form inverse of a circle diffeomorphism.
 
     f lifts to the line as x + (periodic), so f^{-1} - id is periodic
-    and smooth; it is recovered by Newton's method on n grid nodes and
+    and smooth; it is recovered by Newton's method on 256 grid nodes and
     returned as a trigonometric-polynomial AST (coefficients below
     1e-14 of the sup are dropped, which keeps the tree small: analytic
     diffeomorphisms have exponentially decaying coefficients). Rigid
@@ -541,6 +511,7 @@ def circle_inverse(f: ExprLike, df: Optional[ExprLike] = None, n: int = 256) -> 
     f = as_node(f)
     df_n = diff(f, "x") if df is None else as_node(df)
     _check_diffeo(f, df_n)
+    n = 256
     y = 2.0 * np.pi * np.arange(n) / n
     x = y.copy()
     for _ in range(60):
@@ -576,7 +547,6 @@ def pushforward_interior(
     f: ExprLike,
     df: Optional[ExprLike] = None,
     f_inv: Optional[ExprLike] = None,
-    tol: float = 1e-10,
 ) -> InteriorSymbol:
     """Pushforward of an interior symbol along a circle diffeomorphism.
 
@@ -584,7 +554,7 @@ def pushforward_interior(
     pushed-forward symbol is a'(y, eta, v) = a(f^{-1}(y),
     eta f'(f^{-1}(y)), v). When f_inv is not supplied it is constructed
     by circle_inverse; the construction is verified against f on grid
-    samples and rejected honestly when it fails.
+    samples, to 1e-10, and rejected honestly when it fails.
     """
     f = as_node(f)
     df_n = diff(f, "x") if df is None else as_node(df)
@@ -593,7 +563,7 @@ def pushforward_interior(
     xs = 2.0 * np.pi * np.arange(64) / 64
     round_trip = evaluate(substitute(f, {"x": f_inv}), {"x": xs}).reshape(-1)
     err = float(np.max(np.abs(round_trip - xs)))
-    if err > tol * max(1.0, float(np.max(np.abs(xs)))):
+    if err > 1e-10 * max(1.0, float(np.max(np.abs(xs)))):
         raise SymbolError(
             f"inverse construction failed (f(f_inv(x)) off by {err:.2e}); supply f_inv explicitly"
         )

@@ -4,15 +4,14 @@ import pytest
 from psdo.calculus import (
     CalculusError,
     NotTranslationInvariant,
-    adjoint,
     compose_symbols,
     consistency_check,
     extract_symbol,
     infinitesimal,
     probe_symbol,
 )
-from psdo.geometry import Circle, Cone, Edge, GeometryError, GridFunction, Point
-from psdo.quantize import DiscretizedOperator, identity_operator, op_circle, op_edge, op_mellin
+from psdo.geometry import Circle, Cone, Edge, GeometryError, Point
+from psdo.quantize import DiscretizedOperator, op_circle, op_edge, op_mellin
 from psdo.symexpr import evaluate, mul, parse
 
 
@@ -105,7 +104,7 @@ def test_truncation_order_validated():
 
 
 def test_extract_identity():
-    ex = extract_symbol(identity_operator(Circle(16)))
+    ex = extract_symbol(DiscretizedOperator(Circle(16), None, np.eye(16)))
     assert np.max(np.abs(ex.blocks.reshape(-1) - 1.0)) <= 1e-14
     assert ex.esssup_gap <= 1e-10
 
@@ -174,9 +173,9 @@ def test_extract_interval_mode_rejected():
 
 def test_extract_unknown_axis_rejected():
     with pytest.raises(GeometryError):
-        extract_symbol(identity_operator(Circle(16)), axis="r")
+        extract_symbol(DiscretizedOperator(Circle(16), None, np.eye(16)), axis="r")
     with pytest.raises(GeometryError):
-        extract_symbol(identity_operator(Circle(16)), axis="t")
+        extract_symbol(DiscretizedOperator(Circle(16), None, np.eye(16)), axis="t")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def test_extract_unknown_axis_rejected():
 def test_homomorphism_exact_for_multipliers():
     g = Circle(64)
     m1, m2 = parse("chi(xi)"), parse("1 / (1 + xi^2)")
-    ex = extract_symbol(op_circle(g, m1) @ op_circle(g, m2))
+    ex = extract_symbol(DiscretizedOperator(g, None, op_circle(g, m1).matrix @ op_circle(g, m2).matrix))
     k = g.modes.astype(float)
     prod = evaluate(mul(m1, m2), {"xi": k}).reshape(-1)
     assert np.max(np.abs(ex.blocks.reshape(-1) - prod)) <= 1e-12
@@ -197,7 +196,7 @@ def test_homomorphism_exact_with_multiplier_factor():
     # holds exactly even for x-dependent a.
     g = Circle(64)
     a, m = parse("exp((0,1)*x) * (2 + cos(x)) * chi(xi)"), parse("1 / (1 + xi^2)")
-    lhs = (op_circle(g, a) @ op_circle(g, m)).matrix
+    lhs = op_circle(g, a).matrix @ op_circle(g, m).matrix
     rhs = op_circle(g, mul(a, m)).matrix
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
 
@@ -211,7 +210,7 @@ def test_homomorphism_mode_scaled_error_halves():
         g = Circle(n)
         a = parse(f"exp((0,1)*x) / (1 + (2*xi/{n})^2)")
         b = parse(f"exp(-(0,1)*x) * (1 + 0.5 / (1 + (2*xi/{n})^2))")
-        ex = extract_symbol(op_circle(g, a) @ op_circle(g, b))
+        ex = extract_symbol(DiscretizedOperator(g, None, op_circle(g, a).matrix @ op_circle(g, b).matrix))
         k = g.modes.astype(float)
         prod = evaluate(mul(a, b), {"x": 0.0, "xi": k}).reshape(-1)
         errs[n] = float(np.max(np.abs(ex.blocks.reshape(-1) - prod)))
@@ -333,29 +332,38 @@ def test_consistency_frozen_input():
 
 def test_adjoint_involution_exact():
     A = op_circle(Circle(64), parse("(2 + sin(x)) * chi(xi)"))
-    assert np.array_equal(adjoint(adjoint(A)).matrix, A.matrix)
+    assert np.array_equal(A.adjoint().adjoint().matrix, A.matrix)
 
 
 def test_adjoint_of_multiplication_conjugates():
     g = Circle(32)
-    A = adjoint(op_circle(g, parse("exp((0,1) * x)")))
+    A = op_circle(g, parse("exp((0,1) * x)")).adjoint()
     want = op_circle(g, parse("exp(-(0,1) * x)")).matrix
     assert np.max(np.abs(A.matrix - want)) <= 1e-14
-    I = identity_operator(g)
-    assert np.array_equal(adjoint(I).matrix, I.matrix)
+    I = DiscretizedOperator(g, None, np.eye(32))
+    assert np.array_equal(I.adjoint().matrix, I.matrix)
 
 
 def test_adjoint_inner_product_oracle():
-    # weighted inner product on a cone; the flat representation makes
-    # the adjoint the plain conjugate transpose
+    # weighted inner product h_t sum conj(u) w r^(n+1) of natural
+    # samples on a point-base cone (n = 0); matrices act on the flat
+    # representation W u with W = r^(1/2), which makes the adjoint the
+    # plain conjugate transpose
     rng = np.random.default_rng(3)
     cone = Cone(Point(), T=6.0, n_t=32)
+    W = cone.r**0.5
     A = op_mellin(cone, parse("(p + (0,1)) / (p + 2*(0,1)) + r / (1 + r^2)"))
-    As = adjoint(A)
+    As = A.adjoint()
+
+    def inner(a, b):
+        return cone.h_t * np.sum(np.conj(a) * b * cone.r)
+
     for _ in range(10):
-        u = GridFunction.from_flat(cone, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        w = GridFunction.from_flat(cone, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        assert abs(A.apply(u).inner(w) - u.inner(As.apply(w))) <= 1e-12
+        u = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) / W
+        w = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) / W
+        Au = (A.matrix @ (W * u)) / W
+        Asw = (As.matrix @ (W * w)) / W
+        assert abs(inner(Au, w) - inner(u, Asw)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

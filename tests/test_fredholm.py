@@ -26,7 +26,6 @@ from psdo.fredholm import (
 from psdo.geometry import Circle, Cone, Edge, Point, collar_cutoff
 from psdo.quantize import (
     DiscretizedOperator,
-    identity_operator,
     op_circle,
     op_edge,
     op_mellin,
@@ -211,7 +210,7 @@ def test_pure_multiplier_index_zero():
 
 
 def test_identity_sections_are_clean():
-    rep = finite_section(lambda n: identity_operator(Circle(n)), sizes=(32, 64))
+    rep = finite_section(lambda n: DiscretizedOperator(Circle(n), None, np.eye(n)), sizes=(32, 64))
     assert rep.determinate
     assert rep.index == 0
     assert rep.kernel == 0 and rep.cokernel == 0

@@ -8,7 +8,6 @@ from psdo.geometry import (
     DilationAction,
     Edge,
     GeometryError,
-    GridFunction,
     Point,
     axis_layout,
     build_geometry,
@@ -24,7 +23,6 @@ from psdo.quantize import _dft_matrix, _interior_nodes, interior_dim, synthesis
 class TestBuild:
     def test_circle_weights(self):
         g = Circle(8)
-        assert g.node_weight == pytest.approx(2 * np.pi / 8)
         assert g.x[0] == 0.0
         assert g.x[-1] == pytest.approx(2 * np.pi - 2 * np.pi / 8)
 
@@ -42,10 +40,6 @@ class TestBuild:
         with pytest.raises(GeometryError):
             Cone(Point(), T=-2.0)
 
-    def test_weight_exponent(self):
-        assert Cone(Point()).weight_exponent == pytest.approx(0.5)
-        assert Cone(Circle(16)).weight_exponent == pytest.approx(1.0)
-
     def test_descriptor_round_trip(self):
         descs = [
             {"kind": "circle", "n_x": 64, "q": 2},
@@ -60,25 +54,6 @@ class TestBuild:
     def test_edge_fiber_mismatch(self):
         with pytest.raises(GeometryError):
             Edge(Circle(16, q=2), Cone(Point(), q=1))
-
-    def test_w_isometry_on_gaussians(self):
-        # weighted cone norm computed from natural samples equals the flat
-        # cylinder norm; Gaussians in t at several centers and widths
-        g = Cone(Point(), T=4.0, n_t=64)
-        for c, s in [(0.0, 0.5), (1.0, 0.8), (-0.7, 0.3)]:
-            vals = np.exp(-((g.t - c) ** 2) / (2 * s * s)).astype(complex)
-            u = GridFunction(g, vals[:, None])
-            # weighted norm straight from the r-representation:
-            # sum |u(r_j)|^2 r_j^(n+1) h_t  with n = 0
-            direct = np.sqrt(np.sum(np.abs(vals) ** 2 * g.r ** (g.n + 1) * g.h_t))
-            assert abs(u.norm() - direct) < 1e-12 * max(1.0, direct)
-
-    def test_flat_round_trip(self):
-        g = Cone(Circle(16), T=6.0, n_t=32)
-        rng = np.random.default_rng(0)
-        u = GridFunction(g, rng.normal(size=g.axes_shape + (1,)) + 0j)
-        v = GridFunction.from_flat(g, u.flat())
-        assert np.allclose(v.values, u.values, atol=1e-14)
 
 
 class TestDFT:
@@ -144,17 +119,6 @@ class TestDilation:
         assert rel["unitarity"] == 0.0
         assert rel["mellin_commutation"] < 1e-12
         assert rel["radial_homogeneity_offseam"] < 1e-12
-
-    def test_natural_apply_is_weighted_shift(self):
-        g = Cone(Point(), T=6.0, n_t=64)
-        rng = np.random.default_rng(1)
-        u = GridFunction(g, (rng.normal(size=(64, 1)) + 0j))
-        d = DilationAction(g, 3)
-        v = d.apply(u)
-        # norm preserved exactly (weights wrap consistently with the shift)
-        assert abs(v.norm() - u.norm()) < 1e-12 * u.norm()
-        # flat representation is the pure shift
-        assert np.max(np.abs(v.flat() - np.roll(u.flat(), 3))) < 1e-12
 
     def test_edge_action_leaves_x_alone(self):
         g = Edge(Circle(8), Cone(Point(), n_t=16))
@@ -275,25 +239,31 @@ def test_interior_layout_bit_equal(g):
         assert got.size == dim
 
 
-
-def _written_out_w_diag(g):
-    """The flat-representation weights as GridFunction used to build them:
-    ones on a circle, the geometry's w_diag elsewhere."""
-    return np.ones(g.axes_shape) if isinstance(g, Circle) else g.w_diag
+T_AXIS_GEOMETRIES = {k: g for k, g in LAYOUT_GEOMETRIES.items() if not isinstance(g, Circle)}
 
 
-@pytest.mark.parametrize("g", LAYOUT_GEOMETRIES.values(), ids=LAYOUT_GEOMETRIES.keys())
-def test_grid_function_weights_bit_equal(g):
-    w = _written_out_w_diag(g)[..., None]
-    assert np.array_equal(g.w_diag[..., None], w)
-    rng = np.random.default_rng(0)
-    shape = g.axes_shape + (g.q,)
-    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    u = GridFunction(g, vals)
-    flat = (vals * w).reshape(-1)
-    assert np.array_equal(u.flat(), flat)
-    assert np.array_equal(GridFunction.from_flat(g, flat).values, flat.reshape(shape) / w)
-    if not isinstance(g, Circle):
-        lay = axis_layout(g, "t")
-        rolled = np.roll((vals * w).reshape(lay.pre, lay.n, lay.post), 3, axis=1)
-        assert np.array_equal(DilationAction(g, 3).apply(u).values, rolled.reshape(shape) / w)
+@pytest.mark.parametrize("g", T_AXIS_GEOMETRIES.values(), ids=T_AXIS_GEOMETRIES.keys())
+def test_dilation_is_weighted_radial_rescaling(g):
+    # kappa_lambda u(r) = lambda^((n+1)/2) u(lambda r) on natural samples,
+    # n the base dimension: the flat matrix conjugated by W = r^((n+1)/2)
+    # must give exactly that off the k wrapped seam nodes
+    cone = g if isinstance(g, Cone) else g.cone
+    n = 0 if isinstance(cone.base, Point) else 1
+    e = (n + 1) / 2
+    k = 3
+    act = DilationAction(g, k)
+    lay = axis_layout(g, "t")
+    # a smooth function of r, scaled per (pre, post) slot so that mixing
+    # across edge nodes, base nodes or fiber components shows
+    slot = 1.0 + np.arange(lay.pre)[:, None, None] + 0.5j * np.arange(lay.post)[None, None, :]
+
+    def u(r):
+        return (slot * (1.0 / (1.0 + r) + 0.25 * np.sin(r))[None, :, None]).reshape(-1)
+
+    W = lay.spread(cone.r**e)
+    got = (act.flat_matrix() @ (W * u(cone.r))) / W
+    want = act.lam**e * u(act.lam * cone.r)
+    off_seam = lay.spread(np.arange(cone.n_t) >= k)
+    assert off_seam.sum() == lay.pre * (cone.n_t - k) * lay.post
+    np.testing.assert_allclose(got[off_seam], want[off_seam], rtol=1e-12, atol=0)
+    assert not np.allclose(got[~off_seam], want[~off_seam], rtol=1e-6, atol=0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import psdo.stock as stock_module
-from psdo.fredholm import check_elliptic, finite_section, winding_oracle
+from psdo.fredholm import check_elliptic, extract_tuple, finite_section, winding_oracle
 from psdo.geometry import Circle
 from psdo.localization import partition_bound_check
 from psdo.quantize import negligible_test, op_circle
@@ -51,7 +51,7 @@ def test_elliptic_stock_extracts_elliptic_tuples():
     assert len(instances) == 5
     assert len({inst.name for inst in instances}) == 5
     for inst in instances:
-        rep = check_elliptic(inst.extract())
+        rep = check_elliptic(extract_tuple(inst.family, cone=inst.cone))
         assert rep.overall, inst.name
 
 
@@ -59,7 +59,7 @@ def test_degenerate_stock_fails_conormal_check():
     instances = degenerate_stock()
     assert len(instances) == 3
     for inst in instances:
-        rep = check_elliptic(inst.extract())
+        rep = check_elliptic(extract_tuple(inst.family, cone=inst.cone))
         assert not rep.overall, inst.name
         assert rep.conormal_min <= 1e-12, inst.name
         assert rep.interior_min >= 1e-2, inst.name

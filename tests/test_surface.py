@@ -1,0 +1,120 @@
+"""No dead parameters: every defaulted parameter of a psdo function is
+set by some call in src/psdo, tests or bench.
+
+A parameter counts as set when a call to a function of that name passes
+it by keyword, by position, or may pass it through `*` or `**`
+unpacking. Calls match definitions by name alone (`f(...)` and
+`obj.f(...)` both match every `def f`), and a call to a class matches
+its `__init__`, so the scan over-approximates what is set. A parameter
+that no call sets is a constant in disguise: write it into the body.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCANNED = ("src/psdo", "tests", "bench")
+
+# Inputs kept as parameters although no call sets them: the edge
+# parameter v and the symbol variables of the `value` methods are
+# evaluation inputs, and the derivative and inverse of a pushforward are
+# alternate inputs (the pushforward_interior error asks for f_inv).
+EVALUATION_INPUT = "v"
+ALTERNATE_INPUTS = {
+    "symbols.pushforward_interior": {"df", "f_inv"},
+    "symbols.pushforward_edge": {"dg"},
+}
+
+
+def _allowed(qualname: str, param: str) -> bool:
+    return (
+        param == EVALUATION_INPUT
+        or qualname.split(".")[-1] == "value"
+        or param in ALTERNATE_INPUTS.get(qualname, ())
+    )
+
+
+def _defaulted_parameters():
+    """(module.qualname, call name, parameter, positional index or None
+    for keyword-only) of every defaulted parameter in src/psdo. The
+    index skips self or cls, and a class's __init__ is called by the
+    class name."""
+    found = []
+
+    def visit(node, cls, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+                )
+                skip = 1 if cls is not None and not static else 0
+                name = cls.name if cls is not None and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for i, p in enumerate(positional[first:], start=first):
+                    found.append((prefix + child.name, name, p.arg, i - skip))
+                for p, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        found.append((prefix + child.name, name, p.arg, None))
+                visit(child, None, prefix + child.name + ".")
+            else:
+                visit(child, cls, prefix)
+
+    for path in sorted((ROOT / "src/psdo").glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.stem + ".")
+    return found
+
+
+def _calls():
+    """What the calls in the scanned trees set: (name, keyword) pairs,
+    (name, position) pairs, the first `*` position per name, and the
+    names called with `**`."""
+    keywords, positions, star_from, double_star = set(), set(), {}, set()
+    for tree in SCANNED:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name is None:
+                    continue
+                for i, a in enumerate(node.args):
+                    if isinstance(a, ast.Starred):
+                        star_from[name] = min(star_from.get(name, i), i)
+                        break
+                    positions.add((name, i))
+                for k in node.keywords:
+                    if k.arg is None:
+                        double_star.add(name)
+                    else:
+                        keywords.add((name, k.arg))
+    return keywords, positions, star_from, double_star
+
+
+def _unset_parameters():
+    keywords, positions, star_from, double_star = _calls()
+    unset = []
+    for qualname, name, param, index in _defaulted_parameters():
+        if (name, param) in keywords or name in double_star:
+            continue
+        if index is not None and ((name, index) in positions or star_from.get(name, index + 1) <= index):
+            continue
+        if not _allowed(qualname, param):
+            unset.append(f"{qualname}({param})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    unset = _unset_parameters()
+    assert not unset, f"{len(unset)} defaulted parameters no call sets: {unset}"
+
+
+def test_alternate_inputs_name_existing_parameters():
+    defaulted = {(q, p) for q, _, p, _ in _defaulted_parameters()}
+    for qualname, params in ALTERNATE_INPUTS.items():
+        for p in params:
+            assert (qualname, p) in defaulted, f"{qualname}({p}) is not a defaulted parameter"

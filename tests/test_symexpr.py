@@ -187,7 +187,7 @@ class TestDiff:
         for var in sorted(variables_of(e)):
             de = diff(e, var)
             for _ in range(5):
-                pt = {name: rng.uniform(0.4, 1.6) for name in variables_of(e)}
+                pt = {name: rng.uniform(0.4, 1.6) for name in sorted(variables_of(e))}
                 hi = dict(pt)
                 lo = dict(pt)
                 hi[var] = pt[var] + h
