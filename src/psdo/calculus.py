@@ -31,7 +31,6 @@ from psdo.geometry import (
 )
 from psdo.quantize import (
     DiscretizedOperator,
-    _interior_nodes,
     op_circle,
     quantize,
     side_norm,
@@ -265,14 +264,14 @@ def _feasible_scales(base: float, h: float) -> int:
 
 
 def _cutoff_ladder(
-    g: Geometry, z: float, base_scale: Optional[float], interior: bool
+    g: Geometry, z: float, base_scale: Optional[float]
 ) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """Dyadic localization ladder: x-cutoffs around z on circle strata,
     collar cutoffs toward the tip on cones, their product on edges.
-    Returns (lambda values, flat diagonal value vectors). Ladders run as
-    deep as the grid resolves, at most 16 rungs on cones and edges; on
-    edges the x-window holds at its smallest resolvable scale while the
-    collar keeps shrinking.
+    Returns (lambda values, flat diagonal value vectors in the layout of
+    g's operators). Ladders run as deep as the grid resolves, at most 16
+    rungs on cones and edges; on edges the x-window holds at its
+    smallest resolvable scale while the collar keeps shrinking.
     """
     lambdas: list[float] = []
     diags: list[np.ndarray] = []
@@ -313,9 +312,6 @@ def _cutoff_ladder(
         raise CalculusError(f"no localization ladder on {type(g).__name__}")
     if len(diags) < 2:
         raise CalculusError("grid too coarse for a localization ladder")
-    if interior:
-        keep = _interior_nodes(g)
-        diags = [w[keep] for w in diags]
     return tuple(lambdas), diags
 
 
@@ -339,7 +335,7 @@ def infinitesimal(
     frozen_expr = substitute(expr, {"x": Const(float(z))})
     A = quantize(g, expr, v=v)
     Fz = quantize(g, frozen_expr, v=v, freeze_r=True)
-    lambdas, diags = _cutoff_ladder(g, z, base_scale, A.interior)
+    lambdas, diags = _cutoff_ladder(g, z, base_scale)
     Dm = A.matrix - Fz.matrix
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)
     d_left = tuple(side_norm(Dm, w, "left") for w in diags)

@@ -70,8 +70,9 @@ from psdo.symbols import (
     SymbolError,
     SymbolTuple,
     compat_check,
+    freeze_tip,
 )
-from psdo.symexpr import Const, EvalError, ParseError, parse, shape_of, substitute
+from psdo.symexpr import EvalError, ParseError, parse, shape_of
 from psdo.verify import VerifyError, run_suites, suite_names
 
 __all__ = [
@@ -139,7 +140,7 @@ CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str]] = {
     "v": (is_number, "a finite number"),
     "sizes": (lambda raw: isinstance(raw, list) and all(map(is_int, raw)), "a list of ints"),
     "tau_coef": (is_number, "a finite number"),
-    # index only; default is the symbol with r, w, eta, x frozen to 0
+    # index only; default is the symbol frozen by psdo.symbols.freeze_tip
     "tip": (_is_str, "a DSL source string"),
     "only": (lambda raw: raw in suite_names(), f"a suite name ({', '.join(suite_names())})"),
     "out": (lambda raw: isinstance(raw, str) and raw != "", "a directory path"),
@@ -279,7 +280,7 @@ def cmd_check(cfg: dict) -> tuple[dict, int]:
     """compat_check then check_elliptic on the configured tuple."""
     cone = _probe_cone(cfg)
     expr = parse(_require(cfg, "symbol"))
-    fam = ConeSymbolFamily(expr, q=shape_of(expr))
+    fam = ConeSymbolFamily(expr, base=cone.base, q=shape_of(expr))
     if cone.q != fam.q:
         cone = Cone(cone.base, T=cone.T, n_t=cone.n_t, boundary=cone.boundary, q=fam.q)
     t = extract_tuple(fam, cone=cone)
@@ -358,12 +359,7 @@ def cmd_index(cfg: dict) -> tuple[dict, int]:
     if not rep.determinate:
         result["verdict"] = "indeterminate"
         return result, EXIT_INDETERMINATE
-    zero = Const(0.0)
-    tip = (
-        parse(cfg["tip"])
-        if "tip" in cfg
-        else substitute(expr, {"r": zero, "w": zero, "eta": zero, "x": zero})
-    )
+    tip = parse(cfg["tip"]) if "tip" in cfg else freeze_tip(expr)
     try:
         w = winding_oracle(tip)
     except FredholmError as e:

@@ -33,7 +33,6 @@ import numpy as np
 from psdo.geometry import Circle, Cone, Edge, Geometry, Point, axis_layout, collar_cutoff
 from psdo.quantize import (
     DiscretizedOperator,
-    _interior_nodes,
     _restrict_t_axis,
     kn_assemble,
     op_edge,
@@ -42,7 +41,6 @@ from psdo.quantize import (
 )
 from psdo.symbols import (
     ConeSymbolFamily,
-    ConormalSymbol,
     EdgeSymbol,
     InteriorSymbol,
     SymbolTuple,
@@ -215,9 +213,8 @@ def _collar_fraction(vec: np.ndarray, A: DiscretizedOperator) -> float:
         return 0.0
     if isinstance(g, (Cone, Edge)):
         lay = axis_layout(g, "t")
-        n_t = lay.n - 1 if A.interior else lay.n
-        m = max(1, math.ceil(frac * n_t))
-        slab = vec.reshape(lay.pre, n_t, lay.post)
+        m = max(1, math.ceil(frac * lay.n))
+        slab = vec.reshape(lay.pre, lay.n, lay.post)
         mass = float(np.sum(np.abs(slab[:, :m, :]) ** 2 + np.abs(slab[:, -m:, :]) ** 2))
         return mass / total
     # circle: artifacts live near the Nyquist seam in mode space
@@ -333,7 +330,7 @@ class WindingReport:
 
 
 def _contour(
-    g: Union[ConormalSymbol, Node, str, Callable[[float], complex]], p_max: float, n: int
+    g: Union[ConeSymbolFamily, Node, str, Callable[[float], complex]], p_max: float, n: int
 ) -> np.ndarray:
     """g(p), or det g(p) for matrix symbols, on the grid p = tan u.
 
@@ -342,8 +339,8 @@ def _contour(
     """
     u_max = math.atan(p_max)
     ps = np.tan(np.linspace(-u_max, u_max, n))
-    if isinstance(g, ConormalSymbol):
-        return np.linalg.det(g.values(ps))
+    if isinstance(g, ConeSymbolFamily):
+        return np.linalg.det(g.value(ps))
     if isinstance(g, (Node, str)):
         m = evaluate(as_node(g), {"p": ps, "t": 0.0})
         m = np.broadcast_to(m, ps.shape + m.shape[-2:])
@@ -351,7 +348,7 @@ def _contour(
     return np.array([g(float(p)) for p in ps])
 
 
-def winding_oracle(g: Union[ConormalSymbol, Node, str, Callable[[float], complex]]) -> WindingReport:
+def winding_oracle(g: Union[ConeSymbolFamily, Node, str, Callable[[float], complex]]) -> WindingReport:
     """Accumulated argument change of det g(p) along the weight line,
     in units of 2 pi.
 
@@ -360,8 +357,9 @@ def winding_oracle(g: Union[ConormalSymbol, Node, str, Callable[[float], complex
     to close; its 4097 nodes are odd in number so p = 0 itself is
     sampled and zero crossings at the origin are seen directly. |g|
     must stay at least 1e-6 and the contour close to within 1e-3.
-    Scalar symbols are used directly; matrix symbols, DSL or conormal,
-    through their determinant.
+    Scalar symbols are used directly; matrix symbols, DSL or a cone
+    family (read with its other arguments at 0, as `conormal` freezes
+    it), through their determinant.
     """
     vals = _contour(g, 1e6, 4097)
     amin = float(np.min(np.abs(vals)))
@@ -461,13 +459,10 @@ def quantize_tuple(
         {"w": mul(r_var, Var("v")), "eta": mul(r_var, Var("xi")), "p": Const(0.0)},
     )
     correction = sub(t.sigma0.expr, carried)
-    C = _op_interior_on_edge(g, correction, v)
+    C = _restrict_t_axis(_op_interior_on_edge(g, correction, v), g)
     phi = axis_layout(g, "t").spread(collar_cutoff(g, 1.0))
-    if A.interior:
-        C = _restrict_t_axis(C, g)
-        phi = phi[_interior_nodes(g)]
     M = A.matrix + (phi[:, None] * C) * phi[None, :]
-    return DiscretizedOperator(g, v, M, A.interior)
+    return DiscretizedOperator(g, v, M)
 
 
 # ---------------------------------------------------------------------------

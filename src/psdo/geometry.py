@@ -7,6 +7,12 @@ flat representation r^((n+1)/2) u of a grid function u on a cone over an
 n-dimensional base: that scaling turns the weighted norm on the cone into
 the uniform-weight norm on the cylinder, which is what makes plain SVDs
 meaningful. Natural samples u(r_j) are not modelled.
+
+Axis layouts (`axis_layout`) describe the flat index of the operators on
+a geometry. Operators on an interval-mode cone, or on an edge over one,
+act on the interior nodes t_1..t_{n_t-1} only, so there the t axis holds
+those nodes; every per-node function a caller builds from a layout lines
+up with the operator matrices without further restriction.
 """
 
 from __future__ import annotations
@@ -70,8 +76,9 @@ class Cone:
 
     Carried on the cylinder grid t_j = -T + j h_t, h_t = 2T/n_t, with
     r = exp(-t); r -> 0 is the t -> +T end. boundary selects how
-    operators treat the window: 'periodic' wraps, 'interval' restricts
-    assembled matrices to the interior nodes (all but t_0 = -T).
+    operators treat the window: 'periodic' wraps, and on an 'interval'
+    cone operators act on the interior nodes only (all but the seam node
+    t_0 = -T), which is the t axis of its layout.
     """
 
     base: Union[Point, Circle]
@@ -157,11 +164,15 @@ Geometry = Union[Circle, Cone, Edge]
 
 @dataclass(frozen=True)
 class AxisLayout:
-    """One grid axis of a geometry in the flat representation.
+    """One grid axis of a geometry in the flat index of its operators.
 
     The flat index factorizes as (pre, n, post) with the axis in the
-    middle. nodes are the axis coordinates (x or t), covar the matching
-    covariables (Fourier modes or Mellin p), step the node spacing.
+    middle, so pre * n * post is the dimension of an operator on the
+    geometry. nodes are the axis coordinates (x or t), covar the
+    matching covariables (Fourier modes or Mellin p, the latter always
+    on the full periodic window), step the node spacing. Interval cones
+    keep only their interior nodes t_1..t_{n_t-1} on the t axis, and an
+    edge over one counts only those in the post of its x axis.
     """
 
     name: str
@@ -189,19 +200,22 @@ class AxisLayout:
 
 
 def axis_layout(g: Geometry, axis: Optional[str] = None) -> AxisLayout:
-    """Layout of the x (circle) or t (cone) axis of g; None picks t on a
-    cone and x otherwise. A geometry without the axis raises
-    GeometryError."""
+    """Layout of the x (circle) or t (cone) axis of g in the flat index
+    of its operators; None picks t on a cone and x otherwise. A geometry
+    without the axis raises GeometryError."""
     if axis is None:
         axis = "t" if isinstance(g, Cone) else "x"
+    cone = g if isinstance(g, Cone) else g.cone if isinstance(g, Edge) else None
+    if cone is not None:
+        t = cone.t[1:] if cone.boundary == "interval" else cone.t
+        per_t = cone.dim_total // cone.n_t
     if axis == "x" and isinstance(g, (Circle, Edge)):
         circ = g if isinstance(g, Circle) else g.circle
-        post = g.dim_total // circ.n_x
+        post = g.q if cone is None else len(t) * per_t
         return AxisLayout("x", 1, circ.n_x, post, circ.x, circ.modes.astype(float), circ.h_x, True)
-    if axis == "t" and isinstance(g, (Cone, Edge)):
-        cone = g if isinstance(g, Cone) else g.cone
-        pre, post = g.dim_total // cone.dim_total, cone.dim_total // cone.n_t
-        return AxisLayout("t", pre, cone.n_t, post, cone.t, cone.p, cone.h_t, False)
+    if axis == "t" and cone is not None:
+        pre = g.dim_total // cone.dim_total
+        return AxisLayout("t", pre, len(t), per_t, t, cone.p, cone.h_t, False)
     raise GeometryError(f"{type(g).__name__} geometry has no {axis!r} axis")
 
 
@@ -345,18 +359,22 @@ class DilationAction:
     def lam(self) -> float:
         return float(np.exp(self.k * self.cone.h_t))
 
+    @property
+    def _grid(self) -> tuple[int, int, int]:
+        """(pre, n_t, post) of the full periodic grid, the seam node
+        included whatever the boundary mode."""
+        c, d = self.cone, self.geometry.dim_total
+        return d // c.dim_total, c.n_t, c.dim_total // c.n_t
+
     def flat_matrix(self) -> np.ndarray:
         """Matrix of kappa on flat-representation vectors (pure shift)."""
-        lay = axis_layout(self.geometry, "t")
         d = self.geometry.dim_total
-        return np.roll(np.eye(d).reshape(lay.pre, lay.n, lay.post, d), self.k, axis=1).reshape(d, d)
+        return np.roll(np.eye(d).reshape(self._grid + (d,)), self.k, axis=1).reshape(d, d)
 
     def conjugate(self, M: np.ndarray) -> np.ndarray:
         """kappa M kappa^{-1} for a flat-representation matrix M, as a
         t-axis roll of its rows and columns."""
-        lay = axis_layout(self.geometry, "t")
-        shape = (lay.pre, lay.n, lay.post) * 2
-        return np.roll(M.reshape(shape), (self.k, self.k), axis=(1, 4)).reshape(M.shape)
+        return np.roll(M.reshape(self._grid * 2), (self.k, self.k), axis=(1, 4)).reshape(M.shape)
 
     def check_relations(self, other_k: int = 3) -> dict[str, float]:
         """Residuals of the dilation-group relations on this grid.
@@ -451,9 +469,11 @@ def cutoff_family(
 
 
 def collar_cutoff(g: Union[Cone, Edge], r1: float) -> np.ndarray:
-    """phi(r) on the t axis: 1 for r <= r1/2 (near the tip), 0 for r >= r1."""
+    """phi(r) on the layout's t nodes: 1 for r <= r1/2 (near the tip),
+    0 for r >= r1."""
     cone = g if isinstance(g, Cone) else g.cone
     if r1 <= 0:
         raise GeometryError("collar radius must be positive")
-    d = np.log(cone.r)  # = -t, increases toward the far end
+    n = axis_layout(g, "t").n
+    d = np.log(cone.r)[cone.n_t - n :]  # = -t, increases toward the far end
     return plateau_profile(d, np.log(r1 / 2.0), np.log(r1))

@@ -157,7 +157,6 @@ class LocalNormReport:
     center: float
     scales: tuple[float, ...]
     norms: tuple[float, ...]
-    conorms: tuple[float, ...]
     limit: float
     in_ideal: bool
     tol: float
@@ -169,8 +168,7 @@ def local_norm(
     ladder: Optional[CutoffFamily] = None,
 ) -> LocalNormReport:
     """||A phi_s|| along a shrinking cutoff ladder at x; membership in
-    the local ideal J_x is judged by the final value, against 1e-3. The
-    mirrored ||phi_s A|| sequence is carried for audit, not judged.
+    the local ideal J_x is judged by the final value, against 1e-3.
 
     Without an explicit ladder, the ladder descends dyadically from a
     quarter of the axis span to the finest grid-resolvable scale.
@@ -183,15 +181,9 @@ def local_norm(
     elif abs(ladder.center - x) > 1e-12:
         raise LocalizationError("ladder must be centered at x")
     lay = axis_layout(g, ladder.axis_name)
-    norms, conorms = [], []
-    for i in range(len(ladder)):
-        d = lay.spread(ladder[i])
-        norms.append(side_norm(A.matrix, d, "right"))
-        conorms.append(side_norm(A.matrix, d, "left"))
+    norms = tuple(side_norm(A.matrix, lay.spread(ladder[i]), "right") for i in range(len(ladder)))
     limit = norms[-1]
-    return LocalNormReport(
-        float(x), ladder.scales, tuple(norms), tuple(conorms), limit, limit <= 1e-3, 1e-3
-    )
+    return LocalNormReport(float(x), ladder.scales, norms, limit, limit <= 1e-3, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +279,7 @@ def glue(F: LocalFamily, P: PartitionOfUnity) -> DiscretizedOperator:
     for i, op in enumerate(F.operators):
         d = lay.spread(P.functions[i])
         M = M + d[:, None] * op.matrix
-    first = F.operators[0]
-    return DiscretizedOperator(F.geometry, first.v, M, interior=first.interior)
+    return DiscretizedOperator(F.geometry, F.operators[0].v, M)
 
 
 # ---------------------------------------------------------------------------

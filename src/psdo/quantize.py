@@ -6,7 +6,9 @@ On cone windows the same scheme runs in the cylinder coordinate t with
 the Mellin covariable p_k = pi k / T; matrices are always expressed in
 the flat (weighted) representation, so spectral norms and SVDs need no
 further weighting. Interval-mode cones assemble periodically and then
-restrict to the interior nodes.
+restrict to the interior nodes, the t axis of their layout
+(`psdo.geometry.axis_layout`); that restriction is the only place the
+seam node t_0 is dropped.
 
 Variable bindings used by every quantizer: x and xi on the circle axis,
 r = exp(-t), w = v*r, eta = xi*r on cone axes, p the Mellin covariable,
@@ -82,17 +84,18 @@ class DiscretizedOperator:
     """Dense matrix in the flat representation of a geometry.
 
     v is the edge-parameter value the operator was assembled at (None
-    for parameter-independent constructions). For interval-mode cones
-    the matrix is the interior-node restriction; `interior` marks this.
-    x-free edge operators also keep their per-mode fiber blocks B_k:
-    the matrix is U diag(B_k) U^H with U the unitary edge DFT, so the
-    norm is the largest block norm. Derived operators carry no blocks.
+    for parameter-independent constructions). The matrix dimension is
+    pre * n * post of the geometry's layout; on an interval-mode cone or
+    an edge over one, `interior`, the matrix is the interior-node
+    restriction. x-free edge operators also keep their per-mode fiber
+    blocks B_k: the matrix is U diag(B_k) U^H with U the unitary edge
+    DFT, so the norm is the largest block norm. Derived operators carry
+    no blocks.
     """
 
     geometry: Geometry
     v: Optional[float]
     matrix: np.ndarray
-    interior: bool = False
     _norm: Optional[float] = field(default=None, repr=False, compare=False)
     _blocks: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -101,9 +104,14 @@ class DiscretizedOperator:
         n = self.matrix.shape[0]
         if self.matrix.ndim != 2 or self.matrix.shape[1] != n:
             raise QuantizeError(f"operator matrix must be square, got {self.matrix.shape}")
-        want = interior_dim(self.geometry) if self.interior else self.geometry.dim_total
+        lay = axis_layout(self.geometry)
+        want = lay.pre * lay.n * lay.post
         if n != want:
             raise QuantizeError(f"matrix dimension {n} != geometry dimension {want}")
+
+    @property
+    def interior(self) -> bool:
+        return self.dim != self.geometry.dim_total
 
     @property
     def dim(self) -> int:
@@ -118,7 +126,7 @@ class DiscretizedOperator:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
     def adjoint(self) -> "DiscretizedOperator":
-        return DiscretizedOperator(self.geometry, self.v, self.matrix.conj().T, self.interior)
+        return DiscretizedOperator(self.geometry, self.v, self.matrix.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +172,22 @@ def side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
     return math.sqrt(max(lam, 0.0)) * 2.0**exp
 
 
-def interior_dim(g: Geometry) -> int:
-    """Flat dimension after interval-mode interior restriction."""
-    if isinstance(g, Circle):
-        return g.dim_total
-    lay = axis_layout(g, "t")
-    return lay.pre * (lay.n - 1) * lay.post
-
-
 def _interior_nodes(g: Union[Cone, Edge]) -> np.ndarray:
-    """Flat indices of the interior t nodes (all but the seam node t_0)."""
-    lay = axis_layout(g, "t")
-    return np.arange(g.dim_total).reshape(lay.pre, lay.n, lay.post)[:, 1:, :].reshape(-1)
+    """Full-grid flat indices of the interior t nodes (all but the seam
+    node t_0)."""
+    cone = g if isinstance(g, Cone) else g.cone
+    shape = (g.dim_total // cone.dim_total, cone.n_t, cone.dim_total // cone.n_t)
+    return np.arange(g.dim_total).reshape(shape)[:, 1:, :].reshape(-1)
 
 
-def _restrict_t_axis(matrix: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
-    """Principal submatrix on interior t nodes (drops the seam node t_0)."""
+def _restrict_t_axis(A: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
+    """Matrices (..., d, d) assembled on g's full periodic grid, as
+    operators on g: principal submatrices on the interior t nodes on an
+    interval cone, A itself otherwise."""
+    if (g if isinstance(g, Cone) else g.cone).boundary != "interval":
+        return A
     keep = _interior_nodes(g)
-    return matrix[np.ix_(keep, keep)]
+    return A[..., keep[:, None], keep[None, :]]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +397,7 @@ def op_mellin(
     A = _mellin_fibers(g, expr, v, xi, x_value, freeze_r)
     if g.boundary == "interval":
         _check_support_policy(g, expr, v, xi, x_value, freeze_r)
-        A = _restrict_t_axis(A, g)
-        return DiscretizedOperator(g, v, A, interior=True)
-    return DiscretizedOperator(g, v, A)
+    return DiscretizedOperator(g, v, _restrict_t_axis(A, g))
 
 
 def _check_support_policy(g: Cone, expr: Node, v: float, xi: float, x_value: float, freeze_r: bool) -> None:
@@ -455,13 +459,9 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
         # one fiber per mode, block circulant
         mode_blocks = _mellin_fibers(cone, expr, v, xi, 0.0, freeze_r)
         A = kn_circulant(synthesis(circ.x, xi), mode_blocks, _dft_matrix(circ.n_x))
-    A = A.reshape(g.dim_total, g.dim_total)
-    if cone.boundary == "interval":
-        A = _restrict_t_axis(A, g)
-        if mode_blocks is not None:
-            keep = _interior_nodes(cone)
-            mode_blocks = mode_blocks[:, keep[:, None], keep[None, :]]
-        return DiscretizedOperator(g, v, A, interior=True, _blocks=mode_blocks)
+    A = _restrict_t_axis(A.reshape(g.dim_total, g.dim_total), g)
+    if mode_blocks is not None:
+        mode_blocks = _restrict_t_axis(mode_blocks, cone)
     return DiscretizedOperator(g, v, A, _blocks=mode_blocks)
 
 

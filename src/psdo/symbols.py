@@ -2,11 +2,11 @@
 
 Three layers: interior symbols a(x, xi, v) on the smooth stratum,
 operator-valued edge symbols built from cone families P(x, r, w, eta, p),
-and conormal symbols P(0,0,0,0,p) on the weight line. The checks in this
-module are the desk versions of the structural conditions the calculus
-imposes: degree-0 homogeneity in (xi, v), twisted homogeneity under the
-weighted dilation group, and compatibility of the two principal symbols
-where strata meet.
+and conormal symbols P(0,0,0,0,p) on the weight line, the cone families
+that `conormal` freezes. The checks in this module are the desk
+versions of the structural conditions the calculus imposes: degree-0
+homogeneity in (xi, v), twisted homogeneity under the weighted dilation
+group, and compatibility of the two principal symbols where strata meet.
 
 Coordinate changes act by pushforward. On the interior this is the exact
 substitution (x, xi) -> (f(x), xi / f'(x)); on the edge fiber it is
@@ -53,7 +53,6 @@ __all__ = [
     "InteriorSymbol",
     "ConeSymbolFamily",
     "EdgeSymbol",
-    "ConormalSymbol",
     "SymbolTuple",
     "HomogeneityReport",
     "TwistedHomogeneityReport",
@@ -63,6 +62,7 @@ __all__ = [
     "check_family_smoothness",
     "check_twisted_homogeneity",
     "conormal",
+    "freeze_tip",
     "compat_check",
     "pushforward_interior",
     "pushforward_edge",
@@ -161,8 +161,8 @@ def check_homogeneity(a: InteriorSymbol) -> HomogeneityReport:
 class ConeSymbolFamily:
     """Family P(x, r, w, eta, p) valued in operators on the cone base.
 
-    For a Point base the value at bound scalars is a q x q matrix. For a
-    Circle base the family acts diagonally in base Fourier modes, with
+    For a Point base a fiber is a q x q matrix, and `value` stacks the
+    fibers over the shape of p. For a Circle base the family acts diagonally in base Fourier modes, with
     the mode index bound to the variable t; values are reported in the
     nodal basis. Full (non-diagonal) matrix families arise only through
     pushforward_edge and are carried by the `conj` hook, a map
@@ -217,20 +217,37 @@ class ConeSymbolFamily:
         return b
 
     def value(self, p, w=0.0, eta=0.0, r=0.0, x=0.0, v=0.0) -> np.ndarray:
-        """Fiber matrix at bound scalar arguments (nodal basis)."""
+        """Fiber matrices (nodal basis) at scalar w, eta, r, x, v and at p,
+        stacked as (*p.shape, d, d) from one evaluation on all of p."""
+        shape = np.shape(p)
+        if shape:
+            p = np.asarray(p, dtype=float)
         if isinstance(self.base, Point):
-            m = evaluate(self.expr, self._bindings(x, r, w, eta, p, v))
-            m = np.asarray(m, dtype=complex).reshape(self.q, self.q)
-        else:
-            modes = self.base.modes.astype(float)
             vals = evaluate(self.expr, self._bindings(x, r, w, eta, p, v))
-            d = np.broadcast_to(vals.reshape(-1), modes.shape).astype(complex)
+            m = np.broadcast_to(vals, shape + (self.q, self.q)).astype(complex)
+        else:
             n = self.base.n_x
-            m = base_to_nodal(self.base, d[:, None, None]).reshape(n, n)
+            vals = evaluate(self.expr, self._bindings(x, r, w, eta, p[..., None] if shape else p, v))
+            d = np.broadcast_to(vals[..., 0, 0], shape + (n,)).astype(complex)
+            # one product per p: a batched one contracts in another order
+            rows = [base_to_nodal(self.base, row[:, None, None]) for row in d.reshape(-1, n)]
+            m = np.array(rows).reshape(shape + (n, n))
         if self.conj is not None:
             L, R = self.conj(float(x))
             m = L @ m @ R
         return m
+
+    def min_singular(self, ps: Sequence[float]) -> np.ndarray:
+        """Smallest singular value of the fiber at each p of ps, the
+        other arguments at 0."""
+        return np.linalg.svd(self.value(ps), compute_uv=False)[..., -1]
+
+    def limit_drift(self, p_large: float = 1e6, factor: float = 1e3) -> float:
+        """Distance between values at +-p_large and +-p_large*factor, the
+        other arguments at 0; small drift certifies convergence to the
+        frozen limits."""
+        m = self.value([p_large * factor, -p_large * factor, p_large, -p_large])
+        return float(np.max(spectral_norms(m[:2] - m[2:])))
 
 
 @dataclass(frozen=True)
@@ -306,7 +323,7 @@ class EdgeSymbol:
         op = op_mellin(self.cone, self.family.expr, v=v, xi=xi, x_value=x, freeze_r=True)
         if self.family.conj is None:
             return op
-        return DiscretizedOperator(op.geometry, op.v, self._conjugated(op.matrix, x), op.interior)
+        return DiscretizedOperator(op.geometry, op.v, self._conjugated(op.matrix, x))
 
     def fibers(self, xi: np.ndarray, v: np.ndarray, x: float = 0.0) -> np.ndarray:
         """The matrices of at(x, xi_i, v_i) for paired arrays xi and v,
@@ -363,67 +380,16 @@ def check_twisted_homogeneity(
 # Conormal symbols
 
 
-@dataclass
-class ConormalSymbol:
-    """The boundary family p -> P(0, 0, 0, 0, p) on the weight line.
-
-    Circle-base values are nodal matrices; a conjugation pair inherited
-    from a pushforward is applied as L @ value @ R.
-    """
-
-    expr: Node
-    base: Geometry = field(default_factory=Point)
-    q: int = 1
-    conj: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        self.expr = as_node(self.expr)
-
-    @property
-    def fiber_dim(self) -> int:
-        if isinstance(self.base, Circle):
-            return self.base.n_x * self.q
-        return self.q
-
-    def values(self, ps: Sequence[float]) -> np.ndarray:
-        """Fiber matrices at every p of ps, stacked as (n, d, d), from one
-        evaluation on the whole grid."""
-        ps = np.asarray(ps, dtype=float).reshape(-1)
-        if isinstance(self.base, Point):
-            m = evaluate(self.expr, {"p": ps, "t": 0.0})
-            m = np.broadcast_to(m, (ps.size, self.q, self.q)).astype(complex)
-        else:
-            modes = self.base.modes.astype(float)
-            vals = evaluate(self.expr, {"p": ps[:, None], "t": modes[None, :]})
-            d = np.broadcast_to(vals[..., 0, 0], (ps.size, modes.size)).astype(complex)
-            n = self.base.n_x
-            # one product per p: a batched one contracts in another order
-            m = np.array([base_to_nodal(self.base, row[:, None, None]) for row in d], dtype=complex)
-            m = m.reshape(ps.size, n, n)
-        if self.conj is not None:
-            L, R = self.conj
-            m = L @ m @ R
-        return m
-
-    def value(self, p: float) -> np.ndarray:
-        return self.values([p])[0]
-
-    def min_singular(self, ps: Sequence[float]) -> np.ndarray:
-        return np.linalg.svd(self.values(ps), compute_uv=False)[:, -1]
-
-    def limit_drift(self, p_large: float = 1e6, factor: float = 1e3) -> float:
-        """Distance between values at +-p_large and +-p_large*factor;
-        small drift certifies convergence to the frozen limits."""
-        m = self.values([p_large * factor, -p_large * factor, p_large, -p_large])
-        return float(np.max(spectral_norms(m[:2] - m[2:])))
+def freeze_tip(expr: Node) -> Node:
+    """expr at x = r = w = eta = v = 0: a function of p (and of the
+    base mode t) on the weight line."""
+    return substitute(expr, dict.fromkeys(("x", "r", "w", "eta", "v"), Const(0.0)))
 
 
-def conormal(P: ConeSymbolFamily) -> ConormalSymbol:
-    """Freeze x = r = w = eta = 0 and keep the p-family."""
-    zero = Const(0.0)
-    expr0 = substitute(P.expr, {"x": zero, "r": zero, "w": zero, "eta": zero, "v": zero})
-    pair = P.conj(0.0) if P.conj is not None else None
-    return ConormalSymbol(expr0, base=P.base, q=P.q, conj=pair)
+def conormal(P: ConeSymbolFamily) -> ConeSymbolFamily:
+    """The conormal symbol p -> P(0, 0, 0, 0, p): the frozen family,
+    with P's base and conjugation pair."""
+    return replace(P, expr=freeze_tip(P.expr))
 
 
 # ---------------------------------------------------------------------------

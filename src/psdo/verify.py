@@ -308,9 +308,7 @@ def suite_gluing(seed: int) -> SuiteResult:
         glued[eps] = G
         worst = 0.0
         for x_i, A_i in zip(F.centers, F.operators):
-            D = DiscretizedOperator(
-                F.geometry, G.v, G.matrix - A_i.matrix, interior=G.interior
-            )
+            D = DiscretizedOperator(F.geometry, G.v, G.matrix - A_i.matrix)
             worst = max(worst, local_norm(D, x_i).limit)
         reproduction[eps] = (cont, worst)
         checks.append(

@@ -100,6 +100,25 @@ def test_check_missing_symbol_exit_64(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "geometry, message",
+    [
+        (
+            {"kind": "cone", "base": {"kind": "circle", "n_x": 8}, "T": 4.0, "n_t": 32},
+            "tuple extraction supports point-base cone fibers only",
+        ),
+        ({"kind": "circle", "n_x": 8}, "this command needs a cone geometry"),
+    ],
+    ids=["circle-base-cone", "circle"],
+)
+def test_check_unsupported_geometry_exit_64(tmp_path, capsys, geometry, message):
+    code = run(tmp_path, "check", {"geometry": geometry, "symbol": "2 + chi(p)"})
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 # -- config loading ---------------------------------------------------------
 
 
@@ -286,6 +305,15 @@ def test_index_cayley_consistent_exit_0(tmp_path, capsys):
     csv_text = (out / "sections.csv").read_text()
     assert csv_text.splitlines()[0] == "N,kernel,cokernel,index"
     assert csv_text.splitlines()[-1] == "256,1,0,1"
+
+
+def test_index_default_tip_freezes_v(tmp_path, capsys):
+    # the sections quantize the symbol at v = 0, and so does the default tip
+    cfg = {"geometry": CONE, "symbol": "1 + (1 / (1 + r)) * (((p - (0,1)) / (p + (0,1))) - 1) + 0*v"}
+    code = run(tmp_path, "index", cfg)
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert report["result"]["index"] == report["result"]["winding"] == 1
 
 
 def test_index_identity_exit_0(tmp_path, capsys):

@@ -16,7 +16,7 @@ from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, translation_matrix
 from psdo.quantize import DiscretizedOperator, _dft_matrix, kn_circulant, op_circle, quantize, synthesis
 from psdo.stock import homogeneity_stock
-from psdo.symbols import ConeSymbolFamily, ConormalSymbol, base_pullback
+from psdo.symbols import ConeSymbolFamily, base_pullback
 from psdo.symexpr import evaluate, parse
 
 SCALAR = "1 + chi(xi)*exp(cos(x)) + (0,0.3)*sin(2*x)*xi/(1 + xi^2)"
@@ -184,10 +184,10 @@ def test_circle_base_symbol_values_equal_matrix_products():
     d = evaluate(fam.expr, {"x": 0.0, "r": 0.1, "w": 0.3, "eta": 0.2, "p": 0.7, "v": 0.0, "t": modes})
     want = iFw @ np.diag(d.reshape(-1).astype(complex)) @ Fw
     assert np.max(np.abs(fam.value(0.7, w=0.3, eta=0.2, r=0.1) - want)) <= 1e-13
-    con = ConormalSymbol(parse("1 + chi(p)*chi(t)"), base=c)
+    con = ConeSymbolFamily(parse("1 + chi(p)*chi(t)"), base=c)
     ps = np.linspace(-5.0, 5.0, 41)
     dv = evaluate(con.expr, {"p": ps[:, None], "t": modes[None, :]})[..., 0, 0].astype(complex)
-    assert np.array_equal(con.values(ps), (iFw[None, :, :] * dv[:, None, :]) @ Fw)
+    assert np.array_equal(con.value(ps), (iFw[None, :, :] * dv[:, None, :]) @ Fw)
 
 
 def test_base_pullback_equals_matrix_product():
@@ -203,7 +203,7 @@ def test_base_pullback_equals_matrix_product():
 # (j, B shape) of kn_circulant's call sites, at the shapes the quantizers,
 # the symbols, the battery and the tests pass, plus large ones where the
 # j blocks split. op_edge analyses with the DFT matrix, circle-base cone
-# fibers and ConeSymbolFamily / ConormalSymbol values with E^H/n.
+# fibers and ConeSymbolFamily values with E^H/n.
 CIRCULANT_SITES = [
     ("edge-xfree", True, 8, (8, 64, 64)),
     ("edge-xfree", True, 8, (8, 128, 128)),

@@ -17,7 +17,8 @@ from psdo.geometry import (
     plateau_profile,
     translation_matrix,
 )
-from psdo.quantize import _dft_matrix, _interior_nodes, interior_dim, synthesis
+from psdo.quantize import _dft_matrix, _interior_nodes, quantize, synthesis
+from psdo.symexpr import parse
 
 
 class TestBuild:
@@ -180,26 +181,37 @@ LAYOUT_GEOMETRIES = {
     "circle-base-cone": Cone(Circle(8), T=4.0, n_t=16, q=2),
     "edge-point-cone": Edge(Circle(8), Cone(Point(), T=4.0, n_t=16, boundary="interval")),
     "edge-circle-base-cone": Edge(Circle(8, q=2), Cone(Circle(8), T=4.0, n_t=8, q=2)),
+    "edge-circle-base-interval": Edge(
+        Circle(8, q=2), Cone(Circle(8), T=4.0, n_t=8, boundary="interval", q=2)
+    ),
 }
 
 
 def _old_layout(g, axis):
-    """(pre, n, post, covar, nodes, step, periodic) written out per geometry."""
-    if axis == "x" and isinstance(g, Circle):
-        return 1, g.n_x, g.q, g.modes.astype(float), g.x, g.h_x, True
+    """(pre, n, post, covar, nodes, step, periodic) written out per
+    geometry; interval cones keep the interior nodes t_1..t_{n_t-1}."""
+    if isinstance(g, Circle):
+        return (1, g.n_x, g.q, g.modes.astype(float), g.x, g.h_x, True) if axis == "x" else None
+    c = g if isinstance(g, Cone) else g.cone
+    t = c.t[1:] if c.boundary == "interval" else c.t
     if axis == "x" and isinstance(g, Edge):
-        c = g.circle
-        return 1, c.n_x, g.cone.dim_total, c.modes.astype(float), c.x, c.h_x, True
+        post = len(t) * (c.dim_total // c.n_t)
+        return 1, g.circle.n_x, post, g.circle.modes.astype(float), g.circle.x, g.circle.h_x, True
     if axis == "t" and isinstance(g, Cone):
-        return 1, g.n_t, g.dim_total // g.n_t, g.p, g.t, g.h_t, False
+        return 1, len(t), g.dim_total // g.n_t, g.p, t, g.h_t, False
     if axis == "t" and isinstance(g, Edge):
-        c = g.cone
-        return g.circle.n_x, c.n_t, c.dim_total // c.n_t, c.p, c.t, c.h_t, False
+        return g.circle.n_x, len(t), c.dim_total // c.n_t, c.p, t, c.h_t, False
     return None
 
 
+def _operator_dim(g):
+    """Dimension of the identity quantized on g."""
+    eye = parse("[[1, 0], [0, 1]]") if g.q == 2 else parse("1")
+    return quantize(g, eye).dim
+
+
 def _old_interior(g):
-    """(interior_dim, _interior_nodes) as written out per geometry."""
+    """(interior dimension, _interior_nodes) written out per geometry."""
     if isinstance(g, Circle):
         return g.dim_total, None
     cone = g if isinstance(g, Cone) else g.cone
@@ -220,7 +232,7 @@ def test_axis_layout_matches_written_out_formulas(g):
         lay = axis_layout(g, axis)
         pre, n, post, covar, nodes, step, periodic = want
         assert (lay.name, lay.pre, lay.n, lay.post) == (axis, pre, n, post)
-        assert lay.pre * lay.n * lay.post == g.dim_total
+        assert lay.pre * lay.n * lay.post == _operator_dim(g)
         assert np.array_equal(lay.covar, covar) and np.array_equal(lay.nodes, nodes)
         assert (lay.step, lay.periodic) == (step, periodic)
     default = axis_layout(g)
@@ -232,7 +244,9 @@ def test_axis_layout_matches_written_out_formulas(g):
 @pytest.mark.parametrize("g", LAYOUT_GEOMETRIES.values(), ids=LAYOUT_GEOMETRIES.keys())
 def test_interior_layout_bit_equal(g):
     dim, nodes = _old_interior(g)
-    assert interior_dim(g) == dim
+    interval = not isinstance(g, Circle) and (g if isinstance(g, Cone) else g.cone).boundary == "interval"
+    lay = axis_layout(g)
+    assert lay.pre * lay.n * lay.post == (dim if interval else g.dim_total)
     if nodes is not None:
         got = _interior_nodes(g)
         assert got.dtype == nodes.dtype and np.array_equal(got, nodes)
@@ -252,18 +266,23 @@ def test_dilation_is_weighted_radial_rescaling(g):
     e = (n + 1) / 2
     k = 3
     act = DilationAction(g, k)
-    lay = axis_layout(g, "t")
+    # the full periodic grid, seam node included on interval cones
+    pre, post = g.dim_total // cone.dim_total, cone.dim_total // cone.n_t
+
+    def spread(values):
+        return np.broadcast_to(values[None, :, None], (pre, cone.n_t, post)).reshape(-1)
+
     # a smooth function of r, scaled per (pre, post) slot so that mixing
     # across edge nodes, base nodes or fiber components shows
-    slot = 1.0 + np.arange(lay.pre)[:, None, None] + 0.5j * np.arange(lay.post)[None, None, :]
+    slot = 1.0 + np.arange(pre)[:, None, None] + 0.5j * np.arange(post)[None, None, :]
 
     def u(r):
         return (slot * (1.0 / (1.0 + r) + 0.25 * np.sin(r))[None, :, None]).reshape(-1)
 
-    W = lay.spread(cone.r**e)
+    W = spread(cone.r**e)
     got = (act.flat_matrix() @ (W * u(cone.r))) / W
     want = act.lam**e * u(act.lam * cone.r)
-    off_seam = lay.spread(np.arange(cone.n_t) >= k)
-    assert off_seam.sum() == lay.pre * (cone.n_t - k) * lay.post
+    off_seam = spread(np.arange(cone.n_t) >= k)
+    assert off_seam.sum() == pre * (cone.n_t - k) * post
     np.testing.assert_allclose(got[off_seam], want[off_seam], rtol=1e-12, atol=0)
     assert not np.allclose(got[~off_seam], want[~off_seam], rtol=1e-6, atol=0)

@@ -3,14 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psdo.geometry import Circle, Cone, Edge, Point, cutoff_family, translation_matrix
+from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, cutoff_family
 from psdo.quantize import (
-    DiscretizedOperator,
     NegligibleVerdict,
     QuantizeError,
     _dft_matrix,
     dyadic_ladder,
-    interior_dim,
     negligible_test,
     op_circle,
     op_edge,
@@ -146,7 +144,7 @@ class TestOpMellin:
         assert Ai.interior
         assert Ai.matrix.shape == (31, 31)
         assert np.array_equal(Ai.matrix, Ap[1:, 1:])
-        assert interior_dim(gi) == 31
+        assert axis_layout(gi).n == 31 and np.array_equal(axis_layout(gi).nodes, gi.t[1:])
 
     def test_support_policy_violation(self):
         g = Cone(Point(), T=6.0, n_t=32, boundary="interval")

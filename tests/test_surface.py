@@ -1,5 +1,7 @@
-"""No dead parameters: every defaulted parameter of a psdo function is
-set by some call in src/psdo, tests or bench.
+"""No dead parameters and no dead imports in src/psdo, tests and bench.
+
+Every defaulted parameter of a psdo function is set by some call in the
+scanned trees, and every name a module imports is referenced there.
 
 A parameter counts as set when a call to a function of that name passes
 it by keyword, by position, or may pass it through `*` or `**`
@@ -7,10 +9,15 @@ unpacking. Calls match definitions by name alone (`f(...)` and
 `obj.f(...)` both match every `def f`), and a call to a class matches
 its `__init__`, so the scan over-approximates what is set. A parameter
 that no call sets is a constant in disguise: write it into the body.
+
+An imported name counts as referenced when the module reads it or lists
+it in `__all__`; an import marked `# noqa: F401` (flake8's code for an
+unused import) is kept for its side effect.
 """
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANNED = ("src/psdo", "tests", "bench")
@@ -24,6 +31,7 @@ ALTERNATE_INPUTS = {
     "symbols.pushforward_interior": {"df", "f_inv"},
     "symbols.pushforward_edge": {"dg"},
 }
+
 
 
 def _allowed(qualname: str, param: str) -> bool:
@@ -118,3 +126,39 @@ def test_alternate_inputs_name_existing_parameters():
     for qualname, params in ALTERNATE_INPUTS.items():
         for p in params:
             assert (qualname, p) in defaulted, f"{qualname}({p}) is not a defaulted parameter"
+
+
+# flake8's marker for an import kept for its side effect
+NOQA_F401 = re.compile(r"#\s*noqa:[^#]*\bF401\b")
+
+
+def _unused_imports():
+    """(path:line, name) of every imported name its module never reads."""
+    unused = []
+    for tree in SCANNED:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            source = path.read_text()
+            lines = source.splitlines()
+            module = ast.parse(source)
+            imported = {}
+            for node in ast.walk(module):
+                if isinstance(node, ast.Import):
+                    names = [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                if not NOQA_F401.search(lines[node.lineno - 1]):
+                    imported.update((name, node.lineno) for name in names)
+            read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+            for node in module.body:
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                    read.update(ast.literal_eval(node.value))
+            rel = path.relative_to(ROOT)
+            unused += [(f"{rel}:{line}", name) for name, line in imported.items() if name not in read]
+    return unused
+
+
+def test_every_imported_name_is_referenced():
+    unused = _unused_imports()
+    assert not unused, f"{len(unused)} imported names never referenced: {unused}"

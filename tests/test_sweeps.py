@@ -4,8 +4,9 @@ The winding contour, the conormal profile and the ellipticity spheres
 are each one `evaluate` on the whole grid plus one stacked SVD or
 determinant. The oracles here are test-local copies of the per-point
 loops: one scalar `evaluate` and one small SVD per grid point.
-ConormalSymbol.value now delegates to values, so the per-p oracle
-re-implements the old single-point evaluation instead of calling it.
+ConeSymbolFamily.value takes the stacked path for an array p and its own
+path for a scalar one; the per-p oracle re-implements the single-point
+evaluation instead of calling either.
 """
 
 import math
@@ -30,7 +31,7 @@ from psdo.stock import (
     index_stock,
     parameter_family,
 )
-from psdo.symbols import ConeSymbolFamily, ConormalSymbol, conormal, pushforward_edge
+from psdo.symbols import ConeSymbolFamily, conormal, pushforward_edge
 from psdo.symexpr import EvalError, evaluate, parse, shape_of
 
 TOEPLITZ_TIP = "(1 + (0,1)*p) / (1 - (0,1)*p)"
@@ -52,7 +53,7 @@ def loop_contour(f, p_max: float = 1e6, n: int = 4097) -> np.ndarray:
     return np.array([f(float(np.tan(u))) for u in np.linspace(-u_max, u_max, n)])
 
 
-def loop_value(c: ConormalSymbol, p: float) -> np.ndarray:
+def loop_value(c: ConeSymbolFamily, p: float) -> np.ndarray:
     """One fiber matrix from one scalar evaluation."""
     if isinstance(c.base, Point):
         m = np.asarray(evaluate(c.expr, {"p": p, "t": 0.0}), dtype=complex)
@@ -66,7 +67,7 @@ def loop_value(c: ConormalSymbol, p: float) -> np.ndarray:
         Fw = np.exp(-1j * np.outer(modes, c.base.x)) / n
         m = iFw @ np.diag(d) @ Fw
     if c.conj is not None:
-        L, R = c.conj
+        L, R = c.conj(0.0)
         m = L @ m @ R
     return m
 
@@ -140,13 +141,13 @@ def test_matrix_dsl_tip_winds_by_determinant():
     """Entry [0, 0] of this tip is constant; its determinant is C."""
     tip = f"[[1, 0], [0, {CAYLEY}]]"
     assert winding_oracle(tip).winding == 1
-    assert winding_oracle(ConormalSymbol(tip, q=2)).winding == 1
+    assert winding_oracle(ConeSymbolFamily(tip, q=2)).winding == 1
     assert winding_oracle(f"[[{CAYLEY}, 0.5], [0, {CAYLEY}]]").winding == 2
     assert winding_oracle(f"[[{CAYLEY}, 0], [0, 1 / ({CAYLEY})]]").winding == 0
 
 
 def test_conormal_contour_is_stacked_determinant():
-    c = ConormalSymbol(f"[[{CAYLEY} + 2, 0.2 / (1 + p^2)], [0, {CAYLEY}]]", q=2)
+    c = ConeSymbolFamily(f"[[{CAYLEY} + 2, 0.2 / (1 + p^2)], [0, {CAYLEY}]]", q=2)
     got = _contour(c, 1e6, 513)
     want = loop_contour(lambda p: complex(np.linalg.det(loop_value(c, p))), n=513)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -160,13 +161,13 @@ def _conormals():
         "(p - (0,1)*(1 + 0.1*t^2)) / (p + (0,1)*(1 + 0.1*t^2)) + 2", base=Circle(8)
     )
     return {
-        "point-q1": ConormalSymbol(f"{CAYLEY} + 2"),
-        "point-q2": ConormalSymbol(
+        "point-q1": ConeSymbolFamily(f"{CAYLEY} + 2"),
+        "point-q2": ConeSymbolFamily(
             f"[[{CAYLEY} + 2, 0.2 / (1 + p^2)], [0, 2 + 1 / (1 + p^2)]]", q=2
         ),
-        "point-const": ConormalSymbol("1"),
+        "point-const": ConeSymbolFamily("1"),
         "circle": conormal(circle),
-        "circle-const": ConormalSymbol("2", base=Circle(8)),
+        "circle-const": ConeSymbolFamily("2", base=Circle(8)),
         "conj": conormal(pushforward_edge(circle, "x + 0.2*sin(x)")),
     }
 
@@ -177,7 +178,7 @@ PS = np.concatenate([np.linspace(-40.0, 40.0, 41), [0.1, -3e5, 1e9]])
 @pytest.mark.parametrize("name", sorted(_conormals()))
 def test_values_match_per_p_loop(name):
     c = _conormals()[name]
-    got = c.values(PS)
+    got = c.value(PS)
     want = np.stack([loop_value(c, float(p)) for p in PS])
     assert got.shape == want.shape == (PS.size, c.fiber_dim, c.fiber_dim)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)

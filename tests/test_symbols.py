@@ -5,7 +5,6 @@ from psdo.geometry import Circle, Cone, Point
 from psdo.quantize import op_circle
 from psdo.symbols import (
     ConeSymbolFamily,
-    ConormalSymbol,
     EdgeSymbol,
     InteriorSymbol,
     SymbolError,
@@ -20,7 +19,7 @@ from psdo.symbols import (
     pushforward_edge,
     pushforward_interior,
 )
-from psdo.symexpr import evaluate, mul, parse, substitute
+from psdo.symexpr import evaluate, mul
 
 
 # ---------------------------------------------------------------------------

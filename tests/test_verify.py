@@ -84,7 +84,7 @@ def _dense_infinitesimal_detail(g, expr, z):
     np.linalg.norm(., 2) everywhere."""
     A = quantize(g, expr)
     F = quantize(g, substitute(expr, {"x": Const(float(z))}), freeze_r=True).matrix
-    _, diags = _cutoff_ladder(g, z, None, A.interior)
+    _, diags = _cutoff_ladder(g, z, None)
     final = np.linalg.norm((A.matrix - F) * diags[-1][None, :], 2)
     tdef = 0.0
     if not isinstance(g, Cone):
