@@ -65,12 +65,11 @@ from psdo.geometry import (
 from psdo.quantize import QuantizeError, quantize
 from psdo.symbols import (
     ConeSymbolFamily,
-    EdgeSymbol,
     InteriorSymbol,
     SymbolError,
     SymbolTuple,
     compat_check,
-    freeze_tip,
+    conormal,
 )
 from psdo.symexpr import EvalError, ParseError, parse, shape_of
 from psdo.verify import VerifyError, run_suites, suite_names
@@ -140,7 +139,8 @@ CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str]] = {
     "v": (is_number, "a finite number"),
     "sizes": (lambda raw: isinstance(raw, list) and all(map(is_int, raw)), "a list of ints"),
     "tau_coef": (is_number, "a finite number"),
-    # index only; default is the symbol frozen by psdo.symbols.freeze_tip
+    # index only; default is the symbol. Either is read as a family on the
+    # cone's base with x = r = w = eta = v frozen to 0 (psdo.symbols.conormal)
     "tip": (_is_str, "a DSL source string"),
     "only": (lambda raw: raw in suite_names(), f"a suite name ({', '.join(suite_names())})"),
     "out": (lambda raw: isinstance(raw, str) and raw != "", "a directory path"),
@@ -281,12 +281,9 @@ def cmd_check(cfg: dict) -> tuple[dict, int]:
     cone = _probe_cone(cfg)
     expr = parse(_require(cfg, "symbol"))
     fam = ConeSymbolFamily(expr, base=cone.base, q=shape_of(expr))
-    if cone.q != fam.q:
-        cone = Cone(cone.base, T=cone.T, n_t=cone.n_t, boundary=cone.boundary, q=fam.q)
-    t = extract_tuple(fam, cone=cone)
+    t = extract_tuple(fam)
     if "interior" in cfg:
-        s0 = InteriorSymbol(parse(cfg["interior"]), q=fam.q)
-        t = SymbolTuple(s0, EdgeSymbol(fam, cone), tol=t.tol)
+        t = SymbolTuple(InteriorSymbol(parse(cfg["interior"]), q=fam.q), fam)
     comp = compat_check(t)
     result: dict = {
         "compat": {
@@ -359,9 +356,9 @@ def cmd_index(cfg: dict) -> tuple[dict, int]:
     if not rep.determinate:
         result["verdict"] = "indeterminate"
         return result, EXIT_INDETERMINATE
-    tip = parse(cfg["tip"]) if "tip" in cfg else freeze_tip(expr)
+    tip = ConeSymbolFamily(parse(cfg["tip"]) if "tip" in cfg else expr, base=cone.base, q=cone.q)
     try:
-        w = winding_oracle(tip)
+        w = winding_oracle(conormal(tip))
     except FredholmError as e:
         result["verdict"] = "inconsistent"
         result["oracle_error"] = str(e)

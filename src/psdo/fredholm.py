@@ -41,7 +41,6 @@ from psdo.quantize import (
 )
 from psdo.symbols import (
     ConeSymbolFamily,
-    EdgeSymbol,
     InteriorSymbol,
     SymbolTuple,
     compat_check,
@@ -55,6 +54,7 @@ from psdo.symexpr import (
     as_node,
     evaluate,
     mul,
+    shape_of,
     sub,
     substitute,
     variables_of,
@@ -66,6 +66,7 @@ __all__ = [
     "check_elliptic",
     "SectionStats",
     "FredholmReport",
+    "SECTION_STEP",
     "interval_section",
     "finite_section",
     "WindingReport",
@@ -140,7 +141,7 @@ def check_elliptic(t: SymbolTuple) -> EllipticityReport:
         )
     floor = 1e-6
     interior_min = _sphere_min(t.sigma0.expr, 64, 32, 1e6)
-    con = conormal(t.sigma1.family)
+    con = conormal(t.sigma1)
     ps = np.linspace(-64.0, 64.0, 513)
     profile = con.min_singular(ps)
     conormal_min = float(np.min(profile))
@@ -193,9 +194,12 @@ class FredholmReport:
     kernel: Optional[int]
     cokernel: Optional[int]
     index: Optional[int]
-    convention: str = (
-        "index = kernel - cokernel; cross-check: index = +winding of the tip "
-        "symbol, p traversed from -p_max to +p_max"
+    convention: str = field(
+        default=(
+            "index = kernel - cokernel; cross-check: index = +winding of the tip "
+            "symbol, p traversed from -p_max to +p_max"
+        ),
+        init=False,
     )
 
     def rows(self) -> list[tuple[int, int, int, int]]:
@@ -224,6 +228,10 @@ def _collar_fraction(vec: np.ndarray, A: DiscretizedOperator) -> float:
     seam = k >= (1.0 - frac) * (n / 2.0)
     mass = float(np.sum(np.abs(coeffs[seam, :]) ** 2))
     return mass / float(np.sum(np.abs(coeffs) ** 2))
+
+
+# The step every finite-section ladder holds while its window grows.
+SECTION_STEP = 0.1875
 
 
 def interval_section(
@@ -325,26 +333,28 @@ class WindingReport:
     residual: float
     min_abs: float
     closure_gap: float
-    orientation: str = "p traversed from -p_max to +p_max"
-    index_convention: str = "index = +winding (pinned against the Mellin quantization)"
+    orientation: str = field(default="p traversed from -p_max to +p_max", init=False)
+    index_convention: str = field(
+        default="index = +winding (pinned against the Mellin quantization)", init=False
+    )
 
 
 def _contour(
     g: Union[ConeSymbolFamily, Node, str, Callable[[float], complex]], p_max: float, n: int
 ) -> np.ndarray:
-    """g(p), or det g(p) for matrix symbols, on the grid p = tan u.
+    """det g(p) on the grid p = tan u, or g(p) for a scalar callable.
 
-    Symbols are evaluated once on the whole grid; a plain callable is
-    called once per node, since its contract is scalar.
+    A DSL string or tree is read as a point-base family. Families are
+    evaluated once on the whole grid; a plain callable is called once
+    per node, since its contract is scalar.
     """
     u_max = math.atan(p_max)
     ps = np.tan(np.linspace(-u_max, u_max, n))
+    if isinstance(g, (Node, str)):
+        expr = as_node(g)
+        g = ConeSymbolFamily(expr, q=shape_of(expr))
     if isinstance(g, ConeSymbolFamily):
         return np.linalg.det(g.value(ps))
-    if isinstance(g, (Node, str)):
-        m = evaluate(as_node(g), {"p": ps, "t": 0.0})
-        m = np.broadcast_to(m, ps.shape + m.shape[-2:])
-        return m[:, 0, 0] if m.shape[-1] == 1 else np.linalg.det(m)
     return np.array([g(float(p)) for p in ps])
 
 
@@ -357,9 +367,9 @@ def winding_oracle(g: Union[ConeSymbolFamily, Node, str, Callable[[float], compl
     to close; its 4097 nodes are odd in number so p = 0 itself is
     sampled and zero crossings at the origin are seen directly. |g|
     must stay at least 1e-6 and the contour close to within 1e-3.
-    Scalar symbols are used directly; matrix symbols, DSL or a cone
-    family (read with its other arguments at 0, as `conormal` freezes
-    it), through their determinant.
+    g is a cone family, read through its determinant with its other
+    arguments at 0 (pass `conormal(P)` for the tip of P); a DSL string
+    or tree, read as a family on a Point base; or a scalar callable.
     """
     vals = _contour(g, 1e6, 4097)
     amin = float(np.min(np.abs(vals)))
@@ -381,31 +391,22 @@ def winding_oracle(g: Union[ConeSymbolFamily, Node, str, Callable[[float], compl
 # Tuple quantization
 
 
-def extract_tuple(
-    sigma: Union[EdgeSymbol, ConeSymbolFamily],
-    cone: Optional[Cone] = None,
-) -> SymbolTuple:
-    """Read the principal symbol tuple off a generating family.
+def extract_tuple(fam: ConeSymbolFamily) -> SymbolTuple:
+    """Read the principal symbol tuple (sigma0, fam) off a generating
+    family.
 
     The interior symbol is the family at the edge equator: r and p
     frozen to 0 with the fiber arguments renamed to the interior
     covariables (w -> v, eta -> xi). Compatibility then holds exactly,
     so extract-then-quantize round trips stay inside the ideal.
     """
-    if isinstance(sigma, EdgeSymbol):
-        fam, cone = sigma.family, sigma.cone
-    else:
-        fam = sigma
-        if cone is None:
-            raise FredholmError("extract_tuple needs the cone grid when given a bare family")
     if fam.conj is not None:
         raise FredholmError("pushforward-conjugated families have no expression-level tuple")
     if not isinstance(fam.base, Point):
         raise FredholmError("tuple extraction supports point-base cone fibers only")
     zero = Const(0.0)
     s0 = substitute(fam.expr, {"r": zero, "p": zero, "w": Var("v"), "eta": Var("xi")})
-    sigma0 = InteriorSymbol(s0, q=fam.q, R0=fam.R1)
-    return SymbolTuple(sigma0, EdgeSymbol(fam, cone))
+    return SymbolTuple(InteriorSymbol(s0, q=fam.q), fam)
 
 
 def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
@@ -443,15 +444,13 @@ def quantize_tuple(
     comp = compat_check(t)
     if not comp.passed:
         raise FredholmError(
-            f"tuple incompatible: equator mismatch {comp.mismatch:.3e} exceeds tolerance {t.tol:.1e}"
+            f"tuple incompatible: equator mismatch {comp.mismatch:.3e} exceeds tolerance {comp.tol:.1e}"
         )
-    fam = t.sigma1.family
+    fam = t.sigma1
     if fam.conj is not None:
         raise FredholmError("pushforward-conjugated families have no direct quantization")
     if not isinstance(fam.base, Point):
         raise FredholmError("tuple quantization supports point-base cone fibers only")
-    if g.cone != t.sigma1.cone:
-        raise FredholmError("edge geometry carries a different cone grid than the tuple")
     A = op_edge(g, fam.expr, v=v)
     r_var = Var("r")
     carried = substitute(

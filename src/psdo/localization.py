@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from psdo.fredholm import FredholmReport, finite_section, interval_section
+from psdo.fredholm import SECTION_STEP, FredholmReport, finite_section, interval_section
 from psdo.geometry import (
     CutoffFamily,
     Geometry,
@@ -28,7 +28,7 @@ from psdo.geometry import (
     plateau_profile,
 )
 from psdo.quantize import DiscretizedOperator, side_norm
-from psdo.symbols import EdgeSymbol, SymbolTuple
+from psdo.symbols import SymbolTuple
 from psdo.symexpr import Const, substitute
 
 __all__ = [
@@ -58,18 +58,13 @@ class LocalizationError(ValueError):
 
 @dataclass(frozen=True)
 class LocalFamily:
-    """Finite center set with one representative operator per center.
-
-    radii, when provided, maps each working eps to per-center
-    neighborhood radii U(eps, x_i); continuity_check can also fit
-    radii itself.
-    """
+    """Finite center set with one representative operator per center,
+    every representative on the family's geometry."""
 
     geometry: Geometry
     centers: tuple[float, ...]
     operators: tuple[DiscretizedOperator, ...]
     axis: str = "x"
-    radii: Optional[Mapping[float, tuple[float, ...]]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
@@ -78,9 +73,8 @@ class LocalFamily:
             raise LocalizationError("one representative operator per center")
         if len(self.centers) == 0:
             raise LocalizationError("a local family needs at least one center")
-        dim = self.operators[0].dim
         for op in self.operators:
-            if op.geometry is not self.geometry and op.dim != dim:
+            if op.geometry != self.geometry:
                 raise LocalizationError("representatives must share the geometry")
         axis_layout(self.geometry, self.axis)
 
@@ -227,14 +221,13 @@ def continuity_check(
     """Per-eps verdict on the continuity condition: all pairwise
     restricted norms over neighborhood overlaps stay <= eps.
 
-    Radii come from the argument, then the family, and are otherwise
-    auto-fitted. Witnesses only grow with the radius (larger overlaps,
-    larger column sets), so the smallest radii satisfying the bound,
-    whenever any do, are the smallest that keep the neighborhoods a
-    cover; auto-fit evaluates exactly there.
+    Radii come from the argument where it names the eps, and are
+    otherwise auto-fitted. Witnesses only grow with the radius (larger
+    overlaps, larger column sets), so the smallest radii satisfying the
+    bound, whenever any do, are the smallest that keep the
+    neighborhoods a cover; auto-fit evaluates exactly there.
     """
     lay = axis_layout(F.geometry, F.axis)
-    provided = radii if radii is not None else F.radii
     dists = np.stack([lay.distance(c) for c in F.centers])
     cover_floor = 2.0 * float(dists.min(axis=0).max())
     fitted: dict = {}
@@ -242,8 +235,8 @@ def continuity_check(
     per_eps: dict = {}
     for eps in eps_ladder:
         eps = float(eps)
-        if provided is not None and eps in provided:
-            rs = tuple(float(r) for r in provided[eps])
+        if radii is not None and eps in radii:
+            rs = tuple(float(r) for r in radii[eps])
         else:
             rs = tuple(1.02 * cover_floor for _ in F.centers)
         W = _pair_witnesses(F, rs)
@@ -357,26 +350,25 @@ def fredholm_vs_local(t: SymbolTuple, sizes: Sequence[int] = (128, 256)) -> Fred
     r -> 0 with the wedge slots alive, the center t = 0 pins r = 1.
     The proxy is the smallest singular value of the frozen operator on
     the interval grid; the global side sections the full family on the
-    growing-window ladder at step h_t = 0.1875 with tau_coef 1e-4.
+    growing-window ladder at step SECTION_STEP with tau_coef 1e-4.
     Agreement means: all proxies clear the floor 1e-3 exactly when the
     sections are determinate with zero kernel and cokernel.
     """
-    centers, floor, h_t = ("tip", 0.0), 1e-3, 0.1875
-    sig = t.sigma1
-    if not isinstance(sig, EdgeSymbol):
-        raise LocalizationError("tuple must carry an edge symbol family")
-    expr, base, q = sig.family.expr, sig.cone.base, sig.cone.q
+    centers, floor = ("tip", 0.0), 1e-3
+    expr, base, q = t.sigma1.expr, t.sigma1.base, t.sigma1.q
     smins = []
     for c in centers:
         if c == "tip":
-            frozen = interval_section(expr, h_t, max(sizes), base, q, freeze_r=True)
+            frozen = interval_section(expr, SECTION_STEP, max(sizes), base, q, freeze_r=True)
         else:
             pinned = substitute(expr, {"r": Const(float(np.exp(-float(c))))})
-            frozen = interval_section(pinned, h_t, max(sizes), base, q)
+            frozen = interval_section(pinned, SECTION_STEP, max(sizes), base, q)
         smins.append(float(frozen.singular_values()[-1]))
     local_pass = all(s >= floor for s in smins)
     rep = finite_section(
-        lambda n_t: interval_section(expr, h_t, n_t, base, q), sizes=tuple(sizes), tau_coef=1e-4
+        lambda n_t: interval_section(expr, SECTION_STEP, n_t, base, q),
+        sizes=tuple(sizes),
+        tau_coef=1e-4,
     )
     global_ok = bool(rep.determinate and rep.kernel == 0 and rep.cokernel == 0)
     agree = local_pass == global_ok

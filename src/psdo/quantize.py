@@ -96,7 +96,7 @@ class DiscretizedOperator:
     geometry: Geometry
     v: Optional[float]
     matrix: np.ndarray
-    _norm: Optional[float] = field(default=None, repr=False, compare=False)
+    _norm: Optional[float] = field(default=None, init=False, repr=False, compare=False)
     _blocks: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -511,9 +511,9 @@ def negligible_test(
     samples are required.
     """
     vs = tuple(float(u) for u in (v_values if v_values is not None else dyadic_ladder()))
-    norms = tuple(build(u).norm() for u in vs)
     if len(vs) < 3:
         raise QuantizeError("negligibility needs at least 3 parameter samples")
+    norms = tuple(build(u).norm() for u in vs)
     weighted = tuple(nm * (1.0 + abs(u)) ** order for u, nm in zip(vs, norms))
     sup_w = max(weighted)
     return NegligibleVerdict(

@@ -6,7 +6,7 @@ same operators. Constructions are deterministic; the randomized
 partition instances take an explicit seed.
 
 The cone instances share one section ladder convention: step h_t is
-held at 0.1875 while the window grows with the section size,
+held at SECTION_STEP while the window grows with the section size,
 T = h_t n_t / 2, so refining the section extends the cylinder instead
 of crowding the nodes.
 """
@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from psdo.fredholm import interval_section
+from psdo.fredholm import SECTION_STEP, interval_section
 from psdo.geometry import Circle, Cone, Edge, Point
 from psdo.localization import LocalFamily
 from psdo.quantize import DiscretizedOperator, op_circle
@@ -45,8 +45,6 @@ __all__ = [
     "gluing_families",
 ]
 
-SECTION_STEP = 0.1875
-
 CAYLEY = "(p - (0,1)) / (p + (0,1))"
 MIRROR = "(p + (0,1)) / (p - (0,1))"
 
@@ -57,11 +55,10 @@ class SectionInstance:
 
     name: str
     family: ConeSymbolFamily
-    cone: Cone
-    h_t: float = SECTION_STEP
 
     def build(self, n_t: int) -> DiscretizedOperator:
-        return interval_section(self.family.expr, self.h_t, n_t, self.cone.base, self.cone.q)
+        return interval_section(self.family.expr, SECTION_STEP, n_t, self.family.base, self.family.q)
+
 
 @dataclass(frozen=True)
 class IndexInstance:
@@ -78,14 +75,13 @@ class IndexInstance:
     tip: str
     sizes: tuple[int, ...]
     tau_coef: float
-    h_t: float = SECTION_STEP
 
     @property
     def expr(self) -> Node:
         return parse(f"1 + (1 / (1 + r)) * (({self.tip}) - 1)")
 
     def build(self, n_t: int) -> DiscretizedOperator:
-        return interval_section(self.expr, self.h_t, n_t)
+        return interval_section(self.expr, SECTION_STEP, n_t)
 
 
 @dataclass(frozen=True)
@@ -132,12 +128,7 @@ def elliptic_stock() -> tuple[SectionInstance, ...]:
         ),
         ("r-perturbed", "2 + 1 / (1 + p^2) + 0.2 * r / (1 + r)", 1),
     ]
-    out = []
-    for name, expr, q in specs:
-        fam = ConeSymbolFamily(parse(expr), q=q)
-        cone = Cone(Point(), T=6.0, n_t=64, boundary="interval", q=q)
-        out.append(SectionInstance(name, fam, cone))
-    return tuple(out)
+    return tuple(SectionInstance(name, ConeSymbolFamily(parse(expr), q=q)) for name, expr, q in specs)
 
 
 def degenerate_stock() -> tuple[SectionInstance, ...]:
@@ -153,12 +144,7 @@ def degenerate_stock() -> tuple[SectionInstance, ...]:
         ("order2-left", "(0.15*(p + 3) / (0.15*(p + 3) + (0,1)))^2"),
         ("order3", "(0.25*(p - 1) / (0.25*(p - 1) + (0,1)))^3"),
     ]
-    out = []
-    for name, expr in specs:
-        fam = ConeSymbolFamily(parse(expr))
-        cone = Cone(Point(), T=6.0, n_t=64, boundary="interval")
-        out.append(SectionInstance(name, fam, cone))
-    return tuple(out)
+    return tuple(SectionInstance(name, ConeSymbolFamily(parse(expr))) for name, expr in specs)
 
 
 def index_stock() -> tuple[IndexInstance, ...]:

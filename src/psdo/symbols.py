@@ -62,7 +62,6 @@ __all__ = [
     "check_family_smoothness",
     "check_twisted_homogeneity",
     "conormal",
-    "freeze_tip",
     "compat_check",
     "pushforward_interior",
     "pushforward_edge",
@@ -167,15 +166,11 @@ class ConeSymbolFamily:
     nodal basis. Full (non-diagonal) matrix families arise only through
     pushforward_edge and are carried by the `conj` hook, a map
     x -> (L, R) applied as L @ value @ R.
-
-    The family is constant in r for r >= R1; quantization enforces this
-    softly at the window ends.
     """
 
     expr: Node
     base: Geometry = field(default_factory=Point)
     q: int = 1
-    R1: float = 1e3
     conj: Optional[FiberConjugation] = field(default=None, compare=False, repr=False)
     _derivs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -380,16 +375,13 @@ def check_twisted_homogeneity(
 # Conormal symbols
 
 
-def freeze_tip(expr: Node) -> Node:
-    """expr at x = r = w = eta = v = 0: a function of p (and of the
-    base mode t) on the weight line."""
-    return substitute(expr, dict.fromkeys(("x", "r", "w", "eta", "v"), Const(0.0)))
-
-
 def conormal(P: ConeSymbolFamily) -> ConeSymbolFamily:
-    """The conormal symbol p -> P(0, 0, 0, 0, p): the frozen family,
-    with P's base and conjugation pair."""
-    return replace(P, expr=freeze_tip(P.expr))
+    """The conormal symbol p -> P(0, 0, 0, 0, p): the family with
+    x = r = w = eta = v frozen to 0, a function of p (and, on a Circle
+    base, of the mode t) on the weight line, with P's base and
+    conjugation pair."""
+    frozen = substitute(P.expr, dict.fromkeys(("x", "r", "w", "eta", "v"), Const(0.0)))
+    return replace(P, expr=frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +390,16 @@ def conormal(P: ConeSymbolFamily) -> ConeSymbolFamily:
 
 @dataclass
 class SymbolTuple:
-    """Principal symbol data of an edge-degenerate operator: interior
-    part sigma0 and edge part sigma1, with the tolerance at which the
-    compatibility condition is enforced."""
+    """Principal symbol pair of an edge-degenerate operator: the
+    interior symbol sigma0 and the cone family sigma1 that generates
+    the edge symbol. Neither member carries a grid; EdgeSymbol realizes
+    sigma1 on a discretized cone when a check needs matrices."""
 
     sigma0: InteriorSymbol
-    sigma1: EdgeSymbol
-    tol: float = 1e-8
+    sigma1: ConeSymbolFamily
 
     def __post_init__(self):
-        if self.sigma0.q != self.sigma1.family.q:
+        if self.sigma0.q != self.sigma1.q:
             raise SymbolError("interior and edge symbols disagree on fiber dimension")
 
 
@@ -425,11 +417,11 @@ def compat_check(t: SymbolTuple) -> CompatReport:
     (w, eta, p)-sphere, against the generating family evaluated at the
     scaled arguments w = lam d_v, eta = lam d_xi with r frozen to 0, at
     8 x nodes and 8 directions: by degree-0 homogeneity both sides are
-    radial limits and lam = 1e6 reaches them to well under the default
-    tolerance.
+    radial limits and lam = 1e6 reaches them to well under the
+    tolerance 1e-8.
     """
-    lam_large = 1e6
-    fam = t.sigma1.family
+    lam_large, tol = 1e6, 1e-8
+    fam = t.sigma1
     xs = 2.0 * np.pi * np.arange(8) / 8
     thetas = 2.0 * np.pi * np.arange(8) / 8
     fiber = fam.fiber_dim
@@ -446,7 +438,7 @@ def compat_check(t: SymbolTuple) -> CompatReport:
             pv = fam.value(p=0.0, w=lam_large * d_v, eta=lam_large * d_xi, r=0.0, x=x0)
             pv = pv.reshape(fiber, fiber)
             worst = max(worst, float(np.linalg.norm(pv - a0_f, 2)))
-    return CompatReport(worst, t.tol, worst <= t.tol)
+    return CompatReport(worst, tol, worst <= tol)
 
 
 # ---------------------------------------------------------------------------

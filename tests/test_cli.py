@@ -347,6 +347,36 @@ def test_index_mismatched_tip_exit_5(tmp_path, capsys):
     assert report["result"]["winding"] == 2
 
 
+CIRCLE_BASE_CONE = {"kind": "cone", "base": {"kind": "circle", "n_x": 8}, "T": 6.0, "n_t": 32, "boundary": "interval"}
+SHORT_LADDER = {"sizes": [32, 64], "tau_coef": 0.01}
+
+
+def test_index_circle_base_tip_winds_in_every_mode(tmp_path, capsys):
+    # every one of the 8 base modes carries the Cayley factor: one kernel
+    # vector and one turn of the tip per mode
+    cfg = {"geometry": CIRCLE_BASE_CONE, "symbol": AFFINE_CAYLEY, **SHORT_LADDER}
+    code = run(tmp_path, "index", cfg)
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert code == EXIT_OK
+    assert res["rows"] == [[32, 8, 0, 8], [64, 8, 0, 8]]
+    assert res["index"] == res["winding"] == 8
+    assert res["verdict"] == "consistent"
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"symbol": AFFINE_CAYLEY + " + 0*t"}, {"tip": "(p - (0,1)) / (p + (0,1)) + 0*t"}],
+    ids=["symbol", "tip"],
+)
+def test_index_mode_variable_on_point_base_exit_64(tmp_path, capsys, field):
+    point_cone = {"kind": "cone", "T": 6.0, "n_t": 32, "boundary": "interval"}
+    cfg = {"geometry": point_cone, "symbol": AFFINE_CAYLEY, **SHORT_LADDER, **field}
+    assert run(tmp_path, "index", cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: mode variable t requires a Circle base\n"
+    assert captured.out == ""
+
+
 def test_index_needs_interval_cone(tmp_path, capsys):
     cfg = {"geometry": {"kind": "circle", "n_x": 32}, "symbol": "2"}
     assert run(tmp_path, "index", cfg) == EXIT_CONFIG

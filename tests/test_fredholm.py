@@ -32,7 +32,6 @@ from psdo.quantize import (
 )
 from psdo.symbols import (
     ConeSymbolFamily,
-    EdgeSymbol,
     InteriorSymbol,
     SymbolTuple,
     compat_check,
@@ -237,10 +236,9 @@ def test_finite_section_needs_positive_tau_coef(tau_coef):
 
 
 def test_check_elliptic_trivial_tuple():
-    cone = Cone(Point(), T=6.0, n_t=64)
     t = SymbolTuple(
         InteriorSymbol("1 + 0*xi"),
-        EdgeSymbol(ConeSymbolFamily("1 + 0*p"), cone),
+        ConeSymbolFamily("1 + 0*p"),
     )
     rep = check_elliptic(t)
     assert rep.overall
@@ -252,10 +250,9 @@ def test_check_elliptic_trivial_tuple():
 def test_check_elliptic_zero_at_origin_fails():
     """p = 0 sits on the odd conormal grid, so the degenerate point is
     hit exactly; the incompatible tuple also warns."""
-    cone = Cone(Point(), T=6.0, n_t=64)
     t = SymbolTuple(
         InteriorSymbol("1 + 0*xi"),
-        EdgeSymbol(ConeSymbolFamily("p / (p + (0,1))"), cone),
+        ConeSymbolFamily("p / (p + (0,1))"),
     )
     with pytest.warns(UserWarning, match="compat"):
         rep = check_elliptic(t)
@@ -264,11 +261,10 @@ def test_check_elliptic_zero_at_origin_fails():
 
 
 def test_check_elliptic_extracted_tuple_clean():
-    cone = Cone(Point(), T=6.0, n_t=32)
     fam = ConeSymbolFamily(
         "(p + 0.2*(0,1)*w) / sqrt(1 + p^2 + 0.04*(w^2 + eta^2)) + 2"
     )
-    t = extract_tuple(fam, cone=cone)
+    t = extract_tuple(fam)
     assert compat_check(t).mismatch == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -289,7 +285,7 @@ def small_edge():
 def test_quantize_tuple_identity(small_edge):
     t = SymbolTuple(
         InteriorSymbol("1 + 0*xi"),
-        EdgeSymbol(ConeSymbolFamily("1 + 0*p"), small_edge.cone),
+        ConeSymbolFamily("1 + 0*p"),
     )
     A = quantize_tuple(t, small_edge)
     assert np.linalg.norm(A.matrix - np.eye(A.dim), 2) <= 1e-12
@@ -300,7 +296,7 @@ def test_quantize_tuple_roundtrip(small_edge):
     quantization for a small-amplitude wedge dependence."""
     expr = "(p + 0.2*(0,1)*w) / sqrt(1 + p^2 + 0.04*(w^2 + eta^2)) + 2"
     fam = ConeSymbolFamily(expr)
-    t = extract_tuple(fam, cone=small_edge.cone)
+    t = extract_tuple(fam)
     A0 = op_edge(small_edge, parse(expr), v=1.0)
     A1 = quantize_tuple(t, small_edge, v=1.0)
     gap = np.linalg.norm(A1.matrix - A0.matrix, 2)
@@ -312,7 +308,7 @@ def test_quantize_tuple_vanishing_interior(small_edge):
     the quantization is negligible near the tip."""
     t = SymbolTuple(
         InteriorSymbol("(r^6 / (1 + r^6)) * chi(xi)"),
-        EdgeSymbol(ConeSymbolFamily("0 * p"), small_edge.cone),
+        ConeSymbolFamily("0 * p"),
     )
     assert compat_check(t).mismatch == 0.0
     A = quantize_tuple(t, small_edge)
@@ -325,7 +321,7 @@ def test_quantize_tuple_vanishing_interior(small_edge):
 def test_quantize_tuple_rejects_incompatible(small_edge):
     t = SymbolTuple(
         InteriorSymbol("2 + 0*xi"),
-        EdgeSymbol(ConeSymbolFamily("1 + 0*p"), small_edge.cone),
+        ConeSymbolFamily("1 + 0*p"),
     )
     with pytest.raises(FredholmError, match="compat"):
         quantize_tuple(t, small_edge)
@@ -334,7 +330,7 @@ def test_quantize_tuple_rejects_incompatible(small_edge):
 def test_quantize_tuple_needs_edge_geometry(small_edge):
     t = SymbolTuple(
         InteriorSymbol("1 + 0*xi"),
-        EdgeSymbol(ConeSymbolFamily("1 + 0*p"), small_edge.cone),
+        ConeSymbolFamily("1 + 0*p"),
     )
     with pytest.raises(FredholmError):
         quantize_tuple(t, Circle(16))
@@ -344,7 +340,7 @@ def test_extract_tuple_renames_wedge_slots(small_edge):
     """The interior slot reads the family at the edge (r = 0, p = 0)
     with w, eta renamed to the wedge variables v, xi."""
     fam = ConeSymbolFamily("(p + (0,1)*w) / sqrt(1 + p^2 + w^2 + eta^2) + 2")
-    t = extract_tuple(fam, cone=small_edge.cone)
+    t = extract_tuple(fam)
     assert compat_check(t).mismatch == 0.0
     got = complex(np.asarray(t.sigma0.value(0.0, 3.0, 1.0)).reshape(-1)[0])
     want = 1.0j * 1.0 / np.sqrt(1.0 + 1.0 + 9.0) + 2.0

@@ -106,6 +106,14 @@ def test_local_family_validates_lengths(g64):
         LocalFamily(g64, [], [])
 
 
+def test_local_family_rejects_representative_on_other_geometry(g64):
+    # a 64-node periodic cone operator has the dimension of a g64 operator
+    B = quantize(Cone(Point(), T=4.0, n_t=64), parse("2 + 0*p"))
+    assert B.dim == g64.dim_total
+    with pytest.raises(LocalizationError, match="share the geometry"):
+        LocalFamily(g64, [0.0, 1.0], [op_circle(g64, parse("1")), B])
+
+
 # ---------------------------------------------------------------------------
 # Local norms
 
@@ -317,15 +325,8 @@ def test_partition_bound_rejects_negative_functions(g64):
 # Local proxies vs global sections
 
 
-@pytest.fixture(scope="module")
-def probe_cone():
-    return Cone(Point(), T=6.0, n_t=64, boundary="interval")
-
-
-def test_fredholm_vs_local_elliptic_agrees(probe_cone):
-    t = extract_tuple(
-        ConeSymbolFamily("(p - (0,1)) / (p + (0,1)) + 2"), cone=probe_cone
-    )
+def test_fredholm_vs_local_elliptic_agrees():
+    t = extract_tuple(ConeSymbolFamily("(p - (0,1)) / (p + (0,1)) + 2"))
     rep = fredholm_vs_local(t, sizes=(64, 128))
     assert rep.agree
     assert rep.local_pass and rep.global_ok
@@ -333,19 +334,17 @@ def test_fredholm_vs_local_elliptic_agrees(probe_cone):
     assert rep.note == ""
 
 
-def test_fredholm_vs_local_identity_agrees(probe_cone):
-    t = extract_tuple(ConeSymbolFamily("1 + 0*p"), cone=probe_cone)
+def test_fredholm_vs_local_identity_agrees():
+    t = extract_tuple(ConeSymbolFamily("1 + 0*p"))
     rep = fredholm_vs_local(t, sizes=(64, 128))
     assert rep.agree
     assert rep.local_pass and rep.global_ok
 
 
-def test_fredholm_vs_local_degenerate_agrees(probe_cone):
+def test_fredholm_vs_local_degenerate_agrees():
     # order-two interior zero at p = 2: the tip proxy collapses and the
     # sections stay indeterminate, so both sides say "not invertible"
-    t = extract_tuple(
-        ConeSymbolFamily("(0.2*(p - 2) / (0.2*(p - 2) + (0,1)))^2"), cone=probe_cone
-    )
+    t = extract_tuple(ConeSymbolFamily("(0.2*(p - 2) / (0.2*(p - 2) + (0,1)))^2"))
     rep = fredholm_vs_local(t, sizes=(128, 256))
     assert rep.agree
     assert not rep.local_pass
@@ -354,14 +353,11 @@ def test_fredholm_vs_local_degenerate_agrees(probe_cone):
     assert not rep.global_ok
 
 
-def test_fredholm_vs_local_index_instance_disagrees(probe_cone):
+def test_fredholm_vs_local_index_instance_disagrees():
     # winding +1 family: every frozen coefficient operator is invertible
     # but the global sections carry a kernel; the report flags the
     # mismatch instead of papering over it
-    t = extract_tuple(
-        ConeSymbolFamily("1 + (1 / (1 + r)) * ((p - (0,1)) / (p + (0,1)) - 1)"),
-        cone=probe_cone,
-    )
+    t = extract_tuple(ConeSymbolFamily("1 + (1 / (1 + r)) * ((p - (0,1)) / (p + (0,1)) - 1)"))
     rep = fredholm_vs_local(t, sizes=(128, 256))
     assert not rep.agree
     assert rep.local_pass

@@ -318,8 +318,15 @@ class TestFamilies:
     def test_negligible_needs_three_samples(self):
         g = Circle(16)
         expr = parse("chi(xi)")
+        built = []
+
+        def build(v):
+            built.append(v)
+            return op_circle(g, expr, v)
+
         with pytest.raises(QuantizeError):
-            negligible_test(lambda v: op_circle(g, expr, v), v_values=(0.0, 1.0))
+            negligible_test(build, v_values=(0.0, 1.0))
+        assert built == []  # the ladder is checked before any operator is built
 
     def test_quantize_dispatch(self):
         assert quantize(Circle(8), parse("chi(xi)")).matrix.shape == (8, 8)

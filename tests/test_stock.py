@@ -51,7 +51,7 @@ def test_elliptic_stock_extracts_elliptic_tuples():
     assert len(instances) == 5
     assert len({inst.name for inst in instances}) == 5
     for inst in instances:
-        rep = check_elliptic(extract_tuple(inst.family, cone=inst.cone))
+        rep = check_elliptic(extract_tuple(inst.family))
         assert rep.overall, inst.name
 
 
@@ -59,7 +59,7 @@ def test_degenerate_stock_fails_conormal_check():
     instances = degenerate_stock()
     assert len(instances) == 3
     for inst in instances:
-        rep = check_elliptic(extract_tuple(inst.family, cone=inst.cone))
+        rep = check_elliptic(extract_tuple(inst.family))
         assert not rep.overall, inst.name
         assert rep.conormal_min <= 1e-12, inst.name
         assert rep.interior_min >= 1e-2, inst.name

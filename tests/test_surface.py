@@ -1,14 +1,19 @@
 """No dead parameters and no dead imports in src/psdo, tests and bench.
 
-Every defaulted parameter of a psdo function is set by some call in the
-scanned trees, and every name a module imports is referenced there.
+Every defaulted parameter of a psdo function, and every defaulted init
+field of a psdo dataclass, is set by some call in the scanned trees, and
+every name a module imports is referenced there.
 
 A parameter counts as set when a call to a function of that name passes
 it by keyword, by position, or may pass it through `*` or `**`
 unpacking. Calls match definitions by name alone (`f(...)` and
 `obj.f(...)` both match every `def f`), and a call to a class matches
-its `__init__`, so the scan over-approximates what is set. A parameter
-that no call sets is a constant in disguise: write it into the body.
+its `__init__`, so the scan over-approximates what is set. A dataclass
+field counts as set the same way by a call to its class, its position
+counted among the init fields, or by a `replace(..., field=)` keyword
+on any object. A parameter that no call sets is a constant in disguise:
+write it into the body; a field that no call sets is a class constant
+or a cache, declared with `init=False`.
 
 An imported name counts as referenced when the module reads it or lists
 it in `__all__`; an import marked `# noqa: F401` (flake8's code for an
@@ -76,6 +81,42 @@ def _defaulted_parameters():
     return found
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _field_options(value) -> dict:
+    """The keywords of a `field(...)` default, or {"default": value}."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return {k.arg: k.value for k in value.keywords}
+    return {"default": value}
+
+
+def _defaulted_fields():
+    """(module.Class, class name, field, position among the init fields)
+    of every defaulted init field of a dataclass in src/psdo."""
+    found = []
+    for path in sorted((ROOT / "src/psdo").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            position = 0
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                options = {} if stmt.value is None else _field_options(stmt.value)
+                init = options.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                if "default" in options or "default_factory" in options:
+                    found.append((f"{path.stem}.{cls.name}", cls.name, stmt.target.id, position))
+                position += 1
+    return found
+
+
 def _calls():
     """What the calls in the scanned trees set: (name, keyword) pairs,
     (name, position) pairs, the first `*` position per name, and the
@@ -105,20 +146,30 @@ def _calls():
 
 def _unset_parameters():
     keywords, positions, star_from, double_star = _calls()
-    unset = []
-    for qualname, name, param, index in _defaulted_parameters():
-        if (name, param) in keywords or name in double_star:
-            continue
-        if index is not None and ((name, index) in positions or star_from.get(name, index + 1) <= index):
-            continue
-        if not _allowed(qualname, param):
-            unset.append(f"{qualname}({param})")
+
+    def is_set(name, param, index):
+        return (
+            (name, param) in keywords
+            or name in double_star
+            or index is not None and ((name, index) in positions or star_from.get(name, index + 1) <= index)
+        )
+
+    unset = [
+        f"{qualname}({param})"
+        for qualname, name, param, index in _defaulted_parameters()
+        if not is_set(name, param, index) and not _allowed(qualname, param)
+    ]
+    unset += [
+        f"{qualname}({field})"
+        for qualname, name, field, index in _defaulted_fields()
+        if not is_set(name, field, index) and ("replace", field) not in keywords
+    ]
     return unset
 
 
 def test_every_defaulted_parameter_is_set_by_a_call():
     unset = _unset_parameters()
-    assert not unset, f"{len(unset)} defaulted parameters no call sets: {unset}"
+    assert not unset, f"{len(unset)} defaulted parameters or fields no call sets: {unset}"
 
 
 def test_alternate_inputs_name_existing_parameters():

@@ -204,13 +204,13 @@ def test_stacked_reductions_match_loops(name):
     "inst", elliptic_stock() + degenerate_stock(), ids=lambda inst: inst.name
 )
 def test_check_elliptic_matches_loops(inst):
-    t = extract_tuple(inst.family, cone=inst.cone)
+    t = extract_tuple(inst.family)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = check_elliptic(t)
     interior = loop_sphere_min(t.sigma0.expr, 64, r=0.0)
     assert rep.interior_min == pytest.approx(interior, rel=1e-14, abs=1e-16)
-    con = conormal(t.sigma1.family)
+    con = conormal(t.sigma1)
     profile = [
         np.linalg.svd(loop_value(con, float(p)), compute_uv=False)[-1]
         for p in np.linspace(-64.0, 64.0, 513)

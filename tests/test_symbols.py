@@ -246,16 +246,14 @@ def test_conormal_circle_base_nodal_values():
 
 
 def test_compat_trivial_tuple():
-    g = Cone(base=Point(), T=6.0, n_t=16)
-    t = SymbolTuple(InteriorSymbol("1"), EdgeSymbol(ConeSymbolFamily("1"), g))
+    t = SymbolTuple(InteriorSymbol("1"), ConeSymbolFamily("1"))
     rep = compat_check(t)
     assert rep.mismatch == 0.0
     assert rep.passed
 
 
 def test_compat_constructed_violation():
-    g = Cone(base=Point(), T=6.0, n_t=16)
-    t = SymbolTuple(InteriorSymbol("1"), EdgeSymbol(ConeSymbolFamily("2"), g))
+    t = SymbolTuple(InteriorSymbol("1"), ConeSymbolFamily("2"))
     rep = compat_check(t)
     assert not rep.passed
     assert abs(rep.mismatch - 1.0) < 1e-12
@@ -264,18 +262,16 @@ def test_compat_constructed_violation():
 def test_compat_matching_nontrivial_tuple():
     # interior symbol and family share the same equator limit; the 1/lam^2
     # correction from the +1 in the denominator sits far below tolerance
-    g = Cone(base=Point(), T=6.0, n_t=16)
     sig0 = InteriorSymbol("(xi^2 - v^2)/(xi^2 + v^2)")
     fam = ConeSymbolFamily("(eta^2 - w^2)/(eta^2 + w^2 + 1)")
-    rep = compat_check(SymbolTuple(sig0, EdgeSymbol(fam, g)))
+    rep = compat_check(SymbolTuple(sig0, fam))
     assert rep.passed
 
 
 def test_symbol_tuple_fiber_mismatch():
-    g = Cone(base=Point(), T=6.0, n_t=16, q=2)
     fam = ConeSymbolFamily("[[1, 0], [0, 1]]", q=2)
     with pytest.raises(SymbolError):
-        SymbolTuple(InteriorSymbol("1"), EdgeSymbol(fam, g))
+        SymbolTuple(InteriorSymbol("1"), fam)
 
 
 # ---------------------------------------------------------------------------
