@@ -221,15 +221,16 @@ class ConvergenceDiagnostics:
 class InfinitesimalOperator:
     """Frozen-coefficient local representative of an operator at a point
     of its stratum, with the cutoff-ladder diagnostics that certify the
-    freezing. `source` is the unfrozen operator the ladder compared it
-    against."""
+    freezing. `source_norm` is the spectral norm of the unfrozen
+    operator the ladder compared it against; the operator itself is not
+    kept, since its buffer becomes the difference the ladder measures."""
 
     geometry: Geometry
     z: float
     frozen_expr: Node
     operator: DiscretizedOperator
     diagnostics: ConvergenceDiagnostics
-    source: DiscretizedOperator
+    source_norm: float
 
     def translation_defect(self) -> float:
         """Worst commutator norm with the stratum translations by 1 and 3
@@ -248,11 +249,16 @@ class InfinitesimalOperator:
 
 def _shift_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
     """T M - M T for T the circular shift by `steps` x nodes acting on
-    whole fibers; T permutes rows and columns, so this is two rolls,
-    the second subtracted into the first."""
-    step = steps * (M.shape[0] // n_x)
+    whole fibers; T permutes rows and columns, so this is a roll of the
+    rows with the column-rolled M subtracted into it, one slice of
+    columns at a time, so no second rolled copy is made."""
+    n = M.shape[0]
+    step = steps * (n // n_x) % n
     D = np.roll(M, step, axis=0)
-    return np.subtract(D, np.roll(M, -step, axis=1), out=D)
+    head, tail = D[:, : n - step], D[:, n - step :]
+    np.subtract(head, M[:, step:], out=head)
+    np.subtract(tail, M[:, :step], out=tail)
+    return D
 
 
 def _feasible_scales(base: float, h: float) -> int:
@@ -330,13 +336,18 @@ def infinitesimal(
     d_lambda = ||(A - A_z) Phi_lambda|| over the shrinking cutoff ladder
     must be non-increasing (10% jitter allowed) and end below 1e-3;
     failure is reported in the diagnostics, not raised.
+
+    The unfrozen operator A is measured once, for `source_norm`, and
+    then lets go of its matrix: A - A_z is formed in A's own buffer, so
+    the ladder holds two operator-sized arrays instead of three.
     """
     expr = as_node(expr)
     frozen_expr = substitute(expr, {"x": Const(float(z))})
     A = quantize(g, expr, v=v)
     Fz = quantize(g, frozen_expr, v=v, freeze_r=True)
     lambdas, diags = _cutoff_ladder(g, z, base_scale)
-    Dm = A.matrix - Fz.matrix
+    source_norm = A.norm()
+    Dm = np.subtract(A.matrix, Fz.matrix, out=A.matrix)
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)
     d_left = tuple(side_norm(Dm, w, "left") for w in diags)
     non_inc = all(d_right[i + 1] <= 1.1 * d_right[i] + 1e-14 for i in range(len(d_right) - 1))
@@ -344,7 +355,7 @@ def infinitesimal(
     diag = ConvergenceDiagnostics(
         lambdas, d_right, d_left, final, non_inc, bool(final <= 1e-3), 1e-3
     )
-    return InfinitesimalOperator(g, float(z), frozen_expr, Fz, diag, A)
+    return InfinitesimalOperator(g, float(z), frozen_expr, Fz, diag, source_norm)
 
 
 @dataclass(frozen=True)

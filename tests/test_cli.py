@@ -351,6 +351,45 @@ CIRCLE_BASE_CONE = {"kind": "cone", "base": {"kind": "circle", "n_x": 8}, "T": 6
 SHORT_LADDER = {"sizes": [32, 64], "tau_coef": 0.01}
 
 
+# The four configs of the index benchmark workload at seed 0 (one seeded
+# Cayley tip, its square, its inverse, and the degenerate tip), with the
+# exit codes and rows the full-SVD finite sections gave.
+BENCH_TIP = "((p - (0.4108850619643629)) - (0,1.1079146855055482)) / ((p - (0.4108850619643629)) + (0,1.1079146855055482))"
+BENCH_INDEX_CASES = [
+    (
+        {"symbol": f"1 + (1 / (1 + r)) * (({BENCH_TIP}) - 1)", "tip": BENCH_TIP,
+         "sizes": [64, 128, 256], "tau_coef": 0.0001},
+        EXIT_OK,
+        [[64, 0, 0, 0], [128, 1, 0, 1], [256, 1, 0, 1]],
+    ),
+    (
+        {"symbol": f"1 + (1 / (1 + r)) * ((({BENCH_TIP})^2) - 1)", "tip": f"({BENCH_TIP})^2",
+         "sizes": [128, 256], "tau_coef": 0.001},
+        EXIT_OK,
+        [[128, 2, 0, 2], [256, 2, 0, 2]],
+    ),
+    (
+        {"symbol": f"1 + (1 / (1 + r)) * ((1 / ({BENCH_TIP})) - 1)", "tip": f"1 / ({BENCH_TIP})",
+         "sizes": [64, 128, 256], "tau_coef": 0.0001},
+        EXIT_OK,
+        [[64, 0, 0, 0], [128, 0, 1, -1], [256, 0, 1, -1]],
+    ),
+    (
+        {"symbol": f"1 + (1 / (1 + r)) * (({DEGENERATE}) - 1)"},
+        EXIT_INDETERMINATE,
+        [[64, 0, 0, 0], [128, 0, 0, 0], [256, 0, 0, 0]],
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, want_code, want_rows", BENCH_INDEX_CASES, ids=["tip", "square", "inverse", "degenerate"])
+def test_index_bench_configs_pin_codes_and_rows(tmp_path, capsys, cfg, want_code, want_rows):
+    code = run(tmp_path, "index", cfg)
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert code == want_code
+    assert res["rows"] == want_rows
+
+
 def test_index_circle_base_tip_winds_in_every_mode(tmp_path, capsys):
     # every one of the 8 base modes carries the Cayley factor: one kernel
     # vector and one turn of the tip per mode
@@ -551,6 +590,13 @@ def test_verify_single_suite(tmp_path, capsys):
     assert report["result"]["passed"]
     assert [s["suite"] for s in report["result"]["suites"]] == ["partition-bound"]
     assert "timings" in report["volatile"]
+
+
+def test_verify_reports_cpu_time_per_suite(capsys):
+    main(["verify", "--only", "toeplitz"])
+    volatile = json.loads(capsys.readouterr().out)["volatile"]
+    assert volatile["cpu_timings"].keys() == volatile["timings"].keys() == {"toeplitz"}
+    assert volatile["cpu_timings"]["toeplitz"] > 0.0
 
 
 def test_verify_reports_canonically_identical(tmp_path, capsys):

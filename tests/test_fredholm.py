@@ -9,16 +9,24 @@ recedes as sections grow; genuine near-null tails then decay
 exponentially and counts stabilize.
 """
 
+import functools
+import importlib.util
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from psdo.fredholm import (
+    SECTION_STEP,
     FredholmError,
+    _collar_fraction,
+    _contour,
     check_elliptic,
     extract_tuple,
     finite_section,
+    interval_section,
     large_parameter_scan,
     quantize_tuple,
     winding_oracle,
@@ -30,11 +38,15 @@ from psdo.quantize import (
     op_edge,
     op_mellin,
 )
+from psdo.stock import elliptic_stock, index_stock
+from psdo.stock import toeplitz_shift as stock_toeplitz_shift
 from psdo.symbols import (
     ConeSymbolFamily,
     InteriorSymbol,
     SymbolTuple,
     compat_check,
+    conormal,
+    pushforward_edge,
 )
 from psdo.symexpr import EvalError, parse
 
@@ -230,6 +242,149 @@ def test_finite_section_needs_strictly_increasing_sizes(sizes):
 def test_finite_section_needs_positive_tau_coef(tau_coef):
     with pytest.raises(FredholmError, match="tau_coef must be > 0"):
         finite_section(toeplitz_shift, sizes=(64, 128), tau_coef=tau_coef)
+
+
+# --- values first, pairs only where they are read --------------------------
+
+
+def full_svd_rows(build, sizes, tau_coef):
+    """The classification finite_section made from one full SVD per
+    rung, kept here as the reference for the values-first path:
+    (size, kernel, cokernel, index, artifacts) per rung."""
+    rows = []
+    for size in sizes:
+        A = build(int(size))
+        U, s, Vh = np.linalg.svd(A.matrix)
+        dim = s.size
+        count = int(np.sum(s <= tau_coef * float(s[0])))
+        kernel = cokernel = artifacts = 0
+        for i in range(dim - count, dim):
+            v_genuine = _collar_fraction(np.conj(Vh[i]), A) < 0.5
+            u_genuine = _collar_fraction(U[:, i], A) < 0.5
+            kernel += int(v_genuine)
+            cokernel += int(u_genuine)
+            artifacts += int(not v_genuine) + int(not u_genuine)
+        rows.append((int(size), kernel, cokernel, kernel - cokernel, artifacts))
+    return rows
+
+
+def section_rows(build, sizes, tau_coef):
+    rep = finite_section(build, sizes=sizes, tau_coef=tau_coef)
+    return [(s.size, s.kernel, s.cokernel, s.index, s.artifacts) for s in rep.stats]
+
+
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _adjoint_cayley(n_t: int) -> DiscretizedOperator:
+    return affine_builder(CAYLEY)(n_t).adjoint()
+
+
+LADDERS = [
+    *((f"sections/{i.name}", i.build, (128, 256), 1e-6) for i in elliptic_stock()),
+    ("toeplitz", stock_toeplitz_shift, (64, 128, 256), 1e-6),
+    *((f"cone-index/{i.name}", i.build, i.sizes, i.tau_coef) for i in index_stock()),
+    ("cayley", affine_builder(CAYLEY), (64, 128, 256), 1e-4),
+    ("mirror", affine_builder(MIRROR), (64, 128, 256), 1e-4),
+    ("squared", affine_builder(f"({CAYLEY})^2"), (128, 256), 1e-3),
+    ("adjoint", _adjoint_cayley, (128, 256), 1e-4),
+    ("tight-tau", affine_builder(CAYLEY), (64, 128, 256), 1e-6),
+]
+
+
+@pytest.mark.parametrize("name, build, sizes, tau_coef", LADDERS, ids=[ladder[0] for ladder in LADDERS])
+def test_values_first_matches_full_svd_classification(name, build, sizes, tau_coef):
+    build = functools.lru_cache(maxsize=None)(build)
+    assert section_rows(build, sizes, tau_coef) == full_svd_rows(build, sizes, tau_coef)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_values_first_matches_full_svd_on_bench_tips(seed):
+    # The cmd_index ladders of the index workload: default cone step,
+    # the config's sizes and threshold.
+    for cfg, _, _ in _load_bench_workloads().index_configs(seed):
+        expr = parse(cfg["symbol"])
+        build = functools.lru_cache(maxsize=None)(
+            lambda n_t: interval_section(expr, SECTION_STEP, n_t)
+        )
+        sizes, tau_coef = tuple(cfg.get("sizes", (64, 128, 256))), cfg.get("tau_coef", 1e-4)
+        assert section_rows(build, sizes, tau_coef) == full_svd_rows(build, sizes, tau_coef)
+
+
+def _spy_full_svds(monkeypatch) -> list:
+    """Record the shape of every matrix np.linalg.svd factors with
+    singular vectors."""
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_near_null_pairs_form_no_full_svd(monkeypatch):
+    shapes = _spy_full_svds(monkeypatch)
+    rep = finite_section(affine_builder(CAYLEY), sizes=(64, 128, 256), tau_coef=1e-4)
+    assert rep.rows() == [(64, 0, 0, 0), (128, 1, 0, 1), (256, 1, 0, 1)]
+    assert shapes == [(1, 1), (1, 1)]  # one Rayleigh-Ritz SVD per rung with a pair
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-310], ids=["zero-pivot", "overflowing-inverse"])
+def test_singular_rung_takes_full_svd_and_counts_kernel(monkeypatch, pivot):
+    """An exact zero column stops the LU at a zero pivot, and a subnormal
+    one makes the inverse overflow; either way the rung falls back to
+    the full SVD, and the mid-window null vector e_j counts on both
+    sides."""
+
+    def build(n_t: int) -> DiscretizedOperator:
+        cone = Cone(Point(), T=SECTION_STEP * n_t / 2.0, n_t=n_t, boundary="interval")
+        M = np.eye(n_t - 1, dtype=complex)
+        M[:, n_t // 2] *= pivot
+        return DiscretizedOperator(cone, None, M)
+
+    if pivot == 0.0:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(build(32).matrix)
+    else:
+        assert not np.all(np.isfinite(np.linalg.inv(build(32).matrix)))
+    shapes = _spy_full_svds(monkeypatch)
+    rep = finite_section(build, sizes=(32, 64))
+    assert shapes == [(31, 31), (63, 63)]
+    assert rep.rows() == [(32, 1, 1, 0), (64, 1, 1, 0)]
+    assert rep.determinate and rep.kernel == 1 and rep.cokernel == 1
+    assert all(s.artifacts == 0 for s in rep.stats)
+
+
+# --- circle-base winding ----------------------------------------------------
+
+MODE_CAYLEY = "(p - (0,1)*(1 + 0.5*chi(t))) / (p + (0,1)*(1 + 0.5*chi(t)))"
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["no-pair", "pair"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_circle_base_contour_matches_nodal_determinant(n, paired):
+    fam = conormal(ConeSymbolFamily(parse(MODE_CAYLEY), base=Circle(n)))
+    if paired:
+        fam = pushforward_edge(fam, "x + 0.2*sin(x)")
+    u_max = math.atan(1e6)
+    ps = np.tan(np.linspace(-u_max, u_max, 257))
+    want = np.linalg.det(fam.value(ps))
+    np.testing.assert_allclose(_contour(fam, 1e6, 257), want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_circle_base_tip_winds_once_per_mode(n):
+    fam = conormal(ConeSymbolFamily(parse(MODE_CAYLEY), base=Circle(n)))
+    assert winding_oracle(fam).winding == n
+    assert winding_oracle(pushforward_edge(fam, "x + 0.2*sin(x)")).winding == n
 
 
 # --- ellipticity verdicts ---------------------------------------------------

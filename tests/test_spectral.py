@@ -48,6 +48,17 @@ def test_roll_commutator_equals_kron(kind, steps):
     assert np.array_equal(_shift_commutator(M, n_x, steps), T @ M - M @ T)
 
 
+@pytest.mark.parametrize("kind", [Circle, Edge])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_slice_commutator_equals_two_rolls(kind, steps):
+    g, op = _frozen_stock(kind)
+    n_x = axis_layout(g, "x").n
+    M = op.matrix
+    step = steps * (M.shape[0] // n_x)
+    want = np.roll(M, step, axis=0) - np.roll(M, -step, axis=1)
+    assert np.array_equal(_shift_commutator(M, n_x, steps), want)
+
+
 # ---------------------------------------------------------------------------
 # Edge-mode block norms
 

@@ -274,6 +274,14 @@ def test_symbol_tuple_fiber_mismatch():
         SymbolTuple(InteriorSymbol("1"), fam)
 
 
+def test_symbol_tuple_refuses_circle_base():
+    # as extract_tuple, quantize_tuple and `psdo check` do: a circle-base
+    # fiber has no q x q interior counterpart
+    fam = ConeSymbolFamily("2 + chi(p)", base=Circle(8))
+    with pytest.raises(SymbolError, match="point-base cone family, got a Circle base"):
+        SymbolTuple(InteriorSymbol("2 + 0*xi"), fam)
+
+
 # ---------------------------------------------------------------------------
 # Interior pushforward
 
