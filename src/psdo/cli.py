@@ -16,10 +16,10 @@ null is outside every rule: write a field's default, or leave it out.
 Schema errors (64) are reported before DSL parse errors (65).
 
 Reports are JSON. Everything outside the "volatile" block (timestamp,
-wall and CPU times) is deterministic for a fixed config and seed;
-byte-identity is checked on the report with that block removed. Files
-are written atomically (temp file in the target directory, then
-rename).
+wall and CPU times, the BLAS thread policy) is deterministic for a
+fixed config and seed; byte-identity is checked on the report with that
+block removed. Files are written atomically (temp file in the target
+directory, then rename).
 
 Exit codes: 0 ok, 2 compatibility failure, 3 ellipticity failure,
 4 indeterminate sections, 5 index/oracle inconsistency, 64 config or
@@ -27,6 +27,10 @@ schema error (also a command-line usage error, and a symbol that is
 non-finite or unbound on the grid it is evaluated on), 65 DSL parse
 error (message carries the byte offset), 74 output I/O error.
 Verification failures exit 1; --help exits 0.
+
+Every command runs on one OpenBLAS thread, with the startup count only
+around dense calls of dimension >= 512; psdo.blas states the policy
+and when it is off, and the report names it as "volatile.blas".
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from psdo.blas import narrow
 from psdo.fredholm import (
     FredholmError,
     check_elliptic,
@@ -450,14 +455,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     volatile: dict = {}
     try:
-        if args.command == "check":
-            result, code = cmd_check(cfg)
-        elif args.command == "quantize":
-            result, code = cmd_quantize(cfg, out_dir)
-        elif args.command == "index":
-            result, code = cmd_index(cfg)
-        else:
-            result, code, volatile = cmd_verify(cfg, seed, only)
+        with narrow() as blas:
+            if args.command == "check":
+                result, code = cmd_check(cfg)
+            elif args.command == "quantize":
+                result, code = cmd_quantize(cfg, out_dir)
+            elif args.command == "index":
+                result, code = cmd_index(cfg)
+            else:
+                result, code, volatile = cmd_verify(cfg, seed, only)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -474,7 +480,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
 
     report = make_report(args.command, cfg, seed, result, t0)
-    report["volatile"].update(volatile)
+    report["volatile"].update(volatile, blas=blas)
 
     try:
         if out_dir is not None:

@@ -60,6 +60,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from psdo.blas import wide
 from psdo.geometry import (
     Circle,
     Cone,
@@ -123,7 +124,8 @@ class DiscretizedOperator:
         return self._norm
 
     def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
+        with wide(self.dim):
+            return np.linalg.svd(self.matrix, compute_uv=False)
 
     def adjoint(self) -> "DiscretizedOperator":
         return DiscretizedOperator(self.geometry, self.v, self.matrix.conj().T)
@@ -142,7 +144,8 @@ def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of a matrix, or of any matrix in a stack;
     0.0 for an empty stack."""
     if M.ndim == 2:
-        return float(np.linalg.norm(M, 2))
+        with wide(min(M.shape)):
+            return float(np.linalg.norm(M, 2))
     return float(spectral_norms(M).max(initial=0.0))
 
 
@@ -254,9 +257,10 @@ def kn_assemble(
     n = len(rows)
     count = -(-n // max(4, _BLOCK // shape[-1]))
     block = np.empty((-(-n // count), shape[-1]), dtype=complex)
-    for i in range(count):
-        r = rows[n * i // count : n * (i + 1) // count]
-        r[...] = np.matmul(r, F, out=block[: len(r)])
+    with wide(shape[-1]):
+        for i in range(count):
+            r = rows[n * i // count : n * (i + 1) // count]
+            r[...] = np.matmul(r, F, out=block[: len(r)])
     return np.moveaxis(P, (-2, -1), (-4, -2))
 
 

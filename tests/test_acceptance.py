@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from psdo.blas import narrow
 from psdo.cli import canonical_report_bytes, make_report
 from psdo.cli import main as cli_main
 from psdo.verify import run_suites
@@ -28,8 +29,10 @@ DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
 @pytest.fixture(scope="module")
 def battery():
-    """The full seed-0 battery, run once for the whole module."""
-    return run_suites(seed=0)
+    """The full seed-0 battery, run once for the whole module, under the
+    BLAS thread policy of `psdo verify`."""
+    with narrow():
+        return run_suites(seed=0)
 
 
 def suite(battery, name):
@@ -227,14 +230,25 @@ def test_a11_negligible(battery):
     verdict("A11 negligible", ok, "orders 1/2/4 accepted, identity rejected, seeds 0/1/17")
 
 
-def test_seed0_digest_matches_bench(battery):
+def seed0_digest(report) -> str:
     # The benchmark's byte oracle: the seed-0 payload, wrapped the way
     # `psdo verify` wraps it with an empty config, hashes to the digest
     # recorded in bench/digests.json.
-    report = make_report("verify", {}, 0, battery.payload(), time.perf_counter())
-    digest = hashlib.sha256(canonical_report_bytes(report)).hexdigest()
+    wrapped = make_report("verify", {}, 0, report.payload(), time.perf_counter())
+    return hashlib.sha256(canonical_report_bytes(wrapped)).hexdigest()
+
+
+def test_seed0_digest_matches_bench(battery):
     assert battery.passed
-    assert digest == json.loads(DIGESTS.read_text())["seeds"]["0"]
+    assert seed0_digest(battery) == json.loads(DIGESTS.read_text())["seeds"]["0"]
+
+
+def test_seed0_digest_matches_bench_at_default_threads():
+    # The library path: the battery outside any command, so the BLAS
+    # thread policy is not in force and OpenBLAS keeps its startup count.
+    report = run_suites(seed=0)
+    assert report.passed
+    assert seed0_digest(report) == json.loads(DIGESTS.read_text())["seeds"]["0"]
 
 
 def test_a12_report_determinism(tmp_path, capsys):

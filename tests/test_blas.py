@@ -1,0 +1,183 @@
+"""The BLAS thread policy: one thread inside a command, the startup
+count around dense calls of dimension >= 512, off when asked, and never
+a change in any result."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from psdo import blas
+from psdo.cli import canonical_report_bytes, main
+from psdo.verify import run_suites
+from test_fredholm import _load_bench_workloads
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ON = {"threads": 1, "wide_threads": 4, "wide_from_dim": 512}
+
+
+class FakeOpenBLAS:
+    """Stands in for the set and get symbols of the library."""
+
+    def __init__(self, count):
+        self.count, self.calls = count, []
+
+    def set(self, n):
+        self.calls.append(n)
+        self.count = n
+
+    def get(self):
+        return self.count
+
+
+def clear_thread_vars(monkeypatch):
+    for var in blas._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.fixture
+def fake(monkeypatch):
+    clear_thread_vars(monkeypatch)
+    lib = FakeOpenBLAS(4)
+    monkeypatch.setattr(blas, "_threads", lambda: (lib.set, lib.get))
+    return lib
+
+
+@pytest.fixture
+def policy_on(monkeypatch):
+    """The real library with the policy in force."""
+    if blas._threads() is None:
+        pytest.skip("numpy carries no OpenBLAS library")
+    clear_thread_vars(monkeypatch)
+
+
+def run_index(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main(["index", "--config", str(path)])
+
+
+# -- narrow and wide ---------------------------------------------------------
+
+
+def test_narrow_sets_one_thread_and_restores(fake):
+    with blas.narrow() as policy:
+        assert fake.count == 1
+        assert policy == ON
+    assert fake.count == 4
+    assert fake.calls == [1, 4]
+
+
+def test_narrow_restores_after_raise(fake):
+    with pytest.raises(RuntimeError):
+        with blas.narrow():
+            raise RuntimeError("body failed")
+    assert fake.count == 4
+    with blas.wide(1024):  # the scope is closed
+        pass
+    assert fake.calls == [1, 4]
+
+
+def test_nested_narrow_is_a_no_op(fake):
+    with blas.narrow() as outer:
+        with blas.narrow() as inner:
+            assert inner is outer
+        assert fake.count == 1
+    assert fake.calls == [1, 4]
+
+
+def test_wide_below_threshold_or_outside_narrow_leaves_count(fake):
+    with blas.wide(4096):
+        assert fake.count == 4
+    with blas.narrow():
+        with blas.wide(511):
+            assert fake.count == 1
+    assert fake.calls == [1, 4]
+
+
+def test_wide_restores_startup_count_then_one(fake):
+    with blas.narrow():
+        with blas.wide(512):
+            assert fake.count == 4
+        assert fake.count == 1
+    assert fake.calls == [1, 4, 1, 4]
+
+
+def test_real_library_follows_the_policy(policy_on):
+    _, get = blas._threads()
+    before = get()
+    with blas.narrow() as policy:
+        assert get() == 1
+        assert policy["wide_threads"] == before
+        with blas.wide(512):
+            assert get() == before
+        assert get() == 1
+    assert get() == before
+
+
+def test_import_resolves_no_library():
+    code = "import psdo.cli, psdo.blas; print(psdo.blas._threads.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+# -- the report ----------------------------------------------------------------
+
+
+def test_report_names_the_policy(capsys, fake):
+    assert main(["verify", "--only", "toeplitz"]) == 0
+    assert json.loads(capsys.readouterr().out)["volatile"]["blas"] == ON
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_policy_off_when_threads_are_set(tmp_path, capsys, monkeypatch, var):
+    clear_thread_vars(monkeypatch)
+    monkeypatch.setenv(var, "2")
+
+    def never():
+        raise AssertionError("the policy resolved the set-threads symbol")
+
+    monkeypatch.setattr(blas, "_threads", never)
+    cfg, _, _ = _load_bench_workloads().index_configs(0)[0]
+    assert run_index(tmp_path, cfg) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["volatile"]["blas"] == {"threads": None, "reason": f"{var} set"}
+
+
+def test_policy_off_without_library(capsys, monkeypatch):
+    clear_thread_vars(monkeypatch)
+    monkeypatch.setattr(blas, "_threads", lambda: None)
+    assert main(["verify", "--only", "toeplitz"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["volatile"]["blas"] == {"threads": None, "reason": "no OpenBLAS library found"}
+
+
+# -- the thread count never changes a result ------------------------------------
+
+
+@pytest.mark.parametrize("only", ["skruch", "toeplitz", "sections", "cone-index"])
+def test_suite_payload_same_on_one_thread(policy_on, only):
+    outside = run_suites(seed=0, only=only).payload()
+    with blas.narrow():
+        inside = run_suites(seed=0, only=only).payload()
+    assert json.dumps(inside, sort_keys=True) == json.dumps(outside, sort_keys=True)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_index_bytes_same_with_policy_on_and_off(tmp_path, capsys, monkeypatch, policy_on, i):
+    cfg, _, _ = _load_bench_workloads().index_configs(0)[i]
+
+    def index_run():
+        code = run_index(tmp_path, cfg)
+        report = json.loads(capsys.readouterr().out)
+        return code, canonical_report_bytes(report), report["volatile"]["blas"]["threads"]
+
+    on = index_run()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    off = index_run()
+    assert on[2] == 1 and off[2] is None
+    assert on[:2] == off[:2]

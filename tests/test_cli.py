@@ -60,7 +60,7 @@ def test_check_elliptic_ok(tmp_path, capsys):
     assert report["result"]["verdict"] == "elliptic"
     assert report["result"]["compat"]["passed"]
     assert report["result"]["ellipticity"]["overall"]
-    assert set(report["volatile"]) == {"timestamp", "elapsed_s"}
+    assert set(report["volatile"]) == {"timestamp", "elapsed_s", "blas"}
 
 
 def test_check_degenerate_exit_3(tmp_path, capsys):
