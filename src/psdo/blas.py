@@ -20,6 +20,24 @@ isolation, but giving them two threads from 256 on doubled the CPU
 time of `psdo index` for a few percent of its wall time, so one gate
 serves every call site.
 
+The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
+defect) take the Gram kernel `quantize.gram_norm` instead of the SVD
+values, and `wide(m)` covers both of its dense phases: the blocked
+lower-triangle gemm and `eigvalsh` of the m x m Gram. Measured on the
+same machine and libraries (median of 9 or 7 calls, 1 and 2 threads
+interleaved; the gemm is gram_norm with `eigvalsh` stubbed out):
+
+    n       Gram gemm    eigvalsh     gram_norm    SVD values
+    256     4.1 / 3.5    9.3 / 9.8    12 / 12      15 / 18
+    384     12 / 8.5     25 / 25      46 / 42      47 / 41
+    512     19 / 11      72 / 62      102 / 76     112 / 87
+    768     52 / 31      184 / 128    258 / 188    385 / 260
+    1024    90 / 64      433 / 309    638 / 401    836 / 563
+
+`eigvalsh`, most of the kernel's time, gains nothing from a second
+thread below 512 and 1.2-1.4x from 512 on, so the gate at 512 holds
+for the Gram as well; its gemm gains from 384 on, as the zgemm does.
+
 The policy is off, and the thread count left as it is, when the user
 has chosen a count through OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
 OMP_NUM_THREADS, when numpy carries no OpenBLAS library, and outside a

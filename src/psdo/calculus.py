@@ -31,6 +31,7 @@ from psdo.geometry import (
 )
 from psdo.quantize import (
     DiscretizedOperator,
+    gram_norm,
     op_circle,
     quantize,
     side_norm,
@@ -234,7 +235,8 @@ class InfinitesimalOperator:
 
     def translation_defect(self) -> float:
         """Worst commutator norm with the stratum translations by 1 and 3
-        x nodes.
+        x nodes. Each commutator takes its Gram in its own buffer, so
+        besides the operator one commutator and two blocks are live.
 
         The stratum of a cone vertex is a point, so the defect is zero
         by convention there.
@@ -243,8 +245,12 @@ class InfinitesimalOperator:
         if isinstance(g, Cone):
             return 0.0
         n_x = axis_layout(g, "x").n
-        M = self.operator.matrix
-        return max(spectral_norm(_shift_commutator(M, n_x, s)) for s in (1, 3))
+        worst = 0.0
+        for s in (1, 3):
+            D = _shift_commutator(self.operator.matrix, n_x, s)
+            worst = max(worst, gram_norm(D, out=D))
+            del D  # freed before the next commutator is built
+        return worst
 
 
 def _shift_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
@@ -337,16 +343,17 @@ def infinitesimal(
     must be non-increasing (10% jitter allowed) and end below 1e-3;
     failure is reported in the diagnostics, not raised.
 
-    The unfrozen operator A is measured once, for `source_norm`, and
-    then lets go of its matrix: A - A_z is formed in A's own buffer, so
-    the ladder holds two operator-sized arrays instead of three.
+    The unfrozen operator A is measured once, for `source_norm`, before
+    A_z is assembled, so its fresh Gram is gone by then; A then lets go
+    of its matrix: A - A_z is formed in A's own buffer, so the ladder
+    holds two operator-sized arrays instead of three.
     """
     expr = as_node(expr)
     frozen_expr = substitute(expr, {"x": Const(float(z))})
     A = quantize(g, expr, v=v)
+    source_norm = A.norm()
     Fz = quantize(g, frozen_expr, v=v, freeze_r=True)
     lambdas, diags = _cutoff_ladder(g, z, base_scale)
-    source_norm = A.norm()
     Dm = np.subtract(A.matrix, Fz.matrix, out=A.matrix)
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)
     d_left = tuple(side_norm(Dm, w, "left") for w in diags)

@@ -44,6 +44,18 @@ output-sized arrays for a sum of x-by-xi terms (see
 (ROADMAP item 6) can rely on these multiples. Blocking keeps the bits:
 the tests compare every call-site shape with the unblocked product.
 
+The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
+defect) go through one Gram kernel, `gram_norm`, under the same
+contract: besides its m x m output it
+holds at most two blocks, a conjugated copy of at most _BLOCK entries
+of X and its diagonal Gram block. `spectral_norm` of a caller's 1024^2
+matrix therefore peaks at one Gram plus two blocks, and where the
+output is X's own buffer (`side_norm` on the factor it copies, the
+translation defect on each commutator) at two blocks. `eigvalsh`
+copies the Gram outside numpy's allocator, as the SVD it replaces
+copied its input. Stacked norms stay one batched SVD
+(`spectral_norms`).
+
 Operand order is fixed: the product is np.multiply(S, E), S first
 (E being the phases copied into P).
 Complex multiplication rounds through fused multiply-adds, so E S and
@@ -140,12 +152,60 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
+def gram_norm(X: np.ndarray, out: np.ndarray) -> float:
+    """Largest singular value of a wide or square X (m x n, m <= n):
+    sqrt(lambda_max) of the lower triangle of the conjugated Gram
+    conj(X) X^T, formed in `out` (m x m). `out` may be X[:, :m] itself,
+    which consumes X; 0.0 for a zero or empty X.
+
+    The Gram is written one row block of at most _BLOCK entries of X at
+    a time, last block first, and only on and below the diagonal, so the
+    gemm does half the flops and a block only overwrites rows of X that
+    no later block reads. Each block is copied, conjugated and scaled by
+    2^(-2e), with 2^e above the peak of |X|, before its rows are
+    overwritten; the other factor is X itself, so the Gram is O(1) and
+    sqrt(lambda_max) times 2^e is sigma_max to eps-relative accuracy
+    (Golub & Van Loan, Matrix Computations, 8.6) for peaks up to 2^970,
+    where the scaled block stays normal. A subnormal X is lifted by
+    2^600 into a copy, whose Gram is formed in the copy instead.
+    """
+    m, n = X.shape
+    rows = max(1, _BLOCK // max(n, 1))
+    starts = range(0, m, rows)
+    peak = max((float(np.abs(X[i : i + rows]).max(initial=0.0)) for i in starts), default=0.0)
+    if peak == 0.0:
+        return 0.0
+    e = int(np.frexp(peak)[1])
+    if e < -1021:  # subnormal peak: 2^-2e would overflow, so lift a copy
+        X = X * 2.0**600
+        return gram_norm(X, X[:, :m]) * 2.0**-600
+    scale = 2.0**-e
+    block = np.empty((min(rows, m), n), dtype=complex)
+    diag = np.empty((len(block), len(block)), dtype=complex)
+    with wide(m):
+        for i0 in reversed(starts):
+            i1 = min(i0 + rows, m)
+            b = np.conjugate(X[i0:i1], out=block[: i1 - i0])
+            b *= scale  # twice: 2^(-2e) itself may not be a double
+            b *= scale
+            d = np.matmul(b, X[i0:i1].T, out=diag[: i1 - i0, : i1 - i0])
+            if i0:
+                np.matmul(b, X[:i0].T, out=out[i0:i1, :i0])
+            out[i0:i1, i0:i1] = d
+        del block, diag
+        lam = float(np.linalg.eigvalsh(out, UPLO="L")[-1])
+    return math.sqrt(max(lam, 0.0)) / scale
+
+
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of a matrix, or of any matrix in a stack;
-    0.0 for an empty stack."""
+    0.0 for an empty stack. A matrix goes through `gram_norm` (as M^T
+    when tall), with a fresh Gram of its smaller side: besides it, M
+    stays untouched and at most two blocks are live. A stack takes one
+    batched SVD."""
     if M.ndim == 2:
-        with wide(min(M.shape)):
-            return float(np.linalg.norm(M, 2))
+        X = M if M.shape[0] <= M.shape[1] else M.T
+        return gram_norm(X, np.empty((len(X), len(X)), dtype=complex))
     return float(spectral_norms(M).max(initial=0.0))
 
 
@@ -153,26 +213,17 @@ def side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
     """||M diag(vals)|| (side "right") or ||diag(vals) M|| ("left"),
     using only the support of vals.
 
-    On a support of k nodes the norm is sqrt(lambda_max) of the k x k
-    Gram matrix of the restricted factor. The factor is scaled by a
-    power of two first, so the Gram neither underflows nor rounds
-    differently; sigma_max keeps its eps-relative accuracy.
+    On a support of k nodes the restricted factor is copied once, as
+    the k x n rows diag(vals) M^T or diag(vals) M, and `gram_norm` forms
+    its k x k Gram in that copy: besides it, at most two blocks are
+    live.
     """
     idx = np.nonzero(np.abs(vals) > 1e-300)[0]
     if idx.size == 0:
         return 0.0
-    if side == "right":
-        X = M[:, idx] * vals[idx][None, :]
-    else:
-        X = M[idx, :] * vals[idx][:, None]
-    peak = float(np.max(np.abs(X)))
-    if peak == 0.0:
-        return 0.0
-    exp = int(np.frexp(peak)[1])
-    X = X * 2.0**-exp
-    gram = X.conj().T @ X if side == "right" else X @ X.conj().T
-    lam = float(np.linalg.eigvalsh(gram)[-1])
-    return math.sqrt(max(lam, 0.0)) * 2.0**exp
+    X = (M.T if side == "right" else M)[idx]
+    X *= vals[idx][:, None]
+    return gram_norm(X, X[:, : len(idx)])
 
 
 def _interior_nodes(g: Union[Cone, Edge]) -> np.ndarray:

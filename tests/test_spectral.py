@@ -1,11 +1,16 @@
 """Structure-aware spectral norms against the dense path.
 
 Every fast path is checked against np.linalg.norm(., 2) on the full
-dense matrix: the roll commutator against the kron-built one, edge-mode
-block norms against the assembled matrix, the thin-Gram ladder norm
-against the dense restricted product, and the stacked extraction norms
-against per-block norms.
+dense matrix: the Gram kernel on tall, wide, square, extreme-scale,
+zero and empty matrices, in a fresh Gram and in place; the roll
+commutator against the kron-built one; edge-mode block norms against
+the assembled matrix; the ladder norm against the dense restricted
+product; and the stacked extraction norms against per-block norms.
+The kernel's memory contract is checked under tracemalloc: a caller's
+matrix costs one Gram plus two blocks, the in-place form two blocks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +18,8 @@ import pytest
 from psdo.calculus import _shift_commutator, extract_symbol
 from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, translation_matrix
 from psdo.quantize import (
+    _BLOCK,
+    gram_norm,
     op_circle,
     op_edge,
     quantize,
@@ -32,6 +39,60 @@ def _frozen_stock(kind):
             frozen = substitute(expr, {"x": Const(float(z))})
             return g, quantize(g, frozen, freeze_r=True)
     raise AssertionError(f"no {kind.__name__} in the infinitesimal stock")
+
+
+# ---------------------------------------------------------------------------
+# Gram kernel
+
+
+def _random(shape, scale=1.0, seed=3):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("shape", [(40, 90), (90, 40), (64, 64)])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200, 1e-310])
+def test_gram_norm_matches_dense(shape, scale):
+    M = _random(shape, scale)
+    want = np.linalg.norm(M, 2)
+    assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0.0)
+    X = np.array(M if shape[0] <= shape[1] else M.T)
+    assert gram_norm(X, X[:, : len(X)]) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_gram_norm_blocks_cover_every_row():
+    # 1000 columns give blocks of 131 rows, so 300 rows take three
+    # blocks, the first one short
+    M = _random((1000, 300)).T.copy()
+    want = np.linalg.norm(M, 2)
+    assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert gram_norm(M, M[:, :300]) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 8), (8, 3), (0, 0), (0, 5), (5, 0)])
+def test_gram_norm_zero_and_empty(shape):
+    M = np.zeros(shape, dtype=complex)
+    assert spectral_norm(M) == np.linalg.norm(M, 2) == 0.0
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_norm_memory_is_one_gram_and_two_blocks():
+    M = _random((1024, 1024))
+    spectral_norm(M[:64, :64])
+    assert _peak(lambda: spectral_norm(M)) <= M.nbytes + 2 * _BLOCK * 16
+
+
+def test_in_place_gram_norm_memory_is_two_blocks():
+    M = _random((1024, 1024))
+    assert _peak(lambda: gram_norm(M, M)) <= 2 * _BLOCK * 16
 
 
 # ---------------------------------------------------------------------------
