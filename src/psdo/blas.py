@@ -1,4 +1,5 @@
-"""BLAS thread policy of the psdo commands.
+"""BLAS thread policy of the psdo commands, and the in-place Hermitian
+eigenvalue step of the Gram kernel.
 
 A command (`psdo.cli.main`) runs inside `narrow()`: OpenBLAS works on
 one thread, and `wide(n)` gives one dense O(n^3) call with n >= 512
@@ -22,21 +23,35 @@ serves every call site.
 
 The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
 defect) take the Gram kernel `quantize.gram_norm` instead of the SVD
-values, and `wide(m)` covers both of its dense phases: the blocked
-lower-triangle gemm and `eigvalsh` of the m x m Gram. Measured on the
-same machine and libraries (median of 9 or 7 calls, 1 and 2 threads
-interleaved; the gemm is gram_norm with `eigvalsh` stubbed out):
+values. `wide(m)` covers its blocked upper-triangle gemm; its
+eigenvalue step, `top_eigenvalue`, runs at the narrow count. Measured
+on the same machine and libraries (median of 9 or 7 calls, 1 and 2
+threads interleaved; the gemm is gram_norm with the eigenvalue step
+stubbed out, gram_norm runs both phases at the given count):
 
-    n       Gram gemm    eigvalsh     gram_norm    SVD values
-    256     4.1 / 3.5    9.3 / 9.8    12 / 12      15 / 18
-    384     12 / 8.5     25 / 25      46 / 42      47 / 41
-    512     19 / 11      72 / 62      102 / 76     112 / 87
-    768     52 / 31      184 / 128    258 / 188    385 / 260
-    1024    90 / 64      433 / 309    638 / 401    836 / 563
+    n       Gram gemm    zheevd_2stage   eigvalsh     gram_norm
+    256     4.5 / 3.5    13 / 12         11 / 11      16 / 15
+    384     11 / 6.6     31 / 30         30 / 31      42 / 36
+    512     19 / 12      63 / 53         75 / 56      86 / 68
+    768     50 / 32      152 / 125       222 / 141    218 / 162
+    1024    95 / 64      310 / 236       459 / 322    394 / 314
 
-`eigvalsh`, most of the kernel's time, gains nothing from a second
-thread below 512 and 1.2-1.4x from 512 on, so the gate at 512 holds
-for the Gram as well; its gemm gains from 384 on, as the zgemm does.
+The two-stage solver (Haidar, Ltaief & Dongarra, SC'11) reduces to a
+band first and then to tridiagonal form; with values only it is
+backward stable, as the one-stage reduction of `eigvalsh` is, and it
+is the faster of the two from 512 on. Its second thread gains
+1.2-1.3x at 768-1024 for about 1.4x the CPU time, within the spread
+of repeated runs, so it stays on one thread; the gemm gains from 384
+on, as the zgemm does.
+
+`top_eigenvalue` calls LAPACKE_zheevd_2stage (values only) on the
+Gram in place. `_openblas()` resolves it on first use from the same
+library as the thread count: `scipy_LAPACKE_zheevd_2stage64_`, then
+`LAPACKE_zheevd_2stage64_` (64-bit integers), then
+`LAPACKE_zheevd_2stage` (32-bit). Without any of them it falls back to
+`np.linalg.eigvalsh` on the same triangle, which copies the Gram
+first. The report names the routine in use as `volatile.blas.eigen`,
+and a fallback with its reason as `eigen_reason`.
 
 The policy is off, and the thread count left as it is, when the user
 has chosen a count through OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -50,9 +65,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,51 +81,123 @@ _SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+# LAPACKE two-stage Hermitian eigensolvers and their integer type
+_EIGEN_SYMBOLS = (
+    ("scipy_LAPACKE_zheevd_2stage64_", ctypes.c_int64),
+    ("LAPACKE_zheevd_2stage64_", ctypes.c_int64),
+    ("LAPACKE_zheevd_2stage", ctypes.c_int32),
+)
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 # the policy a narrow() scope put in force; None outside one
 _active: Optional[dict] = None
 
 
+class _OpenBLAS(NamedTuple):
+    """The symbols psdo calls in numpy's OpenBLAS; None where missing."""
+
+    name: str
+    set_threads: Optional[Callable[[int], None]]
+    get_threads: Optional[Callable[[], int]]
+    zheevd: Optional[Callable[..., int]]
+
+
 @functools.lru_cache(maxsize=None)
-def _threads():
-    """(set, get) thread-count functions of numpy's OpenBLAS, or None."""
+def _openblas() -> Optional[_OpenBLAS]:
+    """Handle on the first OpenBLAS library in numpy.libs, or None."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
+        set_fn = get_fn = zheevd = None
         for set_name, get_name in _SYMBOLS:
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 set_fn, get_fn = getattr(lib, set_name), getattr(lib, get_name)
                 set_fn.restype, set_fn.argtypes = None, [ctypes.c_int]
                 get_fn.restype, get_fn.argtypes = ctypes.c_int, []
-                return set_fn, get_fn
+                break
+        for name, integer in _EIGEN_SYMBOLS:
+            if hasattr(lib, name):
+                zheevd = getattr(lib, name)
+                zheevd.restype = integer
+                zheevd.argtypes = [  # (layout, jobz, uplo, n, a, lda, w)
+                    ctypes.c_int, ctypes.c_char, ctypes.c_char, integer, ctypes.c_void_p, integer, ctypes.c_void_p
+                ]
+                break
+        return _OpenBLAS(path.name, set_fn, get_fn, zheevd)
     return None
+
+
+def _eigen() -> dict:
+    """The report entry naming the routine `top_eigenvalue` uses."""
+    lib = _openblas()
+    if lib is None:
+        return {"eigen": "eigvalsh", "eigen_reason": "no OpenBLAS library found"}
+    if lib.zheevd is None:
+        return {"eigen": "eigvalsh", "eigen_reason": f"no LAPACKE_zheevd_2stage in {lib.name}"}
+    return {"eigen": "zheevd_2stage"}
+
+
+def top_eigenvalue(G: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian matrix H held in the upper
+    triangle of G (complex, m x m, its rows or its columns contiguous);
+    the strictly lower triangle is not read, and G's contents are
+    destroyed.
+
+    LAPACKE_zheevd_2stage (values only) works on G in place, also when
+    G is a strided view, reading it column-major: with contiguous rows,
+    G^T = conj(H) in its lower triangle, which has H's eigenvalues;
+    with contiguous columns, H in its upper triangle. Without that
+    routine, eigvalsh reads the same triangle from a copy. A failed or
+    non-finite result raises LinAlgError.
+    """
+    m = len(G)
+    if G.dtype != np.complex128 or G.shape != (m, m):
+        raise ValueError(f"top_eigenvalue needs a square complex128 matrix, got {G.dtype} {G.shape}")
+    if G.strides[1] == 16 and G.strides[0] >= 16 * m:
+        lda, uplo = G.strides[0] // 16, b"L"
+    elif G.strides[0] == 16 and G.strides[1] >= 16 * m:
+        lda, uplo = G.strides[1] // 16, b"U"
+    else:
+        raise ValueError(f"top_eigenvalue needs contiguous rows or columns, got strides {G.strides}")
+    lib = _openblas()
+    if lib is None or lib.zheevd is None:
+        lam = float(np.linalg.eigvalsh(G, UPLO="U")[-1])
+    else:
+        w = np.empty(m)
+        info = lib.zheevd(_COL_MAJOR, b"N", uplo, m, G.ctypes.data, lda, w.ctypes.data)
+        if info:
+            raise np.linalg.LinAlgError(f"zheevd_2stage failed with info = {info}")
+        lam = float(w[-1])
+    if not math.isfinite(lam):
+        raise np.linalg.LinAlgError("the largest eigenvalue is not finite")
+    return lam
 
 
 @contextlib.contextmanager
 def narrow() -> Iterator[dict]:
-    """One OpenBLAS thread for the body; yields the policy as the
-    report's `volatile.blas` entry. The prior count comes back on exit,
-    also after an exception. Inside another narrow() it does nothing."""
+    """One OpenBLAS thread for the body; yields the policy, and the
+    eigenvalue routine in use, as the report's `volatile.blas` entry.
+    The prior count comes back on exit, also after an exception. Inside
+    another narrow() it does nothing."""
     global _active
     if _active is not None:
         yield _active
         return
     chosen = next((var for var in _THREAD_VARS if var in os.environ), None)
     if chosen is not None:
-        yield {"threads": None, "reason": f"{chosen} set"}
+        yield {"threads": None, "reason": f"{chosen} set", **_eigen()}
         return
-    threads = _threads()
-    if threads is None:
-        yield {"threads": None, "reason": "no OpenBLAS library found"}
+    lib = _openblas()
+    if lib is None or lib.set_threads is None:
+        yield {"threads": None, "reason": "no OpenBLAS library found", **_eigen()}
         return
-    set_fn, get_fn = threads
-    before = get_fn()
-    _active = {"threads": 1, "wide_threads": before, "wide_from_dim": _WIDE_DIM}
-    set_fn(1)
+    before = lib.get_threads()
+    _active = {"threads": 1, "wide_threads": before, "wide_from_dim": _WIDE_DIM, **_eigen()}
+    lib.set_threads(1)
     try:
         yield _active
     finally:
         _active = None
-        set_fn(before)
+        lib.set_threads(before)
 
 
 @contextlib.contextmanager
@@ -119,7 +207,7 @@ def wide(n: int) -> Iterator[None]:
     if _active is None or n < _WIDE_DIM:
         yield
         return
-    set_fn = _threads()[0]
+    set_fn = _openblas().set_threads
     set_fn(_active["wide_threads"])
     try:
         yield

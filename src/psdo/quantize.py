@@ -51,10 +51,16 @@ holds at most two blocks, a conjugated copy of at most _BLOCK entries
 of X and its diagonal Gram block. `spectral_norm` of a caller's 1024^2
 matrix therefore peaks at one Gram plus two blocks, and where the
 output is X's own buffer (`side_norm` on the factor it copies, the
-translation defect on each commutator) at two blocks. `eigvalsh`
-copies the Gram outside numpy's allocator, as the SVD it replaces
-copied its input. Stacked norms stay one batched SVD
-(`spectral_norms`).
+translation defect on each commutator) at two blocks. Nothing is
+copied outside numpy's allocator either: the eigenvalue step
+(`psdo.blas.top_eigenvalue`, LAPACK's two-stage Hermitian solver)
+works on the Gram in place, and LAPACK's own workspace is about
+m (kd + 1) complex entries for its band width kd (its workspace query
+gives 72,193 at m = 1024, 1.1 MiB), plus m eigenvalues. In a
+fresh process an in-place 1024^2 `gram_norm` raises the peak RSS by
+about 5 MiB; the `eigvalsh` fallback, used only when the solver is
+missing, copies the 16 MiB Gram first. Stacked norms stay one
+batched SVD (`spectral_norms`).
 
 Operand order is fixed: the product is np.multiply(S, E), S first
 (E being the phases copied into P).
@@ -72,7 +78,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from psdo.blas import wide
+from psdo.blas import top_eigenvalue, wide
 from psdo.geometry import (
     Circle,
     Cone,
@@ -154,17 +160,18 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
 
 def gram_norm(X: np.ndarray, out: np.ndarray) -> float:
     """Largest singular value of a wide or square X (m x n, m <= n):
-    sqrt(lambda_max) of the lower triangle of the conjugated Gram
-    conj(X) X^T, formed in `out` (m x m). `out` may be X[:, :m] itself,
-    which consumes X; 0.0 for a zero or empty X.
+    sqrt(lambda_max) of the upper triangle of the conjugated Gram
+    conj(X) X^T, formed in `out` (m x m) and read there in place by
+    `psdo.blas.top_eigenvalue`. `out` may be X[:, :m] itself, which
+    consumes X; 0.0 for a zero or empty X.
 
     The Gram is written one row block of at most _BLOCK entries of X at
-    a time, last block first, and only on and below the diagonal, so the
-    gemm does half the flops and a block only overwrites rows of X that
-    no later block reads. Each block is copied, conjugated and scaled by
-    2^(-2e), with 2^e above the peak of |X|, before its rows are
-    overwritten; the other factor is X itself, so the Gram is O(1) and
-    sqrt(lambda_max) times 2^e is sigma_max to eps-relative accuracy
+    a time, first block first, and only on and above the diagonal, so
+    the gemm does half the flops and a block only overwrites rows of X
+    that no later block reads. Each block is copied, conjugated and
+    scaled by 2^(-2e), with 2^e above the peak of |X|, before its rows
+    are overwritten; the other factor is X itself, so the Gram is O(1)
+    and sqrt(lambda_max) times 2^e is sigma_max to eps-relative accuracy
     (Golub & Van Loan, Matrix Computations, 8.6) for peaks up to 2^970,
     where the scaled block stays normal. A subnormal X is lifted by
     2^600 into a copy, whose Gram is formed in the copy instead.
@@ -183,17 +190,17 @@ def gram_norm(X: np.ndarray, out: np.ndarray) -> float:
     block = np.empty((min(rows, m), n), dtype=complex)
     diag = np.empty((len(block), len(block)), dtype=complex)
     with wide(m):
-        for i0 in reversed(starts):
+        for i0 in starts:
             i1 = min(i0 + rows, m)
             b = np.conjugate(X[i0:i1], out=block[: i1 - i0])
             b *= scale  # twice: 2^(-2e) itself may not be a double
             b *= scale
             d = np.matmul(b, X[i0:i1].T, out=diag[: i1 - i0, : i1 - i0])
-            if i0:
-                np.matmul(b, X[:i0].T, out=out[i0:i1, :i0])
+            if i1 < m:
+                np.matmul(b, X[i1:].T, out=out[i0:i1, i1:])
             out[i0:i1, i0:i1] = d
-        del block, diag
-        lam = float(np.linalg.eigvalsh(out, UPLO="L")[-1])
+    del block, diag
+    lam = top_eigenvalue(out)
     return math.sqrt(max(lam, 0.0)) / scale
 
 

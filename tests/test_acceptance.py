@@ -8,7 +8,8 @@ look at captured output on failure) to see the lines:
     A12 report determinism: PASS  (...)
 
 A01-A11 read the values the verify suites measured (SuiteResult.measured)
-from one shared seed-0 battery run; A11 adds seeds 1 and 17 of the
+from one shared seed-0 battery run (the session fixture `battery` of
+conftest.py); A11 adds seeds 1 and 17 of the
 negligible suite. Time bounds read the suite's own wall time.
 """
 
@@ -17,22 +18,11 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
-from psdo.blas import narrow
 from psdo.cli import canonical_report_bytes, make_report
 from psdo.cli import main as cli_main
 from psdo.verify import run_suites
 
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
-
-
-@pytest.fixture(scope="module")
-def battery():
-    """The full seed-0 battery, run once for the whole module, under the
-    BLAS thread policy of `psdo verify`."""
-    with narrow():
-        return run_suites(seed=0)
 
 
 def suite(battery, name):

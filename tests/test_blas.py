@@ -1,6 +1,6 @@
 """The BLAS thread policy: one thread inside a command, the startup
 count around dense calls of dimension >= 512, off when asked, and never
-a change in any result."""
+a change in any result; and the eigenvalue routine the report names."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from psdo import blas
@@ -16,7 +17,8 @@ from psdo.verify import run_suites
 from test_fredholm import _load_bench_workloads
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ON = {"threads": 1, "wide_threads": 4, "wide_from_dim": 512}
+FAKE_EIGEN = {"eigen": "eigvalsh", "eigen_reason": "no LAPACKE_zheevd_2stage in libfake.so"}
+ON = {"threads": 1, "wide_threads": 4, "wide_from_dim": 512, **FAKE_EIGEN}
 
 
 class FakeOpenBLAS:
@@ -42,14 +44,14 @@ def clear_thread_vars(monkeypatch):
 def fake(monkeypatch):
     clear_thread_vars(monkeypatch)
     lib = FakeOpenBLAS(4)
-    monkeypatch.setattr(blas, "_threads", lambda: (lib.set, lib.get))
+    monkeypatch.setattr(blas, "_openblas", lambda: blas._OpenBLAS("libfake.so", lib.set, lib.get, None))
     return lib
 
 
 @pytest.fixture
 def policy_on(monkeypatch):
     """The real library with the policy in force."""
-    if blas._threads() is None:
+    if blas._openblas() is None or blas._openblas().set_threads is None:
         pytest.skip("numpy carries no OpenBLAS library")
     clear_thread_vars(monkeypatch)
 
@@ -107,7 +109,7 @@ def test_wide_restores_startup_count_then_one(fake):
 
 
 def test_real_library_follows_the_policy(policy_on):
-    _, get = blas._threads()
+    get = blas._openblas().get_threads
     before = get()
     with blas.narrow() as policy:
         assert get() == 1
@@ -119,10 +121,31 @@ def test_real_library_follows_the_policy(policy_on):
 
 
 def test_import_resolves_no_library():
-    code = "import psdo.cli, psdo.blas; print(psdo.blas._threads.cache_info().currsize)"
+    code = "import psdo.cli, psdo.blas; print(psdo.blas._openblas.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+# -- the eigenvalue routine ---------------------------------------------------
+
+
+def _numpy_blas_name():
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 prints its config only
+        return ""
+    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", "")).lower()
+
+
+def test_openblas_numpy_resolves_the_two_stage_solver():
+    """A silent eigvalsh fallback would keep every test green and lose
+    the in-place eigenvalue step, so an OpenBLAS numpy must resolve it."""
+    if "openblas" not in _numpy_blas_name():
+        pytest.skip("numpy is not built on OpenBLAS")
+    lib = blas._openblas()
+    assert lib is not None and lib.zheevd is not None
+    assert blas._eigen() == {"eigen": "zheevd_2stage"}
 
 
 # -- the report ----------------------------------------------------------------
@@ -138,22 +161,23 @@ def test_policy_off_when_threads_are_set(tmp_path, capsys, monkeypatch, var):
     clear_thread_vars(monkeypatch)
     monkeypatch.setenv(var, "2")
 
-    def never():
-        raise AssertionError("the policy resolved the set-threads symbol")
+    def never(*args):
+        raise AssertionError("the policy called a thread-count symbol")
 
-    monkeypatch.setattr(blas, "_threads", never)
+    monkeypatch.setattr(blas, "_openblas", lambda: blas._OpenBLAS("libfake.so", never, never, None))
     cfg, _, _ = _load_bench_workloads().index_configs(0)[0]
     assert run_index(tmp_path, cfg) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["volatile"]["blas"] == {"threads": None, "reason": f"{var} set"}
+    assert report["volatile"]["blas"] == {"threads": None, "reason": f"{var} set", **FAKE_EIGEN}
 
 
 def test_policy_off_without_library(capsys, monkeypatch):
     clear_thread_vars(monkeypatch)
-    monkeypatch.setattr(blas, "_threads", lambda: None)
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
     assert main(["verify", "--only", "toeplitz"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["volatile"]["blas"] == {"threads": None, "reason": "no OpenBLAS library found"}
+    none = "no OpenBLAS library found"
+    assert report["volatile"]["blas"] == {"threads": None, "reason": none, "eigen": "eigvalsh", "eigen_reason": none}
 
 
 # -- the thread count never changes a result ------------------------------------

@@ -7,14 +7,23 @@ commutator against the kron-built one; edge-mode block norms against
 the assembled matrix; the ladder norm against the dense restricted
 product; and the stacked extraction norms against per-block norms.
 The kernel's memory contract is checked under tracemalloc: a caller's
-matrix costs one Gram plus two blocks, the in-place form two blocks.
+matrix costs one Gram plus two blocks, the in-place form two blocks;
+and in a fresh process, where tracemalloc cannot see LAPACK, the
+in-place eigenvalue step adds no Gram-sized copy. The eigenvalue step
+runs both on LAPACK's two-stage solver and on its eigvalsh fallback,
+on one block and on several.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from psdo import blas
 from psdo.calculus import _shift_commutator, extract_symbol
 from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, translation_matrix
 from psdo.quantize import (
@@ -73,6 +82,88 @@ def test_gram_norm_blocks_cover_every_row():
 def test_gram_norm_zero_and_empty(shape):
     M = np.zeros(shape, dtype=complex)
     assert spectral_norm(M) == np.linalg.norm(M, 2) == 0.0
+
+
+@pytest.fixture(params=["zheevd_2stage", "eigvalsh"])
+def eigen(request, monkeypatch):
+    """The eigenvalue routine of the Gram kernel: LAPACK's two-stage
+    solver, or the fallback with the library resolver forced to None."""
+    if request.param == "eigvalsh":
+        monkeypatch.setattr(blas, "_openblas", lambda: None)
+    elif blas._eigen()["eigen"] != "zheevd_2stage":
+        pytest.skip("no two-stage solver in this numpy")
+    return request.param
+
+
+# (300, 1000) takes three row blocks, so the Gram's lower triangle
+# outside the diagonal blocks is left unwritten
+@pytest.mark.parametrize("shape", [(40, 90), (90, 40), (64, 64), (1, 1), (300, 1000)])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200, 1e-310])
+def test_gram_norm_matches_svd_on_both_routines(eigen, shape, scale):
+    M = _random(shape, scale)
+    want = np.linalg.svd(M, compute_uv=False)[0]
+    assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0.0)
+    wide_side = M if shape[0] <= shape[1] else M.T
+    m = len(wide_side)
+    # in place in X[:, :m], with X's rows (lda = n) or its columns contiguous
+    for order in "CF":
+        X = np.array(wide_side, order=order)
+        assert gram_norm(X, X[:, :m]) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("shape", [(1, 1), (40, 90), (300, 1000)])
+def test_gram_norm_rejects_non_finite_input(eigen, bad, shape):
+    M = _random(shape)
+    M[-1, 0] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_norm(M)
+        with pytest.raises(np.linalg.LinAlgError):
+            gram_norm(M, M[:, : shape[0]])
+
+
+def test_top_eigenvalue_refuses_a_layout_it_cannot_read():
+    G = np.eye(8, dtype=complex)[::2, ::2]
+    with pytest.raises(ValueError):
+        blas.top_eigenvalue(G)
+
+
+_HWM_PROBE = """
+import numpy as np
+from psdo.quantize import gram_norm
+
+
+def high_water_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+
+n = 1024
+rng = np.random.default_rng(0)
+M = np.empty((n, n), dtype=complex)
+for i in range(0, n, 64):  # no n x n temporary before the measurement
+    M[i : i + 64] = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+W = M[:64, :64].copy()
+gram_norm(W, W)  # pages the code in
+before = high_water_kib()
+gram_norm(M, M)
+print(high_water_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
+def test_in_place_eigen_step_makes_no_gram_copy():
+    """A copy of the 1024^2 Gram alone is 16 MiB; the two blocks, the
+    gemm buffers and LAPACK's workspace stay under 8 MiB. The probe
+    reads the peak RSS of its own address space (VmHWM): ru_maxrss
+    would start at this process's peak, which Linux carries across the
+    exec, and hide the rise."""
+    if blas._eigen()["eigen"] != "zheevd_2stage":
+        pytest.skip("no two-stage solver in this numpy")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", _HWM_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 8 * 1024
 
 
 def _peak(call):
@@ -157,7 +248,7 @@ def test_derived_operators_carry_no_blocks():
     assert xdep._blocks is None
     adj = free.adjoint()
     assert adj._blocks is None
-    assert adj.norm() == np.linalg.norm(adj.matrix, 2)
+    assert adj.norm() == spectral_norm(adj.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,10 @@ def _dense_infinitesimal_detail(g, expr, z):
     )
 
 
-def test_infinitesimal_details_match_dense_oracle():
-    # Guards the canonical bytes of the suite's structured norm paths.
-    rep = run_suites(seed=0, only="infinitesimal")
-    got = [c.detail for c in rep.suites[0].checks]
+def test_infinitesimal_details_match_dense_oracle(battery):
+    # Guards the canonical bytes of the suite's structured norm paths,
+    # read from the shared seed-0 battery (conftest.py).
+    rep = next(s for s in battery.suites if s.suite == "infinitesimal")
+    got = [c.detail for c in rep.checks]
     want = [_dense_infinitesimal_detail(g, expr, z) for g, expr, z in infinitesimal_stock()]
     assert got == want
