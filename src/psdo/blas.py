@@ -2,47 +2,40 @@
 eigenvalue step of the Gram kernel.
 
 A command (`psdo.cli.main`) runs inside `narrow()`: OpenBLAS works on
-one thread, and `wide(n)` gives one dense O(n^3) call with n >= 512
-back the thread count the process started with. Below that size a
-second thread gains little wall time for the CPU it burns spin-waiting,
-and that spinning stalls a second process on the same cores. Measured
-on 2 cores (OpenBLAS 0.3.31, numpy 2.4.6, complex n x n, ms on 1 / 2
-threads; the row-block zgemm is the matmul loop of `kn_assemble`):
-
-    n       SVD values   full SVD     inv          row-block zgemm
-    256     15 / 18      29 / 34      8.6 / 6.7    3.2 / 1.8
-    384     44 / 41      92 / 81      23 / 14      9.5 / 5.3
-    512     126 / 92     241 / 190    48 / 32      23 / 14
-    768     400 / 267    717 / 514    164 / 93     71 / 45
-    1024    885 / 574    1743 / 1218  358 / 215    171 / 109
-
-`inv` and the zgemm already gain from two threads at 256 and 384 in
-isolation, but giving them two threads from 256 on doubled the CPU
-time of `psdo index` for a few percent of its wall time, so one gate
-serves every call site.
+one thread for the whole command, and no numerical module sets a
+thread count. A second thread burns CPU spin-waiting and stalls a
+second process on the same cores, and in this package it paid only
+for the three 1024^2 Gram gemms of a `psdo verify` pass (the source
+norm and the two translation defects of the stock edge), which take
+about 95 ms each on one thread against 64 ms on two (2 cores,
+OpenBLAS 0.3.31, numpy 2.4.6). Every other dense call of the battery,
+and of `psdo index` on the stock ladders (rungs up to 255), is smaller
+than 512; there a second thread gains a few milliseconds per call at
+most, and giving it to `inv` and the kernel's matmul from 256 on
+doubled the CPU time of `psdo index` (`BENCH_blas_threads.json`).
+With every call on one thread, the battery's CPU time fell 14% and
+its wall time rose 5-6%, about 0.14 s per pass
+(`BENCH_one_thread.json`). No result depends on the count: the verify
+digests, and the canonical index and quantize bytes, are the same on
+one thread and on two.
 
 The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
 defect) take the Gram kernel `quantize.gram_norm` instead of the SVD
-values. `wide(m)` covers its blocked upper-triangle gemm; its
-eigenvalue step, `top_eigenvalue`, runs at the narrow count. Measured
-on the same machine and libraries (median of 9 or 7 calls, 1 and 2
-threads interleaved; the gemm is gram_norm with the eigenvalue step
-stubbed out, gram_norm runs both phases at the given count):
+values: a blocked upper-triangle gemm, then `top_eigenvalue`. Measured
+on the same machine and libraries (ms on one thread, median of 9 or 7
+calls; the gemm is gram_norm with the eigenvalue step stubbed out):
 
     n       Gram gemm    zheevd_2stage   eigvalsh     gram_norm
-    256     4.5 / 3.5    13 / 12         11 / 11      16 / 15
-    384     11 / 6.6     31 / 30         30 / 31      42 / 36
-    512     19 / 12      63 / 53         75 / 56      86 / 68
-    768     50 / 32      152 / 125       222 / 141    218 / 162
-    1024    95 / 64      310 / 236       459 / 322    394 / 314
+    256     4.5          13              11           16
+    384     11           31              30           42
+    512     19           63              75           86
+    768     50           152             222          218
+    1024    95           310             459          394
 
 The two-stage solver (Haidar, Ltaief & Dongarra, SC'11) reduces to a
 band first and then to tridiagonal form; with values only it is
 backward stable, as the one-stage reduction of `eigvalsh` is, and it
-is the faster of the two from 512 on. Its second thread gains
-1.2-1.3x at 768-1024 for about 1.4x the CPU time, within the spread
-of repeated runs, so it stays on one thread; the gemm gains from 384
-on, as the zgemm does.
+is the faster of the two from 512 on.
 
 `top_eigenvalue` calls LAPACKE_zheevd_2stage (values only) on the
 Gram in place. `_openblas()` resolves it on first use from the same
@@ -72,7 +65,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-_WIDE_DIM = 512
 # the variables OpenBLAS reads its thread count from, in its own order
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # (set, get) symbol pairs, the scipy-openblas builds first
@@ -88,9 +80,6 @@ _EIGEN_SYMBOLS = (
     ("LAPACKE_zheevd_2stage", ctypes.c_int32),
 )
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
-
-# the policy a narrow() scope put in force; None outside one
-_active: Optional[dict] = None
 
 
 class _OpenBLAS(NamedTuple):
@@ -176,12 +165,7 @@ def top_eigenvalue(G: np.ndarray) -> float:
 def narrow() -> Iterator[dict]:
     """One OpenBLAS thread for the body; yields the policy, and the
     eigenvalue routine in use, as the report's `volatile.blas` entry.
-    The prior count comes back on exit, also after an exception. Inside
-    another narrow() it does nothing."""
-    global _active
-    if _active is not None:
-        yield _active
-        return
+    The prior count comes back on exit, also after an exception."""
     chosen = next((var for var in _THREAD_VARS if var in os.environ), None)
     if chosen is not None:
         yield {"threads": None, "reason": f"{chosen} set", **_eigen()}
@@ -191,25 +175,8 @@ def narrow() -> Iterator[dict]:
         yield {"threads": None, "reason": "no OpenBLAS library found", **_eigen()}
         return
     before = lib.get_threads()
-    _active = {"threads": 1, "wide_threads": before, "wide_from_dim": _WIDE_DIM, **_eigen()}
     lib.set_threads(1)
     try:
-        yield _active
+        yield {"threads": 1, **_eigen()}
     finally:
-        _active = None
         lib.set_threads(before)
-
-
-@contextlib.contextmanager
-def wide(n: int) -> Iterator[None]:
-    """The startup thread count for one dense O(n^3) call, when a
-    narrow() scope is in force and n >= 512; otherwise nothing."""
-    if _active is None or n < _WIDE_DIM:
-        yield
-        return
-    set_fn = _openblas().set_threads
-    set_fn(_active["wide_threads"])
-    try:
-        yield
-    finally:
-        set_fn(1)

@@ -28,8 +28,7 @@ non-finite or unbound on the grid it is evaluated on), 65 DSL parse
 error (message carries the byte offset), 74 output I/O error.
 Verification failures exit 1; --help exits 0.
 
-Every command runs on one OpenBLAS thread, with the startup count only
-around dense calls of dimension >= 512; psdo.blas states the policy
+Every command runs on one OpenBLAS thread; psdo.blas states the policy
 and when it is off, and the report names it as "volatile.blas".
 """
 
@@ -245,16 +244,26 @@ def write_container(path: str, op) -> None:
 
 
 def read_container(path: str) -> tuple[dict, np.ndarray]:
+    """The descriptor and matrix of a container; ConfigError on any
+    malformed file."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != CONTAINER_MAGIC:
         raise ConfigError("not a PSDO container (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 4)
+    if len(data) < 12:
+        raise ConfigError("container header truncated")
+    version, length = struct.unpack_from("<II", data, 4)
     if version != CONTAINER_VERSION:
         raise ConfigError(f"unsupported container version {version}")
-    (length,) = struct.unpack_from("<I", data, 8)
-    desc = json.loads(data[12 : 12 + length].decode("utf-8"))
-    n = int(desc["dim"])
+    if len(data) < 12 + length:
+        raise ConfigError("container descriptor truncated")
+    try:
+        desc = json.loads(data[12 : 12 + length].decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
+        raise ConfigError(f"container descriptor is not JSON: {e}") from None
+    n = desc.get("dim") if isinstance(desc, dict) else None
+    if type(n) is not int or n < 0:
+        raise ConfigError(f"container dim must be an int >= 0, got {n!r}")
     body = data[12 + length :]
     if len(body) != n * n * 16:
         raise ConfigError("container payload truncated")

@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from psdo.blas import wide
 from psdo.geometry import Circle, Cone, Edge, Geometry, Point, axis_layout, collar_cutoff
 from psdo.quantize import (
     DiscretizedOperator,
@@ -264,13 +263,11 @@ def _near_null_pairs(M: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]
     """
     n = M.shape[0]
     try:
-        with wide(n):
-            Minv = np.linalg.inv(M)
+        Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:  # the LU met an exact zero pivot
         Minv = None
     if Minv is None or not np.all(np.isfinite(Minv)):
-        with wide(n):
-            U, _, Vh = np.linalg.svd(M)
+        U, _, Vh = np.linalg.svd(M)
         return U[:, n - count:], Vh[n - count:].conj().T
     rng = np.random.default_rng(0)
     X = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
@@ -315,8 +312,7 @@ def finite_section(
     stats = []
     for size in sizes:
         A = build(int(size))
-        with wide(A.dim):
-            s = np.linalg.svd(A.matrix, compute_uv=False)
+        s = np.linalg.svd(A.matrix, compute_uv=False)
         dim = s.size
         sigma_max = float(s[0]) if dim else 0.0
         tau = tau_coef * sigma_max

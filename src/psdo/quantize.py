@@ -41,7 +41,7 @@ at 1.25x, and `op_mellin` on an unbatched point cone with n_t = 1024
 at 3.0x (grid, P and F). Symbol evaluation itself peaks at two
 output-sized arrays for a sum of x-by-xi terms (see
 `psdo.symexpr.evaluate`). An allocation estimate per dense matrix
-(ROADMAP item 6) can rely on these multiples. Blocking keeps the bits:
+(ROADMAP item 7) can rely on these multiples. Blocking keeps the bits:
 the tests compare every call-site shape with the unblocked product.
 
 The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
@@ -78,7 +78,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from psdo.blas import top_eigenvalue, wide
+from psdo.blas import top_eigenvalue
 from psdo.geometry import (
     Circle,
     Cone,
@@ -142,8 +142,7 @@ class DiscretizedOperator:
         return self._norm
 
     def singular_values(self) -> np.ndarray:
-        with wide(self.dim):
-            return np.linalg.svd(self.matrix, compute_uv=False)
+        return np.linalg.svd(self.matrix, compute_uv=False)
 
     def adjoint(self) -> "DiscretizedOperator":
         return DiscretizedOperator(self.geometry, self.v, self.matrix.conj().T)
@@ -159,11 +158,11 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def gram_norm(X: np.ndarray, out: np.ndarray) -> float:
-    """Largest singular value of a wide or square X (m x n, m <= n):
-    sqrt(lambda_max) of the upper triangle of the conjugated Gram
-    conj(X) X^T, formed in `out` (m x m) and read there in place by
-    `psdo.blas.top_eigenvalue`. `out` may be X[:, :m] itself, which
-    consumes X; 0.0 for a zero or empty X.
+    """Largest singular value of an m x n X with m <= n: sqrt(lambda_max)
+    of the upper triangle of the conjugated Gram conj(X) X^T, formed in
+    `out` (m x m) and read there in place by `psdo.blas.top_eigenvalue`.
+    `out` may be X[:, :m] itself, which consumes X; 0.0 for a zero or
+    empty X.
 
     The Gram is written one row block of at most _BLOCK entries of X at
     a time, first block first, and only on and above the diagonal, so
@@ -189,16 +188,15 @@ def gram_norm(X: np.ndarray, out: np.ndarray) -> float:
     scale = 2.0**-e
     block = np.empty((min(rows, m), n), dtype=complex)
     diag = np.empty((len(block), len(block)), dtype=complex)
-    with wide(m):
-        for i0 in starts:
-            i1 = min(i0 + rows, m)
-            b = np.conjugate(X[i0:i1], out=block[: i1 - i0])
-            b *= scale  # twice: 2^(-2e) itself may not be a double
-            b *= scale
-            d = np.matmul(b, X[i0:i1].T, out=diag[: i1 - i0, : i1 - i0])
-            if i1 < m:
-                np.matmul(b, X[i1:].T, out=out[i0:i1, i1:])
-            out[i0:i1, i0:i1] = d
+    for i0 in starts:
+        i1 = min(i0 + rows, m)
+        b = np.conjugate(X[i0:i1], out=block[: i1 - i0])
+        b *= scale  # twice: 2^(-2e) itself may not be a double
+        b *= scale
+        d = np.matmul(b, X[i0:i1].T, out=diag[: i1 - i0, : i1 - i0])
+        if i1 < m:
+            np.matmul(b, X[i1:].T, out=out[i0:i1, i1:])
+        out[i0:i1, i0:i1] = d
     del block, diag
     lam = top_eigenvalue(out)
     return math.sqrt(max(lam, 0.0)) / scale
@@ -315,10 +313,9 @@ def kn_assemble(
     n = len(rows)
     count = -(-n // max(4, _BLOCK // shape[-1]))
     block = np.empty((-(-n // count), shape[-1]), dtype=complex)
-    with wide(shape[-1]):
-        for i in range(count):
-            r = rows[n * i // count : n * (i + 1) // count]
-            r[...] = np.matmul(r, F, out=block[: len(r)])
+    for i in range(count):
+        r = rows[n * i // count : n * (i + 1) // count]
+        r[...] = np.matmul(r, F, out=block[: len(r)])
     return np.moveaxis(P, (-2, -1), (-4, -2))
 
 

@@ -1,6 +1,6 @@
-"""The BLAS thread policy: one thread inside a command, the startup
-count around dense calls of dimension >= 512, off when asked, and never
-a change in any result; and the eigenvalue routine the report names."""
+"""The BLAS thread policy: one thread for a whole command, off when
+asked, and never a change in any result; and the eigenvalue routine the
+report names."""
 
 import json
 import os
@@ -17,8 +17,9 @@ from psdo.verify import run_suites
 from test_fredholm import _load_bench_workloads
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+QUANTIZE_512 = {"geometry": {"kind": "circle", "n_x": 512}, "symbol": "2 + 0.3 * sin(x) * chi(xi)"}
 FAKE_EIGEN = {"eigen": "eigvalsh", "eigen_reason": "no LAPACKE_zheevd_2stage in libfake.so"}
-ON = {"threads": 1, "wide_threads": 4, "wide_from_dim": 512, **FAKE_EIGEN}
+ON = {"threads": 1, **FAKE_EIGEN}
 
 
 class FakeOpenBLAS:
@@ -56,13 +57,13 @@ def policy_on(monkeypatch):
     clear_thread_vars(monkeypatch)
 
 
-def run_index(tmp_path, cfg):
+def run_command(tmp_path, command, cfg, *flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    return main(["index", "--config", str(path)])
+    return main([command, "--config", str(path), *flags])
 
 
-# -- narrow and wide ---------------------------------------------------------
+# -- narrow ---------------------------------------------------------------------
 
 
 def test_narrow_sets_one_thread_and_restores(fake):
@@ -78,46 +79,33 @@ def test_narrow_restores_after_raise(fake):
         with blas.narrow():
             raise RuntimeError("body failed")
     assert fake.count == 4
-    with blas.wide(1024):  # the scope is closed
-        pass
     assert fake.calls == [1, 4]
 
 
 def test_nested_narrow_is_a_no_op(fake):
     with blas.narrow() as outer:
         with blas.narrow() as inner:
-            assert inner is outer
-        assert fake.count == 1
-    assert fake.calls == [1, 4]
-
-
-def test_wide_below_threshold_or_outside_narrow_leaves_count(fake):
-    with blas.wide(4096):
-        assert fake.count == 4
-    with blas.narrow():
-        with blas.wide(511):
             assert fake.count == 1
-    assert fake.calls == [1, 4]
-
-
-def test_wide_restores_startup_count_then_one(fake):
-    with blas.narrow():
-        with blas.wide(512):
-            assert fake.count == 4
+            assert inner == outer
         assert fake.count == 1
-    assert fake.calls == [1, 4, 1, 4]
+    assert fake.count == 4
+    assert fake.calls == [1, 1, 1, 4]
 
 
 def test_real_library_follows_the_policy(policy_on):
     get = blas._openblas().get_threads
     before = get()
-    with blas.narrow() as policy:
-        assert get() == 1
-        assert policy["wide_threads"] == before
-        with blas.wide(512):
-            assert get() == before
+    with blas.narrow():
         assert get() == 1
     assert get() == before
+
+
+def test_quantize_sets_the_count_once(tmp_path, capsys, fake):
+    """A 512-point circle reaches the kernel's matmul and the Gram norm
+    at dimension 512; neither touches the thread count."""
+    assert run_command(tmp_path, "quantize", QUANTIZE_512, "--out", str(tmp_path / "q")) == 0
+    assert json.loads(capsys.readouterr().out)["volatile"]["blas"] == ON
+    assert fake.calls == [1, 4]
 
 
 def test_import_resolves_no_library():
@@ -166,7 +154,7 @@ def test_policy_off_when_threads_are_set(tmp_path, capsys, monkeypatch, var):
 
     monkeypatch.setattr(blas, "_openblas", lambda: blas._OpenBLAS("libfake.so", never, never, None))
     cfg, _, _ = _load_bench_workloads().index_configs(0)[0]
-    assert run_index(tmp_path, cfg) == 0
+    assert run_command(tmp_path, "index", cfg) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["volatile"]["blas"] == {"threads": None, "reason": f"{var} set", **FAKE_EIGEN}
 
@@ -196,7 +184,7 @@ def test_index_bytes_same_with_policy_on_and_off(tmp_path, capsys, monkeypatch, 
     cfg, _, _ = _load_bench_workloads().index_configs(0)[i]
 
     def index_run():
-        code = run_index(tmp_path, cfg)
+        code = run_command(tmp_path, "index", cfg)
         report = json.loads(capsys.readouterr().out)
         return code, canonical_report_bytes(report), report["volatile"]["blas"]["threads"]
 
@@ -205,3 +193,22 @@ def test_index_bytes_same_with_policy_on_and_off(tmp_path, capsys, monkeypatch, 
     off = index_run()
     assert on[2] == 1 and off[2] is None
     assert on[:2] == off[:2]
+
+
+def test_quantize_bytes_same_with_policy_on_and_off(tmp_path, capsys, monkeypatch, policy_on):
+    """Where the policy is off, the kernel's matmul and the Gram gemm at
+    dimension 512 run on two threads; the container and the printed
+    norm keep their bits."""
+
+    def quantize_run(name):
+        out = tmp_path / name
+        code = run_command(tmp_path, "quantize", QUANTIZE_512, "--out", str(out))
+        report = json.loads(capsys.readouterr().out)
+        threads = report["volatile"]["blas"]["threads"]
+        return code, canonical_report_bytes(report).replace(str(out).encode(), b"OUT"), threads
+
+    on = quantize_run("on")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    off = quantize_run("off")
+    assert on[2] == 1 and off[2] is None
+    assert on[:2] == off[:2]  # the report holds the container's sha256 and the norm

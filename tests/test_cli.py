@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from psdo.cli import (
     CONFIG_SCHEMA,
     CONTAINER_MAGIC,
+    CONTAINER_VERSION,
+    ConfigError,
     EXIT_COMPAT,
     EXIT_CONFIG,
     EXIT_ELLIPTIC,
@@ -282,11 +285,43 @@ def test_quantize_empty_out_writes_nothing(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-def test_container_rejects_bad_magic(tmp_path):
+def _container(desc: bytes, body: bytes = b"", length=None) -> bytes:
+    length = len(desc) if length is None else length
+    return CONTAINER_MAGIC + struct.pack("<II", CONTAINER_VERSION, length) + desc + body
+
+
+MALFORMED_CONTAINERS = {
+    "bad-magic": (b"NOPE" + b"\x00" * 32, "magic"),
+    "six-bytes": (CONTAINER_MAGIC + b"\x01\x00", "header truncated"),
+    "version": (CONTAINER_MAGIC + struct.pack("<II", 99, 2) + b"{}", "version 99"),
+    "length-past-data": (_container(b'{"dim":0}', length=50), "descriptor truncated"),
+    "not-json": (_container(b"dim=1"), "not JSON"),
+    "not-utf8": (_container(b"\xff\xfe"), "not JSON"),
+    "deep-nesting": (_container(b"[" * 100000), "not JSON"),
+    "empty-descriptor": (_container(b"{}"), "dim must be an int"),
+    "list-descriptor": (_container(b"[1]"), "dim must be an int"),
+    "dim-negative": (_container(b'{"dim":-1}'), "dim must be an int"),
+    "dim-float": (_container(b'{"dim":1.0}', b"\x00" * 16), "dim must be an int"),
+    "dim-string": (_container(b'{"dim":"1"}', b"\x00" * 16), "dim must be an int"),
+    "dim-bool": (_container(b'{"dim":true}', b"\x00" * 16), "dim must be an int"),
+    "payload-short": (_container(b'{"dim":2}', b"\x00" * 48), "payload truncated"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONTAINERS)
+def test_container_rejects_malformed(tmp_path, case):
+    data, message = MALFORMED_CONTAINERS[case]
     path = tmp_path / "bad.psdo"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(Exception, match="magic"):
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=message):
         read_container(str(path))
+
+
+def test_container_reads_empty_operator(tmp_path):
+    path = tmp_path / "empty.psdo"
+    path.write_bytes(_container(b'{"dim":0}'))
+    desc, mat = read_container(str(path))
+    assert desc == {"dim": 0} and mat.shape == (0, 0)
 
 
 # -- index ------------------------------------------------------------------
