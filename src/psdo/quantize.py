@@ -19,26 +19,34 @@ This module is the only home of the Fourier phases that turn a symbol
 into a matrix: `synthesis` builds every phase matrix E, `kn_assemble`
 every Kohn-Nirenberg product E S F, `kn_circulant` its x-free form, and
 `base_to_nodal` every conjugation of circle-base modes to nodal values.
-Two analysis matrices F remain: `_dft_matrix` on circle x axes and
-E^H/n on t and base axes. They round differently, and the canonical
-verify report prints assembly rounding residues, so unifying them (or
-an FFT kernel) waits until those residues leave the report (ROADMAP
-item 1).
+The analysis step has three forms. On circle x axes with an x-dependent
+symbol grid (`op_circle` on x-dependent symbols, x-dependent `op_edge`,
+`psdo.fredholm._op_interior_on_edge`) it is an in-place FFT of the
+product's rows, exact in arithmetic since x_j = 2 pi j / n and the
+modes are in FFT order; it agrees with the matrix product to about
+1e-15 relative. x-free circle grids keep the matrix `_dft_matrix`
+(in `kn_assemble` and `kn_circulant`), and t and base axes keep E^H/n.
+Those round differently from the FFT, and the canonical verify report
+prints their assembly rounding residues (the circle translation
+defect), so moving them to the FFT waits until those residues leave
+the report (ROADMAP item 1).
 
 Memory contract: besides the symbol grid, every dense assembly peaks
 at two output-sized arrays plus at most two blocks of _BLOCK entries
 (2 MiB each), under tracemalloc. `kn_assemble` works in one buffer P:
 the symbol grid S and P are live until the product S E is formed in P
-(on t and base axes with the (j, k) analysis matrix F beside them),
-then P, F and one row block of the matmul. `kn_circulant` fills its
-preallocated output in blocks of j rows, so besides the output only
-one block's contraction is live, and `_dft_matrix` transforms one
-identity slab at a time. Measured at a 1024^2 output:
-`op_circle(Circle(1024))` peaks at 2.25x the output (the grid and P,
-then P, F, one slab and its transform), the x-free `op_edge` on
-16 x 64 at 1.19x (output, mode blocks, one block), `_dft_matrix(1024)`
-at 1.25x, and `op_mellin` on an unbatched point cone with n_t = 1024
-at 3.0x (grid, P and F). Symbol evaluation itself peaks at two
+(on t and base axes with the (j, k) analysis matrix F beside them).
+Then an x-dependent circle grid keeps only P, which the FFT transforms
+in place; other grids hold P, F and one row block of the matmul.
+`kn_circulant` fills its preallocated output in blocks of j rows, so
+besides the output only one block's contraction is live, and
+`_dft_matrix` transforms one identity slab at a time. Measured at a
+1024^2 output: `op_circle(Circle(1024))` peaks at 2.02x the output on
+an x-dependent symbol (the grid and P) and at 2.25x on an x-free one
+(P, F, one slab and its transform), the x-free `op_edge` on 16 x 64
+at 1.19x (output, mode blocks, one block), `_dft_matrix(1024)` at
+1.25x, and `op_mellin` on an unbatched point cone with n_t = 1024 at
+3.0x (grid, P and F). Symbol evaluation itself peaks at two
 output-sized arrays for a sum of x-by-xi terms (see
 `psdo.symexpr.evaluate`). An allocation estimate per dense matrix
 (ROADMAP item 7) can rely on these multiples. Blocking keeps the bits:
@@ -284,17 +292,24 @@ def kn_assemble(
 ) -> np.ndarray:
     """Kohn-Nirenberg product sum_k E[j, k] S[..., j, k, a, b] F[k, l],
     shaped (..., j, a, l, b), with S = symbol() (already broadcast to
-    that shape) and E = synthesis(nodes, covar). F is `_dft_matrix` on
-    circle x axes (circle_x) and E^H/n on t and base axes.
+    that shape) and E = synthesis(nodes, covar). On circle x axes
+    (circle_x) F[k, l] = exp(-i k x_l)/n with x_l = 2 pi l / n and the
+    modes in FFT order, so P F is fft(P)/n along k; on t and base axes
+    F is E^H/n.
 
     Everything happens in one buffer P laid out (..., a, b, j, k): E is
     written into its first (j, k) slab and copied to the others, the
-    product S E overwrites P, S is freed, and the matmul against F runs
-    in row blocks written back into P. On t and base axes F is taken
-    from the slab before the product overwrites it; on circle x axes
-    it is built once S is freed.
+    product S E overwrites P and S is freed. On a circle x axis with an
+    x-dependent grid the analysis step is then one in-place FFT of P's
+    rows, so the peak is S and P (2.02x the output at 1024^2, against
+    2.25x with the DFT matrix on an x-free grid). Other grids take a
+    matmul against F in row blocks written back into P: on t and base
+    axes F is taken from the slab before the product overwrites it, and
+    on x-free circle grids (stride 0 along j) it is `_dft_matrix`,
+    built once S is freed.
     """
     S = symbol()
+    fft = circle_x and S.strides[-4] != 0
     shape = S.shape[:-4] + S.shape[-2:] + S.shape[-4:-2]  # (..., a, b, j, k)
     P = np.empty(shape, dtype=complex)
     slabs = P.reshape((-1,) + shape[-2:])
@@ -305,11 +320,18 @@ def kn_assemble(
     slabs[1:] = E
     np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), P, out=P)
     del S
+    rows = P.reshape(-1, shape[-1])
+    if fft:
+        np.fft.fft(rows, axis=-1, norm="forward", out=rows)
+        return np.moveaxis(P, (-2, -1), (-4, -2))
     if circle_x:
+        # x-free grids keep the DFT matrix: the FFT rounds differently,
+        # and the verify report prints these grids' assembly residues
+        # (the circle translation defect). They join the FFT when
+        # ROADMAP item 1 takes those residues out of the report.
         F = _dft_matrix(shape[-1])
     # near-equal row blocks of at most _BLOCK entries and at least two
     # rows: a one-row matmul goes through gemv and rounds differently
-    rows = P.reshape(-1, shape[-1])
     n = len(rows)
     count = -(-n // max(4, _BLOCK // shape[-1]))
     block = np.empty((-(-n // count), shape[-1]), dtype=complex)

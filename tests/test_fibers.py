@@ -4,7 +4,10 @@ The oracle below is the assembly op_edge and op_mellin used before the
 fibers were batched: one evaluate, one E S F contraction and (on a
 circle base) one base-DFT conjugation per fiber, in a Python loop over
 the edge points. Batching keeps the arithmetic of every entry, so the
-comparisons are exact.
+comparisons are exact, except for x-dependent edge families: their x
+axis is analysed by an FFT in kn_assemble, which rounds differently from
+the oracle's product with the DFT matrix, and the comparison is the
+bound of `assert_matches_oracle`.
 """
 
 import numpy as np
@@ -16,6 +19,17 @@ from psdo.quantize import QuantizeError, _interior_nodes, op_edge, op_mellin
 from psdo.stock import homogeneity_stock, infinitesimal_stock
 from psdo.symbols import ConeSymbolFamily, EdgeSymbol, SymbolError, check_twisted_homogeneity, pushforward_edge
 from psdo.symexpr import Const, EvalError, evaluate, parse, substitute, variables_of
+
+
+def assert_matches_oracle(A: np.ndarray, want: np.ndarray, expr) -> None:
+    """Quantizer output against its oracle. On circle x axes x-free
+    symbols keep the DFT-matrix product and equal the oracle bit for
+    bit; x-dependent ones go through the FFT, within
+    max|A - want| <= 2e-15 max|want| (worst measured 8.7e-16)."""
+    if "x" not in variables_of(expr):
+        assert np.array_equal(A, want)
+    else:
+        assert np.max(np.abs(A - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 def fiber_oracle(cone: Cone, expr, v: float, xi: float, x_value: float, freeze_r: bool) -> np.ndarray:
@@ -122,7 +136,7 @@ def test_op_edge_equals_fiber_loop(name):
     expr = parse(src)
     A = op_edge(g, expr, v=0.7, freeze_r=freeze_r)
     want, want_blocks = edge_oracle(g, expr, 0.7, freeze_r)
-    assert np.array_equal(A.matrix, want)
+    assert_matches_oracle(A.matrix, want, expr)
     assert A.interior == (g.cone.boundary == "interval")
     if want_blocks is None:
         assert A._blocks is None
@@ -137,7 +151,7 @@ def test_stock_infinitesimal_edge_equals_fiber_loop(frozen):
         expr = substitute(expr, {"x": Const(float(z))})
     A = op_edge(g, expr, v=0.0, freeze_r=frozen)
     want, want_blocks = edge_oracle(g, expr, 0.0, frozen)
-    assert np.array_equal(A.matrix, want)
+    assert_matches_oracle(A.matrix, want, expr)
     assert (A._blocks is None) == (want_blocks is None)
     if want_blocks is not None:
         assert np.array_equal(A._blocks, want_blocks)

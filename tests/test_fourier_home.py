@@ -4,20 +4,25 @@ from before psdo.quantize became their only home.
 Each oracle below is the hand-built product its site used: phases by
 np.exp of an outer product, the Kohn-Nirenberg product by a site-local
 einsum. Routing through synthesis / kn_assemble / kn_circulant keeps the
-arithmetic of every entry, so the comparisons are exact. (op_mellin and
-op_edge have their own oracles in test_fibers.py.)
+arithmetic of every entry, so the comparisons are exact, except on
+x-dependent circle x axes: there kn_assemble's analysis step is an FFT,
+which rounds differently from the oracle's product with the DFT matrix,
+and the comparison is the bound of `assert_matches_oracle`. (op_mellin
+and op_edge have their own oracles in test_fibers.py.)
 """
 
 import numpy as np
 import pytest
 
+import psdo.quantize as quantize_module
 from psdo.calculus import extract_symbol
 from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, translation_matrix
-from psdo.quantize import DiscretizedOperator, _dft_matrix, kn_circulant, op_circle, quantize, synthesis
+from psdo.quantize import DiscretizedOperator, _dft_matrix, kn_circulant, op_circle, op_edge, quantize, synthesis
 from psdo.stock import homogeneity_stock
 from psdo.symbols import ConeSymbolFamily, base_pullback
 from psdo.symexpr import evaluate, parse
+from test_fibers import EDGE_CASES, assert_matches_oracle, edge_oracle
 
 SCALAR = "1 + chi(xi)*exp(cos(x)) + (0,0.3)*sin(2*x)*xi/(1 + xi^2)"
 MATRIX = "[[1 + chi(xi), 0.5*sin(x)], [(0,1)*cos(x)*chi(xi), 2 - chi(xi)]]"
@@ -33,7 +38,10 @@ def circle_oracle(g: Circle, expr) -> np.ndarray:
 
 
 # x-free, xi-free and constant symbols: their grids broadcast with stride
-# 0, where the operand order of the complex product decides the bits
+# 0, where the operand order of the complex product decides the bits. The
+# ids are historical and swapped: "xifree" is x-free (the DFT-matrix
+# branch, compared exactly), "xfree" is xi-free but x-dependent (the FFT
+# branch, compared within the bound).
 BROADCAST = {
     "xifree": (1, "1 + chi(xi)"),
     "xfree": (1, "exp((0,1) * x)"),
@@ -42,7 +50,7 @@ BROADCAST = {
 }
 CIRCLE_CASES = [
     pytest.param(n, q, SCALAR if q == 1 else MATRIX, id=f"{n}-{q}")
-    for n, q in [(8, 1), (8, 2), (16, 1), (64, 2), (256, 1), (512, 2), (1024, 1)]
+    for n, q in [(8, 1), (8, 2), (16, 1), (64, 2), (100, 1), (100, 2), (256, 1), (512, 2), (1024, 1)]
 ] + [
     pytest.param(n, q, src, id=f"{n}-{name}")
     for n in (8, 100, 256, 1024)
@@ -54,7 +62,7 @@ CIRCLE_CASES = [
 def test_op_circle_equals_contraction(n, q, src):
     g = Circle(n, q=q)
     expr = parse(src)
-    assert np.array_equal(op_circle(g, expr).matrix, circle_oracle(g, expr))
+    assert_matches_oracle(op_circle(g, expr).matrix, circle_oracle(g, expr), expr)
 
 
 def interior_on_edge_oracle(g: Edge, expr, v: float) -> np.ndarray:
@@ -83,7 +91,25 @@ def interior_on_edge_oracle(g: Edge, expr, v: float) -> np.ndarray:
 )
 def test_op_interior_on_edge_equals_contraction(g, src):
     expr = parse(src)
-    assert np.array_equal(_op_interior_on_edge(g, expr, 2.0), interior_on_edge_oracle(g, expr, 2.0))
+    assert_matches_oracle(_op_interior_on_edge(g, expr, 2.0), interior_on_edge_oracle(g, expr, 2.0), expr)
+
+
+def test_only_x_free_circle_axes_build_the_dft_matrix(monkeypatch):
+    # x-dependent circle x axes analyse by the FFT, so they assemble
+    # without _dft_matrix; x-free ones still contract with it
+    def refuse(n):
+        raise RuntimeError("_dft_matrix called")
+
+    monkeypatch.setattr(quantize_module, "_dft_matrix", refuse)
+    g, expr = Circle(100, q=2), parse(MATRIX)
+    assert_matches_oracle(op_circle(g, expr).matrix, circle_oracle(g, expr), expr)
+    edge, src, _ = EDGE_CASES["point-q2-xdep"]
+    expr = parse(src)
+    assert_matches_oracle(op_edge(edge, expr, v=0.7).matrix, edge_oracle(edge, expr, 0.7, False)[0], expr)
+    edge, expr = Edge(Circle(16), Cone(Point(), T=6.0, n_t=32)), parse("1 + chi(xi)*cos(x) + r/(1 + r)")
+    assert_matches_oracle(_op_interior_on_edge(edge, expr, 2.0), interior_on_edge_oracle(edge, expr, 2.0), expr)
+    with pytest.raises(RuntimeError, match="_dft_matrix called"):
+        op_circle(Circle(8), parse("1 + chi(xi)"))
 
 
 def extract_oracle(A: DiscretizedOperator, pre: int, n: int, post: int, nodes, covar) -> np.ndarray:
