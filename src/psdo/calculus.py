@@ -31,6 +31,7 @@ from psdo.geometry import (
 )
 from psdo.quantize import (
     DiscretizedOperator,
+    analysis_matrix,
     gram_norm,
     op_circle,
     quantize,
@@ -169,7 +170,7 @@ def extract_symbol(
     lay = axis_layout(A.geometry, axis)
     pre, n, post, covar = lay.pre, lay.n, lay.post, lay.covar
     iF = synthesis(lay.nodes, covar)
-    F = iF.conj().T / n
+    F = analysis_matrix(iF)
     d = pre * post
     M = A.matrix.reshape(pre, n, post, pre, n, post)
     D = np.einsum("kj,ajbcld,lm->akbcmd", F, M, iF, optimize=True)

@@ -31,6 +31,20 @@ prints their assembly rounding residues (the circle translation
 defect), so moving them to the FFT waits until those residues leave
 the report (ROADMAP item 1).
 
+`synthesis` exponentiates only half of each phase table. Every
+covariable set here is in FFT order (`Circle.modes` and `Cone.p` come
+from `np.fft.fftfreq`), so covar[m - k] == -covar[k] exactly, and
+column m - k of E is the conjugate of column k: the phase x_j (-k)
+rounds to exactly -(x_j k), libm's cos is even and its sin odd. exp
+runs on columns 0..m//2 and the mirrored columns are conjugated
+straight into the output. A row whose mirrored phases include a signed
+zero (the circle node x_0 = 0, the cone's middle node t = 0) or a
+non-finite value would take the wrong sign from the conjugate, so its
+mirrored columns are exponentiated directly. The table is bit for bit
+the full np.exp(np.multiply(1j * nodes[:, None], covar[None, :])),
+zero signs included; covariables that are not mirrored raise
+ValueError, and there is no full-table fallback.
+
 Memory contract: besides the symbol grid, every dense assembly peaks
 at two output-sized arrays plus at most two blocks of _BLOCK entries
 (2 MiB each), under tracemalloc. `kn_assemble` works in one buffer P:
@@ -281,10 +295,47 @@ def _dft_matrix(n: int) -> np.ndarray:
 
 def synthesis(nodes: np.ndarray, covar: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Phase matrix E[j, k] = exp(i nodes_j covar_k), written into `out`
-    when given."""
+    when given, bit for bit the full table
+    np.exp(np.multiply(1j * nodes[:, None], covar[None, :])).
+
+    The covariables must be mirrored in FFT order, covar[m - k] ==
+    -covar[k] for 0 < k < m - k (as `Circle.modes` and `Cone.p` are);
+    otherwise ValueError. `exp` then runs only on columns 0..m//2, and
+    column m - k is the conjugate of column k: the phase x_j (-k) is
+    exactly -(x_j k), libm's cos is even and its sin odd. Rows where a
+    mirrored phase is a signed zero or not finite (the node x_0 = 0 of
+    a circle, the middle node t = 0 of a cone) would take the wrong
+    zero sign from the conjugate, so their mirrored columns are
+    exponentiated directly.
+    """
+    m = len(covar)
+    h = m // 2
+    lo = covar[1 : (m + 1) // 2]
+    if (-lo).tobytes() != covar[:h:-1].tobytes():
+        raise ValueError("synthesis needs covariables mirrored in FFT order")
+    if out is None:
+        out = np.empty((len(nodes), m), dtype=complex)
     # not np.outer: its float n x n temporary raises peak memory
-    E = np.multiply(1j * nodes[:, None], covar[None, :], out=out)
-    return np.exp(E, out=E)
+    E = np.multiply(1j * nodes[:, None], covar[None, : h + 1], out=out[:, : h + 1])
+    np.exp(E, out=E)
+    np.conjugate(out[:, m - h - 1 : 0 : -1], out=out[:, h + 1 :])
+    if lo.size:
+        # a mirrored phase |x_j k| is zero or overflows iff it does at the
+        # smallest or largest |k| (rounding is monotone)
+        x, c = np.abs(nodes), np.abs(lo)
+        rows = np.flatnonzero(~((x * c.min() > 0) & (x * c.max() < np.inf)))
+        D = np.multiply(1j * nodes[rows, None], covar[None, h + 1 :])
+        out[rows, h + 1 :] = np.exp(D, out=D)
+    return out
+
+
+def analysis_matrix(E: np.ndarray) -> np.ndarray:
+    """Analysis matrix F = E^H / n of a phase table E with n node rows,
+    conjugated once and divided in place: one n x n array, where
+    E.conj().T / n made two, with the same ufuncs and the same bits."""
+    F = np.conjugate(E).T
+    F /= E.shape[0]
+    return F
 
 
 def kn_assemble(
@@ -315,8 +366,7 @@ def kn_assemble(
     slabs = P.reshape((-1,) + shape[-2:])
     E = synthesis(nodes, covar, out=slabs[0])
     if not circle_x:
-        F = np.conjugate(E).T
-        F /= len(nodes)
+        F = analysis_matrix(E)
     slabs[1:] = E
     np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), P, out=P)
     del S
@@ -366,7 +416,7 @@ def base_to_nodal(base: Circle, B: np.ndarray) -> np.ndarray:
     to the nodal basis of the base: kn_circulant with the base DFT pair
     E and E^H/n."""
     E = synthesis(base.x, base.modes.astype(float))
-    return kn_circulant(E, B, E.conj().T / base.n_x)
+    return kn_circulant(E, B, analysis_matrix(E))
 
 
 def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOperator:

@@ -18,7 +18,16 @@ import psdo.quantize as quantize_module
 from psdo.calculus import extract_symbol
 from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, translation_matrix
-from psdo.quantize import DiscretizedOperator, _dft_matrix, kn_circulant, op_circle, op_edge, quantize, synthesis
+from psdo.quantize import (
+    DiscretizedOperator,
+    _dft_matrix,
+    base_to_nodal,
+    kn_circulant,
+    op_circle,
+    op_edge,
+    quantize,
+    synthesis,
+)
 from psdo.stock import homogeneity_stock
 from psdo.symbols import ConeSymbolFamily, base_pullback
 from psdo.symexpr import evaluate, parse
@@ -260,3 +269,6 @@ def test_kn_circulant_blocks_equal_unblocked_einsum(dft, n, bshape):
     B = rng.normal(size=bshape) + 1j * rng.normal(size=bshape)
     want = np.einsum("jk,...kab,kl->...jalb", E, B, F, optimize=True)
     assert np.array_equal(kn_circulant(E, B, F), want)
+    if not dft:
+        # base_to_nodal's in-place analysis matrix keeps E.conj().T / n's bits
+        assert np.array_equal(base_to_nodal(c, B), want)

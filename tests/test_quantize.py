@@ -8,12 +8,14 @@ from psdo.quantize import (
     NegligibleVerdict,
     QuantizeError,
     _dft_matrix,
+    analysis_matrix,
     dyadic_ladder,
     negligible_test,
     op_circle,
     op_edge,
     op_mellin,
     quantize,
+    synthesis,
 )
 from psdo.symexpr import parse, evaluate
 
@@ -395,3 +397,101 @@ def test_evaluate_memory_budget():
     peak, S = traced_peak(lambda: evaluate(expr, bindings))
     assert S.shape == (1024, 1024, 1, 1)
     assert peak <= 2 * S.nbytes + SMALL
+
+
+# ---------------------------------------------------------------------------
+# synthesis: mirror-half phase tables against the full table
+
+
+def full_phase_table(nodes, covar):
+    return np.exp(np.multiply(1j * nodes[:, None], covar[None, :]))
+
+
+def assert_same_bits(a, b):
+    fa, fb = a.view(float), b.view(float)
+    assert np.array_equal(fa, fb)
+    assert np.array_equal(np.signbit(fa), np.signbit(fb))
+
+
+def _odd_circle(n):
+    return 2 * np.pi / n * np.arange(n), np.fft.fftfreq(n, d=1.0 / n)
+
+
+def _cone_axes(base, boundary, T, n_t):
+    g = Cone(base, T=T, n_t=n_t, boundary=boundary)
+    return g.t, g.p
+
+
+def _pushforward_nodes():
+    # the nodes of symbols.base_pullback: a warped base circle
+    c = Circle(64)
+    return evaluate(parse("x + 0.3*sin(x) - 0.1*cos(2*x)"), {"x": c.x}).reshape(-1).real, c.modes.astype(float)
+
+
+SIGNED_ZEROS = np.array([0.0, -0.0, 1.0, -1.0, 2.5e-308, 5e-324, -5e-324, 1e-310, -3.0])
+SYNTHESIS_GRIDS = {
+    **{f"circle-{n}": (Circle(n).x, Circle(n).modes.astype(float)) for n in (8, 16, 32, 64, 100, 128, 256, 512, 1024)},
+    **{f"odd-{n}": _odd_circle(n) for n in (1, 3, 9, 17, 101, 255)},
+    **{
+        f"cone-{b}-{mode}-{T}-{n_t}": _cone_axes(base, mode, T, n_t)
+        for b, base in (("point", Point()), ("circle", Circle(8)))
+        for mode in ("periodic", "interval")
+        for T, n_t in ((3.0, 16), (6.0, 64), (4.0, 256), (np.pi, 32))
+    },
+    "cone-interval-interior": (Cone(Point(), T=4.0, n_t=32, boundary="interval").t[1:], Cone(Point(), T=4.0, n_t=32).p),
+    "random-normal": (np.random.default_rng(3).normal(scale=5.0, size=40), np.fft.fftfreq(24, d=1.0 / 24)),
+    "random-wide": (np.random.default_rng(4).uniform(-1e6, 1e6, size=33), np.fft.fftfreq(33, d=1.0 / 33)),
+    "pushforward": _pushforward_nodes(),
+    "signed-zeros-modes": (SIGNED_ZEROS, Circle(16).modes.astype(float)),
+    # p_1 = pi / 10 < 1: the subnormal nodes' phases round to zero
+    "signed-zeros-p": (SIGNED_ZEROS, Cone(Point(), T=10.0, n_t=16).p),
+}
+
+
+@pytest.mark.parametrize("nodes, covar", list(SYNTHESIS_GRIDS.values()), ids=list(SYNTHESIS_GRIDS))
+def test_synthesis_bits_equal_full_table(nodes, covar):
+    want = full_phase_table(nodes, covar)
+    assert_same_bits(synthesis(nodes, covar), want)
+    out = np.full(want.shape, np.nan, dtype=complex)
+    assert synthesis(nodes, covar, out=out) is out
+    assert_same_bits(out, want)
+
+
+@pytest.mark.parametrize(
+    "covar",
+    [np.arange(8.0), np.fft.fftshift(np.fft.fftfreq(9, d=1.0 / 9)), np.fft.fftfreq(8, d=1.0 / 8) + 0.5],
+    ids=["ascending", "centered", "shifted"],
+)
+def test_synthesis_needs_mirrored_covariables(covar):
+    with pytest.raises(ValueError, match="mirrored"):
+        synthesis(Circle(8).x, covar)
+
+
+def test_synthesis_mirror_is_exact_in_sign():
+    # a zero covariable mirrored by +0.0 is not -(+0.0) bit for bit
+    covar = np.array([0.0, 0.0, 1.0, -1.0, 0.0])
+    with pytest.raises(ValueError, match="mirrored"):
+        synthesis(np.ones(3), covar)
+    covar[-1] = -0.0
+    assert_same_bits(synthesis(SIGNED_ZEROS, covar), full_phase_table(SIGNED_ZEROS, covar))
+
+
+def test_synthesis_memory_budget():
+    # exp runs in place on the half table, the conjugates are written
+    # straight into out: 0.38 MiB beyond out at 1024^2
+    c = Circle(1024)
+    k = c.modes.astype(float)
+    out = np.empty((1024, 1024), dtype=complex)
+    peak, _ = traced_peak(lambda: synthesis(c.x, k, out=out))
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [8, 16, 1024])
+def test_analysis_matrix_keeps_bits_in_one_array(n):
+    # conj(E).T divided in place: E.conj().T / n's bits, one n x n array
+    # where that expression peaked at two (32 MiB at 1024^2)
+    c = Circle(n)
+    E = synthesis(c.x, c.modes.astype(float))
+    peak, F = traced_peak(lambda: analysis_matrix(E))
+    assert np.array_equal(F, E.conj().T / n)
+    assert peak < E.nbytes + SMALL
