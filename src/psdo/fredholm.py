@@ -464,9 +464,9 @@ def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
     circ, cone = g.circle, g.cone
     n, n_t, q = circ.n_x, cone.n_t, g.q
     k = circ.modes.astype(float)
-    bindings = {"x": circ.x[:, None], "xi": k, "r": cone.r[:, None, None], "v": v}
+    bindings = {"xi": k, "r": cone.r[:, None, None], "v": v}
     M = kn_assemble(
-        lambda: np.broadcast_to(evaluate(expr, bindings), (n_t, n, n, q, q)), circ.x, k, circle_x=True
+        lambda js: evaluate(expr, {**bindings, "x": circ.x[js, None]}), circ.x, k, (n_t, n, n, q, q), circle_x=True
     )  # (t, j, a, l, b)
     full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
     idx = np.arange(n_t)

@@ -45,26 +45,37 @@ the full np.exp(np.multiply(1j * nodes[:, None], covar[None, :])),
 zero signs included; covariables that are not mirrored raise
 ValueError, and there is no full-table fallback.
 
-Memory contract: besides the symbol grid, every dense assembly peaks
-at two output-sized arrays plus at most two blocks of _BLOCK entries
-(2 MiB each), under tracemalloc. `kn_assemble` works in one buffer P:
-the symbol grid S and P are live until the product S E is formed in P
-(on t and base axes with the (j, k) analysis matrix F beside them).
-Then an x-dependent circle grid keeps only P, which the FFT transforms
-in place; other grids hold P, F and one row block of the matmul.
+Memory contract: no dense assembly holds a whole symbol grid of its
+own. `kn_assemble` works in one buffer P and streams the grid into it,
+one block of j rows at a time, at most _BLOCK entries (2 MiB) or four
+rows, whichever is more (`_row_blocks`), so besides P only one block's
+evaluation is live: two blocks for a sum of x-by-xi terms (see
+`psdo.symexpr.evaluate`). Rows wider than a quarter block occur only
+in the x-dependent `op_edge`, whose blocks are slices of its fibers.
+An x-dependent circle grid holds nothing else, and one FFT transforms
+P in place after the last block. t and base
+axes also hold the analysis matrix F, taken from the phases before the
+first block, and x-free circle grids hold F (`_dft_matrix`, built after
+the product) and one row block of the matmul. The x-dependent
+`op_edge` is the one call site that holds an output-sized grid: its
+fiber batch is built whole and streamed by slices, because a fiber call
+per block of x rows would repeat each call's fixed work.
 `kn_circulant` fills its preallocated output in blocks of j rows, so
 besides the output only one block's contraction is live, and
-`_dft_matrix` transforms one identity slab at a time. Measured at a
-1024^2 output: `op_circle(Circle(1024))` peaks at 2.02x the output on
-an x-dependent symbol (the grid and P) and at 2.25x on an x-free one
-(P, F, one slab and its transform), the x-free `op_edge` on 16 x 64
-at 1.19x (output, mode blocks, one block), `_dft_matrix(1024)` at
-1.25x, and `op_mellin` on an unbatched point cone with n_t = 1024 at
-3.0x (grid, P and F). Symbol evaluation itself peaks at two
-output-sized arrays for a sum of x-by-xi terms (see
-`psdo.symexpr.evaluate`). An allocation estimate per dense matrix
-(ROADMAP item 7) can rely on these multiples. Blocking keeps the bits:
-the tests compare every call-site shape with the unblocked product.
+`_dft_matrix` transforms one identity slab at a time. Measured under
+tracemalloc at a 1024^2 output: `op_circle(Circle(1024))` peaks at
+1.15x the output on an x-dependent symbol (P and one block; 1.27x for
+a sum of two x-by-xi terms) and at 2.25x on an x-free one (P, F, one
+slab and its transform), `op_mellin` on an unbatched point cone with
+n_t = 1024 at 2.15x (P, F and one block), the x-dependent `op_edge` on
+16 x 64 at 2.024x (fibers and P; the one-shot product took 2.022x,
+and the block multiplies into P add numpy's iteration buffers), the
+x-free one at 1.19x (output, mode
+blocks, one block), and `_dft_matrix(1024)` at 1.25x. An allocation
+estimate per dense matrix (ROADMAP item 7) can rely on these
+multiples. Blocking and streaming keep the bits: every entry sees the
+arithmetic of the one-shot product over the whole grid, and the tests
+compare every call-site shape with the one-shot, unblocked product.
 
 The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
 defect) go through one Gram kernel, `gram_norm`, under the same
@@ -338,39 +349,65 @@ def analysis_matrix(E: np.ndarray) -> np.ndarray:
     return F
 
 
+def _row_blocks(n: int, cap: int) -> list[slice]:
+    """n rows in near-equal blocks of at most max(4, cap) rows, in order.
+    A block holds at least two rows unless n is 1: one-row products
+    round differently (a one-row matmul goes through gemv)."""
+    count = -(-n // max(4, cap))
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
 def kn_assemble(
-    symbol: Callable[[], np.ndarray], nodes: np.ndarray, covar: np.ndarray, circle_x: bool = False
+    symbol: Callable[[slice], np.ndarray],
+    nodes: np.ndarray,
+    covar: np.ndarray,
+    shape: tuple[int, ...],
+    circle_x: bool = False,
 ) -> np.ndarray:
     """Kohn-Nirenberg product sum_k E[j, k] S[..., j, k, a, b] F[k, l],
-    shaped (..., j, a, l, b), with S = symbol() (already broadcast to
-    that shape) and E = synthesis(nodes, covar). On circle x axes
-    (circle_x) F[k, l] = exp(-i k x_l)/n with x_l = 2 pi l / n and the
-    modes in FFT order, so P F is fft(P)/n along k; on t and base axes
-    F is E^H/n.
+    shaped (..., j, a, l, b), with the symbol grid S of `shape` and
+    E = synthesis(nodes, covar). `symbol(rows)` evaluates S on the j
+    rows of a slice only, to anything that broadcasts to S[..., rows,
+    :, :, :]. On circle x axes (circle_x) F[k, l] = exp(-i k x_l)/n with
+    x_l = 2 pi l / n and the modes in FFT order, so P F is fft(P)/n
+    along k; on t and base axes F is E^H/n.
 
     Everything happens in one buffer P laid out (..., a, b, j, k): E is
-    written into its first (j, k) slab and copied to the others, the
-    product S E overwrites P and S is freed. On a circle x axis with an
-    x-dependent grid the analysis step is then one in-place FFT of P's
-    rows, so the peak is S and P (2.02x the output at 1024^2, against
-    2.25x with the DFT matrix on an x-free grid). Other grids take a
-    matmul against F in row blocks written back into P: on t and base
-    axes F is taken from the slab before the product overwrites it, and
-    on x-free circle grids (stride 0 along j) it is `_dft_matrix`,
-    built once S is freed.
+    written into its first (j, k) slab and copied to the others (on t
+    and base axes F is taken from the slab first). S is then streamed:
+    one block of j rows at a time (`_row_blocks`) is evaluated and
+    multiplied into the block's rows of P, S first. A grid whose first
+    block has stride 0 along j does not depend on the row, so that one
+    evaluation serves every row. On a circle x axis with an x-dependent
+    grid the analysis step is then one in-place FFT of P's rows. Other
+    grids take a matmul against F in row blocks written back into P; on
+    x-free circle grids F is `_dft_matrix`, built once the last block is
+    freed. Each entry sees the arithmetic of the one-shot product over
+    the whole grid, so the bits are the same.
     """
-    S = symbol()
-    fft = circle_x and S.strides[-4] != 0
-    shape = S.shape[:-4] + S.shape[-2:] + S.shape[-4:-2]  # (..., a, b, j, k)
-    P = np.empty(shape, dtype=complex)
-    slabs = P.reshape((-1,) + shape[-2:])
+    lead, n, tail = shape[:-4], shape[-4], shape[-3:]
+    P = np.empty(lead + shape[-2:] + shape[-4:-2], dtype=complex)  # (..., a, b, j, k)
+    slabs = P.reshape((-1,) + P.shape[-2:])
     E = synthesis(nodes, covar, out=slabs[0])
     if not circle_x:
         F = analysis_matrix(E)
     slabs[1:] = E
-    np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), P, out=P)
-    del S
-    rows = P.reshape(-1, shape[-1])
+    blocks = _row_blocks(n, _BLOCK * n // max(1, math.prod(shape)))
+
+    def grid(rows: slice) -> np.ndarray:
+        return np.broadcast_to(symbol(rows), lead + (rows.stop - rows.start,) + tail)
+
+    S = grid(blocks[0])
+    if S.strides[-4] == 0:  # row-free: the first block serves every row
+        blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
+    fft = circle_x and S.strides[-4] != 0
+    for js in blocks:
+        if S is None:
+            S = grid(js)
+        Pj = P[..., js, :]
+        np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), Pj, out=Pj)
+        S = None
+    rows = P.reshape(-1, shape[-3])
     if fft:
         np.fft.fft(rows, axis=-1, norm="forward", out=rows)
         return np.moveaxis(P, (-2, -1), (-4, -2))
@@ -379,15 +416,12 @@ def kn_assemble(
         # and the verify report prints these grids' assembly residues
         # (the circle translation defect). They join the FFT when
         # ROADMAP item 1 takes those residues out of the report.
-        F = _dft_matrix(shape[-1])
-    # near-equal row blocks of at most _BLOCK entries and at least two
-    # rows: a one-row matmul goes through gemv and rounds differently
-    n = len(rows)
-    count = -(-n // max(4, _BLOCK // shape[-1]))
-    block = np.empty((-(-n // count), shape[-1]), dtype=complex)
-    for i in range(count):
-        r = rows[n * i // count : n * (i + 1) // count]
-        r[...] = np.matmul(r, F, out=block[: len(r)])
+        F = _dft_matrix(shape[-3])
+    blocks = _row_blocks(len(rows), _BLOCK // shape[-3])
+    out = np.empty((-(-len(rows) // len(blocks)), shape[-3]), dtype=complex)
+    for js in blocks:
+        r = rows[js]
+        r[...] = np.matmul(r, F, out=out[: len(r)])
     return np.moveaxis(P, (-2, -1), (-4, -2))
 
 
@@ -426,13 +460,13 @@ def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOp
         raise QuantizeError(f"symbol shape {q} != geometry fiber {g.q}")
     n = g.n_x
     k = g.modes.astype(float)
-    bindings = {"x": g.x[:, None], "xi": k[None, :]}
+    bindings = {"xi": k[None, :]}
     if v is not None:
         bindings["v"] = v
     used = variables_of(expr)
     if "v" in used and v is None:
         raise QuantizeError("symbol depends on v but no parameter value was given")
-    A = kn_assemble(lambda: np.broadcast_to(evaluate(expr, bindings), (n, n, q, q)), g.x, k, circle_x=True)
+    A = kn_assemble(lambda js: evaluate(expr, {**bindings, "x": g.x[js, None]}), g.x, k, (n, n, q, q), circle_x=True)
     return DiscretizedOperator(g, v, A.reshape(n * q, n * q))
 
 
@@ -474,10 +508,10 @@ def _mellin_fibers(
     point: v, xi and x_value broadcast to a batch shape B, and the result
     is (*B, d, d) with d = cone.dim_total.
 
-    The whole batch takes one evaluate on the (*B[, mu], t, p) grid and
-    one contraction along t; a circle base is then conjugated back to
-    nodal representation by its DFT, batched the same way. Assembly is
-    periodic whatever the cone's boundary mode.
+    The whole batch takes one `kn_assemble` along t, which evaluates the
+    (*B[, mu], t, p) grid in blocks of t rows; a circle base is then
+    conjugated back to nodal representation by its DFT, batched the same
+    way. Assembly is periodic whatever the cone's boundary mode.
     """
     v, xi, x_value = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (v, xi, x_value)))
     batch = xi.shape
@@ -490,8 +524,12 @@ def _mellin_fibers(
         mu, grid = None, (n_t, n_t)
     pad = (1,) * len(grid)
     v, xi, x_value = (a.reshape(batch + pad) for a in (v, xi, x_value))
-    b = _cone_bindings(cone.r.reshape(n_t, 1), cone.p, v, xi, x_value, freeze_r, mu=mu)
-    A = kn_assemble(lambda: np.broadcast_to(evaluate(expr, b), batch + grid + (q, q)), cone.t, cone.p)
+    r = cone.r.reshape(n_t, 1)
+
+    def symbol(js: slice) -> np.ndarray:
+        return evaluate(expr, _cone_bindings(r[js], cone.p, v, xi, x_value, freeze_r, mu=mu))
+
+    A = kn_assemble(symbol, cone.t, cone.p, batch + grid + (q, q))
     if mu is not None:
         # t-axis blocks per base mode, then the base DFT across modes
         m = n_t * q
@@ -541,24 +579,17 @@ def _check_support_policy(g: Cone, expr: Node, v: float, xi: float, x_value: flo
     if "r" not in variables_of(expr) and "w" not in variables_of(expr) and "eta" not in variables_of(expr):
         return
     n_t = g.n_t
-    idx_pairs = [(0, 1), (n_t - 1, n_t - 2)]
     mu = None
     p = g.p.reshape(-1, 1)
     if isinstance(g.base, Circle):
         mu = g.base.modes.astype(float).reshape(1, -1)
         p = g.p.reshape(-1, 1, 1)
-
-    def at(node: int) -> np.ndarray:
-        return evaluate(expr, _cone_bindings(g.r[node], p, v, xi, x_value, freeze_r, mu))
-
-    vals = [at(i) for i, _ in idx_pairs]
-    sup = max(float(np.max(np.abs(v_))) for v_ in vals) or 1.0
-    for (_, j), ref in zip(idx_pairs, vals):
-        other = at(j)
-        if float(np.max(np.abs(other - ref))) > 1e-2 * sup:
-            raise QuantizeError(
-                "interval mode: family is not constant in r near the window boundary (support policy)"
-            )
+    # one evaluate over the four nodes: the two ends, then their neighbours
+    r = g.r[[0, n_t - 1, 1, n_t - 2]].reshape((4,) + (1,) * p.ndim)
+    vals = evaluate(expr, _cone_bindings(r, p, v, xi, x_value, freeze_r, mu))
+    sup = float(np.max(np.abs(vals[:2]))) or 1.0
+    if float(np.max(np.abs(vals[2:] - vals[:2]))) > 1e-2 * sup:
+        raise QuantizeError("interval mode: family is not constant in r near the window boundary (support policy)")
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +612,11 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
     cone, circ = g.cone, g.circle
     xi = circ.modes.astype(float)
     if "x" in variables_of(expr):
-        # one fiber per (output x, mode) pair
-        A = kn_assemble(
-            lambda: _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r), circ.x, xi, circle_x=True
-        )
+        # one fiber per (output x, mode) pair, all in one batch: fibers
+        # per block of x rows would repeat each fiber call's fixed work
+        fibers = _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r)
+        A = kn_assemble(lambda js: fibers[js], circ.x, xi, fibers.shape, circle_x=True)
+        del fibers  # before the reshape below copies A
         mode_blocks = None
     else:
         # one fiber per mode, block circulant

@@ -374,28 +374,9 @@ def shape_of(e: Node) -> int:
     if isinstance(e, Pow):
         return shape_of(e.base)
     if isinstance(e, Call):
-        qa = shape_of(e.arg)
-        if qa != 1 and e.fn not in ("conj", "re", "im", "abs"):
-            raise ParseError(f"{e.fn} takes a scalar argument", e.pos)
-        return qa
+        return _call_shape(e, shape_of(e.arg))
     if isinstance(e, BinOp):
-        qa, qb = shape_of(e.a), shape_of(e.b)
-        if e.op in ("+", "-"):
-            if qa != qb:
-                raise ParseError(f"shape mismatch in {e.op!r}: {qa} vs {qb}", e.pos)
-            return qa
-        if e.op == "*":
-            if qa == 1:
-                return qb
-            if qb == 1:
-                return qa
-            if qa != qb:
-                raise ParseError(f"shape mismatch in product: {qa} vs {qb}", e.pos)
-            return qa
-        # division: denominator must be scalar
-        if qb != 1:
-            raise ParseError("division by a matrix", e.pos)
-        return qa
+        return _binop_shape(e, shape_of(e.a), shape_of(e.b))
     if isinstance(e, Mat):
         for row in e.rows:
             for entry in row:
@@ -403,6 +384,31 @@ def shape_of(e: Node) -> int:
                     raise ParseError("matrix entries must be scalar", e.pos)
         return len(e.rows)
     raise TypeError(f"not a node: {e!r}")
+
+
+def _call_shape(e: Call, qa: int) -> int:
+    if qa != 1 and e.fn not in ("conj", "re", "im", "abs"):
+        raise ParseError(f"{e.fn} takes a scalar argument", e.pos)
+    return qa
+
+
+def _binop_shape(e: BinOp, qa: int, qb: int) -> int:
+    if e.op in ("+", "-"):
+        if qa != qb:
+            raise ParseError(f"shape mismatch in {e.op!r}: {qa} vs {qb}", e.pos)
+        return qa
+    if e.op == "*":
+        if qa == 1:
+            return qb
+        if qb == 1:
+            return qa
+        if qa != qb:
+            raise ParseError(f"shape mismatch in product: {qa} vs {qb}", e.pos)
+        return qa
+    # division: denominator must be scalar
+    if qb != 1:
+        raise ParseError("division by a matrix", e.pos)
+    return qa
 
 
 def variables_of(e: Node) -> frozenset[str]:
@@ -460,76 +466,80 @@ def _into(owned: bool, v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | No
     return None
 
 
-def _ev(e: Node, b: dict[str, np.ndarray]) -> tuple[np.ndarray, bool]:
-    """Value of e, and whether the evaluator owns it: an owned value is a
-    fresh array that nothing else refers to, so the step that consumes
-    it may write its result there. The ufunc and the operand order are
-    those of the out-of-place expression, so the bits are too."""
+def _ev(e: Node, b: dict[str, np.ndarray]) -> tuple[np.ndarray, bool, int]:
+    """Value of e, whether the evaluator owns it, and e's shape q (as
+    `shape_of`, checked on the way up). An owned value is a fresh array
+    that nothing else refers to, so the step that consumes it may write
+    its result there. The ufunc and the operand order are those of the
+    out-of-place expression, so the bits are too."""
     if isinstance(e, Const):
-        return np.asarray(e.value, dtype=complex), False
+        return np.asarray(e.value, dtype=complex), False, 1
     if isinstance(e, Var):
         try:
-            return b[e.name], False
+            return b[e.name], False, 1
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Neg):
-        a, owned = _ev(e.arg, b)
+        a, owned, q = _ev(e.arg, b)
         out = _into(owned, a, np.shape(a))
-        return (-a if out is None else np.negative(a, out=out)), True
+        return (-a if out is None else np.negative(a, out=out)), True, q
     if isinstance(e, Pow):
-        base, owned = _ev(e.base, b)
-        if shape_of(e.base) == 1:
+        base, owned, q = _ev(e.base, b)
+        if q == 1:
             # out of place: numpy's power fast paths pick another loop with out=
-            return base**e.n, True
+            return base**e.n, True, q
         m = base
         if e.n < 0:
             m = np.linalg.inv(m)
         out = m
         for _ in range(abs(e.n) - 1):
             out = out @ m
-        return out, owned or out is not base
+        return out, owned or out is not base, q
     if isinstance(e, Call):
-        a, owned = _ev(e.arg, b)
+        a, owned, qa = _ev(e.arg, b)
+        q = _call_shape(e, qa)
         if e.fn in _UFUNCS:
-            return _UFUNCS[e.fn](a, out=_into(owned, a, np.shape(a))), True
-        return _OTHER_FNS[e.fn](a), True
+            return _UFUNCS[e.fn](a, out=_into(owned, a, np.shape(a))), True, q
+        return _OTHER_FNS[e.fn](a), True, q
     if isinstance(e, BinOp):
-        (va, oa), (vb, ob) = _ev(e.a, b), _ev(e.b, b)
-        qa, qb = shape_of(e.a), shape_of(e.b)
+        (va, oa, qa), (vb, ob, qb) = _ev(e.a, b), _ev(e.b, b)
+        q = _binop_shape(e, qa, qb)
         if e.op in ("+", "-") or qa == qb == 1:
             shape = np.broadcast_shapes(np.shape(va), np.shape(vb))
             out = _into(oa, va, shape)
             if out is None:
                 out = _into(ob, vb, shape)
             if out is not None:
-                return _BINARY[e.op](va, vb, out=out), True
+                return _BINARY[e.op](va, vb, out=out), True, q
         # out of place by the operators: on numpy scalars they round
         # through scalar arithmetic, not through the ufunc loops
         if e.op == "+":
-            return va + vb, True
+            return va + vb, True, q
         if e.op == "-":
-            return va - vb, True
+            return va - vb, True, q
         if e.op == "*":
             if qa > 1 and qb > 1:
-                return va @ vb, True
+                return va @ vb, True, q
             if qa > 1:  # matrix * scalar
-                return (va * vb[..., None, None] if np.ndim(vb) else va * vb), True
+                return (va * vb[..., None, None] if np.ndim(vb) else va * vb), True, q
             if qb > 1:  # scalar * matrix
-                return (vb * va[..., None, None] if np.ndim(va) else vb * va), True
-            return va * vb, True
+                return (vb * va[..., None, None] if np.ndim(va) else vb * va), True, q
+            return va * vb, True, q
         if e.op == "/":
             if qa > 1:
-                return va / (vb[..., None, None] if np.ndim(vb) else vb), True
-            return va / vb, True
+                return va / (vb[..., None, None] if np.ndim(vb) else vb), True, q
+            return va / vb, True, q
     if isinstance(e, Mat):
+        entries = [[_ev(entry, b) for entry in row] for row in e.rows]
+        if any(qe != 1 for row in entries for _, _, qe in row):
+            raise ParseError("matrix entries must be scalar", e.pos)
         q = len(e.rows)
-        vals = [[_ev(entry, b)[0] for entry in row] for row in e.rows]
-        shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
+        shape = np.broadcast_shapes(*(np.shape(v) for row in entries for v, _, _ in row))
         out = np.empty(shape + (q, q), dtype=complex)
         for i in range(q):
             for j in range(q):
-                out[..., i, j] = np.broadcast_to(vals[i][j], shape)
-        return out, True
+                out[..., i, j] = np.broadcast_to(entries[i][j][0], shape)
+        return out, True, q
     raise TypeError(f"not a node: {e!r}")
 
 
@@ -549,8 +559,7 @@ def evaluate(e: Node, bindings: dict[str, object], as_matrix: bool = True, check
     """
     b = {k: np.asarray(val, dtype=complex) for k, val in bindings.items()}
     with np.errstate(all="ignore"):
-        out, _ = _ev(e, b)
-    q = shape_of(e)
+        out, _, q = _ev(e, b)
     out = np.asarray(out, dtype=complex)
     if as_matrix and q == 1:
         out = out[..., None, None]

@@ -263,8 +263,13 @@ def test_quantize_bad_field_exit_64(tmp_path, capsys, field, message):
         ({"kind": "circle", "n_x": 32}, "1 / (xi)"),
         # eta = xi r vanishes on the xi = 0 fiber of the batched edge path
         ({"kind": "edge", "n_x": 8, "cone": {"n_t": 16}}, "(1 + 0.1 * sin(x)) / eta"),
+        # one non-finite node in the first, a middle and the last of the
+        # eight row blocks the assembly streams
+        ({"kind": "circle", "n_x": 1024}, "1 / sin(x)"),
+        ({"kind": "circle", "n_x": 1024}, "1 / (1 + cos(x))"),
+        ({"kind": "circle", "n_x": 1024}, f"1 / (x - {2 * math.pi / 1024 * 1023!r})"),
     ],
-    ids=["circle", "edge"],
+    ids=["circle", "edge", "circle-first-block", "circle-middle-block", "circle-last-block"],
 )
 def test_quantize_non_finite_symbol_exit_64(tmp_path, capsys, geometry, symbol):
     cfg = {"geometry": geometry, "symbol": symbol}
