@@ -19,17 +19,22 @@ This module is the only home of the Fourier phases that turn a symbol
 into a matrix: `synthesis` builds every phase matrix E, `kn_assemble`
 every Kohn-Nirenberg product E S F, `kn_circulant` its x-free form, and
 `base_to_nodal` every conjugation of circle-base modes to nodal values.
-The analysis step has three forms. On circle x axes with an x-dependent
-symbol grid (`op_circle` on x-dependent symbols, x-dependent `op_edge`,
-`psdo.fredholm._op_interior_on_edge`) it is an in-place FFT of the
-product's rows, exact in arithmetic since x_j = 2 pi j / n and the
-modes are in FFT order; it agrees with the matrix product to about
-1e-15 relative. x-free circle grids keep the matrix `_dft_matrix`
-(in `kn_assemble` and `kn_circulant`), and t and base axes keep E^H/n.
-Those round differently from the FFT, and the canonical verify report
-prints their assembly rounding residues (the circle translation
-defect), so moving them to the FFT waits until those residues leave
-the report (ROADMAP item 1).
+The product has two forms. On circle x axes with an x-dependent symbol
+grid (`op_circle` on x-dependent symbols, x-dependent `op_edge`,
+`psdo.fredholm._op_interior_on_edge`) there is no phase table: since
+x_j = 2 pi j / n and the modes are the integers in FFT order, E F is
+a function of l - j mod n, so row j of the product is the FFT of row j
+of the grid, shifted cyclically by j places. Its phases are the FFT's
+own, exact to rounding, where E's products fl(x_j) k carry an error
+that grows with n (1.1e-13 relative at n = 1024, against 4.4e-16 for
+the FFT), and `synthesis` is not called. x-free circle grids keep E and
+the matrix `_dft_matrix` (in `kn_assemble` and `kn_circulant`), and t
+and base axes keep E and E^H/n. The canonical verify report prints
+those grids' assembly rounding residues (the circle translation defect,
+the cone twisted-homogeneity violation), so moving them to the FFT
+waits until those residues leave the report (ROADMAP item 1); cone t
+grids are DFT-dual too (t_j p_k = -pi m + 2 pi j m / n), so the same
+shift applies there.
 
 `synthesis` exponentiates only half of each phase table. Every
 covariable set here is in FFT order (`Circle.modes` and `Cone.p` come
@@ -52,14 +57,16 @@ rows, whichever is more (`_row_blocks`), so besides P only one block's
 evaluation is live: two blocks for a sum of x-by-xi terms (see
 `psdo.symexpr.evaluate`). Rows wider than a quarter block occur only
 in the x-dependent `op_edge`, whose blocks are slices of its fibers.
-An x-dependent circle grid holds nothing else, and one FFT transforms
-P in place after the last block. t and base
+An x-dependent circle grid holds nothing else: one FFT transforms P in
+place after the last block, and the cyclic shift goes through one
+buffer of at most one block. t and base
 axes also hold the analysis matrix F, taken from the phases before the
 first block, and x-free circle grids hold F (`_dft_matrix`, built after
 the product) and one row block of the matmul. The x-dependent
 `op_edge` is the one call site that holds an output-sized grid: its
 fiber batch is built whole and streamed by slices, because a fiber call
-per block of x rows would repeat each call's fixed work.
+per block of x rows would repeat each call's fixed work; `kn_assemble`
+holds the only reference and drops it after the last block.
 `kn_circulant` fills its preallocated output in blocks of j rows, so
 besides the output only one block's contraction is live, and
 `_dft_matrix` transforms one identity slab at a time. Measured under
@@ -68,10 +75,10 @@ tracemalloc at a 1024^2 output: `op_circle(Circle(1024))` peaks at
 a sum of two x-by-xi terms) and at 2.25x on an x-free one (P, F, one
 slab and its transform), `op_mellin` on an unbatched point cone with
 n_t = 1024 at 2.15x (P, F and one block), the x-dependent `op_edge` on
-16 x 64 at 2.024x (fibers and P; the one-shot product took 2.022x,
-and the block multiplies into P add numpy's iteration buffers), the
-x-free one at 1.19x (output, mode
-blocks, one block), and `_dft_matrix(1024)` at 1.25x. An allocation
+16 x 64 at 2.001x (fibers and P; the fibers are freed before the shift
+buffer comes), the x-free one at 1.19x (output, mode blocks, one block),
+`psdo.fredholm._op_interior_on_edge` on 16 x 64 at 1.017x (its output
+and P, 1/64 of it), and `_dft_matrix(1024)` at 1.25x. An allocation
 estimate per dense matrix (ROADMAP item 7) can rely on these
 multiples. Blocking and streaming keep the bits: every entry sees the
 arithmetic of the one-shot product over the whole grid, and the tests
@@ -95,8 +102,8 @@ about 5 MiB; the `eigvalsh` fallback, used only when the solver is
 missing, copies the 16 MiB Gram first. Stacked norms stay one
 batched SVD (`spectral_norms`).
 
-Operand order is fixed: the product is np.multiply(S, E), S first
-(E being the phases copied into P).
+Where a phase table is used, operand order is fixed: the product is
+np.multiply(S, E), S first (E being the phases copied into P).
 Complex multiplication rounds through fused multiply-adds, so E S and
 S E can differ in the last bit, most visibly on stride-0 grids (x-free,
 xi-free or constant symbols). S first reproduces, bit for bit, the
@@ -357,6 +364,31 @@ def _row_blocks(n: int, cap: int) -> list[slice]:
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
+def _skew(G: np.ndarray) -> None:
+    """Shift row j of every (n, n) slab of G (R, n, n) cyclically by j
+    places, in place: G[r, j, l] becomes G[r, j, (l - j) mod n].
+
+    A block of rows is copied twice, side by side, into one buffer of
+    at most _BLOCK entries and at most G's size (two rows, if a row is
+    wider); row i of a block starting at row j0 is then the window of
+    its doubled copy that starts at column n - j0 - i, so one strided
+    view, whose row stride is one entry short of the buffer's, reads
+    the whole block back shifted."""
+    R, n = G.shape[:2]
+    cap = max(2 * n, min(_BLOCK, G.size))
+    rows = min(n, cap // (2 * n))
+    slabs = max(1, min(R, cap // (2 * n * rows)))
+    H = np.empty((slabs, rows, 2 * n), dtype=complex)
+    s0, s1, s2 = H.strides
+    for r0 in range(0, R, slabs):
+        for j0 in range(0, n, rows):
+            g = G[r0 : r0 + slabs, j0 : j0 + rows]
+            h = H[: len(g), : g.shape[1]]
+            h[..., :n] = g
+            h[..., n:] = g
+            g[...] = np.lib.stride_tricks.as_strided(h[..., n - j0 :], g.shape, (s0, s1 - s2, s2), writeable=False)
+
+
 def kn_assemble(
     symbol: Callable[[slice], np.ndarray],
     nodes: np.ndarray,
@@ -368,48 +400,69 @@ def kn_assemble(
     shaped (..., j, a, l, b), with the symbol grid S of `shape` and
     E = synthesis(nodes, covar). `symbol(rows)` evaluates S on the j
     rows of a slice only, to anything that broadcasts to S[..., rows,
-    :, :, :]. On circle x axes (circle_x) F[k, l] = exp(-i k x_l)/n with
-    x_l = 2 pi l / n and the modes in FFT order, so P F is fft(P)/n
-    along k; on t and base axes F is E^H/n.
+    :, :, :]. On circle x axes (circle_x) the nodes are x_j = 2 pi j / n
+    and the modes are the integers m in FFT order, F[k, l] =
+    exp(-i m_k x_l)/n; on t and base axes F is E^H/n.
 
-    Everything happens in one buffer P laid out (..., a, b, j, k): E is
-    written into its first (j, k) slab and copied to the others (on t
-    and base axes F is taken from the slab first). S is then streamed:
-    one block of j rows at a time (`_row_blocks`) is evaluated and
-    multiplied into the block's rows of P, S first. A grid whose first
-    block has stride 0 along j does not depend on the row, so that one
-    evaluation serves every row. On a circle x axis with an x-dependent
-    grid the analysis step is then one in-place FFT of P's rows. Other
-    grids take a matmul against F in row blocks written back into P; on
-    x-free circle grids F is `_dft_matrix`, built once the last block is
-    freed. Each entry sees the arithmetic of the one-shot product over
-    the whole grid, so the bits are the same.
+    Everything happens in one buffer P laid out (..., a, b, j, k), into
+    which S is streamed: one block of j rows at a time (`_row_blocks`)
+    is evaluated and written into the block's rows of P. A grid whose
+    first block has stride 0 along j does not depend on the row, so that
+    one evaluation serves every row. `symbol` is dropped after the last
+    block, so what only it holds is freed before the analysis step.
+
+    On a circle x axis with an x-dependent grid there is no phase
+    table: E[j, k] F[k, l] = exp(-2 pi i m_k (l - j) / n) / n, so row j
+    of the product is fft(S[j, :])/n shifted cyclically by j places.
+    The blocks are copied into P unmultiplied, one in-place FFT
+    analyses P's rows, and `_skew` shifts them. The phases are exact:
+    the FFT's twiddles replace the rounded products x_j m_k of E, whose
+    error grows with n (about 1e-13 relative at n = 1024, against 4e-16
+    here).
+
+    Other grids keep the phase table: E is written into P's first (j,
+    k) slab and copied to the others (on t and base axes F is taken
+    from the slab first), each block is multiplied into its rows, S
+    first, and the rows take a matmul against F in row blocks written
+    back into P; on x-free circle grids F is `_dft_matrix`, built once
+    the last block is freed. Each entry sees the arithmetic of the
+    one-shot product over the whole grid, so the bits are the same.
     """
     lead, n, tail = shape[:-4], shape[-4], shape[-3:]
     P = np.empty(lead + shape[-2:] + shape[-4:-2], dtype=complex)  # (..., a, b, j, k)
-    slabs = P.reshape((-1,) + P.shape[-2:])
-    E = synthesis(nodes, covar, out=slabs[0])
-    if not circle_x:
-        F = analysis_matrix(E)
-    slabs[1:] = E
     blocks = _row_blocks(n, _BLOCK * n // max(1, math.prod(shape)))
 
     def grid(rows: slice) -> np.ndarray:
         return np.broadcast_to(symbol(rows), lead + (rows.stop - rows.start,) + tail)
 
-    S = grid(blocks[0])
-    if S.strides[-4] == 0:  # row-free: the first block serves every row
-        blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
-    fft = circle_x and S.strides[-4] != 0
+    # a circle grid's first block tells whether it depends on x, so it
+    # comes before the phases; t and base axes keep the phases first
+    S = grid(blocks[0]) if circle_x else None
+    skew = S is not None and S.strides[-4] != 0
+    if not skew:
+        slabs = P.reshape((-1,) + P.shape[-2:])
+        E = synthesis(nodes, covar, out=slabs[0])
+        if not circle_x:
+            F = analysis_matrix(E)
+        slabs[1:] = E
+        if S is None:
+            S = grid(blocks[0])
+        if S.strides[-4] == 0:  # row-free: the first block serves every row
+            blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
     for js in blocks:
         if S is None:
             S = grid(js)
-        Pj = P[..., js, :]
-        np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), Pj, out=Pj)
+        Pj, S = P[..., js, :], np.moveaxis(S, (-2, -1), (-4, -3))
+        if skew:
+            Pj[...] = S
+        else:
+            np.multiply(S, Pj, out=Pj)
         S = None
+    symbol = None
     rows = P.reshape(-1, shape[-3])
-    if fft:
+    if skew:
         np.fft.fft(rows, axis=-1, norm="forward", out=rows)
+        _skew(rows.reshape(-1, n, n))
         return np.moveaxis(P, (-2, -1), (-4, -2))
     if circle_x:
         # x-free grids keep the DFT matrix: the FFT rounds differently,
@@ -613,10 +666,16 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
     xi = circ.modes.astype(float)
     if "x" in variables_of(expr):
         # one fiber per (output x, mode) pair, all in one batch: fibers
-        # per block of x rows would repeat each fiber call's fixed work
-        fibers = _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r)
-        A = kn_assemble(lambda js: fibers[js], circ.x, xi, fibers.shape, circle_x=True)
-        del fibers  # before the reshape below copies A
+        # per block of x rows would repeat each fiber call's fixed work.
+        # Only kn_assemble holds the batch, so it is freed once streamed.
+        n, d = circ.n_x, cone.dim_total
+        A = kn_assemble(
+            _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r).__getitem__,
+            circ.x,
+            xi,
+            (n, n, d, d),
+            circle_x=True,
+        )
         mode_blocks = None
     else:
         # one fiber per mode, block circulant

@@ -4,10 +4,10 @@ The oracle below is the assembly op_edge and op_mellin used before the
 fibers were batched: one evaluate, one E S F contraction and (on a
 circle base) one base-DFT conjugation per fiber, in a Python loop over
 the edge points. Batching keeps the arithmetic of every entry, so the
-comparisons are exact, except for x-dependent edge families: their x
-axis is analysed by an FFT in kn_assemble, which rounds differently from
-the oracle's product with the DFT matrix, and the comparison is the
-bound of `assert_matches_oracle`.
+comparisons are exact, except for x-dependent edge families: kn_assemble
+assembles their x axis by an FFT and a cyclic shift of the rows, with
+no phase table, so the oracle takes exact phases (`circle_phases`) and
+the comparison is the bound of `assert_matches_oracle`.
 """
 
 import numpy as np
@@ -21,11 +21,24 @@ from psdo.symbols import ConeSymbolFamily, EdgeSymbol, SymbolError, check_twiste
 from psdo.symexpr import Const, EvalError, evaluate, parse, substitute, variables_of
 
 
+def circle_phases(circ: Circle, expr) -> np.ndarray:
+    """Phase table E[j, k] = exp(i m_k x_j) of a circle x axis with modes
+    m_k, as the oracles build it. x-dependent symbols take exact phases,
+    exp(2 pi i ((j m_k) mod n) / n) from integers, as the FFT assembly
+    of kn_assemble has them; x-free ones keep the rounded products
+    fl(x_j) m_k of the phase table their DFT-matrix product uses."""
+    if "x" not in variables_of(expr):
+        return np.exp(1j * circ.x[:, None] * circ.modes[None, :].astype(float))
+    n = circ.n_x
+    return np.exp(2j * np.pi * ((np.arange(n)[:, None] * circ.modes[None, :]) % n) / n)
+
+
 def assert_matches_oracle(A: np.ndarray, want: np.ndarray, expr) -> None:
     """Quantizer output against its oracle. On circle x axes x-free
     symbols keep the DFT-matrix product and equal the oracle bit for
-    bit; x-dependent ones go through the FFT, within
-    max|A - want| <= 2e-15 max|want| (worst measured 8.7e-16)."""
+    bit; x-dependent ones go through the FFT and the row shift, within
+    max|A - want| <= 2e-15 max|want| of the exact-phase oracle (worst
+    measured 1.2e-15)."""
     if "x" not in variables_of(expr):
         assert np.array_equal(A, want)
     else:
@@ -67,7 +80,7 @@ def edge_oracle(g: Edge, expr, v: float, freeze_r: bool):
     cone, circ = g.cone, g.circle
     n_x, d = circ.n_x, cone.dim_total
     xi = circ.modes.astype(float)
-    E = np.exp(1j * circ.x[:, None] * xi[None, :])
+    E = circle_phases(circ, expr)
     F = np.fft.fft(np.eye(n_x), axis=0) / n_x
     if "x" in variables_of(expr):
         blocks = np.empty((n_x, n_x, d, d), dtype=complex)

@@ -5,10 +5,11 @@ Each oracle below is the hand-built product its site used: phases by
 np.exp of an outer product, the Kohn-Nirenberg product by a site-local
 einsum. Routing through synthesis / kn_assemble / kn_circulant keeps the
 arithmetic of every entry, so the comparisons are exact, except on
-x-dependent circle x axes: there kn_assemble's analysis step is an FFT,
-which rounds differently from the oracle's product with the DFT matrix,
-and the comparison is the bound of `assert_matches_oracle`. (op_mellin
-and op_edge have their own oracles in test_fibers.py.)
+x-dependent circle x axes: there kn_assemble builds no phase table and
+assembles by an FFT and a cyclic shift of the rows, so the oracle takes
+exact phases (`circle_phases`) and the comparison is the bound of
+`assert_matches_oracle`. (op_mellin and op_edge have their own oracles
+in test_fibers.py.)
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from psdo.quantize import (
 from psdo.stock import homogeneity_stock
 from psdo.symbols import ConeSymbolFamily, base_pullback
 from psdo.symexpr import evaluate, parse
-from test_fibers import EDGE_CASES, assert_matches_oracle, edge_oracle
+from test_fibers import EDGE_CASES, assert_matches_oracle, circle_phases, edge_oracle
 
 SCALAR = "1 + chi(xi)*exp(cos(x)) + (0,0.3)*sin(2*x)*xi/(1 + xi^2)"
 MATRIX = "[[1 + chi(xi), 0.5*sin(x)], [(0,1)*cos(x)*chi(xi), 2 - chi(xi)]]"
@@ -41,7 +42,7 @@ def circle_oracle(g: Circle, expr) -> np.ndarray:
     n, q = g.n_x, g.q
     k = g.modes.astype(float)
     S = np.broadcast_to(evaluate(expr, {"x": g.x[:, None], "xi": k[None, :]}), (n, n, q, q))
-    E = np.exp(1j * g.x[:, None] * k[None, :])
+    E = circle_phases(g, expr)
     F = np.fft.fft(np.eye(n), axis=1).T / n
     return np.einsum("jk,jkab,kl->jalb", E, S, F, optimize=True).reshape(n * q, n * q)
 
@@ -80,7 +81,7 @@ def interior_on_edge_oracle(g: Edge, expr, v: float) -> np.ndarray:
     k = circ.modes.astype(float)
     bindings = {"x": circ.x[:, None, None], "xi": k[None, :, None], "r": cone.r[None, None, :], "v": v}
     S = np.broadcast_to(evaluate(expr, bindings), (n, n, n_t, q, q))
-    E = np.exp(1j * np.outer(circ.x, k))
+    E = circle_phases(circ, expr)
     F = np.fft.fft(np.eye(n), axis=1).T / n
     M = np.einsum("jk,jktab,kl->tjalb", E, S, F, optimize=True)
     full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
@@ -104,12 +105,19 @@ def test_op_interior_on_edge_equals_contraction(g, src):
 
 
 def test_only_x_free_circle_axes_build_the_dft_matrix(monkeypatch):
-    # x-dependent circle x axes analyse by the FFT, so they assemble
-    # without _dft_matrix; x-free ones still contract with it
+    # x-dependent circle x axes assemble by the FFT and a row shift, with
+    # no phase table and no _dft_matrix; x-free ones still build both
+    # (cone t axes keep their phase tables either way)
     def refuse(n):
         raise RuntimeError("_dft_matrix called")
 
+    def refuse_circle_nodes(nodes, covar, out=None):
+        if np.array_equal(nodes, 2.0 * np.pi / len(nodes) * np.arange(len(nodes))):
+            raise RuntimeError("synthesis called on circle nodes")
+        return synthesis(nodes, covar, out=out)
+
     monkeypatch.setattr(quantize_module, "_dft_matrix", refuse)
+    monkeypatch.setattr(quantize_module, "synthesis", refuse_circle_nodes)
     g, expr = Circle(100, q=2), parse(MATRIX)
     assert_matches_oracle(op_circle(g, expr).matrix, circle_oracle(g, expr), expr)
     edge, src, _ = EDGE_CASES["point-q2-xdep"]
@@ -117,8 +125,26 @@ def test_only_x_free_circle_axes_build_the_dft_matrix(monkeypatch):
     assert_matches_oracle(op_edge(edge, expr, v=0.7).matrix, edge_oracle(edge, expr, 0.7, False)[0], expr)
     edge, expr = Edge(Circle(16), Cone(Point(), T=6.0, n_t=32)), parse("1 + chi(xi)*cos(x) + r/(1 + r)")
     assert_matches_oracle(_op_interior_on_edge(edge, expr, 2.0), interior_on_edge_oracle(edge, expr, 2.0), expr)
+    with pytest.raises(RuntimeError, match="synthesis called on circle nodes"):
+        op_circle(Circle(8), parse("1 + chi(xi)"))
+    monkeypatch.setattr(quantize_module, "synthesis", synthesis)
     with pytest.raises(RuntimeError, match="_dft_matrix called"):
         op_circle(Circle(8), parse("1 + chi(xi)"))
+
+
+def test_x_dependent_op_circle_has_exact_phases():
+    # at n = 1024 the rounded phases fl(x_j) k of a phase table put the
+    # product 1.1e-13 away from exact phases; the FFT and row shift stay
+    # within 2e-15 of a reference whose synthesis and analysis phases
+    # both come from integers, exp(+-2 pi i ((j k) mod n) / n)
+    g = Circle(1024)
+    expr = parse("1.5 + 0.5*cos(x)*chi(xi) + (0,0.3)*sin(2*x)*xi/(1 + xi^2) + 0.2*exp((0,3)*x)")
+    n, k = g.n_x, g.modes
+    phase = (np.arange(n)[:, None] * k[None, :]) % n
+    S = evaluate(expr, {"x": g.x[:, None], "xi": k[None, :].astype(float)})[:, :, 0, 0]
+    want = (S * np.exp(2j * np.pi * phase / n)) @ (np.exp(-2j * np.pi * phase.T / n) / n)
+    A = op_circle(g, expr).matrix
+    assert np.max(np.abs(A - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 def extract_oracle(A: DiscretizedOperator, pre: int, n: int, post: int, nodes, covar) -> np.ndarray:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, cutoff_family
 from psdo.quantize import (
     NegligibleVerdict,
@@ -384,13 +385,22 @@ def test_point_cone_memory_budget():
 
 
 def test_xdep_op_edge_memory_budget():
-    # the x-dependent edge keeps its fibers whole, one batch beside P:
-    # 2.024x, where the one-shot product took 2.022x (the block
-    # multiplies into P add numpy's iteration buffers)
+    # the x-dependent edge keeps its fibers whole, one batch beside P,
+    # and frees them before P's rows are shifted through one block:
+    # 2.0008x
     g = Edge(Circle(16), Cone(Point(), T=6.0, n_t=64))
     expr = parse("1.2 + 0.5*chi(p) + 0.3*w/(1 + w) + 0.2*(1 - cos(x))*chi(eta)")
     peak, op = traced_peak(lambda: op_edge(g, expr, v=1.0))
-    assert peak <= 2.02 * op.matrix.nbytes + SMALL
+    assert peak <= 2.001 * op.matrix.nbytes + SMALL
+
+
+def test_interior_on_edge_memory_budget():
+    # the output and P (1/64 of it); the shift buffer, at most P's
+    # size, is gone before the output comes: 1.0163x
+    g = Edge(Circle(16), Cone(Point(), T=6.0, n_t=64))
+    expr = parse("1 + chi(xi)*cos(x) + r/(1 + r) + v*xi/(1 + xi^2)")
+    peak, A = traced_peak(lambda: _op_interior_on_edge(g, expr, 2.0))
+    assert peak <= 1.017 * A.nbytes + SMALL
 
 
 def test_xfree_op_edge_memory_budget():

@@ -2,11 +2,17 @@
 
 kn_assemble evaluates the symbol grid one block of output rows at a
 time. The oracle below is the one-shot product it streams: the whole
-grid evaluated by one call, multiplied into every row of the phase
-buffer, then analysed by one FFT or by the row-blocked matmul. Each
+grid evaluated by one call, then, on x-dependent circle grids, copied
+into the buffer, analysed by one FFT and shifted cyclically by one
+gather of the whole buffer, and on other grids multiplied into every
+row of the phase buffer and analysed by the row-blocked matmul. Each
 entry sees the same arithmetic either way, so the comparisons are bit
 for bit, at shapes that split into several blocks, some of them unevenly.
+(The accuracy of the FFT path against exact phases is checked in
+test_fourier_home.py and test_fibers.py.)
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +44,13 @@ def one_shot_kn_assemble(symbol, nodes, covar, shape, circle_x=False):
     fft = circle_x and S.strides[-4] != 0
     pshape = shape[:-4] + shape[-2:] + shape[-4:-2]
     P = np.empty(pshape, dtype=complex)
+    if fft:
+        P[...] = np.moveaxis(S, (-2, -1), (-4, -3))
+        rows = P.reshape(-1, pshape[-1])
+        np.fft.fft(rows, axis=-1, norm="forward", out=rows)
+        j = np.arange(shape[-4])
+        G = P[..., j[:, None], (j[None, :] - j[:, None]) % len(j)]  # row j shifted by j
+        return np.moveaxis(G, (-2, -1), (-4, -2))
     slabs = P.reshape((-1,) + pshape[-2:])
     E = synthesis(nodes, covar, out=slabs[0])
     if not circle_x:
@@ -46,9 +59,6 @@ def one_shot_kn_assemble(symbol, nodes, covar, shape, circle_x=False):
     np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), P, out=P)
     del S
     rows = P.reshape(-1, pshape[-1])
-    if fft:
-        np.fft.fft(rows, axis=-1, norm="forward", out=rows)
-        return np.moveaxis(P, (-2, -1), (-4, -2))
     if circle_x:
         F = _dft_matrix(pshape[-1])
     n = len(rows)
@@ -111,23 +121,25 @@ def test_streamed_assembly_equals_one_shot(name, one_shot):
 def test_blocks_partition_the_rows():
     # near-equal blocks of at most _BLOCK entries (or four rows, if a row
     # is wider than a quarter block) and at least two rows, in order; a
-    # grid that fits one block takes one call
-    for n, width, starts in [
-        (1024, 1024, list(range(0, 1024, 128))),
-        (1000, 1000, list(range(0, 1000, 125))),
-        (1024, 1, [0]),
-        (7, _BLOCK // 3, [0, 3]),
-        (9, _BLOCK // 2, [0, 3, 6]),
-        (1, 8, [0]),
+    # grid that fits one block takes one call. A circle x axis has as
+    # many modes as nodes, so wide rows come from the fiber axes.
+    for shape, starts in [
+        ((1024, 1024, 1, 1), list(range(0, 1024, 128))),
+        ((1000, 1000, 1, 1), list(range(0, 1000, 125))),
+        ((256, 256, 1, 1), [0]),
+        ((7, 7, 96, 96), [0, 3]),
+        ((9, 9, 64, 64), [0, 3, 6]),
+        ((1, 1, 8, 1), [0]),
     ]:
+        n, width = shape[0], math.prod(shape[1:])
         seen = []
 
-        def symbol(js, width=width):
+        def symbol(js, shape=shape):
             seen.append(js)
-            return np.ones((js.stop - js.start, width, 1, 1))
+            return np.ones((js.stop - js.start,) + shape[1:])
 
-        nodes, covar = np.linspace(0.0, 1.0, n), np.fft.fftfreq(width, 1.0 / width)
-        kn_assemble(symbol, nodes, covar, (n, width, 1, 1), circle_x=True)
+        nodes, covar = 2 * np.pi * np.arange(n) / n, np.fft.fftfreq(n, 1.0 / n)
+        kn_assemble(symbol, nodes, covar, shape, circle_x=True)
         assert [js.start for js in seen] == starts
         assert seen[-1].stop == n and all(a.stop == b.start for a, b in zip(seen, seen[1:]))
         assert all(js.stop - js.start >= min(2, n) for js in seen)
