@@ -36,20 +36,6 @@ waits until those residues leave the report (ROADMAP item 1); cone t
 grids are DFT-dual too (t_j p_k = -pi m + 2 pi j m / n), so the same
 shift applies there.
 
-`synthesis` exponentiates only half of each phase table. Every
-covariable set here is in FFT order (`Circle.modes` and `Cone.p` come
-from `np.fft.fftfreq`), so covar[m - k] == -covar[k] exactly, and
-column m - k of E is the conjugate of column k: the phase x_j (-k)
-rounds to exactly -(x_j k), libm's cos is even and its sin odd. exp
-runs on columns 0..m//2 and the mirrored columns are conjugated
-straight into the output. A row whose mirrored phases include a signed
-zero (the circle node x_0 = 0, the cone's middle node t = 0) or a
-non-finite value would take the wrong sign from the conjugate, so its
-mirrored columns are exponentiated directly. The table is bit for bit
-the full np.exp(np.multiply(1j * nodes[:, None], covar[None, :])),
-zero signs included; covariables that are not mirrored raise
-ValueError, and there is no full-table fallback.
-
 Memory contract: no dense assembly holds a whole symbol grid of its
 own. `kn_assemble` works in one buffer P and streams the grid into it,
 one block of j rows at a time, at most _BLOCK entries (2 MiB) or four
@@ -312,39 +298,12 @@ def _dft_matrix(n: int) -> np.ndarray:
 
 
 def synthesis(nodes: np.ndarray, covar: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Phase matrix E[j, k] = exp(i nodes_j covar_k), written into `out`
-    when given, bit for bit the full table
-    np.exp(np.multiply(1j * nodes[:, None], covar[None, :])).
-
-    The covariables must be mirrored in FFT order, covar[m - k] ==
-    -covar[k] for 0 < k < m - k (as `Circle.modes` and `Cone.p` are);
-    otherwise ValueError. `exp` then runs only on columns 0..m//2, and
-    column m - k is the conjugate of column k: the phase x_j (-k) is
-    exactly -(x_j k), libm's cos is even and its sin odd. Rows where a
-    mirrored phase is a signed zero or not finite (the node x_0 = 0 of
-    a circle, the middle node t = 0 of a cone) would take the wrong
-    zero sign from the conjugate, so their mirrored columns are
-    exponentiated directly.
-    """
-    m = len(covar)
-    h = m // 2
-    lo = covar[1 : (m + 1) // 2]
-    if (-lo).tobytes() != covar[:h:-1].tobytes():
-        raise ValueError("synthesis needs covariables mirrored in FFT order")
-    if out is None:
-        out = np.empty((len(nodes), m), dtype=complex)
+    """Phase matrix E[j, k] = exp(i nodes_j covar_k), the one expression
+    np.exp(np.multiply(1j * nodes[:, None], covar[None, :])), written
+    into `out` when given."""
     # not np.outer: its float n x n temporary raises peak memory
-    E = np.multiply(1j * nodes[:, None], covar[None, : h + 1], out=out[:, : h + 1])
-    np.exp(E, out=E)
-    np.conjugate(out[:, m - h - 1 : 0 : -1], out=out[:, h + 1 :])
-    if lo.size:
-        # a mirrored phase |x_j k| is zero or overflows iff it does at the
-        # smallest or largest |k| (rounding is monotone)
-        x, c = np.abs(nodes), np.abs(lo)
-        rows = np.flatnonzero(~((x * c.min() > 0) & (x * c.max() < np.inf)))
-        D = np.multiply(1j * nodes[rows, None], covar[None, h + 1 :])
-        out[rows, h + 1 :] = np.exp(D, out=D)
-    return out
+    E = np.multiply(1j * nodes[:, None], covar[None, :], out=out)
+    return np.exp(E, out=E)
 
 
 def analysis_matrix(E: np.ndarray) -> np.ndarray:

@@ -429,7 +429,7 @@ def test_evaluate_memory_budget():
 
 
 # ---------------------------------------------------------------------------
-# synthesis: mirror-half phase tables against the full table
+# synthesis: the phase table against the full-table expression
 
 
 def full_phase_table(nodes, covar):
@@ -474,6 +474,15 @@ SYNTHESIS_GRIDS = {
     "signed-zeros-modes": (SIGNED_ZEROS, Circle(16).modes.astype(float)),
     # p_1 = pi / 10 < 1: the subnormal nodes' phases round to zero
     "signed-zeros-p": (SIGNED_ZEROS, Cone(Point(), T=10.0, n_t=16).p),
+    # covariables in no FFT order, and zero covariables of either sign
+    "ascending": (Circle(8).x, np.arange(8.0)),
+    "centered": (Circle(8).x, np.fft.fftshift(np.fft.fftfreq(9, d=1.0 / 9))),
+    "shifted": (Circle(8).x, np.fft.fftfreq(8, d=1.0 / 8) + 0.5),
+    **{
+        f"zero-covar-{sign}-{name}": (nodes, np.array([0.0, 0.0, 1.0, -1.0, z]))
+        for sign, z in (("pos", 0.0), ("neg", -0.0))
+        for name, nodes in (("ones", np.ones(3)), ("signed-zeros", SIGNED_ZEROS))
+    },
 }
 
 
@@ -486,28 +495,9 @@ def test_synthesis_bits_equal_full_table(nodes, covar):
     assert_same_bits(out, want)
 
 
-@pytest.mark.parametrize(
-    "covar",
-    [np.arange(8.0), np.fft.fftshift(np.fft.fftfreq(9, d=1.0 / 9)), np.fft.fftfreq(8, d=1.0 / 8) + 0.5],
-    ids=["ascending", "centered", "shifted"],
-)
-def test_synthesis_needs_mirrored_covariables(covar):
-    with pytest.raises(ValueError, match="mirrored"):
-        synthesis(Circle(8).x, covar)
-
-
-def test_synthesis_mirror_is_exact_in_sign():
-    # a zero covariable mirrored by +0.0 is not -(+0.0) bit for bit
-    covar = np.array([0.0, 0.0, 1.0, -1.0, 0.0])
-    with pytest.raises(ValueError, match="mirrored"):
-        synthesis(np.ones(3), covar)
-    covar[-1] = -0.0
-    assert_same_bits(synthesis(SIGNED_ZEROS, covar), full_phase_table(SIGNED_ZEROS, covar))
-
-
 def test_synthesis_memory_budget():
-    # exp runs in place on the half table, the conjugates are written
-    # straight into out: 0.38 MiB beyond out at 1024^2
+    # exp runs in place on out; the only temporary is the length-n
+    # vector 1j * nodes
     c = Circle(1024)
     k = c.modes.astype(float)
     out = np.empty((1024, 1024), dtype=complex)
