@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ from psdo.geometry import (
     cutoff_family,
 )
 from psdo.quantize import (
+    _BLOCK,
     DiscretizedOperator,
     analysis_matrix,
     gram_norm,
@@ -37,6 +39,7 @@ from psdo.quantize import (
     quantize,
     side_norm,
     spectral_norm,
+    subtract_quantized,
     synthesis,
 )
 from psdo.symexpr import Const, ExprLike, Node, add, as_node, diff, mul, substitute
@@ -224,20 +227,27 @@ class InfinitesimalOperator:
     """Frozen-coefficient local representative of an operator at a point
     of its stratum, with the cutoff-ladder diagnostics that certify the
     freezing. `source_norm` is the spectral norm of the unfrozen
-    operator the ladder compared it against; the operator itself is not
-    kept, since its buffer becomes the difference the ladder measures."""
+    operator the ladder compared it against; neither operator is kept.
+    The frozen operator `operator` is assembled from `frozen_expr` on
+    first read, so the ladder never holds it beside the difference it
+    measures."""
 
     geometry: Geometry
     z: float
     frozen_expr: Node
-    operator: DiscretizedOperator
+    v: float
     diagnostics: ConvergenceDiagnostics
     source_norm: float
 
+    @cached_property
+    def operator(self) -> DiscretizedOperator:
+        return quantize(self.geometry, self.frozen_expr, v=self.v, freeze_r=True)
+
     def translation_defect(self) -> float:
         """Worst commutator norm with the stratum translations by 1 and 3
-        x nodes. Each commutator takes its Gram in its own buffer, so
-        besides the operator one commutator and two blocks are live.
+        x nodes. Each commutator is formed in a fresh assembly of the
+        frozen operator, and its Gram in the same buffer, so one
+        operator-sized array is live at a time.
 
         The stratum of a cone vertex is a point, so the defect is zero
         by convention there.
@@ -248,24 +258,32 @@ class InfinitesimalOperator:
         n_x = axis_layout(g, "x").n
         worst = 0.0
         for s in (1, 3):
-            D = _shift_commutator(self.operator.matrix, n_x, s)
+            D = quantize(g, self.frozen_expr, v=self.v, freeze_r=True).matrix
+            _shift_commutator_in_place(D, n_x, s)
             worst = max(worst, gram_norm(D, out=D))
-            del D  # freed before the next commutator is built
+            del D  # freed before the next assembly
         return worst
 
 
-def _shift_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
-    """T M - M T for T the circular shift by `steps` x nodes acting on
-    whole fibers; T permutes rows and columns, so this is a roll of the
-    rows with the column-rolled M subtracted into it, one slice of
-    columns at a time, so no second rolled copy is made."""
+def _shift_commutator_in_place(M: np.ndarray, n_x: int, steps: int) -> None:
+    """T M - M T, written into M, for T the circular shift by `steps` x
+    nodes acting on whole fibers: entry (i, j) becomes M[i - s, j] -
+    M[i, j + s], indices mod n, for a shift of s = steps n / n_x rows.
+    Row blocks are written bottom up through one block buffer, so every
+    row is read before it is overwritten, except the s bottom rows that
+    the top rows read: those are saved first."""
     n = M.shape[0]
-    step = steps * (n // n_x) % n
-    D = np.roll(M, step, axis=0)
-    head, tail = D[:, : n - step], D[:, n - step :]
-    np.subtract(head, M[:, step:], out=head)
-    np.subtract(tail, M[:, :step], out=tail)
-    return D
+    s = steps * (n // n_x) % n
+    bottom = M[n - s :].copy()
+    rows = max(1, _BLOCK // n)
+    buf = np.empty((min(rows, n), n), dtype=complex)
+    for lo, hi in ((s, n), (0, s)):
+        for i1 in range(hi, lo, -rows):
+            i0 = max(lo, i1 - rows)
+            above, d = (M[i0 - s : i1 - s] if i0 >= s else bottom[i0:i1]), buf[: i1 - i0]
+            np.subtract(above[:, : n - s], M[i0:i1, s:], out=d[:, : n - s])
+            np.subtract(above[:, n - s :], M[i0:i1, :s], out=d[:, n - s :])
+            M[i0:i1] = d
 
 
 def _feasible_scales(base: float, h: float) -> int:
@@ -344,18 +362,25 @@ def infinitesimal(
     must be non-increasing (10% jitter allowed) and end below 1e-3;
     failure is reported in the diagnostics, not raised.
 
-    The unfrozen operator A is measured once, for `source_norm`, before
-    A_z is assembled, so its fresh Gram is gone by then; A then lets go
-    of its matrix: A - A_z is formed in A's own buffer, so the ladder
-    holds two operator-sized arrays instead of three.
+    One operator-sized array is live at a time. The unfrozen operator A
+    is measured first: when its norm reads the matrix (it has no mode
+    blocks), the Gram is formed in A's own buffer and A is assembled
+    again. A - A_z is then formed in A's buffer
+    (`psdo.quantize.subtract_quantized`, which streams an x-free edge
+    family's rows), and the frozen operator is assembled only when
+    `InfinitesimalOperator.operator` is first read.
     """
     expr = as_node(expr)
     frozen_expr = substitute(expr, {"x": Const(float(z))})
     A = quantize(g, expr, v=v)
-    source_norm = A.norm()
-    Fz = quantize(g, frozen_expr, v=v, freeze_r=True)
+    if A._blocks is None:
+        source_norm = gram_norm(A.matrix, out=A.matrix)
+        del A  # the Gram's buffer goes before A is assembled again
+        A = quantize(g, expr, v=v)
+    else:
+        source_norm = A.norm()
+    Dm = subtract_quantized(A.matrix, g, frozen_expr, v=v, freeze_r=True)
     lambdas, diags = _cutoff_ladder(g, z, base_scale)
-    Dm = np.subtract(A.matrix, Fz.matrix, out=A.matrix)
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)
     d_left = tuple(side_norm(Dm, w, "left") for w in diags)
     non_inc = all(d_right[i + 1] <= 1.1 * d_right[i] + 1e-14 for i in range(len(d_right) - 1))
@@ -363,7 +388,7 @@ def infinitesimal(
     diag = ConvergenceDiagnostics(
         lambdas, d_right, d_left, final, non_inc, bool(final <= 1e-3), 1e-3
     )
-    return InfinitesimalOperator(g, float(z), frozen_expr, Fz, diag, source_norm)
+    return InfinitesimalOperator(g, float(z), frozen_expr, float(v), diag, source_norm)
 
 
 @dataclass(frozen=True)

@@ -42,33 +42,37 @@ one block of j rows at a time, at most _BLOCK entries (2 MiB) or four
 rows, whichever is more (`_row_blocks`), so besides P only one block's
 evaluation is live: two blocks for a sum of x-by-xi terms (see
 `psdo.symexpr.evaluate`). Rows wider than a quarter block occur only
-in the x-dependent `op_edge`, whose blocks are slices of its fibers.
-An x-dependent circle grid holds nothing else: one FFT transforms P in
-place after the last block, and the cyclic shift goes through one
-buffer of at most one block. t and base
-axes also hold the analysis matrix F, taken from the phases before the
-first block, and x-free circle grids hold F (`_dft_matrix`, built after
-the product) and one row block of the matmul. The x-dependent
-`op_edge` is the one call site that holds an output-sized grid: its
-fiber batch is built whole and streamed by slices, because a fiber call
-per block of x rows would repeat each call's fixed work; `kn_assemble`
-holds the only reference and drops it after the last block.
+in the x-dependent `op_edge`, whose blocks are fiber batches: one
+`_mellin_fibers` call per block of x rows, so besides P one block's
+fibers and that call's own assembly are live. An x-dependent circle
+grid is written into P in the output's own order (..., j, a, l, b),
+so P is the result and a caller's reshape to a matrix makes no copy:
+one FFT along l transforms P in place after the last block, and
+`_skew` shifts each (j, a) row of l b entries by j b places through
+one buffer of at most one block (or one j row, if that is wider). t
+and base axes also hold the analysis matrix F, taken from the phases
+before the first block, and x-free circle grids hold F (`_dft_matrix`,
+built after the product) and one row block of the matmul.
 `kn_circulant` fills its preallocated output in blocks of j rows, so
-besides the output only one block's contraction is live, and
-`_dft_matrix` transforms one identity slab at a time. Measured under
-tracemalloc at a 1024^2 output: `op_circle(Circle(1024))` peaks at
-1.15x the output on an x-dependent symbol (P and one block; 1.27x for
-a sum of two x-by-xi terms) and at 2.25x on an x-free one (P, F, one
-slab and its transform), `op_mellin` on an unbatched point cone with
-n_t = 1024 at 2.15x (P, F and one block), the x-dependent `op_edge` on
-16 x 64 at 2.001x (fibers and P; the fibers are freed before the shift
-buffer comes), the x-free one at 1.19x (output, mode blocks, one block),
-`psdo.fredholm._op_interior_on_edge` on 16 x 64 at 1.017x (its output
-and P, 1/64 of it), and `_dft_matrix(1024)` at 1.25x. An allocation
-estimate per dense matrix (ROADMAP item 7) can rely on these
-multiples. Blocking and streaming keep the bits: every entry sees the
-arithmetic of the one-shot product over the whole grid, and the tests
-compare every call-site shape with the one-shot, unblocked product.
+besides the output only one block's contraction is live; handed a
+consumer, it allocates no output at all and passes each block on
+(`subtract_quantized` takes an x-free edge family's rows from M that
+way). `_dft_matrix` transforms one identity slab at a time. Measured
+under tracemalloc at a 1024^2 output: `op_circle(Circle(1024))` peaks
+at 1.15x the output on an x-dependent symbol (P and one block; 1.27x
+for a sum of two x-by-xi terms, 1.16x at q = 2 on Circle(512)) and at
+2.25x on an x-free one (P, F, one slab and its transform), `op_mellin`
+on an unbatched point cone with n_t = 1024 at 2.15x (P, F and one
+block), the x-dependent `op_edge` on 16 x 64 at 1.404x (P, the fibers
+of four x rows and their t-axis block; the shift buffer comes after
+the fibers are freed), the x-free one at 1.19x (output, mode blocks,
+one block), `psdo.fredholm._op_interior_on_edge` on 16 x 64 at 1.017x
+(its output and P, 1/64 of it), and `_dft_matrix(1024)` at 1.25x. An
+allocation estimate per dense matrix (ROADMAP item 7) can rely on
+these multiples. Blocking and streaming keep the bits: every entry
+sees the arithmetic of the one-shot product over the whole grid, and
+the tests compare every call-site shape with the one-shot, unblocked
+product.
 
 The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
 defect) go through one Gram kernel, `gram_norm`, under the same
@@ -323,29 +327,37 @@ def _row_blocks(n: int, cap: int) -> list[slice]:
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _skew(G: np.ndarray) -> None:
-    """Shift row j of every (n, n) slab of G (R, n, n) cyclically by j
-    places, in place: G[r, j, l] becomes G[r, j, (l - j) mod n].
+def _skew(P: np.ndarray) -> None:
+    """Shift row j of every (j, a, l, b) block of P (..., n, a, n, b)
+    cyclically by j places along l, in place: P[..., j, a, l, b] becomes
+    P[..., j, a, (l - j) mod n, b].
 
-    A block of rows is copied twice, side by side, into one buffer of
-    at most _BLOCK entries and at most G's size (two rows, if a row is
-    wider); row i of a block starting at row j0 is then the window of
-    its doubled copy that starts at column n - j0 - i, so one strided
-    view, whose row stride is one entry short of the buffer's, reads
-    the whole block back shifted."""
-    R, n = G.shape[:2]
-    cap = max(2 * n, min(_BLOCK, G.size))
-    rows = min(n, cap // (2 * n))
-    slabs = max(1, min(R, cap // (2 * n * rows)))
-    H = np.empty((slabs, rows, 2 * n), dtype=complex)
-    s0, s1, s2 = H.strides
-    for r0 in range(0, R, slabs):
+    P is contiguous, so the (l, b) entries of one (j, a) row are one run
+    of W = n b entries, and the shift moves it by j b entries. A block
+    of j rows is copied twice, side by side, into one buffer of at most
+    _BLOCK entries and at most P's size (one j row, if it is wider);
+    row j0 + i of a block is then the window of its doubled copy that
+    starts at column W - (j0 + i) b, so one strided view, whose j stride
+    is b entries short of the buffer's, reads the whole block back
+    shifted."""
+    n, a, _, b = P.shape[-4:]
+    W = n * b
+    G = P.reshape(-1, n, a, W)
+    unit = 2 * a * W  # one j row, doubled
+    cap = max(unit, min(_BLOCK, G.size))
+    rows = min(n, cap // unit)
+    slabs = max(1, min(len(G), cap // (unit * rows)))
+    H = np.empty((slabs, rows, a, 2 * W), dtype=complex)
+    s0, s1, s2, s3 = H.strides
+    for r0 in range(0, len(G), slabs):
         for j0 in range(0, n, rows):
             g = G[r0 : r0 + slabs, j0 : j0 + rows]
             h = H[: len(g), : g.shape[1]]
-            h[..., :n] = g
-            h[..., n:] = g
-            g[...] = np.lib.stride_tricks.as_strided(h[..., n - j0 :], g.shape, (s0, s1 - s2, s2), writeable=False)
+            h[..., :W] = g
+            h[..., W:] = g
+            g[...] = np.lib.stride_tricks.as_strided(
+                h[..., W - j0 * b :], g.shape, (s0, s1 - b * s3, s2, s3), writeable=False
+            )
 
 
 def kn_assemble(
@@ -363,24 +375,26 @@ def kn_assemble(
     and the modes are the integers m in FFT order, F[k, l] =
     exp(-i m_k x_l)/n; on t and base axes F is E^H/n.
 
-    Everything happens in one buffer P laid out (..., a, b, j, k), into
-    which S is streamed: one block of j rows at a time (`_row_blocks`)
-    is evaluated and written into the block's rows of P. A grid whose
-    first block has stride 0 along j does not depend on the row, so that
-    one evaluation serves every row. `symbol` is dropped after the last
-    block, so what only it holds is freed before the analysis step.
+    Everything happens in one buffer P, into which S is streamed: one
+    block of j rows at a time (`_row_blocks`) is evaluated and written
+    into the block's rows of P. A grid whose first block has stride 0
+    along j does not depend on the row, so that one evaluation serves
+    every row. `symbol` is dropped after the last block, so what only it
+    holds is freed before the analysis step.
 
     On a circle x axis with an x-dependent grid there is no phase
     table: E[j, k] F[k, l] = exp(-2 pi i m_k (l - j) / n) / n, so row j
     of the product is fft(S[j, :])/n shifted cyclically by j places.
-    The blocks are copied into P unmultiplied, one in-place FFT
-    analyses P's rows, and `_skew` shifts them. The phases are exact:
-    the FFT's twiddles replace the rounded products x_j m_k of E, whose
-    error grows with n (about 1e-13 relative at n = 1024, against 4e-16
-    here).
+    P is laid out (..., j, a, k, b), the output's own order, and is
+    returned itself: the blocks are copied into it unmultiplied, one
+    in-place FFT along k analyses it, and `_skew` shifts its rows. The
+    phases are exact: the FFT's twiddles replace the rounded products
+    x_j m_k of E, whose error grows with n (about 1e-13 relative at
+    n = 1024, against 4e-16 here).
 
-    Other grids keep the phase table: E is written into P's first (j,
-    k) slab and copied to the others (on t and base axes F is taken
+    Other grids keep the phase table in a P laid out (..., a, b, j, k),
+    returned as a view in output order: E is written into P's first
+    (j, k) slab and copied to the others (on t and base axes F is taken
     from the slab first), each block is multiplied into its rows, S
     first, and the rows take a matmul against F in row blocks written
     back into P; on x-free circle grids F is `_dft_matrix`, built once
@@ -388,7 +402,6 @@ def kn_assemble(
     one-shot product over the whole grid, so the bits are the same.
     """
     lead, n, tail = shape[:-4], shape[-4], shape[-3:]
-    P = np.empty(lead + shape[-2:] + shape[-4:-2], dtype=complex)  # (..., a, b, j, k)
     blocks = _row_blocks(n, _BLOCK * n // max(1, math.prod(shape)))
 
     def grid(rows: slice) -> np.ndarray:
@@ -397,32 +410,33 @@ def kn_assemble(
     # a circle grid's first block tells whether it depends on x, so it
     # comes before the phases; t and base axes keep the phases first
     S = grid(blocks[0]) if circle_x else None
-    skew = S is not None and S.strides[-4] != 0
-    if not skew:
-        slabs = P.reshape((-1,) + P.shape[-2:])
-        E = synthesis(nodes, covar, out=slabs[0])
-        if not circle_x:
-            F = analysis_matrix(E)
-        slabs[1:] = E
-        if S is None:
-            S = grid(blocks[0])
-        if S.strides[-4] == 0:  # row-free: the first block serves every row
-            blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
+    if S is not None and S.strides[-4] != 0:
+        P = np.empty(lead + (n, shape[-2], shape[-3], shape[-1]), dtype=complex)  # (..., j, a, k, b)
+        for js in blocks:
+            P[..., js, :, :, :] = np.swapaxes(grid(js) if S is None else S, -3, -2)
+            S = None
+        symbol = None
+        np.fft.fft(P, axis=-2, norm="forward", out=P)
+        _skew(P)
+        return P
+    P = np.empty(lead + shape[-2:] + shape[-4:-2], dtype=complex)  # (..., a, b, j, k)
+    slabs = P.reshape((-1,) + P.shape[-2:])
+    E = synthesis(nodes, covar, out=slabs[0])
+    if not circle_x:
+        F = analysis_matrix(E)
+    slabs[1:] = E
+    if S is None:
+        S = grid(blocks[0])
+    if S.strides[-4] == 0:  # row-free: the first block serves every row
+        blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
     for js in blocks:
         if S is None:
             S = grid(js)
-        Pj, S = P[..., js, :], np.moveaxis(S, (-2, -1), (-4, -3))
-        if skew:
-            Pj[...] = S
-        else:
-            np.multiply(S, Pj, out=Pj)
+        Pj = P[..., js, :]
+        np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), Pj, out=Pj)
         S = None
     symbol = None
     rows = P.reshape(-1, shape[-3])
-    if skew:
-        np.fft.fft(rows, axis=-1, norm="forward", out=rows)
-        _skew(rows.reshape(-1, n, n))
-        return np.moveaxis(P, (-2, -1), (-4, -2))
     if circle_x:
         # x-free grids keep the DFT matrix: the FFT rounds differently,
         # and the verify report prints these grids' assembly residues
@@ -437,23 +451,37 @@ def kn_assemble(
     return np.moveaxis(P, (-2, -1), (-4, -2))
 
 
-def kn_circulant(E: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
+def kn_circulant(
+    E: np.ndarray,
+    B: np.ndarray,
+    F: np.ndarray,
+    consume: Optional[Callable[[slice, np.ndarray], None]] = None,
+) -> Optional[np.ndarray]:
     """x-free Kohn-Nirenberg product sum_k E[j, k] B[..., k, a, b] F[k, l],
     shaped (..., j, a, l, b). Kept apart from kn_assemble: broadcasting
     B over j there contracts in another order and changes bits.
 
-    The output is preallocated and filled in blocks of j rows of about
-    _BLOCK entries, one einsum each, so besides it only one block's
-    contraction is live. On 1 x 1 blocks a block of one or three j rows
-    rounds differently from the whole einsum; the step gets that small
-    only for l > 2^15.
+    The product is formed in blocks of j rows of about _BLOCK entries,
+    one einsum each, so besides the output only one block's contraction
+    is live. With `consume` no output is allocated: each block is
+    written into one block buffer and handed to consume(rows, block)
+    before the next overwrites it, and None is returned. On 1 x 1
+    blocks a block of one or three j rows rounds differently from the
+    whole einsum; the step gets that small only for l > 2^15.
     """
     j = E.shape[0]
-    out = np.empty(B.shape[:-3] + (j,) + B.shape[-2:-1] + (F.shape[1],) + B.shape[-1:], dtype=complex)
-    step = max(1, _BLOCK * j // out.size)
+    shape = B.shape[:-3] + (j,) + B.shape[-2:-1] + (F.shape[1],) + B.shape[-1:]
+    step = max(1, _BLOCK * j // math.prod(shape))
+    if consume is None:
+        out = np.empty(shape, dtype=complex)
+    else:
+        out, block = None, np.empty(shape[:-4] + (min(step, j),) + shape[-3:], dtype=complex)
     for j0 in range(0, j, step):
-        rows = slice(j0, j0 + step)
-        np.einsum("jk,...kab,kl->...jalb", E[rows], B, F, optimize=True, out=out[..., rows, :, :, :])
+        rows = slice(j0, min(j0 + step, j))
+        dest = block[..., : rows.stop - j0, :, :, :] if out is None else out[..., rows, :, :, :]
+        np.einsum("jk,...kab,kl->...jalb", E[rows], B, F, optimize=True, out=dest)
+        if out is None:
+            consume(rows, dest)
     return out
 
 
@@ -622,14 +650,11 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
     if q != g.q:
         raise QuantizeError(f"symbol shape {q} != geometry fiber {g.q}")
     cone, circ = g.cone, g.circle
-    xi = circ.modes.astype(float)
     if "x" in variables_of(expr):
-        # one fiber per (output x, mode) pair, all in one batch: fibers
-        # per block of x rows would repeat each fiber call's fixed work.
-        # Only kn_assemble holds the batch, so it is freed once streamed.
-        n, d = circ.n_x, cone.dim_total
+        # one fiber per (output x, mode) pair, batched per block of x rows
+        n, d, xi = circ.n_x, cone.dim_total, circ.modes.astype(float)
         A = kn_assemble(
-            _mellin_fibers(cone, expr, v, xi[None, :], circ.x[:, None], freeze_r).__getitem__,
+            lambda js: _mellin_fibers(cone, expr, v, xi[None, :], circ.x[js, None], freeze_r),
             circ.x,
             xi,
             (n, n, d, d),
@@ -637,13 +662,23 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
         )
         mode_blocks = None
     else:
-        # one fiber per mode, block circulant
-        mode_blocks = _mellin_fibers(cone, expr, v, xi, 0.0, freeze_r)
-        A = kn_circulant(synthesis(circ.x, xi), mode_blocks, _dft_matrix(circ.n_x))
+        mode_blocks, A = _edge_circulant(g, expr, v, freeze_r)
     A = _restrict_t_axis(A.reshape(g.dim_total, g.dim_total), g)
     if mode_blocks is not None:
         mode_blocks = _restrict_t_axis(mode_blocks, cone)
     return DiscretizedOperator(g, v, A, _blocks=mode_blocks)
+
+
+def _edge_circulant(
+    g: Edge, expr: Node, v: float, freeze_r: bool, consume: Optional[Callable[[slice, np.ndarray], None]] = None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Periodic mode blocks of an x-free edge family, one cone fiber per
+    edge mode, and their block-circulant product (`kn_circulant`, which
+    hands its row blocks to `consume` instead when it is given)."""
+    circ = g.circle
+    xi = circ.modes.astype(float)
+    B = _mellin_fibers(g.cone, expr, v, xi, 0.0, freeze_r)
+    return B, kn_circulant(synthesis(circ.x, xi), B, _dft_matrix(circ.n_x), consume)
 
 
 def quantize(g: Geometry, expr: Node, v: Optional[float] = None, freeze_r: bool = False) -> DiscretizedOperator:
@@ -655,6 +690,35 @@ def quantize(g: Geometry, expr: Node, v: Optional[float] = None, freeze_r: bool 
     if isinstance(g, Edge):
         return op_edge(g, expr, v=0.0 if v is None else v, freeze_r=freeze_r)
     raise GeometryError(f"cannot quantize on {type(g).__name__}")
+
+
+def subtract_quantized(
+    M: np.ndarray, g: Geometry, expr: Node, v: Optional[float] = None, freeze_r: bool = False
+) -> np.ndarray:
+    """M - quantize(g, expr, v, freeze_r).matrix, formed in M's buffer
+    and returned.
+
+    An x-free edge family is never held whole: `kn_circulant` hands each
+    block of j rows of its periodic product to a consumer that subtracts
+    them from M's rows (on an interval cone, their interior rows and
+    columns), so besides M only the mode blocks and one block's
+    contraction are live. Any other family is quantized whole first;
+    so is a family of the wrong shape, whose `quantize` raises."""
+    if not isinstance(g, Edge) or "x" in variables_of(expr) or shape_of(expr) != g.q:
+        return np.subtract(M, quantize(g, expr, v, freeze_r).matrix, out=M)
+    keep = _interior_nodes(g) if g.cone.boundary == "interval" else np.arange(g.dim_total)
+    if M.shape != (len(keep), len(keep)):
+        raise QuantizeError(f"matrix shape {M.shape} != operator shape {(len(keep), len(keep))}")
+    d = g.cone.dim_total
+
+    def consume(js: slice, block: np.ndarray) -> None:
+        f0 = js.start * d
+        r0, r1 = np.searchsorted(keep, (f0, js.stop * d))
+        rows = block.reshape(-1, g.dim_total)
+        M[r0:r1] -= rows if len(keep) == g.dim_total else rows[np.ix_(keep[r0:r1] - f0, keep)]
+
+    _edge_circulant(g, expr, 0.0 if v is None else v, freeze_r, consume)
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "num":
             self.next()
-            return Const(complex(float(val)), pos)
+            value = float(val)
+            if math.isinf(value):
+                raise ParseError("numeric literal overflows to infinity", pos, expected="finite number")
+            return Const(complex(value), pos)
         if kind == "name":
             self.next()
             if val in FUNCTIONS:
@@ -344,7 +347,8 @@ def parse(src: str) -> Node:
     """Parse source into an AST and validate shapes.
 
     Raises ParseError (with byte offset) on syntax errors, unknown
-    identifiers, non-integer exponents, and shape mismatches.
+    identifiers, non-integer exponents, numeric literals that overflow
+    to infinity, and shape mismatches.
     """
     p = _Parser(src)
     e = p.parse_expr()
@@ -675,7 +679,9 @@ def _prec(e: Node) -> int:
 
 
 def _fmt_real(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    # a non-finite value, which no literal parses to, prints as its repr
+    # ("inf", "nan"), and parsing that raises ParseError
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return repr(float(v))
     return repr(v)
 

@@ -82,6 +82,13 @@ def test_check_parse_error_exit_65(tmp_path, capsys):
     assert "offset" in err  # position is part of the message
 
 
+def test_check_overflowing_literal_exit_65(tmp_path, capsys):
+    code = run(tmp_path, "check", {"geometry": CONE, "symbol": "1 + 1e400*chi(p)"})
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert "overflows to infinity at offset 4" in err
+
+
 def test_check_incompatible_exit_2(tmp_path, capsys):
     # Interior override whose large-parameter limit disagrees with the
     # conormal family along the diagonal |xi| ~ |v|.

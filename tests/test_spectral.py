@@ -2,8 +2,9 @@
 
 Every fast path is checked against np.linalg.norm(., 2) on the full
 dense matrix: the Gram kernel on tall, wide, square, extreme-scale,
-zero and empty matrices, in a fresh Gram and in place; the roll
-commutator against the kron-built one; edge-mode block norms against
+zero and empty matrices, in a fresh Gram and in place; the in-place
+shift commutator against the kron-built one and the two-copy roll
+oracle; edge-mode block norms against
 the assembled matrix; the ladder norm against the dense restricted
 product; and the stacked extraction norms against per-block norms.
 The kernel's memory contract is checked under tracemalloc: a caller's
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from psdo import blas
-from psdo.calculus import _shift_commutator, extract_symbol
+from psdo.calculus import _shift_commutator_in_place, extract_symbol, infinitesimal
 from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, translation_matrix
 from psdo.quantize import (
     _BLOCK,
@@ -190,6 +191,24 @@ def test_in_place_gram_norm_memory_is_two_blocks():
 # Translation commutators
 
 
+def _shift_commutator(M, n_x, steps):
+    """Oracle: T M - M T as a row roll of a copy of M with the
+    column-rolled M subtracted into it, one slice of columns at a time."""
+    n = M.shape[0]
+    step = steps * (n // n_x) % n
+    D = np.roll(M, step, axis=0)
+    head, tail = D[:, : n - step], D[:, n - step :]
+    np.subtract(head, M[:, step:], out=head)
+    np.subtract(tail, M[:, :step], out=tail)
+    return D
+
+
+def _in_place(M, n_x, steps):
+    D = M.copy()
+    _shift_commutator_in_place(D, n_x, steps)
+    return D
+
+
 @pytest.mark.parametrize("kind", [Circle, Edge])
 @pytest.mark.parametrize("steps", [1, 3])
 def test_roll_commutator_equals_kron(kind, steps):
@@ -197,7 +216,7 @@ def test_roll_commutator_equals_kron(kind, steps):
     n_x = axis_layout(g, "x").n
     M = op.matrix
     T = np.kron(translation_matrix(n_x, steps), np.eye(M.shape[0] // n_x))
-    assert np.array_equal(_shift_commutator(M, n_x, steps), T @ M - M @ T)
+    assert np.array_equal(_in_place(M, n_x, steps), T @ M - M @ T)
 
 
 @pytest.mark.parametrize("kind", [Circle, Edge])
@@ -209,6 +228,31 @@ def test_slice_commutator_equals_two_rolls(kind, steps):
     step = steps * (M.shape[0] // n_x)
     want = np.roll(M, step, axis=0) - np.roll(M, -step, axis=1)
     assert np.array_equal(_shift_commutator(M, n_x, steps), want)
+    assert np.array_equal(_in_place(M, n_x, steps), want)
+
+
+@pytest.mark.parametrize("n, n_x, steps", [(12, 12, 0), (12, 4, 1), (40, 8, 3), (300, 300, 7), (512, 16, 5)])
+def test_in_place_commutator_equals_roll_oracle(n, n_x, steps):
+    # whole, wrapped and several row blocks; s = 0 leaves a zero matrix
+    M = _random((n, n), seed=n)
+    assert np.array_equal(_in_place(M, n_x, steps), _shift_commutator(M, n_x, steps))
+
+
+@pytest.mark.parametrize("kind", [Circle, Edge])
+def test_translation_defect_equals_two_copy_oracle(kind):
+    g, expr, z = next(s for s in infinitesimal_stock() if isinstance(s[0], kind))
+    inst = infinitesimal(g, expr, z=z)
+    n_x = axis_layout(g, "x").n
+    M = inst.operator.matrix
+    want = max(spectral_norm(_shift_commutator(M, n_x, s)) for s in (1, 3))
+    assert inst.translation_defect() == want
+
+
+def test_in_place_gram_norm_equals_fresh_gram_on_stock_edge():
+    g, expr, _ = next(s for s in infinitesimal_stock() if isinstance(s[0], Edge))
+    M = quantize(g, expr).matrix
+    fresh = gram_norm(M, np.empty_like(M))
+    assert gram_norm(M, out=M) == fresh
 
 
 # ---------------------------------------------------------------------------

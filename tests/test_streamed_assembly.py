@@ -82,7 +82,10 @@ INTERIOR = "1 + chi(xi)*cos(x) + r/(1 + r) + v*xi/(1 + xi^2)"
 # rows over fibers streamed in t blocks of 8 and of 16 rows; the
 # interior on an edge in 2 x 32 x rows. The last two shapes split
 # unevenly too: circle 1002 in 125 and 126 rows, edge 18 x 64 in 3 and
-# 4 x rows over t blocks of 5 and 6.
+# 4 x rows over t blocks of 5 and 6. The q = 2 edges stream 4 x 4 and
+# 3 x 4 x rows. The one-shot product is the arithmetic the streamed one
+# replaced: one fiber batch for the whole edge, and a buffer laid out
+# (..., a, b, j, k) whose contiguous rows take the FFT.
 STREAMED = {
     "circle-1000": lambda: op_circle(Circle(1000), parse(SCALAR)).matrix,
     "circle-600-q2": lambda: op_circle(Circle(600, q=2), parse(MATRIX)).matrix,
@@ -96,6 +99,10 @@ STREAMED = {
     "interior-on-edge-64x48": lambda: _op_interior_on_edge(Edge(Circle(64), _point(48)), parse(INTERIOR), 2.0),
     "circle-1002": lambda: op_circle(Circle(1002), parse(SCALAR)).matrix,
     "edge-18x64": lambda: op_edge(Edge(Circle(18), _point(64)), parse(EDGE), v=1.1).matrix,
+    "edge-q2-16x32": lambda: op_edge(Edge(Circle(16, q=2), _point(32, q=2)), parse(X_DEP_Q2), v=0.9).matrix,
+    "edge-q2-12x24-interval": lambda: op_edge(
+        Edge(Circle(12, q=2), _point(24, q=2, boundary="interval")), parse(X_DEP_Q2), v=0.9
+    ).matrix,
 }
 
 

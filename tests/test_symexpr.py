@@ -119,6 +119,20 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("(x, 1)")
 
+    @pytest.mark.parametrize(
+        "src, pos",
+        [("1e400", 0), ("x + 2*1e400", 6), ("(1, 1e999)", 4), ("[[1, 0], [0, 1" + "0" * 400 + "]]", 13)],
+        ids=["exponent", "in-product", "complex-part", "400-digits"],
+    )
+    def test_overflowing_literal_rejected_with_position(self, src, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.pos == pos
+        assert "overflows to infinity" in str(exc.value)
+
+    def test_underflowing_literal_is_zero(self):
+        assert parse("1e-400") == Const(0j)
+
 
 class TestEval:
     def test_unbound_variable(self):
@@ -299,6 +313,43 @@ def test_print_parse_identity_on_generated_trees(e):
         shape_of(e)
     except ParseError:
         assume(False)
+    assert parse(to_source(e)) == e
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        Const(complex(float("inf"))),
+        Const(complex(float("-inf"))),
+        Const(complex(float("nan"))),
+        Const(complex(1.0, float("-inf"))),
+        BinOp("*", Var("x"), Const(complex(float("inf")))),
+        Mat(((Const(complex(float("nan"))),),)),
+    ],
+)
+def test_to_source_is_total_on_non_finite_constants(e):
+    # no literal parses to a non-finite value, so the printed source
+    # names one ("inf", "nan") and parsing it back raises
+    src = to_source(e)
+    assert "inf" in src or "nan" in src
+    with pytest.raises(ParseError):
+        parse(src)
+
+
+# Token strings over the whole lexicon: literals that overflow, underflow
+# or are integral, every identifier class, every operator
+_TOKENS = st.sampled_from(
+    ["0", "1", "2.5", ".5", "3e2", "1e400", "1e-400", "9" * 320, *VARIABLES, *FUNCTIONS, "foo"]
+    + list("+-*/^()[],")
+)
+
+
+@given(st.lists(_TOKENS, max_size=14), st.sampled_from(["", " "]))
+def test_token_strings_round_trip_or_raise_parse_error(tokens, sep):
+    try:
+        e = parse(sep.join(tokens))
+    except ParseError:
+        return
     assert parse(to_source(e)) == e
 
 
