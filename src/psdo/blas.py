@@ -1,23 +1,32 @@
-"""BLAS thread policy of the psdo commands, and the in-place Hermitian
-eigenvalue step of the Gram kernel.
+"""BLAS thread policy of the psdo commands and of the quantizer, and
+the in-place Hermitian eigenvalue step of the Gram kernel.
 
-A command (`psdo.cli.main`) runs inside `narrow()`: OpenBLAS works on
-one thread for the whole command, and no numerical module sets a
-thread count. A second thread burns CPU spin-waiting and stalls a
-second process on the same cores, and in this package it paid only
-for the three 1024^2 Gram gemms of a `psdo verify` pass (the source
-norm and the two translation defects of the stock edge), which take
-about 95 ms each on one thread against 64 ms on two (2 cores,
-OpenBLAS 0.3.31, numpy 2.4.6). Every other dense call of the battery,
-and of `psdo index` on the stock ladders (rungs up to 255), is smaller
-than 512; there a second thread gains a few milliseconds per call at
-most, and giving it to `inv` and the kernel's matmul from 256 on
-doubled the CPU time of `psdo index` (`BENCH_blas_threads.json`).
-With every call on one thread, the battery's CPU time fell 14% and
-its wall time rose 5-6%, about 0.14 s per pass
-(`BENCH_one_thread.json`). No result depends on the count: the verify
-digests, and the canonical index and quantize bytes, are the same on
-one thread and on two.
+A command (`psdo.cli.main`) and a library call of the quantizer
+(`psdo.quantize.quantize`) run inside `narrow()`: OpenBLAS works on one
+thread for the whole call, and no other code sets a thread count.
+`narrow()` scopes are depth-counted under one module lock. The first
+scope entered reads the count and sets 1, the last scope to leave
+restores what the first one read, and a scope entered while another is
+open, nested or on another thread, sets nothing: `quantize` under
+`cli.main` touches no setting, and overlapping scopes on two threads
+end with the prior count.
+
+A second thread burns CPU spin-waiting and stalls a second process on
+the same cores, and in this package it paid only for the three 1024^2
+Gram gemms of a `psdo verify` pass (the source norm and the two
+translation defects of the stock edge), which take about 95 ms each on
+one thread against 64 ms on two (2 cores, OpenBLAS 0.3.31, numpy
+2.4.6). Every other dense call of the battery, and of `psdo index` on
+the stock ladders (rungs up to 255), is smaller than 512; there a
+second thread gains a few milliseconds per call at most, and giving it
+to `inv` and the kernel's matmul from 256 on doubled the CPU time of
+`psdo index` (`BENCH_blas_threads.json`). With every call on one
+thread, the battery's CPU time fell 14% and its wall time rose 5-6%,
+about 0.14 s per pass (`BENCH_one_thread.json`); the `assemble` ladder
+of library `quantize` calls keeps its wall time and spends less CPU
+(`BENCH_one_thread_quantize.json`). No result depends on the count:
+the verify digests, the canonical index and quantize bytes and the
+assembled matrices are the same on one thread and on two.
 
 The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
 defect) take the Gram kernel `quantize.gram_norm` instead of the SVD
@@ -48,9 +57,8 @@ and a fallback with its reason as `eigen_reason`.
 
 The policy is off, and the thread count left as it is, when the user
 has chosen a count through OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS, when numpy carries no OpenBLAS library, and outside a
-`narrow()` scope: importing psdo as a library changes no BLAS setting.
-The library is resolved on first use.
+OMP_NUM_THREADS, and when numpy carries no OpenBLAS library. Importing
+psdo changes no BLAS setting, and the library is resolved on first use.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -161,11 +170,20 @@ def top_eigenvalue(G: np.ndarray) -> float:
     return lam
 
 
+# open narrow() scopes, and the count the first of them read
+_depth_lock = threading.Lock()
+_depth = 0
+_prior = 0
+
+
 @contextlib.contextmanager
 def narrow() -> Iterator[dict]:
     """One OpenBLAS thread for the body; yields the policy, and the
     eigenvalue routine in use, as the report's `volatile.blas` entry.
-    The prior count comes back on exit, also after an exception."""
+    Only the outermost of overlapping scopes sets the count, and the
+    last one to leave restores the prior count, also after an
+    exception."""
+    global _depth, _prior
     chosen = next((var for var in _THREAD_VARS if var in os.environ), None)
     if chosen is not None:
         yield {"threads": None, "reason": f"{chosen} set", **_eigen()}
@@ -174,9 +192,15 @@ def narrow() -> Iterator[dict]:
     if lib is None or lib.set_threads is None:
         yield {"threads": None, "reason": "no OpenBLAS library found", **_eigen()}
         return
-    before = lib.get_threads()
-    lib.set_threads(1)
+    with _depth_lock:
+        if _depth == 0:
+            _prior = lib.get_threads()
+            lib.set_threads(1)
+        _depth += 1
     try:
         yield {"threads": 1, **_eigen()}
     finally:
-        lib.set_threads(before)
+        with _depth_lock:
+            _depth -= 1
+            if _depth == 0:
+                lib.set_threads(_prior)

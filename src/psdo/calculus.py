@@ -37,6 +37,7 @@ from psdo.quantize import (
     gram_norm,
     op_circle,
     quantize,
+    quantized_norm,
     side_norm,
     spectral_norm,
     subtract_quantized,
@@ -230,7 +231,8 @@ class InfinitesimalOperator:
     operator the ladder compared it against; neither operator is kept.
     The frozen operator `operator` is assembled from `frozen_expr` on
     first read, so the ladder never holds it beside the difference it
-    measures."""
+    measures, and `norm()` is its norm, read from the mode blocks alone
+    where it has them."""
 
     geometry: Geometry
     z: float
@@ -242,6 +244,11 @@ class InfinitesimalOperator:
     @cached_property
     def operator(self) -> DiscretizedOperator:
         return quantize(self.geometry, self.frozen_expr, v=self.v, freeze_r=True)
+
+    def norm(self) -> float:
+        """`operator.norm()`, bit for bit; on an x-free edge only the mode
+        blocks are assembled (`psdo.quantize.quantized_norm`)."""
+        return quantized_norm(self.geometry, self.frozen_expr, v=self.v, freeze_r=True)
 
     def translation_defect(self) -> float:
         """Worst commutator norm with the stratum translations by 1 and 3

@@ -16,10 +16,11 @@ null is outside every rule: write a field's default, or leave it out.
 Schema errors (64) are reported before DSL parse errors (65).
 
 Reports are JSON. Everything outside the "volatile" block (timestamp,
-wall and CPU times, the BLAS thread policy) is deterministic for a
-fixed config and seed; byte-identity is checked on the report with that
-block removed. Files are written atomically (temp file in the target
-directory, then rename).
+wall and CPU times, the BLAS thread policy, the unrounded norm of
+`psdo quantize`) is deterministic for a fixed config and seed;
+byte-identity is checked on the report with that block removed. Files
+are written atomically (temp file in the target directory, then
+rename).
 
 Exit codes: 0 ok, 2 compatibility failure, 3 ellipticity failure,
 4 indeterminate sections, 5 index/oracle inconsistency, 64 config or
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -326,8 +328,11 @@ def cmd_check(cfg: dict) -> tuple[dict, int]:
     return result, EXIT_OK
 
 
-def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int]:
-    """Quantize the configured symbol and write the container."""
+def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int, dict]:
+    """Quantize the configured symbol and write the container. The
+    report prints the norm rounded to 12 significant digits, so that an
+    eps-level change in how it is computed moves no canonical byte; the
+    raw value goes to the volatile block."""
     g = build_geometry(_require(cfg, "geometry"))
     expr = parse(_require(cfg, "symbol"))
     op = quantize(g, expr, float(cfg["v"]) if "v" in cfg else None)
@@ -338,15 +343,16 @@ def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int]:
         with open(target, "rb") as f:
             digest = hashlib.sha256(f.read()).hexdigest()
     except OSError as e:
-        return {"verdict": "io-error", "error": str(e)}, EXIT_IO
+        return {"verdict": "io-error", "error": str(e)}, EXIT_IO, {}
+    norm = op.norm()
     result = {
         "container": target,
         "sha256": digest,
         "dim": int(op.matrix.shape[0]),
-        "norm": op.norm(),
+        "norm": float(f"{norm:.12g}"),
         "verdict": "written",
     }
-    return result, EXIT_OK
+    return result, EXIT_OK, {"norm": norm}
 
 
 def cmd_index(cfg: dict) -> tuple[dict, int]:
@@ -433,7 +439,9 @@ def _out_flag(raw: str) -> str:
     return raw
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = _ArgumentParser(prog="psdo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("check", "quantize", "index", "verify"):
@@ -468,7 +476,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.command == "check":
                 result, code = cmd_check(cfg)
             elif args.command == "quantize":
-                result, code = cmd_quantize(cfg, out_dir)
+                result, code, volatile = cmd_quantize(cfg, out_dir)
             elif args.command == "index":
                 result, code = cmd_index(cfg)
             else:

@@ -108,7 +108,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from psdo.blas import top_eigenvalue
+from psdo.blas import narrow, top_eigenvalue
 from psdo.geometry import (
     Circle,
     Cone,
@@ -669,27 +669,51 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
     return DiscretizedOperator(g, v, A, _blocks=mode_blocks)
 
 
+def _edge_blocks(g: Edge, expr: Node, v: float, freeze_r: bool) -> np.ndarray:
+    """Periodic mode blocks of an x-free edge family, one cone fiber per
+    edge mode."""
+    return _mellin_fibers(g.cone, expr, v, g.circle.modes.astype(float), 0.0, freeze_r)
+
+
 def _edge_circulant(
     g: Edge, expr: Node, v: float, freeze_r: bool, consume: Optional[Callable[[slice, np.ndarray], None]] = None
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Periodic mode blocks of an x-free edge family, one cone fiber per
-    edge mode, and their block-circulant product (`kn_circulant`, which
-    hands its row blocks to `consume` instead when it is given)."""
+    """Mode blocks of an x-free edge family (`_edge_blocks`) and their
+    block-circulant product (`kn_circulant`, which hands its row blocks
+    to `consume` instead when it is given)."""
     circ = g.circle
-    xi = circ.modes.astype(float)
-    B = _mellin_fibers(g.cone, expr, v, xi, 0.0, freeze_r)
-    return B, kn_circulant(synthesis(circ.x, xi), B, _dft_matrix(circ.n_x), consume)
+    B = _edge_blocks(g, expr, v, freeze_r)
+    return B, kn_circulant(synthesis(circ.x, circ.modes.astype(float)), B, _dft_matrix(circ.n_x), consume)
+
+
+def _x_free_edge(g: Geometry, expr: Node) -> bool:
+    """Whether `quantize` takes expr on g as an x-free edge family, one
+    that keeps its mode blocks."""
+    return isinstance(g, Edge) and "x" not in variables_of(expr) and shape_of(expr) == g.q
 
 
 def quantize(g: Geometry, expr: Node, v: Optional[float] = None, freeze_r: bool = False) -> DiscretizedOperator:
-    """Geometry-dispatching quantizer."""
-    if isinstance(g, Circle):
-        return op_circle(g, expr, v)
-    if isinstance(g, Cone):
-        return op_mellin(g, expr, v=0.0 if v is None else v, freeze_r=freeze_r)
-    if isinstance(g, Edge):
-        return op_edge(g, expr, v=0.0 if v is None else v, freeze_r=freeze_r)
-    raise GeometryError(f"cannot quantize on {type(g).__name__}")
+    """Geometry-dispatching quantizer, run on one OpenBLAS thread
+    (`psdo.blas.narrow`; inside a command, whose scope is already open,
+    it sets nothing)."""
+    with narrow():
+        if isinstance(g, Circle):
+            return op_circle(g, expr, v)
+        if isinstance(g, Cone):
+            return op_mellin(g, expr, v=0.0 if v is None else v, freeze_r=freeze_r)
+        if isinstance(g, Edge):
+            return op_edge(g, expr, v=0.0 if v is None else v, freeze_r=freeze_r)
+        raise GeometryError(f"cannot quantize on {type(g).__name__}")
+
+
+def quantized_norm(g: Geometry, expr: Node, v: Optional[float] = None, freeze_r: bool = False) -> float:
+    """quantize(g, expr, v, freeze_r).norm(), bit for bit. An x-free edge
+    family's norm reads only its mode blocks, so only those are
+    assembled (`_edge_blocks`, restricted to the interior nodes on an
+    interval cone); any other family is quantized whole."""
+    if not _x_free_edge(g, expr):
+        return quantize(g, expr, v, freeze_r).norm()
+    return spectral_norm(_restrict_t_axis(_edge_blocks(g, expr, 0.0 if v is None else v, freeze_r), g.cone))
 
 
 def subtract_quantized(
@@ -704,7 +728,7 @@ def subtract_quantized(
     columns), so besides M only the mode blocks and one block's
     contraction are live. Any other family is quantized whole first;
     so is a family of the wrong shape, whose `quantize` raises."""
-    if not isinstance(g, Edge) or "x" in variables_of(expr) or shape_of(expr) != g.q:
+    if not _x_free_edge(g, expr):
         return np.subtract(M, quantize(g, expr, v, freeze_r).matrix, out=M)
     keep = _interior_nodes(g) if g.cone.boundary == "interval" else np.arange(g.dim_total)
     if M.shape != (len(keep), len(keep)):

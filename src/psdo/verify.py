@@ -362,7 +362,7 @@ def suite_infinitesimal(seed: int) -> SuiteResult:
         inst = infinitesimal(g, expr, z=z)
         d = inst.diagnostics
         tdef = inst.translation_defect()
-        norm, source_norm = inst.operator.norm(), inst.source_norm
+        norm, source_norm = inst.norm(), inst.source_norm
         contract = norm <= source_norm + 1e-12
         freezings.append((d, tdef, norm, source_norm))
         checks.append(

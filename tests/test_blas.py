@@ -1,18 +1,24 @@
-"""The BLAS thread policy: one thread for a whole command, off when
-asked, and never a change in any result; and the eigenvalue routine the
-report names."""
+"""The BLAS thread policy: one thread for a whole command and for a
+library quantize() call, set once by the outermost of overlapping
+scopes, off when asked, and never a change in any result; and the
+eigenvalue routine the report names."""
 
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psdo.quantize
 from psdo import blas
 from psdo.cli import canonical_report_bytes, main
+from psdo.geometry import Circle
+from psdo.symexpr import parse
 from psdo.verify import run_suites
 from test_fredholm import _load_bench_workloads
 
@@ -89,7 +95,76 @@ def test_nested_narrow_is_a_no_op(fake):
             assert inner == outer
         assert fake.count == 1
     assert fake.count == 4
-    assert fake.calls == [1, 1, 1, 4]
+    assert fake.calls == [1, 4]
+
+
+def test_overlapping_scopes_on_two_threads_set_the_count_once(fake):
+    """Each thread's scope stays open until both have entered, so the
+    second scope opens inside the first; whichever leaves last restores
+    the count the first one read."""
+    both_open = threading.Barrier(2, timeout=10)
+    seen, errors = [], []
+
+    def scope():
+        try:
+            with blas.narrow():
+                both_open.wait()
+                seen.append(fake.count)
+        except Exception as e:  # reported below, not lost in the thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=scope) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+        assert not t.is_alive()
+    assert errors == []
+    assert seen == [1, 1]
+    assert fake.calls == [1, 4]
+    assert fake.count == 4
+
+
+def test_scopes_on_many_threads_keep_the_count(monkeypatch):
+    """Eight threads open nested scopes 500 times each, switching every
+    microsecond and at each read of the count: inside any scope the
+    count is 1, every set to 1 is followed by the restore, and the prior
+    count comes back at the end."""
+    clear_thread_vars(monkeypatch)
+    fake = FakeOpenBLAS(4)
+
+    def get():
+        time.sleep(0)  # lets another thread run between the read and the set
+        return fake.get()
+
+    monkeypatch.setattr(blas, "_openblas", lambda: blas._OpenBLAS("libfake.so", fake.set, get, None))
+    seen, errors = set(), []
+
+    def work():
+        try:
+            for _ in range(500):
+                with blas.narrow():
+                    with blas.narrow():
+                        seen.add(fake.count)
+                    seen.add(fake.count)
+        except Exception as e:  # reported below, not lost in the thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert seen == {1}
+    assert fake.calls == [1, 4] * (len(fake.calls) // 2)
+    assert fake.count == 4
 
 
 def test_real_library_follows_the_policy(policy_on):
@@ -98,6 +173,41 @@ def test_real_library_follows_the_policy(policy_on):
     with blas.narrow():
         assert get() == 1
     assert get() == before
+
+
+@pytest.fixture
+def real_calls(policy_on, monkeypatch):
+    """The real library, with each thread count it is set to recorded."""
+    real, calls = blas._openblas(), []
+
+    def set_threads(n):
+        calls.append(n)
+        real.set_threads(n)
+
+    monkeypatch.setattr(blas, "_openblas", lambda: real._replace(set_threads=set_threads))
+    return real.get_threads, calls
+
+
+def test_library_quantize_runs_on_one_thread(real_calls, monkeypatch):
+    get, calls = real_calls
+    seen = []
+    op_circle = psdo.quantize.op_circle
+
+    def recorded(*args):
+        seen.append(get())
+        return op_circle(*args)
+
+    monkeypatch.setattr(psdo.quantize, "op_circle", recorded)
+    expr = parse("2 + 0.3 * sin(x) * chi(xi)")
+    before = get()
+    psdo.quantize.quantize(Circle(64), expr)
+    assert seen == [1]
+    assert calls == [1, before]
+    assert get() == before
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(before))
+    psdo.quantize.quantize(Circle(64), expr)
+    assert seen == [1, before]
+    assert calls == [1, before]
 
 
 def test_quantize_sets_the_count_once(tmp_path, capsys, fake):

@@ -286,10 +286,11 @@ def test_edge_ladder_converges():
 
 def test_stock_edge_freezing_holds_one_and_a_half_operators():
     # one 1024^2 array at a time: A's norm takes its Gram in A's buffer,
-    # A - A_z streams A_z's rows into A's, the translation defect forms
-    # each commutator and its Gram in a fresh A_z, and the frozen
-    # operator is assembled when first read. Each phase stays under 1.5
-    # operators (24 MiB): 22.5, 21.4 and 19.0 MiB measured.
+    # A - A_z streams A_z's rows into A's, and the translation defect
+    # forms each commutator and its Gram in a fresh A_z. Each of those
+    # phases stays under 1.5 operators (24 MiB): 22.5 and 21.4 MiB
+    # measured. The frozen norm assembles only the 16 mode blocks (1 MiB)
+    # and stays under a quarter operator (4 MiB): 2.45 MiB measured.
     g, expr, z = next(s for s in infinitesimal_stock() if isinstance(s[0], Edge))
     peaks = []
     tracemalloc.start()
@@ -300,12 +301,14 @@ def test_stock_edge_freezing_holds_one_and_a_half_operators():
         inst.translation_defect()
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
-        inst.operator.norm()
+        norm = inst.norm()
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert g.dim_total == 1024
-    assert max(peaks) <= 1.5 * 1024**2 * 16
+    assert max(peaks[:2]) <= 1.5 * 1024**2 * 16
+    assert peaks[2] <= 0.25 * 1024**2 * 16
+    assert norm == inst.operator.norm()
 
 
 def test_frozen_operator_is_the_frozen_quantization():
@@ -319,6 +322,9 @@ def test_frozen_operator_is_the_frozen_quantization():
         want = quantize(g, inst.frozen_expr, v=v, freeze_r=True)
         assert np.array_equal(inst.operator.matrix, want.matrix)
         assert inst.operator is inst.operator
+        # on edges the frozen family is x-free, and its norm comes from
+        # the mode blocks alone, with the operator's bits
+        assert inst.norm() == inst.operator.norm()
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,24 @@ def test_quantize_roundtrip_bit_exact(tmp_path, capsys):
     assert np.array_equal(mat, direct.matrix)
 
 
+def test_quantize_prints_the_norm_to_12_digits(tmp_path, capsys):
+    # an eps-level change in the norm's arithmetic moves no canonical
+    # byte unless it crosses a rounding boundary; the raw value stays
+    # in the volatile block
+    from psdo.geometry import Circle
+    from psdo.quantize import op_circle
+    from psdo.symexpr import parse
+
+    cfg = {"geometry": {"kind": "circle", "n_x": 64}, "symbol": "2 + 0.3 * sin(x) * chi(xi)"}
+    assert run(tmp_path, "quantize", cfg, "--out", str(tmp_path / "q")) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    raw = op_circle(Circle(64), parse(cfg["symbol"])).norm()
+    assert report["volatile"]["norm"] == raw
+    assert report["result"]["norm"] == float(f"{raw:.12g}")
+    assert report["result"]["norm"] != raw  # raw carries more than 12 digits
+    assert set(report["volatile"]) == {"timestamp", "elapsed_s", "blas", "norm"}
+
+
 def test_quantize_rewrite_byte_identical(tmp_path, capsys):
     cfg = {"geometry": {"kind": "circle", "n_x": 16}, "symbol": "2 + chi(xi)"}
     out1, out2 = tmp_path / "a", tmp_path / "b"
