@@ -31,6 +31,17 @@ Verification failures exit 1; --help exits 0.
 
 Every command runs on one OpenBLAS thread; psdo.blas states the policy
 and when it is off, and the report names it as "volatile.blas".
+
+Imports: each command loads only the modules it runs, because a fresh
+interpreter pays for every module it imports (`psdo.verify` alone pulls
+in every other psdo module). At module level this file imports the
+stdlib, numpy, psdo.blas, psdo.geometry, psdo.quantize and
+psdo.symexpr, which every command uses. `cmd_check` and `cmd_index`
+import psdo.fredholm and psdo.symbols when they run, `cmd_verify` and
+the config rule for "only" import psdo.verify, and `main` maps a
+command module's error class to exit 64 only once that module is
+loaded. So `psdo quantize` loads none of the three, and `psdo index`
+no verify, calculus, localization or stock.
 """
 
 from __future__ import annotations
@@ -53,14 +64,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from psdo.blas import narrow
-from psdo.fredholm import (
-    FredholmError,
-    check_elliptic,
-    extract_tuple,
-    finite_section,
-    interval_section,
-    winding_oracle,
-)
 from psdo.geometry import (
     Cone,
     GeometryError,
@@ -70,16 +73,10 @@ from psdo.geometry import (
     is_number,
 )
 from psdo.quantize import QuantizeError, quantize
-from psdo.symbols import (
-    ConeSymbolFamily,
-    InteriorSymbol,
-    SymbolError,
-    SymbolTuple,
-    compat_check,
-    conormal,
-)
 from psdo.symexpr import EvalError, ParseError, parse, shape_of
-from psdo.verify import VerifyError, run_suites, suite_names
+
+# Cold start: the command modules are imported where they run (see the
+# module docstring).
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -134,6 +131,18 @@ def _check_seed(raw: object) -> bool:
     return True
 
 
+def _check_only(raw: object) -> bool:
+    """The suite rule; it loads psdo.verify only when a config names a
+    suite."""
+    from psdo.verify import suite_names
+
+    if raw not in suite_names():
+        raise ConfigError(
+            f"config field 'only' must be a suite name ({', '.join(suite_names())}), got {raw!r}"
+        )
+    return True
+
+
 # field -> (rule, what the rule asks). A rule returns false for a value
 # outside it, or raises an error that names the field itself. Defaults
 # live with the command that reads the field.
@@ -149,7 +158,7 @@ CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str]] = {
     # index only; default is the symbol. Either is read as a family on the
     # cone's base with x = r = w = eta = v frozen to 0 (psdo.symbols.conormal)
     "tip": (_is_str, "a DSL source string"),
-    "only": (lambda raw: raw in suite_names(), f"a suite name ({', '.join(suite_names())})"),
+    "only": (_check_only, "a suite name"),
     "out": (lambda raw: isinstance(raw, str) and raw != "", "a directory path"),
     "format": (lambda raw: raw in ("report", "csv"), "'report' or 'csv'"),
 }
@@ -295,6 +304,9 @@ def _probe_cone(cfg: dict) -> Cone:
 
 def cmd_check(cfg: dict) -> tuple[dict, int]:
     """compat_check then check_elliptic on the configured tuple."""
+    from psdo.fredholm import check_elliptic, extract_tuple
+    from psdo.symbols import ConeSymbolFamily, InteriorSymbol, SymbolTuple, compat_check
+
     cone = _probe_cone(cfg)
     expr = parse(_require(cfg, "symbol"))
     fam = ConeSymbolFamily(expr, base=cone.base, q=shape_of(expr))
@@ -357,6 +369,9 @@ def cmd_quantize(cfg: dict, out_dir: Optional[str]) -> tuple[dict, int, dict]:
 
 def cmd_index(cfg: dict) -> tuple[dict, int]:
     """Finite-section ladder with the winding oracle cross-check."""
+    from psdo.fredholm import FredholmError, finite_section, interval_section, winding_oracle
+    from psdo.symbols import ConeSymbolFamily, conormal
+
     cone = _probe_cone(cfg)
     if cone.boundary != "interval":
         raise ConfigError("index needs an interval-mode cone geometry")
@@ -404,6 +419,8 @@ def index_csv(result: dict) -> str:
 def cmd_verify(cfg: dict, seed: int, only: Optional[str]) -> tuple[dict, int, dict]:
     """Run the suite battery; per-suite wall and CPU timings go to the
     volatile block."""
+    from psdo.verify import run_suites
+
     rep = run_suites(seed=seed, only=only)
     code = EXIT_OK if rep.passed else EXIT_FAIL
     return rep.payload(), code, {"timings": rep.timings(), "cpu_timings": rep.cpu_timings()}
@@ -421,6 +438,21 @@ def verify_csv(result: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # Entry point
+
+
+def _config_errors() -> tuple[type[Exception], ...]:
+    """The error classes that exit EXIT_CONFIG. Built only when an error
+    reaches main; a class whose module is not loaded cannot have been
+    raised, so it is left out and nothing is imported for it."""
+    errors = [ConfigError, EvalError, GeometryError, QuantizeError]
+    for module, name in (
+        ("psdo.fredholm", "FredholmError"),
+        ("psdo.symbols", "SymbolError"),
+        ("psdo.verify", "VerifyError"),
+    ):
+        if module in sys.modules:
+            errors.append(getattr(sys.modules[module], name))
+    return tuple(errors)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -484,15 +516,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        ConfigError,
-        EvalError,
-        FredholmError,
-        GeometryError,
-        SymbolError,
-        QuantizeError,
-        VerifyError,
-    ) as e:
+    except _config_errors() as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

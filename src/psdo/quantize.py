@@ -38,16 +38,17 @@ shift applies there.
 
 Memory contract: no dense assembly holds a whole symbol grid of its
 own. `kn_assemble` works in one buffer P and streams the grid into it,
-one block of j rows at a time, at most _BLOCK entries (2 MiB) or four
-rows, whichever is more (`_row_blocks`), so besides P only one block's
-evaluation is live: two blocks for a sum of x-by-xi terms (see
-`psdo.symexpr.evaluate`). Rows wider than a quarter block occur only
-in the x-dependent `op_edge`, whose blocks are fiber batches: one
-`_mellin_fibers` call per block of x rows, so besides P one block's
-fibers and that call's own assembly are live. An x-dependent circle
-grid is written into P in the output's own order (..., j, a, l, b),
-so P is the result and a caller's reshape to a matrix makes no copy:
-one FFT along l transforms P in place after the last block, and
+one block of j rows at a time, at most _BLOCK entries (2 MiB) or two
+rows, whichever is more (three for one block of an odd row count;
+`_row_blocks`), so besides P only one block's evaluation is live: two
+blocks for a sum of x-by-xi terms (see `psdo.symexpr.evaluate`). Rows
+wider than half a block occur only in the x-dependent `op_edge`, whose
+blocks are fiber batches: one `_mellin_fibers` call per block of x
+rows, so besides P one block's fibers and that call's own assembly are
+live. An x-dependent circle grid is written into P in the output's own
+order (..., j, a, l, b), so P is the result and a caller's reshape to a
+matrix makes no copy: one FFT along l transforms P in place after the
+last block, and
 `_skew` shifts each (j, a) row of l b entries by j b places through
 one buffer of at most one block (or one j row, if that is wider). t
 and base axes also hold the analysis matrix F, taken from the phases
@@ -63,8 +64,8 @@ at 1.15x the output on an x-dependent symbol (P and one block; 1.27x
 for a sum of two x-by-xi terms, 1.16x at q = 2 on Circle(512)) and at
 2.25x on an x-free one (P, F, one slab and its transform), `op_mellin`
 on an unbatched point cone with n_t = 1024 at 2.15x (P, F and one
-block), the x-dependent `op_edge` on 16 x 64 at 1.404x (P, the fibers
-of four x rows and their t-axis block; the shift buffer comes after
+block), the x-dependent `op_edge` on 16 x 64 at 1.278x (P, the fibers
+of two x rows and their t-axis block; the shift buffer comes after
 the fibers are freed), the x-free one at 1.19x (output, mode blocks,
 one block), `psdo.fredholm._op_interior_on_edge` on 16 x 64 at 1.017x
 (its output and P, 1/64 of it), and `_dft_matrix(1024)` at 1.25x. An
@@ -320,10 +321,11 @@ def analysis_matrix(E: np.ndarray) -> np.ndarray:
 
 
 def _row_blocks(n: int, cap: int) -> list[slice]:
-    """n rows in near-equal blocks of at most max(4, cap) rows, in order.
+    """n rows in near-equal blocks of at most max(2, cap) rows, in order.
     A block holds at least two rows unless n is 1: one-row products
-    round differently (a one-row matmul goes through gemv)."""
-    count = -(-n // max(4, cap))
+    round differently (a one-row matmul goes through gemv), so where
+    cap < 3 an odd n takes one three-row block."""
+    count = min(-(-n // max(2, cap)), max(1, n // 2))
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 

@@ -5,9 +5,11 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +38,7 @@ from psdo.cli import (
 )
 from psdo.verify import suite_names
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 CONE = {"kind": "cone", "T": 6.0, "n_t": 64, "boundary": "interval"}
 ELLIPTIC = "(p - (0,1)) / (p + (0,1)) + 2"
 DEGENERATE = "(0.2*(p - 2) / (0.2*(p - 2) + (0,1)))^2"
@@ -781,3 +784,67 @@ def test_atomic_write_replaces_existing(tmp_path):
     atomic_write(str(target), b"new")
     assert target.read_bytes() == b"new"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+# -- cold start -------------------------------------------------------------
+
+# Runs each argv of a JSON list through main in one fresh interpreter and
+# prints, per call, its exit code, its stderr and the psdo modules loaded
+# after it; "import" lists those loaded by `import psdo.cli` alone.
+_COLD_START = """
+import json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import psdo.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "psdo" or m.startswith("psdo."))
+
+calls = [{"import": loaded()}]
+for argv in json.loads(sys.argv[1]):
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = psdo.cli.main(argv)
+    calls.append({"code": code, "err": err.getvalue(), "loaded": loaded()})
+print(json.dumps(calls))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    # the shape error runs while no command module is loaded, and the
+    # "only" rule before anything has loaded psdo.verify
+    cfgs = {
+        "shape": {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "[[1, 0], [0, 2]]"},
+        "quantize": {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "1 + chi(xi)"},
+        "index": {"geometry": CONE, "symbol": AFFINE_CAYLEY},
+        "only": {"only": "nonsense"},
+        "incompatible": {"geometry": CONE, "symbol": "2 + chi(p)", "interior": "2 + 0*xi + 0*v + chi(xi^2 + v^2)"},
+    }
+    paths = {name: write_cfg(tmp_path, f"{name}.json", cfg) for name, cfg in cfgs.items()}
+    out = str(tmp_path / "out")
+    argvs = [
+        ["quantize", "--config", paths["shape"], "--out", out],
+        ["quantize", "--config", paths["quantize"], "--out", out],
+        ["index", "--config", paths["index"]],
+        ["verify", "--config", paths["only"]],
+        ["check", "--config", paths["incompatible"]],
+        ["verify", "--only", "nonsense"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(argvs)], env=env, capture_output=True, text=True, check=True
+    )
+    start, shape, quantize, index, only, incompatible, unknown = json.loads(proc.stdout)
+    assert start["import"] == ["psdo", "psdo.blas", "psdo.cli", "psdo.geometry", "psdo.quantize", "psdo.symexpr"]
+    assert (shape["code"], shape["err"]) == (EXIT_CONFIG, "config error: symbol shape 2 != geometry fiber 1\n")
+    assert quantize["code"] == EXIT_OK
+    assert not {"psdo.fredholm", "psdo.symbols"} & set(quantize["loaded"])
+    assert index["code"] == EXIT_OK
+    assert not {"psdo.verify", "psdo.calculus", "psdo.localization", "psdo.stock"} & set(index["loaded"])
+    suites = ", ".join(suite_names())
+    assert only["code"] == EXIT_CONFIG
+    assert only["err"] == f"config error: config field 'only' must be a suite name ({suites}), got 'nonsense'\n"
+    assert incompatible["code"] == EXIT_COMPAT
+    assert unknown["code"] == EXIT_CONFIG
+    assert "unknown suite" in unknown["err"]

@@ -126,16 +126,18 @@ def test_streamed_assembly_equals_one_shot(name, one_shot):
 
 
 def test_blocks_partition_the_rows():
-    # near-equal blocks of at most _BLOCK entries (or four rows, if a row
-    # is wider than a quarter block) and at least two rows, in order; a
-    # grid that fits one block takes one call. A circle x axis has as
-    # many modes as nodes, so wide rows come from the fiber axes.
+    # near-equal blocks of at most _BLOCK entries (or two rows, if a row
+    # is wider than half a block) and at least two rows, in order, so an
+    # odd count of wide rows takes one three-row block; a grid that fits
+    # one block takes one call. A circle x axis has as many modes as
+    # nodes, so wide rows come from the fiber axes.
     for shape, starts in [
         ((1024, 1024, 1, 1), list(range(0, 1024, 128))),
         ((1000, 1000, 1, 1), list(range(0, 1000, 125))),
         ((256, 256, 1, 1), [0]),
-        ((7, 7, 96, 96), [0, 3]),
+        ((7, 7, 96, 96), [0, 2, 4]),
         ((9, 9, 64, 64), [0, 3, 6]),
+        ((8, 8, 128, 128), [0, 2, 4, 6]),
         ((1, 1, 8, 1), [0]),
     ]:
         n, width = shape[0], math.prod(shape[1:])
@@ -150,7 +152,8 @@ def test_blocks_partition_the_rows():
         assert [js.start for js in seen] == starts
         assert seen[-1].stop == n and all(a.stop == b.start for a, b in zip(seen, seen[1:]))
         assert all(js.stop - js.start >= min(2, n) for js in seen)
-        assert all((js.stop - js.start) * width <= max(_BLOCK, 4 * width) for js in seen)
+        wide = [js for js in seen if (js.stop - js.start) * width > max(_BLOCK, 2 * width)]
+        assert all(js.stop - js.start == 3 for js in wide) and len(wide) <= n % 2
 
 
 @pytest.fixture
