@@ -31,17 +31,6 @@ Verification failures exit 1; --help exits 0.
 
 Every command runs on one OpenBLAS thread; psdo.blas states the policy
 and when it is off, and the report names it as "volatile.blas".
-
-Imports: each command loads only the modules it runs, because a fresh
-interpreter pays for every module it imports (`psdo.verify` alone pulls
-in every other psdo module). At module level this file imports the
-stdlib, numpy, psdo.blas, psdo.geometry, psdo.quantize and
-psdo.symexpr, which every command uses. `cmd_check` and `cmd_index`
-import psdo.fredholm and psdo.symbols when they run, `cmd_verify` and
-the config rule for "only" import psdo.verify, and `main` maps a
-command module's error class to exit 64 only once that module is
-loaded. So `psdo quantize` loads none of the three, and `psdo index`
-no verify, calculus, localization or stock.
 """
 
 from __future__ import annotations
@@ -63,6 +52,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# Only the modules every command uses are imported here; the command
+# modules (fredholm, symbols, verify) are imported where they run,
+# because a fresh interpreter pays for every module it imports.
 from psdo.blas import narrow
 from psdo.geometry import (
     Cone,
@@ -74,9 +66,6 @@ from psdo.geometry import (
 )
 from psdo.quantize import QuantizeError, quantize
 from psdo.symexpr import EvalError, ParseError, parse, shape_of
-
-# Cold start: the command modules are imported where they run (see the
-# module docstring).
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -131,22 +120,17 @@ def _check_seed(raw: object) -> bool:
     return True
 
 
-def _check_only(raw: object) -> bool:
-    """The suite rule; it loads psdo.verify only when a config names a
-    suite."""
+def _suite_names() -> list[str]:
     from psdo.verify import suite_names
 
-    if raw not in suite_names():
-        raise ConfigError(
-            f"config field 'only' must be a suite name ({', '.join(suite_names())}), got {raw!r}"
-        )
-    return True
+    return suite_names()
 
 
 # field -> (rule, what the rule asks). A rule returns false for a value
-# outside it, or raises an error that names the field itself. Defaults
-# live with the command that reads the field.
-CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str]] = {
+# outside it, or raises an error that names the field itself. What a rule
+# asks may be a callable, called only to build the error. Defaults live
+# with the command that reads the field.
+CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str | Callable[[], str]]] = {
     "seed": (_check_seed, "an int >= 0"),
     "geometry": (build_geometry, "a geometry descriptor, see psdo.geometry.build_geometry"),
     "symbol": (_is_str, "a DSL source string"),
@@ -158,7 +142,10 @@ CONFIG_SCHEMA: dict[str, tuple[Callable[[object], object], str]] = {
     # index only; default is the symbol. Either is read as a family on the
     # cone's base with x = r = w = eta = v frozen to 0 (psdo.symbols.conormal)
     "tip": (_is_str, "a DSL source string"),
-    "only": (_check_only, "a suite name"),
+    "only": (
+        lambda raw: raw in _suite_names(),
+        lambda: f"a suite name ({', '.join(_suite_names())})",
+    ),
     "out": (lambda raw: isinstance(raw, str) and raw != "", "a directory path"),
     "format": (lambda raw: raw in ("report", "csv"), "'report' or 'csv'"),
 }
@@ -186,6 +173,7 @@ def load_config(path: str) -> dict:
     for key, raw in cfg.items():
         rule, asks = CONFIG_SCHEMA[key]
         if not rule(raw):
+            asks = asks() if callable(asks) else asks
             raise ConfigError(f"config field {key!r} must be {asks}, got {raw!r}")
     return cfg
 
