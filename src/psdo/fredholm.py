@@ -414,19 +414,27 @@ def winding_oracle(g: Union[ConeSymbolFamily, Node, str, Callable[[float], compl
     The grid is tangent-spaced (p = tan u) so steps stay small near
     p = 0 and the endpoints p = +-1e6 reach far enough for the contour
     to close; its 4097 nodes are odd in number so p = 0 itself is
-    sampled and zero crossings at the origin are seen directly. |g|
-    must stay at least 1e-6 and the contour close to within 1e-3.
+    sampled and zero crossings at the origin are seen directly. Both
+    judgements are relative to the contour's own scale, the peak |g| on
+    the grid, as `finite_section` judges null values against
+    tau_coef * sigma_max: |g(+p_max) - g(-p_max)| must stay within 1e-3
+    of the peak, and then min |g| at least 1e-6 of it, so a symbol
+    scaled by a constant winds as it did. Closure comes first: on an
+    open contour the peak is an end value, no scale for the minimum.
+    The messages print the gap relative to the peak, which
+    `closure_gap` also reports, and min |g| itself.
     g is a cone family, read through its determinant with its other
     arguments at 0 (pass `conormal(P)` for the tip of P); a DSL string
     or tree, read as a family on a Point base; or a scalar callable.
     """
     vals = _contour(g, 1e6, 4097)
-    amin = float(np.min(np.abs(vals)))
-    if amin < 1e-6:
-        raise FredholmError(f"symbol passes through zero on the weight line (min |g| = {amin:.3e})")
-    closure = float(np.abs(vals[-1] - vals[0])) / max(1.0, float(np.abs(vals[0])))
+    mags = np.abs(vals)
+    amin, peak = float(np.min(mags)), float(np.max(mags))
+    closure = float(np.abs(vals[-1] - vals[0])) / peak if peak > 0.0 else 0.0
     if closure > 1e-3:
         raise FredholmError(f"contour does not close: |g(+p_max) - g(-p_max)| = {closure:.3e}")
+    if not (amin > 0.0 and amin >= 1e-6 * peak):
+        raise FredholmError(f"symbol passes through zero on the weight line (min |g| = {amin:.3e})")
     steps = np.angle(vals[1:] / vals[:-1])
     total = float(np.sum(steps)) / (2.0 * np.pi)
     w = int(round(total))

@@ -90,9 +90,13 @@ class Cone:
     def __post_init__(self):
         if not isinstance(self.base, (Point, Circle)):
             raise GeometryError(f"cone base must be Point or Circle, got {type(self.base).__name__}")
-        if self.T <= 0:
+        if not self.T > 0:
             raise GeometryError(f"cone window T must be positive, got {self.T}")
         _check_grid_size("cone", self.n_t)
+        # a finite 2T bounds every node |t_j|, and a finite n_t pi/T every
+        # covariable |p_k|
+        if not (math.isfinite(2.0 * self.T) and math.isfinite(self.n_t * math.pi / self.T)):
+            raise GeometryError(f"cone window T = {self.T} gives a non-finite node or covariable grid")
         if self.boundary not in ("periodic", "interval"):
             raise GeometryError(f"boundary must be 'periodic' or 'interval', got {self.boundary!r}")
         _check_q(self.q)

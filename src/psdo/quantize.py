@@ -54,6 +54,9 @@ one buffer of at most one block (or one j row, if that is wider). t
 and base axes also hold the analysis matrix F, taken from the phases
 before the first block, and x-free circle grids hold F (`_dft_matrix`,
 built after the product) and one row block of the matmul.
+Both kernels refuse a product with a non-finite entry before returning
+it or handing a block on (`_require_finite`, one slice's sum at a
+time): a finite symbol grid can still overflow in the sum over modes.
 `kn_circulant` fills its preallocated output in blocks of j rows, so
 besides the output only one block's contraction is live; handed a
 consumer, it allocates no output at all and passes each block on
@@ -362,6 +365,20 @@ def _skew(P: np.ndarray) -> None:
             )
 
 
+def _require_finite(A: np.ndarray) -> None:
+    """Refuse an assembled product with a non-finite entry. A finite
+    symbol grid can still overflow in the product (a symbol near the
+    largest float summed over its modes). A is read in slices along its
+    first axis of about _BLOCK entries; a slice whose sum is finite has
+    only finite entries, so only a slice whose sum is not (an entry, or
+    the sum itself, overflowed) is tested entry by entry."""
+    step = max(1, _BLOCK * len(A) // max(1, A.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(A), step):
+            if not np.isfinite(A[i : i + step].sum()) and not np.isfinite(A[i : i + step]).all():
+                raise QuantizeError("assembly produced a non-finite value: the Kohn-Nirenberg product overflowed")
+
+
 def kn_assemble(
     symbol: Callable[[slice], np.ndarray],
     nodes: np.ndarray,
@@ -418,7 +435,9 @@ def kn_assemble(
             P[..., js, :, :, :] = np.swapaxes(grid(js) if S is None else S, -3, -2)
             S = None
         symbol = None
-        np.fft.fft(P, axis=-2, norm="forward", out=P)
+        with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
+            np.fft.fft(P, axis=-2, norm="forward", out=P)
+        _require_finite(P)
         _skew(P)
         return P
     P = np.empty(lead + shape[-2:] + shape[-4:-2], dtype=complex)  # (..., a, b, j, k)
@@ -447,9 +466,12 @@ def kn_assemble(
         F = _dft_matrix(shape[-3])
     blocks = _row_blocks(len(rows), _BLOCK // shape[-3])
     out = np.empty((-(-len(rows) // len(blocks)), shape[-3]), dtype=complex)
-    for js in blocks:
-        r = rows[js]
-        r[...] = np.matmul(r, F, out=out[: len(r)])
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
+        for js in blocks:
+            r = rows[js]
+            r[...] = np.matmul(r, F, out=out[: len(r)])
+    F = out = None  # F is P's size on t axes: freed before the check
+    _require_finite(P)
     return np.moveaxis(P, (-2, -1), (-4, -2))
 
 
@@ -481,7 +503,9 @@ def kn_circulant(
     for j0 in range(0, j, step):
         rows = slice(j0, min(j0 + step, j))
         dest = block[..., : rows.stop - j0, :, :, :] if out is None else out[..., rows, :, :, :]
-        np.einsum("jk,...kab,kl->...jalb", E[rows], B, F, optimize=True, out=dest)
+        with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
+            np.einsum("jk,...kab,kl->...jalb", E[rows], B, F, optimize=True, out=dest)
+        _require_finite(dest)
         if out is None:
             consume(rows, dest)
     return out

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import psdo.quantize
+from oracles import load_bench_workloads
 from psdo import blas
 from psdo.cli import canonical_report_bytes, main
 from psdo.geometry import Circle
 from psdo.symexpr import parse
 from psdo.verify import run_suites
-from test_fredholm import _load_bench_workloads
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 QUANTIZE_512 = {"geometry": {"kind": "circle", "n_x": 512}, "symbol": "2 + 0.3 * sin(x) * chi(xi)"}
@@ -263,7 +263,7 @@ def test_policy_off_when_threads_are_set(tmp_path, capsys, monkeypatch, var):
         raise AssertionError("the policy called a thread-count symbol")
 
     monkeypatch.setattr(blas, "_openblas", lambda: blas._OpenBLAS("libfake.so", never, never, None))
-    cfg, _, _ = _load_bench_workloads().index_configs(0)[0]
+    cfg, _, _ = load_bench_workloads().index_configs(0)[0]
     assert run_command(tmp_path, "index", cfg) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["volatile"]["blas"] == {"threads": None, "reason": f"{var} set", **FAKE_EIGEN}
@@ -291,7 +291,7 @@ def test_suite_payload_same_on_one_thread(policy_on, only):
 
 @pytest.mark.parametrize("i", range(4))
 def test_index_bytes_same_with_policy_on_and_off(tmp_path, capsys, monkeypatch, policy_on, i):
-    cfg, _, _ = _load_bench_workloads().index_configs(0)[i]
+    cfg, _, _ = load_bench_workloads().index_configs(0)[i]
 
     def index_run():
         code = run_command(tmp_path, "index", cfg)

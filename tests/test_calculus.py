@@ -1,8 +1,15 @@
+"""The symbol calculus: composition remainders, symbol extraction and
+its homomorphism, infinitesimal operators with their freezing ladders,
+norms and memory, consistency of two ladders, adjoints, and coherent
+probes; the hand-built mode-space operators are Kohn-Nirenberg products
+of oracles.py."""
+
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import kn_product, phase_pair
 from psdo.calculus import (
     CalculusError,
     NotTranslationInvariant,
@@ -24,17 +31,18 @@ from psdo.symexpr import evaluate, mul, parse
 
 def test_oracle_mode_shift_composition():
     # op(chi(xi)) op(e^{ix}) shifts every Fourier coefficient up one
-    # mode (cyclically in FFT index order) and then applies chi. Built
-    # by hand in mode space this is an exact dense oracle; the
-    # closed-form symbol e^{ix} chi(xi+1) matches away from the seam.
+    # mode (cyclically in FFT index order) and then applies chi: in
+    # Kohn-Nirenberg form its symbol is e^{ix} times chi of the next mode
+    # up, exactly (the mode that wraps, n/2 - 1 -> -n/2, gains
+    # e^{-i n x_j} = 1). The closed-form symbol e^{ix} chi(xi+1) matches
+    # away from the seam.
     g = Circle(128)
     n, k = g.n_x, g.modes.astype(float)
     lhs = op_circle(g, parse("chi(xi)")).matrix @ op_circle(g, parse("exp((0,1)*x)")).matrix
-    F = np.fft.fft(np.eye(n), axis=0) / n
-    E = np.exp(1j * np.outer(g.x, k))
-    S = np.roll(np.eye(n), 1, axis=0)  # cyclic mode shift from e^{ix}
-    chi = np.diag(k / np.sqrt(1 + k**2))
-    oracle = E @ chi @ S @ F
+    E, F = phase_pair(g.x, k)
+    up = np.roll(k, -1)
+    S = np.exp(1j * g.x)[:, None, None, None] * (up / np.sqrt(1 + up**2))[None, :, None, None]
+    oracle = kn_product(E, S, F).reshape(n, n)
     assert np.linalg.norm(lhs - oracle, 2) <= 1e-12
     # closed form agrees on mode content that stays below the seam
     rhs = op_circle(g, parse("exp((0,1)*x) * chi(xi + 1)")).matrix
@@ -44,14 +52,13 @@ def test_oracle_mode_shift_composition():
 
 
 def test_oracle_dft_conjugated_blocks_roundtrip():
-    # Blocks conjugated into an operator by hand are recovered exactly;
-    # the construction is its own oracle.
+    # Blocks conjugated into an operator by the block-circulant product
+    # are recovered exactly.
     rng = np.random.default_rng(7)
     g = Circle(32, q=2)
     B = rng.standard_normal((32, 2, 2)) + 1j * rng.standard_normal((32, 2, 2))
-    F = np.fft.fft(np.eye(32), axis=0) / 32
-    iF = np.conj(F.T) * 32
-    M = np.einsum("jk,kab,kl->jalb", iF, B, F).reshape(64, 64)
+    E, F = phase_pair(g.x, g.modes.astype(float))
+    M = kn_product(E, B, F, row_free=True).reshape(64, 64)
     ex = extract_symbol(DiscretizedOperator(g, None, M))
     assert np.max(np.abs(ex.blocks - B)) <= 1e-12
     assert ex.max_offdiag <= 1e-12

@@ -1,4 +1,6 @@
-"""Command-line interface: exit codes, reports, containers, determinism."""
+"""Command-line interface: exit codes, reports, containers, determinism,
+the config schema as the one boundary, and `psdo index` verdicts that a
+power-of-two scale of the symbol cannot move."""
 
 import io
 import json
@@ -14,9 +16,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import load_bench_workloads
 from psdo.cli import (
     CONFIG_SCHEMA,
     CONTAINER_MAGIC,
@@ -37,6 +40,8 @@ from psdo.cli import (
     read_container,
 )
 from psdo.verify import suite_names
+
+INDEX_WORKLOAD = load_bench_workloads()
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONE = {"kind": "cone", "T": 6.0, "n_t": 64, "boundary": "interval"}
@@ -309,6 +314,25 @@ def test_quantize_non_finite_symbol_exit_64(tmp_path, capsys, geometry, symbol):
     assert not (tmp_path / "q" / "operator.psdo").exists()
 
 
+@pytest.mark.parametrize(
+    "geometry, symbol, message",
+    [
+        # finite on the grid; the FFT of the x axis overflows
+        ({"kind": "circle", "n_x": 8}, "1e308*cos(x)", "assembly produced a non-finite value"),
+        # h_t = 2T/n_t overflows
+        ({"kind": "cone", "T": 1e308, "n_t": 8}, "1", "cone window T = 1e+308 gives a non-finite node"),
+    ],
+    ids=["assembly-overflow", "cone-T-overflow"],
+)
+def test_quantize_overflow_exit_64_before_writing(tmp_path, capsys, geometry, symbol, message):
+    code = run(tmp_path, "quantize", {"geometry": geometry, "symbol": symbol}, "--out", str(tmp_path / "q"))
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith(f"config error: {message}") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "q" / "operator.psdo").exists()
+
+
 def test_quantize_empty_out_writes_nothing(tmp_path, capsys, monkeypatch):
     # "" names no directory; quantize would write into the working one
     monkeypatch.chdir(tmp_path)
@@ -468,6 +492,48 @@ def test_index_circle_base_tip_winds_in_every_mode(tmp_path, capsys):
     assert res["rows"] == [[32, 8, 0, 8], [64, 8, 0, 8]]
     assert res["index"] == res["winding"] == 8
     assert res["verdict"] == "consistent"
+
+
+def _index_run(directory, tip: str, scale: float = 1.0) -> tuple[int, list]:
+    """Exit code and rows of `psdo index` on the interpolated tip, the
+    symbol and the tip both scaled by `scale`."""
+    pre = "" if scale == 1.0 else f"{scale!r} * "
+    cfg = {"symbol": f"{pre}(1 + (1 / (1 + r)) * (({tip}) - 1))", "tip": f"{pre}({tip})", "sizes": [128, 256], "tau_coef": 1e-3}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["index", "--config", write_cfg(directory, "cfg.json", cfg)])
+    return code, json.loads(out.getvalue())["result"]["rows"]
+
+
+@st.composite
+def _cayley_products(draw):
+    """(k - l, tip, j): a product of k Cayley factors and l inverse ones
+    (k, l <= 2), centres and widths in the index workload's ranges, and
+    an exponent j for the scale 2^j."""
+    k, l = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    factors = []
+    for i in range(k + l):
+        c, s = draw(st.floats(*INDEX_WORKLOAD.TIP_C)), draw(st.floats(*INDEX_WORKLOAD.TIP_S))
+        cayley = f"((p - ({c!r})) - (0,{s!r})) / ((p - ({c!r})) + (0,{s!r}))"
+        factors.append(f"({cayley})" if i < k else f"(1 / ({cayley}))")
+    return k - l, " * ".join(factors) or "1", draw(st.integers(-30, 30))
+
+
+@settings(max_examples=10)
+@example((1, "(p - (0,1)) / (p + (0,1))", -24))
+@given(_cayley_products())
+def test_index_is_the_winding_at_every_power_of_two_scale(tmp_path_factory, case):
+    # A power of two scales every value of the symbol, the sections and
+    # the contour exactly, so the rows and the verdict cannot move; a
+    # single factor always decides (exit 0).
+    winding, tip, j = case
+    directory = tmp_path_factory.mktemp("index")
+    code, rows = _index_run(directory, tip)
+    assert code in (EXIT_OK, EXIT_INDETERMINATE)
+    assert code == EXIT_OK or "*" in tip
+    if code == EXIT_OK:
+        assert rows[-1][3] == winding
+    assert _index_run(directory, tip, 2.0**j) == (code, rows)
 
 
 @pytest.mark.parametrize(

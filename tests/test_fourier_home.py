@@ -1,26 +1,38 @@
-"""Quantizer outputs against the Fourier contractions they were built
-from before psdo.quantize became their only home.
+"""psdo.quantize as the one home of the Fourier phases: op_circle,
+_op_interior_on_edge, extract_symbol, the dilation flat matrices,
+circle-base symbol values, base_pullback and kn_circulant's blocks hold
+the dense references of oracles.py (whole phase tables, one einsum).
 
-Each oracle below is the hand-built product its site used: phases by
-np.exp of an outer product, the Kohn-Nirenberg product by a site-local
-einsum. Routing through synthesis / kn_assemble / kn_circulant keeps the
+Routing through synthesis / kn_assemble / kn_circulant keeps the
 arithmetic of every entry, so the comparisons are exact, except on
 x-dependent circle x axes: there kn_assemble builds no phase table and
-assembles by an FFT and a cyclic shift of the rows, so the oracle takes
-exact phases (`circle_phases`) and the comparison is the bound of
-`assert_matches_oracle`. (op_mellin and op_edge have their own oracles
-in test_fibers.py.)
+assembles by an FFT and a cyclic shift of the rows, within the bound of
+`assert_matches_oracle` of the exact-phase reference.
 """
 
 import numpy as np
 import pytest
 
 import psdo.quantize as quantize_module
+from oracles import (
+    MATRIX,
+    SCALAR,
+    X_DEP_Q2,
+    assert_matches_oracle,
+    circle_analysis,
+    circle_reference,
+    edge_reference,
+    extract_reference,
+    interior_on_edge_reference,
+    kn_product,
+    kron_flat_matrix,
+    phase_pair,
+    point_cone,
+)
 from psdo.calculus import extract_symbol
 from psdo.fredholm import _op_interior_on_edge
-from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, translation_matrix
+from psdo.geometry import Circle, Cone, DilationAction, Edge, Point
 from psdo.quantize import (
-    DiscretizedOperator,
     _dft_matrix,
     base_to_nodal,
     kn_circulant,
@@ -32,29 +44,15 @@ from psdo.quantize import (
 from psdo.stock import homogeneity_stock
 from psdo.symbols import ConeSymbolFamily, base_pullback
 from psdo.symexpr import evaluate, parse
-from test_fibers import EDGE_CASES, assert_matches_oracle, circle_phases, edge_oracle
-
-SCALAR = "1 + chi(xi)*exp(cos(x)) + (0,0.3)*sin(2*x)*xi/(1 + xi^2)"
-MATRIX = "[[1 + chi(xi), 0.5*sin(x)], [(0,1)*cos(x)*chi(xi), 2 - chi(xi)]]"
-
-
-def circle_oracle(g: Circle, expr) -> np.ndarray:
-    n, q = g.n_x, g.q
-    k = g.modes.astype(float)
-    S = np.broadcast_to(evaluate(expr, {"x": g.x[:, None], "xi": k[None, :]}), (n, n, q, q))
-    E = circle_phases(g, expr)
-    F = np.fft.fft(np.eye(n), axis=1).T / n
-    return np.einsum("jk,jkab,kl->jalb", E, S, F, optimize=True).reshape(n * q, n * q)
 
 
 # x-free, xi-free and constant symbols: their grids broadcast with stride
-# 0, where the operand order of the complex product decides the bits. The
-# ids are historical and swapped: "xifree" is x-free (the DFT-matrix
-# branch, compared exactly), "xfree" is xi-free but x-dependent (the FFT
-# branch, compared within the bound).
+# 0, where the operand order of the complex product decides the bits.
+# "xfree" takes the DFT-matrix branch, compared exactly; "xifree" depends
+# on x only and takes the FFT branch, compared within the bound.
 BROADCAST = {
-    "xifree": (1, "1 + chi(xi)"),
-    "xfree": (1, "exp((0,1) * x)"),
+    "xfree": (1, "1 + chi(xi)"),
+    "xifree": (1, "exp((0,1) * x)"),
     "const": (1, "2.5"),
     "const-q2": (2, "[[2.5, 0.5], [(0,1), 2 - (0,0.5)]]"),
 }
@@ -72,22 +70,7 @@ CIRCLE_CASES = [
 def test_op_circle_equals_contraction(n, q, src):
     g = Circle(n, q=q)
     expr = parse(src)
-    assert_matches_oracle(op_circle(g, expr).matrix, circle_oracle(g, expr), expr)
-
-
-def interior_on_edge_oracle(g: Edge, expr, v: float) -> np.ndarray:
-    circ, cone = g.circle, g.cone
-    n, n_t, q = circ.n_x, cone.n_t, g.q
-    k = circ.modes.astype(float)
-    bindings = {"x": circ.x[:, None, None], "xi": k[None, :, None], "r": cone.r[None, None, :], "v": v}
-    S = np.broadcast_to(evaluate(expr, bindings), (n, n, n_t, q, q))
-    E = circle_phases(circ, expr)
-    F = np.fft.fft(np.eye(n), axis=1).T / n
-    M = np.einsum("jk,jktab,kl->tjalb", E, S, F, optimize=True)
-    full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
-    idx = np.arange(n_t)
-    full[:, idx, :, :, idx, :] = M
-    return full.reshape(g.dim_total, g.dim_total)
+    assert_matches_oracle(op_circle(g, expr).matrix, circle_reference(g, expr), expr)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +84,7 @@ def interior_on_edge_oracle(g: Edge, expr, v: float) -> np.ndarray:
 )
 def test_op_interior_on_edge_equals_contraction(g, src):
     expr = parse(src)
-    assert_matches_oracle(_op_interior_on_edge(g, expr, 2.0), interior_on_edge_oracle(g, expr, 2.0), expr)
+    assert_matches_oracle(_op_interior_on_edge(g, expr, 2.0), interior_on_edge_reference(g, expr, 2.0), expr)
 
 
 def test_only_x_free_circle_axes_build_the_dft_matrix(monkeypatch):
@@ -119,12 +102,11 @@ def test_only_x_free_circle_axes_build_the_dft_matrix(monkeypatch):
     monkeypatch.setattr(quantize_module, "_dft_matrix", refuse)
     monkeypatch.setattr(quantize_module, "synthesis", refuse_circle_nodes)
     g, expr = Circle(100, q=2), parse(MATRIX)
-    assert_matches_oracle(op_circle(g, expr).matrix, circle_oracle(g, expr), expr)
-    edge, src, _ = EDGE_CASES["point-q2-xdep"]
-    expr = parse(src)
-    assert_matches_oracle(op_edge(edge, expr, v=0.7).matrix, edge_oracle(edge, expr, 0.7, False)[0], expr)
+    assert_matches_oracle(op_circle(g, expr).matrix, circle_reference(g, expr), expr)
+    edge, expr = Edge(Circle(8, q=2), point_cone(16, q=2)), parse(X_DEP_Q2)
+    assert_matches_oracle(op_edge(edge, expr, v=0.7).matrix, edge_reference(edge, expr, 0.7)[0], expr)
     edge, expr = Edge(Circle(16), Cone(Point(), T=6.0, n_t=32)), parse("1 + chi(xi)*cos(x) + r/(1 + r)")
-    assert_matches_oracle(_op_interior_on_edge(edge, expr, 2.0), interior_on_edge_oracle(edge, expr, 2.0), expr)
+    assert_matches_oracle(_op_interior_on_edge(edge, expr, 2.0), interior_on_edge_reference(edge, expr, 2.0), expr)
     with pytest.raises(RuntimeError, match="synthesis called on circle nodes"):
         op_circle(Circle(8), parse("1 + chi(xi)"))
     monkeypatch.setattr(quantize_module, "synthesis", synthesis)
@@ -135,25 +117,14 @@ def test_only_x_free_circle_axes_build_the_dft_matrix(monkeypatch):
 def test_x_dependent_op_circle_has_exact_phases():
     # at n = 1024 the rounded phases fl(x_j) k of a phase table put the
     # product 1.1e-13 away from exact phases; the FFT and row shift stay
-    # within 2e-15 of a reference whose synthesis and analysis phases
-    # both come from integers, exp(+-2 pi i ((j k) mod n) / n)
+    # within 2e-15 of a reference whose synthesis phases come from
+    # integers, exp(2 pi i ((j k) mod n) / n), and whose analysis is the
+    # FFT of the identity
     g = Circle(1024)
     expr = parse("1.5 + 0.5*cos(x)*chi(xi) + (0,0.3)*sin(2*x)*xi/(1 + xi^2) + 0.2*exp((0,3)*x)")
-    n, k = g.n_x, g.modes
-    phase = (np.arange(n)[:, None] * k[None, :]) % n
-    S = evaluate(expr, {"x": g.x[:, None], "xi": k[None, :].astype(float)})[:, :, 0, 0]
-    want = (S * np.exp(2j * np.pi * phase / n)) @ (np.exp(-2j * np.pi * phase.T / n) / n)
+    want = circle_reference(g, expr)
     A = op_circle(g, expr).matrix
     assert np.max(np.abs(A - want)) <= 2e-15 * np.max(np.abs(want))
-
-
-def extract_oracle(A: DiscretizedOperator, pre: int, n: int, post: int, nodes, covar) -> np.ndarray:
-    F = np.exp(-1j * np.outer(covar, nodes)) / n
-    iF = np.exp(1j * np.outer(nodes, covar))
-    M = A.matrix.reshape(pre, n, post, pre, n, post)
-    D = np.einsum("kj,ajbcld,lm->akbcmd", F, M, iF, optimize=True)
-    D = D.transpose(1, 4, 0, 2, 3, 5).reshape(n, n, pre * post, pre * post)
-    return D[np.arange(n), np.arange(n)]
 
 
 POINT_CONE = Cone(Point(), T=6.0, n_t=32)
@@ -182,22 +153,8 @@ def test_extract_symbol_blocks_equal_contraction(g, src, axis):
         cone = g if isinstance(g, Cone) else g.cone
         pre, n, nodes, covar = g.dim_total // cone.dim_total, cone.n_t, cone.t, cone.p
     post = g.dim_total // (pre * n)
-    assert np.array_equal(ex.blocks, extract_oracle(A, pre, n, post, nodes, covar))
-
-
-def kron_flat_matrix(d: DilationAction) -> np.ndarray:
-    g = d.geometry
-    blocks = [translation_matrix(d.cone.n_t, d.k)]
-    if isinstance(d.cone.base, Circle):
-        blocks.append(np.eye(d.cone.base.n_x))
-    if isinstance(g, Edge):
-        blocks = [np.eye(g.circle.n_x)] + blocks
-    if g.q > 1:
-        blocks.append(np.eye(g.q))
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = np.kron(out, b)
-    return out
+    D = extract_reference(A, pre, n, post, nodes, covar)
+    assert np.array_equal(ex.blocks, D[np.arange(n), np.arange(n)])
 
 
 DILATION_GEOMETRIES = [
@@ -223,7 +180,7 @@ def test_dilation_conjugate_equals_dense_products(g):
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     for k in (1, 4, -2):
         d = DilationAction(g, k)
-        want = d.flat_matrix() @ M @ DilationAction(g, -k).flat_matrix()
+        want = kron_flat_matrix(d) @ M @ kron_flat_matrix(DilationAction(g, -k))
         assert np.array_equal(d.conjugate(M), want)
 
 
@@ -232,15 +189,14 @@ def test_dilation_conjugate_on_stock_symbols():
         base_m = sigma.at(x=0.0, xi=1.0, v=1.0).matrix
         for k in range(1, 9):
             d = DilationAction(sigma.cone, k)
-            want = d.flat_matrix() @ base_m @ DilationAction(sigma.cone, -k).flat_matrix()
+            want = kron_flat_matrix(d) @ base_m @ kron_flat_matrix(DilationAction(sigma.cone, -k))
             assert np.array_equal(d.conjugate(base_m), want)
 
 
 def test_circle_base_symbol_values_equal_matrix_products():
     c = Circle(16)
     modes = c.modes.astype(float)
-    iFw = np.exp(1j * np.outer(c.x, modes))
-    Fw = np.exp(-1j * np.outer(modes, c.x)) / c.n_x
+    iFw, Fw = phase_pair(c.x, modes)
     fam = ConeSymbolFamily(parse("1 + chi(p)*chi(t) + 0.5*w/(1 + w^2)"), base=c)
     d = evaluate(fam.expr, {"x": 0.0, "r": 0.1, "w": 0.3, "eta": 0.2, "p": 0.7, "v": 0.0, "t": modes})
     want = iFw @ np.diag(d.reshape(-1).astype(complex)) @ Fw
@@ -256,9 +212,8 @@ def test_base_pullback_equals_matrix_product():
     g = parse("x + 0.2*sin(x)")
     gvals = evaluate(g, {"x": c.x}).reshape(-1).real
     dvals = evaluate(parse("1 + 0.2*cos(x)"), {"x": c.x}).reshape(-1).real
-    E = np.exp(1j * np.outer(gvals, c.modes.astype(float)))
-    F = np.fft.fft(np.eye(c.n_x), axis=0) / c.n_x
-    assert np.array_equal(base_pullback(c, g, polar=False), np.diag(np.sqrt(dvals)) @ E @ F)
+    E = phase_pair(gvals, c.modes.astype(float))[0]
+    assert np.array_equal(base_pullback(c, g, polar=False), np.diag(np.sqrt(dvals)) @ E @ circle_analysis(c.n_x))
 
 
 # (j, B shape) of kn_circulant's call sites, at the shapes the quantizers,
@@ -293,7 +248,7 @@ def test_kn_circulant_blocks_equal_unblocked_einsum(dft, n, bshape):
     F = _dft_matrix(n) if dft else E.conj().T / n
     rng = np.random.default_rng(n)
     B = rng.normal(size=bshape) + 1j * rng.normal(size=bshape)
-    want = np.einsum("jk,...kab,kl->...jalb", E, B, F, optimize=True)
+    want = kn_product(E, B, F, row_free=True)
     assert np.array_equal(kn_circulant(E, B, F), want)
     if not dft:
         # base_to_nodal's in-place analysis matrix keeps E.conj().T / n's bits

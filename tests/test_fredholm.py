@@ -10,18 +10,16 @@ exponentially and counts stabilize.
 """
 
 import functools
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import circle_analysis, full_svd_rows, load_bench_workloads
 from psdo.fredholm import (
     SECTION_STEP,
     FredholmError,
-    _collar_fraction,
     _contour,
     check_elliptic,
     extract_tuple,
@@ -32,14 +30,8 @@ from psdo.fredholm import (
     winding_oracle,
 )
 from psdo.geometry import Circle, Cone, Edge, Point, collar_cutoff
-from psdo.quantize import (
-    DiscretizedOperator,
-    op_circle,
-    op_edge,
-    op_mellin,
-)
-from psdo.stock import elliptic_stock, index_stock
-from psdo.stock import toeplitz_shift as stock_toeplitz_shift
+from psdo.quantize import DiscretizedOperator, op_edge, op_mellin
+from psdo.stock import elliptic_stock, index_stock, toeplitz_shift
 from psdo.symbols import (
     ConeSymbolFamily,
     InteriorSymbol,
@@ -63,18 +55,6 @@ def affine_builder(g_expr: str):
         return op_mellin(cone, parse(f"1 + (1 / (1 + r)) * ({g_expr} - 1)"))
 
     return build
-
-
-def toeplitz_shift(n: int) -> DiscretizedOperator:
-    """exp(ix) * P_+ + P_- on circle modes: the classical index -1 stock."""
-    g = Circle(n)
-    k = g.modes
-    F = np.fft.fft(np.eye(n)) / n
-    E = np.exp(1j * np.outer(g.x, k.astype(float)))
-    Pp = E @ np.diag((k >= 0).astype(float)) @ F
-    Pm = E @ np.diag((k < 0).astype(float)) @ F
-    shift = op_circle(g, parse("exp((0,1)*x)")).matrix
-    return DiscretizedOperator(g, None, shift @ Pp + Pm)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -101,7 +81,7 @@ def test_oracle_toeplitz_cokernel_is_mode_zero():
     U, s, Vh = np.linalg.svd(A.matrix)
     assert s[-1] <= 1e-12
     assert s[-2] >= 0.999
-    F = np.fft.fft(np.eye(64)) / 64
+    F = circle_analysis(64)
     cu = F @ U[:, -1]
     cv = F @ np.conj(Vh[-1])
     assert abs(cu[0]) ** 2 / np.sum(np.abs(cu) ** 2) >= 0.99
@@ -247,38 +227,9 @@ def test_finite_section_needs_positive_tau_coef(tau_coef):
 # --- values first, pairs only where they are read --------------------------
 
 
-def full_svd_rows(build, sizes, tau_coef):
-    """The classification finite_section made from one full SVD per
-    rung, kept here as the reference for the values-first path:
-    (size, kernel, cokernel, index, artifacts) per rung."""
-    rows = []
-    for size in sizes:
-        A = build(int(size))
-        U, s, Vh = np.linalg.svd(A.matrix)
-        dim = s.size
-        count = int(np.sum(s <= tau_coef * float(s[0])))
-        kernel = cokernel = artifacts = 0
-        for i in range(dim - count, dim):
-            v_genuine = _collar_fraction(np.conj(Vh[i]), A) < 0.5
-            u_genuine = _collar_fraction(U[:, i], A) < 0.5
-            kernel += int(v_genuine)
-            cokernel += int(u_genuine)
-            artifacts += int(not v_genuine) + int(not u_genuine)
-        rows.append((int(size), kernel, cokernel, kernel - cokernel, artifacts))
-    return rows
-
-
 def section_rows(build, sizes, tau_coef):
     rep = finite_section(build, sizes=sizes, tau_coef=tau_coef)
     return [(s.size, s.kernel, s.cokernel, s.index, s.artifacts) for s in rep.stats]
-
-
-def _load_bench_workloads():
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _adjoint_cayley(n_t: int) -> DiscretizedOperator:
@@ -287,7 +238,7 @@ def _adjoint_cayley(n_t: int) -> DiscretizedOperator:
 
 LADDERS = [
     *((f"sections/{i.name}", i.build, (128, 256), 1e-6) for i in elliptic_stock()),
-    ("toeplitz", stock_toeplitz_shift, (64, 128, 256), 1e-6),
+    ("toeplitz", toeplitz_shift, (64, 128, 256), 1e-6),
     *((f"cone-index/{i.name}", i.build, i.sizes, i.tau_coef) for i in index_stock()),
     ("cayley", affine_builder(CAYLEY), (64, 128, 256), 1e-4),
     ("mirror", affine_builder(MIRROR), (64, 128, 256), 1e-4),
@@ -307,7 +258,7 @@ def test_values_first_matches_full_svd_classification(name, build, sizes, tau_co
 def test_values_first_matches_full_svd_on_bench_tips(seed):
     # The cmd_index ladders of the index workload: default cone step,
     # the config's sizes and threshold.
-    for cfg, _, _ in _load_bench_workloads().index_configs(seed):
+    for cfg, _, _ in load_bench_workloads().index_configs(seed):
         expr = parse(cfg["symbol"])
         build = functools.lru_cache(maxsize=None)(
             lambda n_t: interval_section(expr, SECTION_STEP, n_t)

@@ -1,3 +1,9 @@
+"""Model geometries: construction and descriptors, the circle and cone
+DFT pair against the definition's phase tables, translations,
+dilations (group law, unitarity, radial rescaling), cutoff families,
+and `axis_layout` and the interior restriction against the layouts
+written out per geometry in oracles.py."""
+
 import numpy as np
 import pytest
 
@@ -17,8 +23,8 @@ from psdo.geometry import (
     plateau_profile,
     translation_matrix,
 )
-from psdo.quantize import _dft_matrix, _interior_nodes, quantize, synthesis
-from psdo.symexpr import parse
+from oracles import identity_dim, phase_pair, written_out_interior, written_out_layout
+from psdo.quantize import _dft_matrix, _interior_nodes, synthesis
 
 
 class TestBuild:
@@ -40,6 +46,10 @@ class TestBuild:
             Cone(Point(), T=0.0)
         with pytest.raises(GeometryError):
             Cone(Point(), T=-2.0)
+        # NaN, and windows whose nodes or covariables overflow
+        for T in (float("nan"), float("inf"), 1e308, 1e-320):
+            with pytest.raises(GeometryError):
+                Cone(Point(), T=T, n_t=8)
 
     def test_descriptor_round_trip(self):
         descs = [
@@ -59,19 +69,18 @@ class TestBuild:
 
 class TestDFT:
     """The analysis and synthesis matrices of psdo.quantize against the
-    O(N^2) definition sums."""
+    definition's whole phase tables (`oracles.phase_pair`)."""
 
     def test_constant_has_unit_zero_mode(self):
         u = np.ones(16)
         assert (_dft_matrix(16) @ u)[0] == pytest.approx(1.0)
 
     def test_round_trip_against_naive_oracle(self):
-        # oracle first: O(N^2) definition sums
         rng = np.random.default_rng(5)
         n = 32
         g = Circle(n)
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        naive = np.array([np.sum(u * np.exp(-1j * k * g.x)) / n for k in g.modes])
+        naive = phase_pair(g.x, g.modes.astype(float))[1] @ u
         E = synthesis(g.x, g.modes.astype(float))
         for F in (_dft_matrix(n), E.conj().T / n):
             fast = F @ u
@@ -82,7 +91,7 @@ class TestDFT:
         rng = np.random.default_rng(6)
         g = Cone(Point(), T=3.0, n_t=16)
         f = rng.normal(size=16) + 1j * rng.normal(size=16)
-        naive = np.array([np.sum(f * np.exp(-1j * p * g.t)) / g.n_t for p in g.p])
+        naive = phase_pair(g.t, g.p)[1] @ f
         E = synthesis(g.t, g.p)
         fast = E.conj().T / g.n_t @ f
         assert np.max(np.abs(fast - naive)) < 1e-13
@@ -187,44 +196,10 @@ LAYOUT_GEOMETRIES = {
 }
 
 
-def _old_layout(g, axis):
-    """(pre, n, post, covar, nodes, step, periodic) written out per
-    geometry; interval cones keep the interior nodes t_1..t_{n_t-1}."""
-    if isinstance(g, Circle):
-        return (1, g.n_x, g.q, g.modes.astype(float), g.x, g.h_x, True) if axis == "x" else None
-    c = g if isinstance(g, Cone) else g.cone
-    t = c.t[1:] if c.boundary == "interval" else c.t
-    if axis == "x" and isinstance(g, Edge):
-        post = len(t) * (c.dim_total // c.n_t)
-        return 1, g.circle.n_x, post, g.circle.modes.astype(float), g.circle.x, g.circle.h_x, True
-    if axis == "t" and isinstance(g, Cone):
-        return 1, len(t), g.dim_total // g.n_t, g.p, t, g.h_t, False
-    if axis == "t" and isinstance(g, Edge):
-        return g.circle.n_x, len(t), c.dim_total // c.n_t, c.p, t, c.h_t, False
-    return None
-
-
-def _operator_dim(g):
-    """Dimension of the identity quantized on g."""
-    eye = parse("[[1, 0], [0, 1]]") if g.q == 2 else parse("1")
-    return quantize(g, eye).dim
-
-
-def _old_interior(g):
-    """(interior dimension, _interior_nodes) written out per geometry."""
-    if isinstance(g, Circle):
-        return g.dim_total, None
-    cone = g if isinstance(g, Cone) else g.cone
-    pre = g.circle.n_x if isinstance(g, Edge) else 1
-    post = g.dim_total // (pre * cone.n_t)
-    nodes = np.arange(g.dim_total).reshape(pre, cone.n_t, post)[:, 1:, :].reshape(-1)
-    return (cone.n_t - 1) * (g.dim_total // cone.n_t), nodes
-
-
 @pytest.mark.parametrize("g", LAYOUT_GEOMETRIES.values(), ids=LAYOUT_GEOMETRIES.keys())
 def test_axis_layout_matches_written_out_formulas(g):
     for axis in ("x", "t"):
-        want = _old_layout(g, axis)
+        want = written_out_layout(g, axis)
         if want is None:
             with pytest.raises(GeometryError, match=f"no '{axis}' axis"):
                 axis_layout(g, axis)
@@ -232,7 +207,7 @@ def test_axis_layout_matches_written_out_formulas(g):
         lay = axis_layout(g, axis)
         pre, n, post, covar, nodes, step, periodic = want
         assert (lay.name, lay.pre, lay.n, lay.post) == (axis, pre, n, post)
-        assert lay.pre * lay.n * lay.post == _operator_dim(g)
+        assert lay.pre * lay.n * lay.post == identity_dim(g)
         assert np.array_equal(lay.covar, covar) and np.array_equal(lay.nodes, nodes)
         assert (lay.step, lay.periodic) == (step, periodic)
     default = axis_layout(g)
@@ -243,7 +218,7 @@ def test_axis_layout_matches_written_out_formulas(g):
 
 @pytest.mark.parametrize("g", LAYOUT_GEOMETRIES.values(), ids=LAYOUT_GEOMETRIES.keys())
 def test_interior_layout_bit_equal(g):
-    dim, nodes = _old_interior(g)
+    dim, nodes = written_out_interior(g)
     interval = not isinstance(g, Circle) and (g if isinstance(g, Cone) else g.cone).boundary == "interval"
     lay = axis_layout(g)
     assert lay.pre * lay.n * lay.post == (dim if interval else g.dim_total)

@@ -1,8 +1,24 @@
+"""Quantizers: op_circle, op_mellin and op_edge against the dense
+references of oracles.py and against their defining identities (Fourier
+multipliers, restrictions, mode blocks, adjoints, parameter families);
+the memory contract of every dense assembly under tracemalloc; and
+synthesis and the DFT matrix bit for bit against the full-table
+expressions."""
+
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import (
+    assert_same_bits,
+    circle_analysis,
+    circle_reference,
+    edge_reference,
+    extract_reference,
+    mellin_reference,
+    phase_pair,
+)
 from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, cutoff_family
 from psdo.quantize import (
@@ -11,6 +27,7 @@ from psdo.quantize import (
     _dft_matrix,
     analysis_matrix,
     dyadic_ladder,
+    kn_circulant,
     negligible_test,
     op_circle,
     op_edge,
@@ -22,65 +39,27 @@ from psdo.symexpr import parse, evaluate
 
 
 # ---------------------------------------------------------------------------
-# Oracles: direct quadratic-cost definition sums, written against the
-# quantization rule itself rather than against the implementation.
-
-
-def naive_op_circle(g: Circle, expr, v=None):
-    n, q = g.n_x, g.q
-    A = np.zeros((n * q, n * q), dtype=complex)
-    for j in range(n):
-        for jp in range(n):
-            acc = np.zeros((q, q), dtype=complex)
-            for k in g.modes:
-                b = {"x": g.x[j], "xi": float(k)}
-                if v is not None:
-                    b["v"] = v
-                a_val = evaluate(expr, b)[0, 0] if q == 1 else evaluate(expr, b)
-                acc = acc + np.exp(1j * k * (g.x[j] - g.x[jp])) * np.atleast_2d(a_val if q > 1 else a_val) / n
-            A[j * q : (j + 1) * q, jp * q : (jp + 1) * q] = acc
-    return A
-
-
-def naive_op_mellin(g: Cone, expr, v=0.0, xi=0.0):
-    n = g.n_t
-    A = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        vals = evaluate(
-            expr,
-            {"r": g.r[j], "w": v * g.r[j], "eta": xi * g.r[j], "p": g.p, "v": v, "x": 0.0, "t": 0.0},
-        )[:, 0, 0]
-        for jp in range(n):
-            A[j, jp] = np.sum(np.exp(1j * g.p * (g.t[j] - g.t[jp])) * vals) / n
-    return A
-
-
-# ---------------------------------------------------------------------------
 
 
 class TestOpCircle:
     def test_against_naive_oracle(self):
         g = Circle(16)
         expr = parse("exp((0,1)*x)*chi(xi)")
-        want = naive_op_circle(g, expr)
+        want = circle_reference(g, expr)
         got = op_circle(g, expr).matrix
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_matrix_symbol_against_naive_oracle(self):
         g = Circle(8, q=2)
         expr = parse("[[chi(xi), exp((0,1)*x)],[0, 1]]")
-        want = naive_op_circle(g, expr)
+        want = circle_reference(g, expr)
         got = op_circle(g, expr).matrix
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_x_independent_is_fourier_multiplier(self):
         g = Circle(32)
-        expr = parse("chi(xi)")
-        A = op_circle(g, expr).matrix
-        F = np.fft.fft(np.eye(32), axis=0) / 32
-        D = F @ A @ np.linalg.inv(F)
-        off = D - np.diag(np.diag(D))
-        assert np.max(np.abs(off)) < 1e-12
+        D = extract_reference(op_circle(g, parse("chi(xi)")), 1, 32, 1, g.x, g.modes.astype(float))[..., 0, 0]
+        assert np.max(np.abs(D - np.diag(np.diag(D)))) < 1e-12
         assert np.max(np.abs(np.diag(D) - evaluate(parse("chi(xi)"), {"xi": g.modes.astype(float)})[:, 0, 0])) < 1e-12
 
     def test_multiplication_times_multiplier_is_exact(self):
@@ -112,17 +91,14 @@ class TestOpMellin:
     def test_against_naive_oracle(self):
         g = Cone(Point(), T=3.0, n_t=16)
         expr = parse("chi(p)/(1+r)")
-        want = naive_op_mellin(g, expr)
+        want = mellin_reference(g, expr)
         got = op_mellin(g, expr).matrix
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_pure_multiplier_is_diagonal_in_t_modes(self):
         g = Cone(Point(), T=4.0, n_t=32)
-        A = op_mellin(g, parse("p")).matrix
-        F = np.fft.fft(np.eye(32), axis=0)
-        D = F @ A @ np.linalg.inv(F)
-        off = D - np.diag(np.diag(D))
-        assert np.max(np.abs(off)) < 1e-9
+        D = extract_reference(op_mellin(g, parse("p")), 1, 32, 1, g.t, g.p)[..., 0, 0]
+        assert np.max(np.abs(D - np.diag(np.diag(D)))) < 1e-9
         assert np.max(np.abs(np.sort(np.diag(D).real) - np.sort(g.p))) < 1e-9
 
     def test_w_multiplication_example(self):
@@ -158,21 +134,14 @@ class TestOpMellin:
         base = Circle(8)
         g = Cone(base, T=4.0, n_t=16)
         expr = parse("(p-(0,1)*(1+t^2))/(p+(0,1)*(1+t^2))")
-        A = op_mellin(g, expr).matrix
-        # conjugate by the omega DFT: X = (I_t x F_w)
-        Fw = np.fft.fft(np.eye(8), axis=0) / 8
-        X = np.kron(np.eye(16), Fw)
-        D = X @ A @ np.linalg.inv(X)
-        D = D.reshape(16, 8, 16, 8)
+        # conjugated to omega modes, the t axis kept: D[m1, m2] is (t, t')
+        D = extract_reference(op_mellin(g, expr), 16, 8, 1, base.x, base.modes.astype(float))
         pt = Cone(Point(), T=4.0, n_t=16)
         for m_idx, mu in enumerate(base.modes):
             per_mode = op_mellin(pt, parse(f"(p-(0,1)*(1+{float(mu*mu+1)-1.0}))/(p+(0,1)*(1+{float(mu*mu+1)-1.0}))")).matrix
-            assert np.max(np.abs(D[:, m_idx, :, m_idx] - per_mode)) < 1e-10
+            assert np.max(np.abs(D[m_idx, m_idx] - per_mode)) < 1e-10
         # off-diagonal mode blocks vanish
-        for m1 in range(8):
-            for m2 in range(8):
-                if m1 != m2:
-                    assert np.max(np.abs(D[:, m1, :, m2])) < 1e-10
+        assert max(np.max(np.abs(D[m1, m2])) for m1 in range(8) for m2 in range(8) if m1 != m2) < 1e-10
 
 
 class TestOpEdge:
@@ -181,60 +150,23 @@ class TestOpEdge:
         cone = Cone(Point(), T=4.0, n_t=16)
         g = Edge(circ, cone)
         expr = parse("chi(eta)*(p-(0,1))/(p+(0,1))")
-        A = op_edge(g, expr, v=0.5).matrix
-        Fx = np.fft.fft(np.eye(8), axis=0) / 8
-        X = np.kron(Fx, np.eye(16))
-        D = (X @ A @ np.linalg.inv(X)).reshape(8, 16, 8, 16)
+        D = extract_reference(op_edge(g, expr, v=0.5), 1, 8, 16, circ.x, circ.modes.astype(float))
         for k_idx, k in enumerate(circ.modes):
             want = op_mellin(cone, expr, v=0.5, xi=float(k)).matrix
-            assert np.max(np.abs(D[k_idx, :, k_idx, :] - want)) < 1e-12
-        for k1 in range(8):
-            for k2 in range(8):
-                if k1 != k2:
-                    assert np.max(np.abs(D[k1, :, k2, :])) < 1e-12
+            assert np.max(np.abs(D[k_idx, k_idx] - want)) < 1e-12
+        assert max(np.max(np.abs(D[k1, k2])) for k1 in range(8) for k2 in range(8) if k1 != k2) < 1e-12
 
     def test_chi_eta_against_dense_oracle(self):
-        # 16 x 32 grid, v = 0; row-wise definition sums
-        circ = Circle(16)
-        cone = Cone(Point(), T=6.0, n_t=32)
-        g = Edge(circ, cone)
+        # 16 x 32 grid, v = 0
+        g = Edge(Circle(16), Cone(Point(), T=6.0, n_t=32))
         A = op_edge(g, parse("chi(eta)"), v=0.0).matrix
-        xi = circ.modes.astype(float)
-        want = np.zeros((16 * 32, 16 * 32), dtype=complex)
-        # chi(eta) has no p dependence: fiber is diagonal in t
-        for j in range(16):
-            for i in range(32):
-                row = np.zeros((16, 32), dtype=complex)
-                vals = xi * 0.0 + np.array([float(np.real(evaluate(parse("chi(eta)"), {"eta": k * cone.r[i]})[0, 0])) for k in xi])
-                for jp in range(16):
-                    row[jp, i] = np.sum(np.exp(1j * xi * (circ.x[j] - circ.x[jp])) * vals) / 16
-                want[j * 32 + i] = row.reshape(-1)
-        assert np.max(np.abs(A - want)) < 1e-12
+        assert np.max(np.abs(A - edge_reference(g, parse("chi(eta)"))[0])) < 1e-12
 
     def test_x_dependent_against_dense_oracle(self):
-        circ = Circle(8)
-        cone = Cone(Point(), T=3.0, n_t=8)
-        g = Edge(circ, cone)
+        g = Edge(Circle(8), Cone(Point(), T=3.0, n_t=8))
         expr = parse("(1 + 0.5*sin(x))*chi(eta)*(p-(0,1))/(p+(0,1))")
         A = op_edge(g, expr, v=0.0).matrix
-        xi = circ.modes.astype(float)
-        gp = cone.p
-        # fiber p-part
-        M = np.zeros((8, 8), dtype=complex)
-        gvals = (gp - 1j) / (gp + 1j)
-        for i in range(8):
-            for ip in range(8):
-                M[i, ip] = np.sum(np.exp(1j * gp * (cone.t[i] - cone.t[ip])) * gvals) / 8
-        want = np.zeros((64, 64), dtype=complex)
-        for j in range(8):
-            c_j = 1 + 0.5 * np.sin(circ.x[j])
-            for i in range(8):
-                chi_vals = np.array([k * cone.r[i] / np.sqrt(1 + (k * cone.r[i]) ** 2) for k in xi])
-                s = np.zeros(8, dtype=complex)
-                for jp in range(8):
-                    s[jp] = np.sum(np.exp(1j * xi * (circ.x[j] - circ.x[jp])) * chi_vals) / 8
-                want[j * 8 + i] = (c_j * np.outer(s, M[i])).reshape(-1)
-        assert np.max(np.abs(A - want)) < 1e-11
+        assert np.max(np.abs(A - edge_reference(g, expr)[0])) < 1e-11
 
     def test_interval_mode_restricts_fiber(self):
         circ = Circle(8)
@@ -338,9 +270,18 @@ class TestFamilies:
         assert quantize(g, parse("chi(eta)")).matrix.shape == (128, 128)
 
 
+def test_kn_circulant_refuses_an_overflowing_product():
+    # every entry sums two products of 1e308: inf, refused before a
+    # block reaches the consumer
+    E, B, F = np.ones((2, 2)), np.full((2, 1, 1), 1e308 + 0j), np.ones((2, 2))
+    for consume in (None, lambda js, block: pytest.fail("an overflowing block was consumed")):
+        with pytest.raises(QuantizeError, match="non-finite"):
+            kn_circulant(E, B, F, consume)
+
+
 @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
 def test_dft_matrix_bits_match_column_transform(n):
-    assert np.array_equal(_dft_matrix(n), np.fft.fft(np.eye(n), axis=0) / n)
+    assert np.array_equal(_dft_matrix(n), circle_analysis(n))
 
 
 # bytes beside the arrays a memory contract counts: index arrays, small
@@ -433,16 +374,6 @@ def test_evaluate_memory_budget():
 # synthesis: the phase table against the full-table expression
 
 
-def full_phase_table(nodes, covar):
-    return np.exp(np.multiply(1j * nodes[:, None], covar[None, :]))
-
-
-def assert_same_bits(a, b):
-    fa, fb = a.view(float), b.view(float)
-    assert np.array_equal(fa, fb)
-    assert np.array_equal(np.signbit(fa), np.signbit(fb))
-
-
 def _odd_circle(n):
     return 2 * np.pi / n * np.arange(n), np.fft.fftfreq(n, d=1.0 / n)
 
@@ -489,7 +420,7 @@ SYNTHESIS_GRIDS = {
 
 @pytest.mark.parametrize("nodes, covar", list(SYNTHESIS_GRIDS.values()), ids=list(SYNTHESIS_GRIDS))
 def test_synthesis_bits_equal_full_table(nodes, covar):
-    want = full_phase_table(nodes, covar)
+    want = phase_pair(nodes, covar)[0]
     assert_same_bits(synthesis(nodes, covar), want)
     out = np.full(want.shape, np.nan, dtype=complex)
     assert synthesis(nodes, covar, out=out) is out

@@ -3,8 +3,8 @@
 Every fast path is checked against np.linalg.norm(., 2) on the full
 dense matrix: the Gram kernel on tall, wide, square, extreme-scale,
 zero and empty matrices, in a fresh Gram and in place; the in-place
-shift commutator against the kron-built one and the two-copy roll
-oracle; edge-mode block norms against
+shift commutator against the kron-built one (`oracles.
+translation_commutator`); edge-mode block norms against
 the assembled matrix; the ladder norm against the dense restricted
 product; and the stacked extraction norms against per-block norms.
 The kernel's memory contract is checked under tracemalloc: a caller's
@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import dense_side, extract_reference, translation_commutator
 from psdo import blas
 from psdo.calculus import _shift_commutator_in_place, extract_symbol, infinitesimal
-from psdo.geometry import Circle, Cone, Edge, Point, axis_layout, translation_matrix
+from psdo.geometry import Circle, Cone, Edge, Point, axis_layout
 from psdo.quantize import (
     _BLOCK,
     gram_norm,
@@ -191,18 +192,6 @@ def test_in_place_gram_norm_memory_is_two_blocks():
 # Translation commutators
 
 
-def _shift_commutator(M, n_x, steps):
-    """Oracle: T M - M T as a row roll of a copy of M with the
-    column-rolled M subtracted into it, one slice of columns at a time."""
-    n = M.shape[0]
-    step = steps * (n // n_x) % n
-    D = np.roll(M, step, axis=0)
-    head, tail = D[:, : n - step], D[:, n - step :]
-    np.subtract(head, M[:, step:], out=head)
-    np.subtract(tail, M[:, :step], out=tail)
-    return D
-
-
 def _in_place(M, n_x, steps):
     D = M.copy()
     _shift_commutator_in_place(D, n_x, steps)
@@ -215,27 +204,14 @@ def test_roll_commutator_equals_kron(kind, steps):
     g, op = _frozen_stock(kind)
     n_x = axis_layout(g, "x").n
     M = op.matrix
-    T = np.kron(translation_matrix(n_x, steps), np.eye(M.shape[0] // n_x))
-    assert np.array_equal(_in_place(M, n_x, steps), T @ M - M @ T)
-
-
-@pytest.mark.parametrize("kind", [Circle, Edge])
-@pytest.mark.parametrize("steps", [1, 3])
-def test_slice_commutator_equals_two_rolls(kind, steps):
-    g, op = _frozen_stock(kind)
-    n_x = axis_layout(g, "x").n
-    M = op.matrix
-    step = steps * (M.shape[0] // n_x)
-    want = np.roll(M, step, axis=0) - np.roll(M, -step, axis=1)
-    assert np.array_equal(_shift_commutator(M, n_x, steps), want)
-    assert np.array_equal(_in_place(M, n_x, steps), want)
+    assert np.array_equal(_in_place(M, n_x, steps), translation_commutator(M, n_x, steps))
 
 
 @pytest.mark.parametrize("n, n_x, steps", [(12, 12, 0), (12, 4, 1), (40, 8, 3), (300, 300, 7), (512, 16, 5)])
 def test_in_place_commutator_equals_roll_oracle(n, n_x, steps):
     # whole, wrapped and several row blocks; s = 0 leaves a zero matrix
     M = _random((n, n), seed=n)
-    assert np.array_equal(_in_place(M, n_x, steps), _shift_commutator(M, n_x, steps))
+    assert np.array_equal(_in_place(M, n_x, steps), translation_commutator(M, n_x, steps))
 
 
 @pytest.mark.parametrize("kind", [Circle, Edge])
@@ -244,7 +220,7 @@ def test_translation_defect_equals_two_copy_oracle(kind):
     inst = infinitesimal(g, expr, z=z)
     n_x = axis_layout(g, "x").n
     M = inst.operator.matrix
-    want = max(spectral_norm(_shift_commutator(M, n_x, s)) for s in (1, 3))
+    want = max(spectral_norm(translation_commutator(M, n_x, s)) for s in (1, 3))
     assert inst.translation_defect() == want
 
 
@@ -299,10 +275,6 @@ def test_derived_operators_carry_no_blocks():
 # Ladder norms
 
 
-def _dense_side(M, vals, side):
-    return np.linalg.norm(M * vals[None, :] if side == "right" else vals[:, None] * M, 2)
-
-
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
 def test_side_norm_matches_dense(side, scale):
@@ -313,7 +285,7 @@ def test_side_norm_matches_dense(side, scale):
     proper[20:45] = rng.uniform(0.1, 1.0, 25)
     full = rng.uniform(0.1, 1.0, n)
     for vals in (proper, full):
-        want = _dense_side(M, vals, side)
+        want = dense_side(M, vals, side)
         assert side_norm(M, vals, side) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -353,8 +325,6 @@ def test_extraction_norms_match_block_loop():
     c = Circle(16)
     A = op_circle(c, parse("(2 + sin(x)) * chi(xi)"))
     ex = extract_symbol(A, require_invariant=False)
-    F = np.exp(-1j * np.outer(c.modes, c.x)) / c.n_x
-    iF = np.exp(1j * np.outer(c.x, c.modes))
-    D = F @ A.matrix @ iF
+    D = extract_reference(A, 1, 16, 1, c.x, c.modes.astype(float))[..., 0, 0]
     off = max(abs(D[k, m]) for k in range(16) for m in range(16) if k != m)
     assert ex.max_offdiag == pytest.approx(off, rel=1e-12)

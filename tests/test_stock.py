@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import psdo.stock as stock_module
+from oracles import phase_pair
 from psdo.fredholm import check_elliptic, extract_tuple, finite_section, winding_oracle
 from psdo.geometry import Circle
 from psdo.localization import partition_bound_check
@@ -91,8 +92,7 @@ def test_toeplitz_shift_matches_explicit_projectors(n):
     k = g.modes
     H = evaluate(parse(TOEPLITZ_STEP), {"xi": k.astype(float)})[..., 0, 0]
     assert np.array_equal(H, (k >= 0).astype(complex))  # exactly 0 or 1
-    F = np.fft.fft(np.eye(n)) / n
-    E = np.exp(1j * np.outer(g.x, k.astype(float)))
+    E, F = phase_pair(g.x, k.astype(float))
     Pp = E @ np.diag((k >= 0).astype(float)) @ F
     Pm = E @ np.diag((k < 0).astype(float)) @ F
     shift = op_circle(g, parse("exp((0,1)*x)")).matrix

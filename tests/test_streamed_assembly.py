@@ -1,15 +1,11 @@
-"""Streamed Kohn-Nirenberg assembly against the one-shot product.
-
-kn_assemble evaluates the symbol grid one block of output rows at a
-time. The oracle below is the one-shot product it streams: the whole
-grid evaluated by one call, then, on x-dependent circle grids, copied
-into the buffer, analysed by one FFT and shifted cyclically by one
-gather of the whole buffer, and on other grids multiplied into every
-row of the phase buffer and analysed by the row-blocked matmul. Each
-entry sees the same arithmetic either way, so the comparisons are bit
-for bit, at shapes that split into several blocks, some of them unevenly.
-(The accuracy of the FFT path against exact phases is checked in
-test_fourier_home.py and test_fibers.py.)
+"""Streamed Kohn-Nirenberg assembly: kn_assemble evaluates the symbol
+grid one block of output rows at a time and holds the one-shot product
+(`oracles.one_shot_kn_assemble`) bit for bit, at shapes that split into
+several blocks, some of them unevenly. Its blocks partition the rows,
+a row-free grid takes one evaluate, a pole raises from the block that
+holds it as the one-shot product raises, and the support policy's one
+evaluate matches four. (The accuracy of the FFT path against exact
+phases is checked in test_fourier_home.py and test_fibers.py.)
 """
 
 import math
@@ -19,6 +15,7 @@ import pytest
 
 import psdo.fredholm as fredholm_module
 import psdo.quantize as quantize_module
+from oracles import MATRIX, SCALAR, X_DEP, X_DEP_MU, X_DEP_Q2, assert_same_bits, one_shot_kn_assemble, point_cone
 from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, Edge, Point
 from psdo.quantize import (
@@ -26,52 +23,14 @@ from psdo.quantize import (
     QuantizeError,
     _check_support_policy,
     _cone_bindings,
-    _dft_matrix,
-    analysis_matrix,
     kn_assemble,
     op_circle,
     op_edge,
     op_mellin,
-    synthesis,
 )
 from psdo.symexpr import EvalError, parse
-from test_fibers import X_DEP, X_DEP_MU, X_DEP_Q2, _point
-from test_quantize import assert_same_bits
 
 
-def one_shot_kn_assemble(symbol, nodes, covar, shape, circle_x=False):
-    S = np.broadcast_to(symbol(slice(0, shape[-4])), shape)
-    fft = circle_x and S.strides[-4] != 0
-    pshape = shape[:-4] + shape[-2:] + shape[-4:-2]
-    P = np.empty(pshape, dtype=complex)
-    if fft:
-        P[...] = np.moveaxis(S, (-2, -1), (-4, -3))
-        rows = P.reshape(-1, pshape[-1])
-        np.fft.fft(rows, axis=-1, norm="forward", out=rows)
-        j = np.arange(shape[-4])
-        G = P[..., j[:, None], (j[None, :] - j[:, None]) % len(j)]  # row j shifted by j
-        return np.moveaxis(G, (-2, -1), (-4, -2))
-    slabs = P.reshape((-1,) + pshape[-2:])
-    E = synthesis(nodes, covar, out=slabs[0])
-    if not circle_x:
-        F = analysis_matrix(E)
-    slabs[1:] = E
-    np.multiply(np.moveaxis(S, (-2, -1), (-4, -3)), P, out=P)
-    del S
-    rows = P.reshape(-1, pshape[-1])
-    if circle_x:
-        F = _dft_matrix(pshape[-1])
-    n = len(rows)
-    count = -(-n // max(4, _BLOCK // pshape[-1]))
-    block = np.empty((-(-n // count), pshape[-1]), dtype=complex)
-    for i in range(count):
-        r = rows[n * i // count : n * (i + 1) // count]
-        r[...] = np.matmul(r, F, out=block[: len(r)])
-    return np.moveaxis(P, (-2, -1), (-4, -2))
-
-
-SCALAR = "1 + chi(xi)*exp(cos(x)) + (0,0.3)*sin(2*x)*xi/(1 + xi^2)"
-MATRIX = "[[1 + chi(xi), 0.5*sin(x)], [(0,1)*cos(x)*chi(xi), 2 - chi(xi)]]"
 CONE = "1.3 + 0.4*chi(p) + 0.2*r/(1 + r) + 0.1*w/(1 + w^2)"
 EDGE = "1.2 + 0.5*chi(p) + 0.3*w/(1 + w) + 0.2*(1 - cos(x))*chi(eta)"
 INTERIOR = "1 + chi(xi)*cos(x) + r/(1 + r) + v*xi/(1 + xi^2)"
@@ -89,19 +48,19 @@ INTERIOR = "1 + chi(xi)*cos(x) + r/(1 + r) + v*xi/(1 + xi^2)"
 STREAMED = {
     "circle-1000": lambda: op_circle(Circle(1000), parse(SCALAR)).matrix,
     "circle-600-q2": lambda: op_circle(Circle(600, q=2), parse(MATRIX)).matrix,
-    "point-768-periodic": lambda: op_mellin(_point(768), parse(CONE), v=0.7).matrix,
-    "point-768-interval": lambda: op_mellin(_point(768, boundary="interval"), parse(CONE), v=0.7).matrix,
+    "point-768-periodic": lambda: op_mellin(point_cone(768), parse(CONE), v=0.7).matrix,
+    "point-768-interval": lambda: op_mellin(point_cone(768, boundary="interval"), parse(CONE), v=0.7).matrix,
     "circle-base-16x160": lambda: op_mellin(
         Cone(Circle(16), T=6.0, n_t=160), parse("1 + chi(p)*chi(t) + 0.3*r/(1 + r)*chi(t)")
     ).matrix,
-    "edge-16x64": lambda: op_edge(Edge(Circle(16), _point(64)), parse(EDGE), v=1.1).matrix,
-    "edge-12x48-interval": lambda: op_edge(Edge(Circle(12), _point(48, boundary="interval")), parse(EDGE), v=1.1).matrix,
-    "interior-on-edge-64x48": lambda: _op_interior_on_edge(Edge(Circle(64), _point(48)), parse(INTERIOR), 2.0),
+    "edge-16x64": lambda: op_edge(Edge(Circle(16), point_cone(64)), parse(EDGE), v=1.1).matrix,
+    "edge-12x48-interval": lambda: op_edge(Edge(Circle(12), point_cone(48, boundary="interval")), parse(EDGE), v=1.1).matrix,
+    "interior-on-edge-64x48": lambda: _op_interior_on_edge(Edge(Circle(64), point_cone(48)), parse(INTERIOR), 2.0),
     "circle-1002": lambda: op_circle(Circle(1002), parse(SCALAR)).matrix,
-    "edge-18x64": lambda: op_edge(Edge(Circle(18), _point(64)), parse(EDGE), v=1.1).matrix,
-    "edge-q2-16x32": lambda: op_edge(Edge(Circle(16, q=2), _point(32, q=2)), parse(X_DEP_Q2), v=0.9).matrix,
+    "edge-18x64": lambda: op_edge(Edge(Circle(18), point_cone(64)), parse(EDGE), v=1.1).matrix,
+    "edge-q2-16x32": lambda: op_edge(Edge(Circle(16, q=2), point_cone(32, q=2)), parse(X_DEP_Q2), v=0.9).matrix,
     "edge-q2-12x24-interval": lambda: op_edge(
-        Edge(Circle(12, q=2), _point(24, q=2, boundary="interval")), parse(X_DEP_Q2), v=0.9
+        Edge(Circle(12, q=2), point_cone(24, q=2, boundary="interval")), parse(X_DEP_Q2), v=0.9
     ).matrix,
 }
 
@@ -200,11 +159,11 @@ def test_pole_in_one_block_raises_like_one_shot(name, evaluate_calls, one_shot):
 # families on interval cones, three of which the support policy refuses:
 # (cone, family, v, xi, x_value, freeze_r, raises)
 SUPPORT = {
-    "sin-r": (_point(32, boundary="interval"), "sin(r)", 0.0, 0.0, 0.0, False, True),
-    "two-plus-sin-r": (_point(16, boundary="interval"), "2 + sin(r)", 0.0, 0.0, 0.0, False, True),
-    "cone": (_point(32, boundary="interval"), CONE, 0.7, 0.0, 0.0, False, False),
-    "freeze-r": (_point(32, boundary="interval"), "r + w/(w+(0,1))", 1.0, 0.0, 0.0, True, False),
-    "x-dep": (_point(16, boundary="interval"), X_DEP, 0.5, 1.5, 0.8, False, False),
+    "sin-r": (point_cone(32, boundary="interval"), "sin(r)", 0.0, 0.0, 0.0, False, True),
+    "two-plus-sin-r": (point_cone(16, boundary="interval"), "2 + sin(r)", 0.0, 0.0, 0.0, False, True),
+    "cone": (point_cone(32, boundary="interval"), CONE, 0.7, 0.0, 0.0, False, False),
+    "freeze-r": (point_cone(32, boundary="interval"), "r + w/(w+(0,1))", 1.0, 0.0, 0.0, True, False),
+    "x-dep": (point_cone(16, boundary="interval"), X_DEP, 0.5, 1.5, 0.8, False, False),
     "circle-base": (Cone(Circle(8), T=4.0, n_t=16, boundary="interval"), X_DEP_MU, 0.5, 2.0, 0.3, False, False),
     "q2": (Cone(Point(), T=4.0, n_t=16, boundary="interval", q=2), X_DEP_Q2, 0.5, 1.0, 0.2, False, True),
 }

@@ -1,8 +1,12 @@
-"""No dead parameters and no dead imports in src/psdo, tests and bench.
+"""No dead parameters, no dead imports and no dead test helpers in
+src/psdo, tests and bench, and one home for the tests' references.
 
 Every defaulted parameter of a psdo function, and every defaulted init
-field of a psdo dataclass, is set by some call in the scanned trees, and
-every name a module imports is referenced there.
+field of a psdo dataclass, is set by some call in the scanned trees;
+every name a module imports is referenced there; every module-level
+function or class under tests/ is referenced somewhere under tests/ (a
+fixture by a parameter of its name); and no test module imports another
+test module, so shared references live in tests/oracles.py.
 
 A parameter counts as set when a call to a function of that name passes
 it by keyword, by position, or may pass it through `*` or `**`
@@ -21,6 +25,7 @@ unused import) is kept for its side effect.
 """
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -213,3 +218,39 @@ def _unused_imports():
 def test_every_imported_name_is_referenced():
     unused = _unused_imports()
     assert not unused, f"{len(unused)} imported names never referenced: {unused}"
+
+
+@functools.cache
+def _test_modules():
+    return [(path, ast.parse(path.read_text())) for path in sorted((ROOT / "tests").glob("*.py"))]
+
+
+def test_no_test_module_imports_another():
+    found = []
+    for path, module in _test_modules():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[-1].startswith("test_")]
+    assert not found, f"test modules import test modules: {found}"
+
+
+def test_every_test_helper_is_referenced():
+    defined, read = {}, set()
+    for path, module in _test_modules():
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith(("test_", "Test")):
+                defined[node.name] = f"{path.name}:{node.lineno} {node.name}"
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.arg):  # a fixture is requested by name
+                read.add(node.arg)
+    unread = sorted(where for name, where in defined.items() if name not in read)
+    assert not unread, f"{len(unread)} test helpers never referenced: {unread}"

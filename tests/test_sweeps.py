@@ -1,20 +1,21 @@
-"""Array-evaluated symbol sweeps against the scalar loops they replace.
+"""Array-evaluated symbol sweeps hold the scalar loops they replace.
 
 The winding contour, the conormal profile and the ellipticity spheres
 are each one `evaluate` on the whole grid plus one stacked SVD or
-determinant. The oracles here are test-local copies of the per-point
-loops: one scalar `evaluate` and one small SVD per grid point.
-ConeSymbolFamily.value takes the stacked path for an array p and its own
-path for a scalar one; the per-p oracle re-implements the single-point
-evaluation instead of calling either.
+determinant; their references in oracles.py are the per-point loops,
+one scalar `evaluate` and one small SVD per grid point. Winding reports
+and oracle errors match the callable form's loop, and
+ConeSymbolFamily.value, min_singular and limit_drift on a stacked p grid
+match one evaluation per p (`oracles.loop_value`, which calls neither
+of value's paths).
 """
 
-import math
 import warnings
 
 import numpy as np
 import pytest
 
+from oracles import loop_contour, loop_sphere_min, loop_value, scalar_tip
 from psdo.fredholm import (
     FredholmError,
     _contour,
@@ -23,7 +24,7 @@ from psdo.fredholm import (
     large_parameter_scan,
     winding_oracle,
 )
-from psdo.geometry import Circle, Point
+from psdo.geometry import Circle
 from psdo.stock import (
     CAYLEY,
     degenerate_stock,
@@ -32,7 +33,7 @@ from psdo.stock import (
     parameter_family,
 )
 from psdo.symbols import ConeSymbolFamily, conormal, pushforward_edge
-from psdo.symexpr import EvalError, evaluate, parse, shape_of
+from psdo.symexpr import EvalError, parse, shape_of
 
 TOEPLITZ_TIP = "(1 + (0,1)*p) / (1 - (0,1)*p)"
 TIPS = [inst.tip for inst in index_stock()] + [
@@ -40,49 +41,6 @@ TIPS = [inst.tip for inst in index_stock()] + [
     f"({CAYLEY}) * ((p - (0,2)) / (p + (0,3)))",
     "((p - (0.3)) - (0,1.2)) / ((p - (0.3)) + (0,1.2))",
 ]
-
-
-def scalar_tip(tip: str):
-    """The tip as a scalar callable: one evaluate per point, entry [0, 0]."""
-    expr = parse(tip)
-    return lambda p: complex(np.asarray(evaluate(expr, {"p": p, "t": 0.0})).reshape(-1)[0])
-
-
-def loop_contour(f, p_max: float = 1e6, n: int = 4097) -> np.ndarray:
-    u_max = math.atan(p_max)
-    return np.array([f(float(np.tan(u))) for u in np.linspace(-u_max, u_max, n)])
-
-
-def loop_value(c: ConeSymbolFamily, p: float) -> np.ndarray:
-    """One fiber matrix from one scalar evaluation."""
-    if isinstance(c.base, Point):
-        m = np.asarray(evaluate(c.expr, {"p": p, "t": 0.0}), dtype=complex)
-        m = m.reshape(c.q, c.q)
-    else:
-        modes = c.base.modes.astype(float)
-        vals = evaluate(c.expr, {"p": p, "t": modes})
-        d = np.broadcast_to(vals.reshape(-1), modes.shape).astype(complex)
-        n = c.base.n_x
-        iFw = np.exp(1j * np.outer(c.base.x, modes))
-        Fw = np.exp(-1j * np.outer(modes, c.base.x)) / n
-        m = iFw @ np.diag(d) @ Fw
-    if c.conj is not None:
-        L, R = c.conj(0.0)
-        m = L @ m @ R
-    return m
-
-
-def loop_sphere_min(expr, n_x: int, n_sphere: int = 32, lam: float = 1e6, **fixed) -> float:
-    xs = 2.0 * np.pi * np.arange(n_x) / n_x
-    thetas = 2.0 * np.pi * np.arange(n_sphere) / n_sphere
-    worst = math.inf
-    for x0 in xs:
-        for th in thetas:
-            b = {"x": x0, "xi": lam * np.cos(th), "v": lam * np.sin(th), **fixed}
-            m = np.asarray(evaluate(expr, b), dtype=complex)
-            m = m.reshape(m.shape[-1], m.shape[-1])
-            worst = min(worst, float(np.linalg.svd(m, compute_uv=False)[-1]))
-    return worst
 
 
 # --- winding contour -------------------------------------------------------

@@ -1,6 +1,12 @@
+"""Symbol classes: interior homogeneity, edge symbols and their
+fibers, twisted homogeneity, conormal families, compatibility of
+tuples, and pushforwards by circle diffeomorphisms, against mode-space
+matrices built from the phase pairs of oracles.py."""
+
 import numpy as np
 import pytest
 
+from oracles import phase_pair
 from psdo.geometry import Circle, Cone, Point
 from psdo.quantize import op_circle
 from psdo.symbols import (
@@ -26,22 +32,8 @@ from psdo.symexpr import evaluate, mul
 # Oracles
 
 
-def mode_basis_matrices(g: Cone):
-    """Synthesis/analysis pair for the t-Fourier basis of a point-base cone."""
-    E = np.exp(1j * np.outer(g.t, g.p))
-    F = np.exp(-1j * np.outer(g.p, g.t)) / g.n_t
-    return E, F
-
-
-def circle_mode_matrices(c: Circle):
-    mu = c.modes.astype(float)
-    iFw = np.exp(1j * np.outer(c.x, mu))
-    Fw = np.exp(-1j * np.outer(mu, c.x)) / c.n_x
-    return iFw, Fw
-
-
 def band_projector(c: Circle, k_max: int) -> np.ndarray:
-    iFw, Fw = circle_mode_matrices(c)
+    iFw, Fw = phase_pair(c.x, c.modes.astype(float))
     return iFw @ np.diag((np.abs(c.modes) <= k_max).astype(float)) @ Fw
 
 
@@ -113,7 +105,7 @@ def test_edge_symbol_identity():
 def test_edge_symbol_mellin_multiplier_diagonal():
     g = Cone(base=Point(), T=6.0, n_t=32)
     m = EdgeSymbol(ConeSymbolFamily("p"), g).at(x=0.0, xi=0.0, v=0.0).matrix
-    E, F = mode_basis_matrices(g)
+    E, F = phase_pair(g.t, g.p)
     assert np.max(np.abs(F @ m @ E - np.diag(g.p))) < 1e-12
 
 
@@ -234,7 +226,7 @@ def test_conormal_continuity_and_limits():
 def test_conormal_circle_base_nodal_values():
     base = Circle(8)
     c = conormal(ConeSymbolFamily("(p - (0,1)*(1 + t^2))/(p + (0,1)*(1 + t^2))", base=base))
-    iFw, Fw = circle_mode_matrices(base)
+    iFw, Fw = phase_pair(base.x, base.modes.astype(float))
     mu = base.modes.astype(float)
     p0 = 1.3
     oracle = iFw @ np.diag((p0 - 1j * (1 + mu**2)) / (p0 + 1j * (1 + mu**2))) @ Fw

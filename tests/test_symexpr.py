@@ -1,8 +1,14 @@
+"""The symbol DSL: parsing and its errors, printing that parses back
+(on fixed, generated and token-string inputs), evaluation, derivatives
+and substitution, and `evaluate`'s in-place buffer reuse bit for bit
+against the out-of-place reference in oracles.py."""
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import out_of_place_evaluate
 from psdo.symexpr import (
     FUNCTIONS,
     VARIABLES,
@@ -12,7 +18,6 @@ from psdo.symexpr import (
     DiffError,
     EvalError,
     Mat,
-    Neg,
     ParseError,
     Pow,
     Var,
@@ -371,72 +376,6 @@ class TestSubstitute:
 # --- buffer reuse in evaluate ------------------------------------------------
 
 
-def _ref_chi(s):
-    return s / np.sqrt(1.0 + s * s)
-
-
-_REF_FNS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "conj": np.conj,
-    "re": lambda z: np.real(z).astype(complex),
-    "im": lambda z: np.imag(z).astype(complex),
-    "abs": lambda z: np.abs(z).astype(complex),
-    "chi": _ref_chi,
-}
-
-
-def _ref_ev(e, b):
-    """The out-of-place evaluator evaluate replaced: every step allocates
-    its result."""
-    if isinstance(e, Const):
-        return np.asarray(e.value, dtype=complex)
-    if isinstance(e, Var):
-        return b[e.name]
-    if isinstance(e, Neg):
-        return -_ref_ev(e.arg, b)
-    if isinstance(e, Pow):
-        base = _ref_ev(e.base, b)
-        if shape_of(e.base) == 1:
-            return base**e.n
-        m = np.linalg.inv(base) if e.n < 0 else base
-        out = m
-        for _ in range(abs(e.n) - 1):
-            out = out @ m
-        return out
-    if isinstance(e, Call):
-        return _REF_FNS[e.fn](_ref_ev(e.arg, b))
-    if isinstance(e, BinOp):
-        va, vb = _ref_ev(e.a, b), _ref_ev(e.b, b)
-        qa, qb = shape_of(e.a), shape_of(e.b)
-        if e.op == "+":
-            return va + vb
-        if e.op == "-":
-            return va - vb
-        if e.op == "*":
-            if qa > 1 and qb > 1:
-                return va @ vb
-            if qa > 1:
-                return va * vb[..., None, None] if np.ndim(vb) else va * vb
-            if qb > 1:
-                return vb * va[..., None, None] if np.ndim(va) else vb * va
-            return va * vb
-        if qa > 1:
-            return va / (vb[..., None, None] if np.ndim(vb) else vb)
-        return va / vb
-    q = len(e.rows)
-    vals = [[_ref_ev(entry, b) for entry in row] for row in e.rows]
-    shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
-    out = np.empty(shape + (q, q), dtype=complex)
-    for i in range(q):
-        for j in range(q):
-            out[..., i, j] = np.broadcast_to(vals[i][j], shape)
-    return out
-
-
 # Every binding shape broadcasts with every other; complex arrays are
 # handed to the evaluator as they are, so a stray write would show.
 # Values come from a seeded generator: full mantissas, so a change of
@@ -482,7 +421,7 @@ def test_evaluate_bits_equal_out_of_place_evaluation(e, bindings):
     before = {k: v.copy() for k, v in bindings.items()}
     with np.errstate(all="ignore"):
         try:
-            want = np.asarray(_ref_ev(e, bindings), dtype=complex)
+            want = np.asarray(out_of_place_evaluate(e, bindings), dtype=complex)
         except (np.linalg.LinAlgError, ZeroDivisionError, OverflowError) as err:
             with pytest.raises(type(err)):
                 evaluate(e, bindings, as_matrix=False, check=False)

@@ -1,13 +1,12 @@
-"""Verification battery: catalog, determinism, filtering, payload shape."""
+"""Verification battery: its suite catalog, the single-suite filter,
+payload determinism and shape, seeds that move draws but not verdicts,
+and the `infinitesimal` suite's details against the dense reference
+(`oracles.dense_infinitesimal_detail`)."""
 
-import numpy as np
 import pytest
 
-from psdo.calculus import _cutoff_ladder
-from psdo.geometry import Cone, axis_layout, translation_matrix
-from psdo.quantize import quantize
+from oracles import dense_infinitesimal_detail
 from psdo.stock import infinitesimal_stock
-from psdo.symexpr import Const, substitute
 from psdo.verify import SUITES, VerifyError, run_suites, suite_names
 
 EXPECTED_SUITES = (
@@ -78,30 +77,10 @@ def test_seed_changes_draws_not_verdicts():
     assert a.payload() != b.payload()
 
 
-def _dense_infinitesimal_detail(g, expr, z):
-    """The infinitesimal suite's detail string from the dense oracle:
-    fresh operators, kron-built shift commutators and full-matrix
-    np.linalg.norm(., 2) everywhere."""
-    A = quantize(g, expr)
-    F = quantize(g, substitute(expr, {"x": Const(float(z))}), freeze_r=True).matrix
-    _, diags = _cutoff_ladder(g, z, None)
-    final = np.linalg.norm((A.matrix - F) * diags[-1][None, :], 2)
-    tdef = 0.0
-    if not isinstance(g, Cone):
-        n_x = axis_layout(g, "x").n
-        for steps in (1, 3):
-            T = np.kron(translation_matrix(n_x, steps), np.eye(F.shape[0] // n_x))
-            tdef = max(tdef, float(np.linalg.norm(T @ F - F @ T, 2)))
-    return (
-        f"final {final:.3e}, translation defect {tdef:.3e}, "
-        f"norm {np.linalg.norm(F, 2):.4f} <= {np.linalg.norm(A.matrix, 2):.4f}"
-    )
-
-
 def test_infinitesimal_details_match_dense_oracle(battery):
     # Guards the canonical bytes of the suite's structured norm paths,
     # read from the shared seed-0 battery (conftest.py).
     rep = next(s for s in battery.suites if s.suite == "infinitesimal")
     got = [c.detail for c in rep.checks]
-    want = [_dense_infinitesimal_detail(g, expr, z) for g, expr, z in infinitesimal_stock()]
+    want = [dense_infinitesimal_detail(g, expr, z) for g, expr, z in infinitesimal_stock()]
     assert got == want
