@@ -32,6 +32,7 @@ import numpy as np
 
 from psdo.geometry import Circle, Cone, Edge, Geometry, Point, axis_layout, collar_cutoff
 from psdo.quantize import (
+    AxisKind,
     DiscretizedOperator,
     _restrict_t_axis,
     kn_assemble,
@@ -474,7 +475,7 @@ def _op_interior_on_edge(g: Edge, expr: Node, v: float) -> np.ndarray:
     k = circ.modes.astype(float)
     bindings = {"xi": k, "r": cone.r[:, None, None], "v": v}
     M = kn_assemble(
-        lambda js: evaluate(expr, {**bindings, "x": circ.x[js, None]}), circ.x, k, (n_t, n, n, q, q), circle_x=True
+        lambda js: evaluate(expr, {**bindings, "x": circ.x[js, None]}), circ.x, k, (n_t, n, n, q, q), AxisKind.CIRCLE_X
     )  # (t, j, a, l, b)
     full = np.zeros((n, n_t, q, n, n_t, q), dtype=complex)
     idx = np.arange(n_t)

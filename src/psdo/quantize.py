@@ -19,22 +19,27 @@ This module is the only home of the Fourier phases that turn a symbol
 into a matrix: `synthesis` builds every phase matrix E, `kn_assemble`
 every Kohn-Nirenberg product E S F, `kn_circulant` its x-free form, and
 `base_to_nodal` every conjugation of circle-base modes to nodal values.
-The product has two forms. On circle x axes with an x-dependent symbol
-grid (`op_circle` on x-dependent symbols, x-dependent `op_edge`,
-`psdo.fredholm._op_interior_on_edge`) there is no phase table: since
-x_j = 2 pi j / n and the modes are the integers in FFT order, E F is
-a function of l - j mod n, so row j of the product is the FFT of row j
-of the grid, shifted cyclically by j places. Its phases are the FFT's
-own, exact to rounding, where E's products fl(x_j) k carry an error
-that grows with n (1.1e-13 relative at n = 1024, against 4.4e-16 for
-the FFT), and `synthesis` is not called. x-free circle grids keep E and
-the matrix `_dft_matrix` (in `kn_assemble` and `kn_circulant`), and t
-and base axes keep E and E^H/n. The canonical verify report prints
-those grids' assembly rounding residues (the circle translation defect,
-the cone twisted-homogeneity violation), so moving them to the FFT
-waits until those residues leave the report (ROADMAP item 1); cone t
-grids are DFT-dual too (t_j p_k = -pi m + 2 pi j m / n), so the same
-shift applies there.
+The product has two forms, chosen by the axis kind its caller sets from
+the geometry (`AxisKind`). Every axis is DFT-dual: circle x axes have
+x_j = 2 pi j / n and integer modes in FFT order, and cone t axes
+t_j p_k = -pi m + 2 pi j m / n, whose signs (-1)^m cancel in E F. So E F
+is a function of l - j mod n, and the skew FFT needs no phase table:
+row j of the product is the FFT of row j of the grid, shifted
+cyclically by j places. Its phases are the FFT's own, exact to
+rounding, where E's rounded products fl(x_j) k or fl(t_j) p_k carry an
+error that grows with n (1.1e-13 relative at n = 1024, against 4.4e-16
+for the FFT), and `synthesis` is not called. The skew takes every
+interval cone's t axis (`op_mellin`, the fibers of `op_edge`, row-free
+grids too: `psdo index` sections and the verify report's `sections` and
+`cone-index` rows print only counts, gaps and rounded minima) and every
+circle x axis with an x-dependent grid (`op_circle`, x-dependent
+`op_edge`, `psdo.fredholm._op_interior_on_edge`). x-free circle grids
+keep E and the matrix `_dft_matrix` (in `kn_assemble` and
+`kn_circulant`), and periodic t axes and base axes keep E and E^H/n:
+the canonical verify report prints those grids' assembly rounding
+residues (the circle translation defect, the cone twisted-homogeneity
+violation), so they move to the skew once those residues leave the
+report (ROADMAP item 1a).
 
 Memory contract: no dense assembly holds a whole symbol grid of its
 own. `kn_assemble` works in one buffer P and streams the grid into it,
@@ -45,15 +50,15 @@ blocks for a sum of x-by-xi terms (see `psdo.symexpr.evaluate`). Rows
 wider than half a block occur only in the x-dependent `op_edge`, whose
 blocks are fiber batches: one `_mellin_fibers` call per block of x
 rows, so besides P one block's fibers and that call's own assembly are
-live. An x-dependent circle grid is written into P in the output's own
-order (..., j, a, l, b), so P is the result and a caller's reshape to a
+live. A skew grid is written into P in the output's own order
+(..., j, a, l, b), so P is the result and a caller's reshape to a
 matrix makes no copy: one FFT along l transforms P in place after the
-last block, and
-`_skew` shifts each (j, a) row of l b entries by j b places through
-one buffer of at most one block (or one j row, if that is wider). t
-and base axes also hold the analysis matrix F, taken from the phases
-before the first block, and x-free circle grids hold F (`_dft_matrix`,
-built after the product) and one row block of the matmul.
+last block, and `_skew` shifts each (j, a) row of l b entries by j b
+places through one buffer of at most one block (or one j row, if that
+is wider). Periodic t axes also hold the analysis matrix F, taken from
+the phases before the first block is multiplied in, and x-free circle
+grids hold F (`_dft_matrix`, built after the product) and one row
+block of the matmul.
 Both kernels refuse a product with a non-finite entry before returning
 it or handing a block on (`_require_finite`, one slice's sum at a
 time): a finite symbol grid can still overflow in the sum over modes.
@@ -66,11 +71,13 @@ under tracemalloc at a 1024^2 output: `op_circle(Circle(1024))` peaks
 at 1.15x the output on an x-dependent symbol (P and one block; 1.27x
 for a sum of two x-by-xi terms, 1.16x at q = 2 on Circle(512)) and at
 2.25x on an x-free one (P, F, one slab and its transform), `op_mellin`
-on an unbatched point cone with n_t = 1024 at 2.15x (P, F and one
-block), the x-dependent `op_edge` on 16 x 64 at 1.278x (P, the fibers
-of two x rows and their t-axis block; the shift buffer comes after
-the fibers are freed), the x-free one at 1.19x (output, mode blocks,
-one block), `psdo.fredholm._op_interior_on_edge` on 16 x 64 at 1.017x
+on an unbatched point cone with n_t = 1024 at 2.15x periodic (P, F and
+one block) and at 2.02x interval (P and one block, then the interior
+restriction's copy of 1023^2 entries while P is live), the x-dependent
+`op_edge` on 16 x 64 at 1.278x (P, the fibers of two x rows and their
+t-axis block; the shift buffer comes after the fibers are freed), the
+x-free one at 1.19x (output, mode blocks, one block),
+`psdo.fredholm._op_interior_on_edge` on 16 x 64 at 1.017x
 (its output and P, 1/64 of it), and `_dft_matrix(1024)` at 1.25x. An
 allocation estimate per dense matrix (ROADMAP item 7) can rely on
 these multiples. Blocking and streaming keep the bits: every entry
@@ -106,6 +113,7 @@ einsum contractions the tests keep as oracles.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -379,20 +387,31 @@ def _require_finite(A: np.ndarray) -> None:
                 raise QuantizeError("assembly produced a non-finite value: the Kohn-Nirenberg product overflowed")
 
 
+class AxisKind(enum.Enum):
+    """How `kn_assemble` analyses the axis of its nodes, set by each
+    quantizer from its geometry. Every kind is DFT-dual (module
+    docstring); the kinds differ only in which grids keep a phase
+    table."""
+
+    PERIODIC_T = enum.auto()  # periodic cone t axis: E and F = E^H/n
+    CIRCLE_X = enum.auto()  # the skew FFT if row-dependent, else E and _dft_matrix
+    INTERVAL_T = enum.auto()  # interval cone t axis: the skew FFT, row-free grids too
+
+
 def kn_assemble(
     symbol: Callable[[slice], np.ndarray],
     nodes: np.ndarray,
     covar: np.ndarray,
     shape: tuple[int, ...],
-    circle_x: bool = False,
+    axis: AxisKind,
 ) -> np.ndarray:
     """Kohn-Nirenberg product sum_k E[j, k] S[..., j, k, a, b] F[k, l],
     shaped (..., j, a, l, b), with the symbol grid S of `shape` and
     E = synthesis(nodes, covar). `symbol(rows)` evaluates S on the j
     rows of a slice only, to anything that broadcasts to S[..., rows,
-    :, :, :]. On circle x axes (circle_x) the nodes are x_j = 2 pi j / n
-    and the modes are the integers m in FFT order, F[k, l] =
-    exp(-i m_k x_l)/n; on t and base axes F is E^H/n.
+    :, :, :]. F is E^H/n; on a circle x axis, whose nodes are
+    x_j = 2 pi j / n and whose modes are the integers m in FFT order,
+    F[k, l] = exp(-i m_k x_l)/n.
 
     Everything happens in one buffer P, into which S is streamed: one
     block of j rows at a time (`_row_blocks`) is evaluated and written
@@ -401,24 +420,32 @@ def kn_assemble(
     every row. `symbol` is dropped after the last block, so what only it
     holds is freed before the analysis step.
 
-    On a circle x axis with an x-dependent grid there is no phase
-    table: E[j, k] F[k, l] = exp(-2 pi i m_k (l - j) / n) / n, so row j
-    of the product is fft(S[j, :])/n shifted cyclically by j places.
-    P is laid out (..., j, a, k, b), the output's own order, and is
-    returned itself: the blocks are copied into it unmultiplied, one
-    in-place FFT along k analyses it, and `_skew` shifts its rows. The
-    phases are exact: the FFT's twiddles replace the rounded products
-    x_j m_k of E, whose error grows with n (about 1e-13 relative at
-    n = 1024, against 4e-16 here).
+    The skew FFT (interval t axes, and circle x axes with an x-dependent
+    grid) uses no phase table: E[j, k] F[k, l] = exp(-2 pi i m_k (l - j)
+    / n) / n, so row j of the product is fft(S[j, :])/n shifted
+    cyclically by j places (on a cone t axis t_j p_k = -pi m_k +
+    2 pi j m_k / n, and the signs (-1)^m_k cancel in E F). P is laid
+    out (..., j, a, k, b), the output's own order, and is returned
+    itself: the blocks are copied into it unmultiplied, one in-place FFT
+    along k analyses it, and `_skew` shifts its rows. The phases are
+    exact: the FFT's twiddles replace the rounded products of E, whose
+    error grows with n (about 1e-13 relative at n = 1024, against 4e-16
+    here). On an interval cone P covers the whole periodic window, and
+    `op_mellin`'s restriction to the interior nodes copies it: 2.02x the
+    output at n_t = 1024, where the phase table's P and F took 2.15x.
 
-    Other grids keep the phase table in a P laid out (..., a, b, j, k),
-    returned as a view in output order: E is written into P's first
-    (j, k) slab and copied to the others (on t and base axes F is taken
-    from the slab first), each block is multiplied into its rows, S
-    first, and the rows take a matmul against F in row blocks written
+    The phase table (periodic t axes, and x-free circle grids) sits in a
+    P laid out (..., a, b, j, k), returned as a view in output order: E
+    is written into P's first (j, k) slab and copied to the others (F is
+    taken from the slab first), each block is multiplied into its rows,
+    S first, and the rows take a matmul against F in row blocks written
     back into P; on x-free circle grids F is `_dft_matrix`, built once
     the last block is freed. Each entry sees the arithmetic of the
     one-shot product over the whole grid, so the bits are the same.
+    These grids keep their phase tables because the canonical verify
+    report prints their assembly rounding residues (the twisted
+    homogeneity violation, the circle translation defect); they take
+    the skew once ROADMAP item 1a moves those residues out of it.
     """
     lead, n, tail = shape[:-4], shape[-4], shape[-3:]
     blocks = _row_blocks(n, _BLOCK * n // max(1, math.prod(shape)))
@@ -426,10 +453,13 @@ def kn_assemble(
     def grid(rows: slice) -> np.ndarray:
         return np.broadcast_to(symbol(rows), lead + (rows.stop - rows.start,) + tail)
 
-    # a circle grid's first block tells whether it depends on x, so it
-    # comes before the phases; t and base axes keep the phases first
-    S = grid(blocks[0]) if circle_x else None
-    if S is not None and S.strides[-4] != 0:
+    # a periodic t axis writes its phases first; the other kinds read
+    # the first block first, which tells whether the grid depends on j
+    S = None if axis is AxisKind.PERIODIC_T else grid(blocks[0])
+    row_free = S is not None and S.strides[-4] == 0
+    if axis is AxisKind.INTERVAL_T or (axis is AxisKind.CIRCLE_X and not row_free):
+        if row_free:  # the first block serves every row
+            blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
         P = np.empty(lead + (n, shape[-2], shape[-3], shape[-1]), dtype=complex)  # (..., j, a, k, b)
         for js in blocks:
             P[..., js, :, :, :] = np.swapaxes(grid(js) if S is None else S, -3, -2)
@@ -443,7 +473,7 @@ def kn_assemble(
     P = np.empty(lead + shape[-2:] + shape[-4:-2], dtype=complex)  # (..., a, b, j, k)
     slabs = P.reshape((-1,) + P.shape[-2:])
     E = synthesis(nodes, covar, out=slabs[0])
-    if not circle_x:
+    if axis is AxisKind.PERIODIC_T:
         F = analysis_matrix(E)
     slabs[1:] = E
     if S is None:
@@ -458,7 +488,7 @@ def kn_assemble(
         S = None
     symbol = None
     rows = P.reshape(-1, shape[-3])
-    if circle_x:
+    if axis is AxisKind.CIRCLE_X:
         # x-free grids keep the DFT matrix: the FFT rounds differently,
         # and the verify report prints these grids' assembly residues
         # (the circle translation defect). They join the FFT when
@@ -532,7 +562,9 @@ def op_circle(g: Circle, expr: Node, v: Optional[float] = None) -> DiscretizedOp
     used = variables_of(expr)
     if "v" in used and v is None:
         raise QuantizeError("symbol depends on v but no parameter value was given")
-    A = kn_assemble(lambda js: evaluate(expr, {**bindings, "x": g.x[js, None]}), g.x, k, (n, n, q, q), circle_x=True)
+    A = kn_assemble(
+        lambda js: evaluate(expr, {**bindings, "x": g.x[js, None]}), g.x, k, (n, n, q, q), AxisKind.CIRCLE_X
+    )
     return DiscretizedOperator(g, v, A.reshape(n * q, n * q))
 
 
@@ -577,7 +609,9 @@ def _mellin_fibers(
     The whole batch takes one `kn_assemble` along t, which evaluates the
     (*B[, mu], t, p) grid in blocks of t rows; a circle base is then
     conjugated back to nodal representation by its DFT, batched the same
-    way. Assembly is periodic whatever the cone's boundary mode.
+    way. Assembly covers the periodic window whatever the cone's
+    boundary mode; an interval cone's t axis takes the skew FFT
+    (`AxisKind.INTERVAL_T`), a periodic one the phase table.
     """
     v, xi, x_value = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (v, xi, x_value)))
     batch = xi.shape
@@ -595,7 +629,8 @@ def _mellin_fibers(
     def symbol(js: slice) -> np.ndarray:
         return evaluate(expr, _cone_bindings(r[js], cone.p, v, xi, x_value, freeze_r, mu=mu))
 
-    A = kn_assemble(symbol, cone.t, cone.p, batch + grid + (q, q))
+    axis = AxisKind.INTERVAL_T if cone.boundary == "interval" else AxisKind.PERIODIC_T
+    A = kn_assemble(symbol, cone.t, cone.p, batch + grid + (q, q), axis)
     if mu is not None:
         # t-axis blocks per base mode, then the base DFT across modes
         m = n_t * q
@@ -684,7 +719,7 @@ def op_edge(g: Edge, expr: Node, v: float = 0.0, freeze_r: bool = False) -> Disc
             circ.x,
             xi,
             (n, n, d, d),
-            circle_x=True,
+            AxisKind.CIRCLE_X,
         )
         mode_blocks = None
     else:

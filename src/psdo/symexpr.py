@@ -552,8 +552,8 @@ def evaluate(e: Node, bindings: dict[str, object], as_matrix: bool = True, check
 
     Returns a complex array. With as_matrix=True (default) the result has
     trailing axes (q, q), scalars promoted to (..., 1, 1). With check=True
-    a non-finite result (division by zero, log branch point) raises
-    EvalError rather than propagating inf/nan.
+    a non-finite result (overflow, division by zero, log branch point)
+    raises EvalError rather than propagating inf/nan.
 
     Memory: an intermediate the evaluator made is overwritten by the step
     that consumes it whenever it already has that step's shape, and the
@@ -570,7 +570,7 @@ def evaluate(e: Node, bindings: dict[str, object], as_matrix: bool = True, check
     if as_matrix and q > 1 and out.ndim < 2:
         out = np.broadcast_to(out, (q, q)).copy()
     if check and not np.all(np.isfinite(out)):
-        raise EvalError("evaluation produced a non-finite value (division by zero or log branch violation)")
+        raise EvalError("evaluation produced a non-finite value (overflow, division by zero or log branch violation)")
     return out
 
 

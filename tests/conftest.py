@@ -3,7 +3,9 @@
 Property tests run under one hypothesis profile: derandomized, so every
 run draws the same examples, with a bounded example count and no
 example database, so the suite stays reproducible and its run time
-bounded.
+bounded. The draws are seeded from the property's source, so an edit
+of its body swaps its whole example set: a case that must hold (one
+that once exposed a defect) gets an explicit `@example`.
 
 `battery` is the full seed-0 verify battery, run once per session and
 read by the acceptance criteria and the dense-oracle check of the

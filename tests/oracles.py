@@ -6,8 +6,9 @@ Each reference is the slow, obvious form of its fast path: whole phase
 tables, one einsum over a whole grid, loops over fibers or points,
 kron-built translations, full SVDs and norms. Where the fast path keeps
 the reference's arithmetic the tests compare bit for bit; only the FFT
-assembly of x-dependent circle x axes is compared within
-`assert_matches_oracle`'s bound. An einsum with optimize=True picks its
+assembly (x-dependent circle x axes and interval cone t axes) is
+compared, against exact phases, within `assert_matches_oracle`'s bound.
+An einsum with optimize=True picks its
 contraction order from the operand shapes, so each reference keeps the
 contraction its comparison was made exact with.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from psdo.calculus import _cutoff_ladder
 from psdo.fredholm import _collar_fraction
 from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, axis_layout, translation_matrix
-from psdo.quantize import _BLOCK, _dft_matrix, _interior_nodes, analysis_matrix, quantize, synthesis
+from psdo.quantize import _BLOCK, AxisKind, _dft_matrix, _interior_nodes, analysis_matrix, quantize, synthesis
 from psdo.symexpr import BinOp, Call, Const, Neg, Pow, Var, evaluate, parse, shape_of, substitute, variables_of
 
 # ---------------------------------------------------------------------------
@@ -69,18 +70,33 @@ def circle_phases(circ: Circle, expr) -> np.ndarray:
     return np.exp(2j * np.pi * ((np.arange(n)[:, None] * circ.modes[None, :]) % n) / n)
 
 
+def cone_phases(cone: Cone) -> np.ndarray:
+    """E[j, k] = exp(i t_j p_k) of a cone t axis: on an interval cone
+    exact, exp(2 pi i ((j m_k) mod n) / n) (-1)^m_k from integers, since
+    t_j p_k = -pi m_k + 2 pi j m_k / n and the FFT assembly has them so;
+    on a periodic one from the rounded products fl(t_j) p_k, as its
+    phase-table product has them."""
+    if cone.boundary == "periodic":
+        return phase_pair(cone.t, cone.p)[0]
+    n = cone.n_t
+    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    return np.exp(2j * np.pi * ((np.arange(n)[:, None] * m[None, :]) % n) / n) * (-1.0) ** m
+
+
 def circle_analysis(n: int) -> np.ndarray:
     """F[k, l] = exp(-i m_k x_l) / n of a circle x axis, the FFT of the
     whole identity: `_dft_matrix`'s bits, built without its slabs."""
     return np.fft.fft(np.eye(n), axis=0) / n
 
 
-def assert_matches_oracle(A: np.ndarray, want: np.ndarray, expr) -> None:
-    """Quantizer output against its reference: bit for bit for an x-free
-    symbol (the DFT-matrix product); within max|A - want| <= 2e-15
-    max|want| for an x-dependent one, whose circle x axis goes through
-    the FFT and the row shift (worst measured 1.2e-15)."""
-    if "x" not in variables_of(expr):
+def assert_matches_oracle(A: np.ndarray, want: np.ndarray, expr, cone=None) -> None:
+    """Quantizer output against its reference, `cone` being the cone along
+    whose t axis the product was assembled, if any: bit for bit for an
+    x-free symbol on no cone or a periodic one (phase tables and the
+    DFT-matrix product); within max|A - want| <= 2e-15 max|want| where a
+    circle x axis (x-dependent symbol) or an interval cone's t axis goes
+    through the FFT and the row shift (worst measured 1.2e-15)."""
+    if "x" not in variables_of(expr) and (cone is None or cone.boundary == "periodic"):
         assert np.array_equal(A, want)
     else:
         assert np.max(np.abs(A - want)) <= 2e-15 * np.max(np.abs(want))
@@ -125,7 +141,8 @@ def mellin_reference(cone: Cone, expr, v=0.0, xi=0.0, x_value=0.0, freeze_r=Fals
     """One periodic Mellin fiber, assembled alone: the product along t,
     then on a circle base the mode blocks conjugated to nodal values.
     Reference for `op_mellin` and the batched `_mellin_fibers`, which
-    assemble every fiber of a batch in one streamed product."""
+    assemble every fiber of a batch in one streamed product. The t
+    phases are `cone_phases`: exact on an interval cone."""
     n_t, q = cone.n_t, cone.q
     circle_base = isinstance(cone.base, Circle)
     shape = (n_t, 1, 1) if circle_base else (n_t, 1)
@@ -139,7 +156,8 @@ def mellin_reference(cone: Cone, expr, v=0.0, xi=0.0, x_value=0.0, freeze_r=Fals
         "x": x_value,
         "t": cone.base.modes.astype(float).reshape(1, 1, -1) if circle_base else 0.0,
     }
-    E, F = phase_pair(cone.t, cone.p)
+    E = cone_phases(cone)
+    F = E.conj().T / n_t
     S = evaluate(expr, bindings)
     if not circle_base:
         return kn_product(E, S, F).reshape(n_t * q, n_t * q)
@@ -196,15 +214,16 @@ def interior_on_edge_reference(g: Edge, expr, v: float) -> np.ndarray:
     return full.reshape(g.dim_total, g.dim_total)
 
 
-def one_shot_kn_assemble(symbol, nodes, covar, shape, circle_x=False):
+def one_shot_kn_assemble(symbol, nodes, covar, shape, axis):
     """`kn_assemble` without streaming: the whole grid evaluated at once,
-    then (x-dependent circle grids) one FFT and one gather of the whole
-    buffer, or (other grids) multiplied into the whole phase buffer and
-    analysed by the row-blocked matmul. The bit reference for streaming:
-    each entry sees the kernel's arithmetic, where `kn_product`'s einsum
-    contracts in its own order."""
+    then (interval t axes and x-dependent circle grids) one FFT and one
+    gather of the whole buffer, or (other grids) multiplied into the
+    whole phase buffer and analysed by the row-blocked matmul. The bit
+    reference for streaming: each entry sees the kernel's arithmetic,
+    where `kn_product`'s einsum contracts in its own order."""
     S = np.broadcast_to(symbol(slice(0, shape[-4])), shape)
-    fft = circle_x and S.strides[-4] != 0
+    circle_x = axis is AxisKind.CIRCLE_X
+    fft = axis is AxisKind.INTERVAL_T or (circle_x and S.strides[-4] != 0)
     pshape = shape[:-4] + shape[-2:] + shape[-4:-2]
     P = np.empty(pshape, dtype=complex)
     if fft:

@@ -333,6 +333,19 @@ def test_quantize_overflow_exit_64_before_writing(tmp_path, capsys, geometry, sy
     assert not (tmp_path / "q" / "operator.psdo").exists()
 
 
+def test_quantize_overflowing_symbol_names_overflow(tmp_path, capsys):
+    # no division and no log: a finite factor times a finite grid overflows
+    cfg = {"geometry": {"kind": "circle", "n_x": 8}, "symbol": "1.7e308*(2+chi(xi))"}
+    code = run(tmp_path, "quantize", cfg, "--out", str(tmp_path / "q"))
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == (
+        "config error: evaluation produced a non-finite value (overflow, division by zero or log branch violation)\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "q" / "operator.psdo").exists()
+
+
 def test_quantize_empty_out_writes_nothing(tmp_path, capsys, monkeypatch):
     # "" names no directory; quantize would write into the working one
     monkeypatch.chdir(tmp_path)
@@ -534,6 +547,45 @@ def test_index_is_the_winding_at_every_power_of_two_scale(tmp_path_factory, case
     if code == EXIT_OK:
         assert rows[-1][3] == winding
     assert _index_run(directory, tip, 2.0**j) == (code, rows)
+
+
+@st.composite
+def _diagonal_cayley_tips(draw):
+    """(k, l, g1, g2): g1 and g2 each a Cayley factor or its inverse,
+    centres and widths in the index workload's ranges, k of them Cayley
+    factors and l inverse ones."""
+    factors, k = [], 0
+    for _ in range(2):
+        c, s = draw(st.floats(*INDEX_WORKLOAD.TIP_C)), draw(st.floats(*INDEX_WORKLOAD.TIP_S))
+        inverse = draw(st.booleans())
+        cayley = INDEX_WORKLOAD._cayley(c, s)
+        factors.append(f"(1 / ({cayley}))" if inverse else f"({cayley})")
+        k += not inverse
+    return (k, 2 - k, *factors)
+
+
+@settings(max_examples=8)
+@example((1, 1, "((p - (0,1)) / (p + (0,1)))", "(1 / ((p - (0,1)) / (p + (0,1))))"))
+@given(_diagonal_cayley_tips())
+def test_index_adds_over_diagonal_tips(tmp_path_factory, case):
+    # q = 2 sections of diag(g1, g2), each entry interpolated as the index
+    # workload does: kernel and cokernel add over the diagonal, one
+    # kernel vector per Cayley factor and one cokernel vector per
+    # inverse, so the index is the sum of the windings
+    k, l, g1, g2 = case
+    cfg = {
+        "geometry": {"kind": "cone", "T": 6.0, "n_t": 64, "boundary": "interval", "q": 2},
+        "symbol": f"[[{INDEX_WORKLOAD._interpolated(g1)}, 0], [0, {INDEX_WORKLOAD._interpolated(g2)}]]",
+        "tip": f"[[{g1}, 0], [0, {g2}]]",
+        "sizes": [128, 256],
+        "tau_coef": 1e-3,
+    }
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["index", "--config", write_cfg(tmp_path_factory.mktemp("index"), "cfg.json", cfg)])
+    assert code in (EXIT_OK, EXIT_INDETERMINATE)
+    if code == EXIT_OK:
+        assert [row[1:] for row in json.loads(out.getvalue())["result"]["rows"]] == [[k, l, k - l]] * 2
 
 
 @pytest.mark.parametrize(

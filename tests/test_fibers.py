@@ -4,10 +4,12 @@ check_twisted_homogeneity hold the per-fiber references of oracles.py
 base conjugation per fiber, in a loop over the edge points).
 
 Batching keeps the arithmetic of every entry, so the comparisons are
-exact, except for x-dependent edge families, whose x axis kn_assemble
-assembles by an FFT and a cyclic shift of the rows: those stay within
-the bound of `assert_matches_oracle`. Non-finite fibers raise what the
-loop raises, and interval edges assemble their fibers periodically.
+exact, except where kn_assemble assembles by an FFT and a cyclic shift
+of the rows, along the x axis of x-dependent edge families and the t
+axis of interval cones: those stay within the bound of
+`assert_matches_oracle` of exact phases. Non-finite fibers raise what
+the loop raises, and interval edges assemble their fibers on the
+periodic window.
 """
 
 import numpy as np
@@ -64,12 +66,12 @@ def test_op_edge_equals_fiber_loop(name):
     expr = parse(src)
     A = op_edge(g, expr, v=0.7, freeze_r=freeze_r)
     want, want_blocks = edge_reference(g, expr, 0.7, freeze_r)
-    assert_matches_oracle(A.matrix, want, expr)
+    assert_matches_oracle(A.matrix, want, expr, g.cone)
     assert A.interior == (g.cone.boundary == "interval")
     if want_blocks is None:
         assert A._blocks is None
     else:
-        assert np.array_equal(A._blocks, want_blocks)
+        assert_matches_oracle(A._blocks, want_blocks, expr, g.cone)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
@@ -79,10 +81,10 @@ def test_stock_infinitesimal_edge_equals_fiber_loop(frozen):
         expr = substitute(expr, {"x": Const(float(z))})
     A = op_edge(g, expr, v=0.0, freeze_r=frozen)
     want, want_blocks = edge_reference(g, expr, 0.0, frozen)
-    assert_matches_oracle(A.matrix, want, expr)
+    assert_matches_oracle(A.matrix, want, expr, g.cone)
     assert (A._blocks is None) == (want_blocks is None)
     if want_blocks is not None:
-        assert np.array_equal(A._blocks, want_blocks)
+        assert_matches_oracle(A._blocks, want_blocks, expr, g.cone)
 
 
 MELLIN_CASES = {
@@ -108,7 +110,7 @@ def test_op_mellin_equals_single_fiber(name):
     if cone.boundary == "interval":
         keep = _interior_nodes(cone)
         want = want[np.ix_(keep, keep)]
-    assert np.array_equal(A.matrix, want)
+    assert_matches_oracle(A.matrix, want, expr, cone)
 
 
 @pytest.mark.parametrize("src", ["1 / eta", "(1 + 0.1*sin(x)) / eta"], ids=["xfree", "xdep"])
@@ -141,7 +143,7 @@ def test_op_edge_makes_no_op_mellin_call(monkeypatch):
 
 def test_interval_edge_skips_support_policy():
     # the family varies in r at the window ends: op_mellin refuses it on
-    # an interval cone, op_edge assembles its fibers periodically
+    # an interval cone, op_edge assembles its fibers on the periodic window
     cone = point_cone(16, boundary="interval")
     expr = parse("2 + sin(r)")
     with pytest.raises(QuantizeError, match="support policy"):
@@ -150,8 +152,8 @@ def test_interval_edge_skips_support_policy():
     A = op_edge(g, expr)
     want, want_blocks = edge_reference(g, expr, 0.0, False)
     assert A.interior
-    assert np.array_equal(A.matrix, want)
-    assert np.array_equal(A._blocks, want_blocks)
+    assert_matches_oracle(A.matrix, want, expr, cone)
+    assert_matches_oracle(A._blocks, want_blocks, expr, cone)
 
 
 def twisted_symbols() -> list[EdgeSymbol]:

@@ -5,9 +5,10 @@ the dense references of oracles.py (whole phase tables, one einsum).
 
 Routing through synthesis / kn_assemble / kn_circulant keeps the
 arithmetic of every entry, so the comparisons are exact, except on
-x-dependent circle x axes: there kn_assemble builds no phase table and
-assembles by an FFT and a cyclic shift of the rows, within the bound of
-`assert_matches_oracle` of the exact-phase reference.
+x-dependent circle x axes and interval cone t axes: there kn_assemble
+builds no phase table and assembles by an FFT and a cyclic shift of the
+rows, within the bound of `assert_matches_oracle` of the exact-phase
+reference. Which axes still build phase tables is pinned too.
 """
 
 import numpy as np
@@ -17,15 +18,19 @@ import psdo.quantize as quantize_module
 from oracles import (
     MATRIX,
     SCALAR,
+    X_DEP,
     X_DEP_Q2,
+    X_FREE,
     assert_matches_oracle,
     circle_analysis,
+    circle_base_cone,
     circle_reference,
     edge_reference,
     extract_reference,
     interior_on_edge_reference,
     kn_product,
     kron_flat_matrix,
+    mellin_reference,
     phase_pair,
     point_cone,
 )
@@ -34,10 +39,12 @@ from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, DilationAction, Edge, Point
 from psdo.quantize import (
     _dft_matrix,
+    _interior_nodes,
     base_to_nodal,
     kn_circulant,
     op_circle,
     op_edge,
+    op_mellin,
     quantize,
     synthesis,
 )
@@ -87,31 +94,65 @@ def test_op_interior_on_edge_equals_contraction(g, src):
     assert_matches_oracle(_op_interior_on_edge(g, expr, 2.0), interior_on_edge_reference(g, expr, 2.0), expr)
 
 
-def test_only_x_free_circle_axes_build_the_dft_matrix(monkeypatch):
-    # x-dependent circle x axes assemble by the FFT and a row shift, with
-    # no phase table and no _dft_matrix; x-free ones still build both
-    # (cone t axes keep their phase tables either way)
-    def refuse(n):
-        raise RuntimeError("_dft_matrix called")
+# (interval cone, family): point and circle base, q = 1 and 2, each with
+# a row-free family and one that depends on r
+POINT_I, POINT_I2 = point_cone(32, boundary="interval"), point_cone(32, q=2, boundary="interval")
+CIRCLE_I, CIRCLE_I2 = circle_base_cone(16, boundary="interval"), circle_base_cone(16, q=2, boundary="interval")
+INTERVAL_FAMILIES = [
+    (POINT_I, "1 + 0.3*chi(p)"),
+    (POINT_I, "1 + 0.3*chi(p) + 0.2/(1 + r)"),
+    (POINT_I2, "[[1 + chi(p), 0.2], [(0,0.3)*chi(p), 2]]"),
+    (POINT_I2, "[[1 + chi(p), 0.2/(1 + r)], [(0,0.3)*chi(p), 2 + 1/(1 + r)]]"),
+    (CIRCLE_I, "1 + 0.3*chi(p)*chi(t)"),
+    (CIRCLE_I, "1 + 0.3*chi(p)*chi(t) + 0.2/(1 + r)"),
+    (CIRCLE_I2, "[[1 + chi(p)*chi(t), 0.2], [0, 2]]"),
+    (CIRCLE_I2, "[[1 + chi(p)*chi(t), 0.2/(1 + r)], [0, 2 + 0.2*chi(t)/(1 + r)]]"),
+]
 
-    def refuse_circle_nodes(nodes, covar, out=None):
-        if np.array_equal(nodes, 2.0 * np.pi / len(nodes) * np.arange(len(nodes))):
-            raise RuntimeError("synthesis called on circle nodes")
+
+def test_phase_tables_only_on_periodic_t_and_x_free_circle_axes(monkeypatch):
+    # x-dependent circle x axes and every interval cone t axis assemble by
+    # the FFT and a row shift, with no phase table on their nodes and no
+    # _dft_matrix; x-free circle x axes still build both, and periodic
+    # cone t axes their phase table
+    tables, dft = [], []
+
+    def recording_synthesis(nodes, covar, out=None):
+        tables.append(np.array(nodes))
         return synthesis(nodes, covar, out=out)
 
-    monkeypatch.setattr(quantize_module, "_dft_matrix", refuse)
-    monkeypatch.setattr(quantize_module, "synthesis", refuse_circle_nodes)
+    def recording_dft(n):
+        dft.append(n)
+        return _dft_matrix(n)
+
+    def tabled(nodes):
+        return any(np.array_equal(t, nodes) for t in tables)
+
+    monkeypatch.setattr(quantize_module, "synthesis", recording_synthesis)
+    monkeypatch.setattr(quantize_module, "_dft_matrix", recording_dft)
     g, expr = Circle(100, q=2), parse(MATRIX)
     assert_matches_oracle(op_circle(g, expr).matrix, circle_reference(g, expr), expr)
     edge, expr = Edge(Circle(8, q=2), point_cone(16, q=2)), parse(X_DEP_Q2)
     assert_matches_oracle(op_edge(edge, expr, v=0.7).matrix, edge_reference(edge, expr, 0.7)[0], expr)
     edge, expr = Edge(Circle(16), Cone(Point(), T=6.0, n_t=32)), parse("1 + chi(xi)*cos(x) + r/(1 + r)")
     assert_matches_oracle(_op_interior_on_edge(edge, expr, 2.0), interior_on_edge_reference(edge, expr, 2.0), expr)
-    with pytest.raises(RuntimeError, match="synthesis called on circle nodes"):
-        op_circle(Circle(8), parse("1 + chi(xi)"))
-    monkeypatch.setattr(quantize_module, "synthesis", synthesis)
-    with pytest.raises(RuntimeError, match="_dft_matrix called"):
-        op_circle(Circle(8), parse("1 + chi(xi)"))
+    assert not any(tabled(c.x) for c in (Circle(100), Circle(8), Circle(16))) and dft == []
+    assert tabled(point_cone(16).t)  # the periodic fibers of the edge
+    tables.clear()
+    for cone, src in INTERVAL_FAMILIES:
+        expr, keep = parse(src), _interior_nodes(cone)
+        want = mellin_reference(cone, expr)[np.ix_(keep, keep)]
+        assert_matches_oracle(op_mellin(cone, expr).matrix, want, expr, cone)
+    for src in (X_DEP, X_FREE):
+        edge, expr = Edge(Circle(8), point_cone(16, boundary="interval")), parse(src)
+        assert_matches_oracle(op_edge(edge, expr, v=0.7).matrix, edge_reference(edge, expr, 0.7)[0], expr, edge.cone)
+    assert not any(tabled(cone.t) for cone in [c for c, _ in INTERVAL_FAMILIES] + [edge.cone])
+    for cone, _ in INTERVAL_FAMILIES:
+        periodic = Cone(cone.base, T=cone.T, n_t=cone.n_t, q=cone.q)
+        op_mellin(periodic, parse("1 + 0.3*chi(p)" if cone.q == 1 else "[[1 + chi(p), 0.2], [0, 2]]"))
+        assert tabled(periodic.t)
+    op_circle(Circle(8), parse("1 + chi(xi)"))
+    assert tabled(Circle(8).x) and dft == [8, 8]  # the x-free edge's x axis, then this one
 
 
 def test_x_dependent_op_circle_has_exact_phases():

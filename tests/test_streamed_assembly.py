@@ -20,6 +20,7 @@ from psdo.fredholm import _op_interior_on_edge
 from psdo.geometry import Circle, Cone, Edge, Point
 from psdo.quantize import (
     _BLOCK,
+    AxisKind,
     QuantizeError,
     _check_support_policy,
     _cone_bindings,
@@ -107,7 +108,7 @@ def test_blocks_partition_the_rows():
             return np.ones((js.stop - js.start,) + shape[1:])
 
         nodes, covar = 2 * np.pi * np.arange(n) / n, np.fft.fftfreq(n, 1.0 / n)
-        kn_assemble(symbol, nodes, covar, shape, circle_x=True)
+        kn_assemble(symbol, nodes, covar, shape, AxisKind.CIRCLE_X)
         assert [js.start for js in seen] == starts
         assert seen[-1].stop == n and all(a.stop == b.start for a, b in zip(seen, seen[1:]))
         assert all(js.stop - js.start >= min(2, n) for js in seen)
