@@ -453,13 +453,20 @@ def kn_assemble(
     def grid(rows: slice) -> np.ndarray:
         return np.broadcast_to(symbol(rows), lead + (rows.stop - rows.start,) + tail)
 
+    def first_block() -> tuple[list[slice], np.ndarray]:
+        # the blocks to stream and the first one's grid: a grid with
+        # stride 0 along j is row-free, and its first block serves every row
+        S = grid(blocks[0])
+        if S.strides[-4] == 0:
+            return [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
+        return blocks, S
+
     # a periodic t axis writes its phases first; the other kinds read
     # the first block first, which tells whether the grid depends on j
-    S = None if axis is AxisKind.PERIODIC_T else grid(blocks[0])
-    row_free = S is not None and S.strides[-4] == 0
-    if axis is AxisKind.INTERVAL_T or (axis is AxisKind.CIRCLE_X and not row_free):
-        if row_free:  # the first block serves every row
-            blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
+    S = None
+    if axis is not AxisKind.PERIODIC_T:
+        blocks, S = first_block()
+    if axis is AxisKind.INTERVAL_T or (axis is AxisKind.CIRCLE_X and S.strides[-4] != 0):
         P = np.empty(lead + (n, shape[-2], shape[-3], shape[-1]), dtype=complex)  # (..., j, a, k, b)
         for js in blocks:
             P[..., js, :, :, :] = np.swapaxes(grid(js) if S is None else S, -3, -2)
@@ -477,9 +484,7 @@ def kn_assemble(
         F = analysis_matrix(E)
     slabs[1:] = E
     if S is None:
-        S = grid(blocks[0])
-    if S.strides[-4] == 0:  # row-free: the first block serves every row
-        blocks, S = [slice(0, n)], np.broadcast_to(S[..., :1, :, :, :], shape)
+        blocks, S = first_block()
     for js in blocks:
         if S is None:
             S = grid(js)

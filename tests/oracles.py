@@ -89,14 +89,17 @@ def circle_analysis(n: int) -> np.ndarray:
     return np.fft.fft(np.eye(n), axis=0) / n
 
 
-def assert_matches_oracle(A: np.ndarray, want: np.ndarray, expr, cone=None) -> None:
+def assert_matches_oracle(A: np.ndarray, want: np.ndarray, expr, cone=None, x_axis=True) -> None:
     """Quantizer output against its reference, `cone` being the cone along
-    whose t axis the product was assembled, if any: bit for bit for an
-    x-free symbol on no cone or a periodic one (phase tables and the
-    DFT-matrix product); within max|A - want| <= 2e-15 max|want| where a
-    circle x axis (x-dependent symbol) or an interval cone's t axis goes
-    through the FFT and the row shift (worst measured 1.2e-15)."""
-    if "x" not in variables_of(expr) and (cone is None or cone.boundary == "periodic"):
+    whose t axis the product was assembled, if any, and `x_axis` whether
+    it has a circle x axis (a Mellin fiber binds x to one value): bit for
+    bit on phase tables and the DFT-matrix product, that is where no x
+    axis meets an x-dependent symbol and the cone, if any, is periodic;
+    within max|A - want| <= 2e-15 max|want| where a circle x axis
+    (x-dependent symbol) or an interval cone's t axis goes through the
+    FFT and the row shift (worst measured 1.2e-15)."""
+    fft_x = x_axis and "x" in variables_of(expr)
+    if not fft_x and (cone is None or cone.boundary == "periodic"):
         assert np.array_equal(A, want)
     else:
         assert np.max(np.abs(A - want)) <= 2e-15 * np.max(np.abs(want))
