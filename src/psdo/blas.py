@@ -24,9 +24,13 @@ to `inv` and the kernel's matmul from 256 on doubled the CPU time of
 thread, the battery's CPU time fell 14% and its wall time rose 5-6%,
 about 0.14 s per pass (`BENCH_one_thread.json`); the `assemble` ladder
 of library `quantize` calls keeps its wall time and spends less CPU
-(`BENCH_one_thread_quantize.json`). No result depends on the count:
-the verify digests, the canonical index and quantize bytes and the
-assembled matrices are the same on one thread and on two.
+(`BENCH_one_thread_quantize.json`). On the SkylakeX kernels that
+OpenBLAS 0.3.31 picks on that machine, the verify digests, the
+canonical index and quantize bytes and the assembled matrices are the
+same on one thread and on two. That was measured there and on those
+kernels only: with OPENBLAS_CORETYPE=Haswell the one-thread and the
+two-thread verify batteries print different residues, so on other
+kernels a printed residue may depend on the count.
 
 The 2-D spectral norms (`spectral_norm`, `side_norm`, the translation
 defect) take the Gram kernel `quantize.gram_norm` instead of the SVD

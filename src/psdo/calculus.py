@@ -9,7 +9,8 @@ statement. Extraction inverts quantization for translation-invariant
 operators by conjugating with the axis DFT; anything with off-diagonal
 mass raises NotTranslationInvariant rather than returning a pretend
 symbol. Freezing is a symbol-level substitution, with operator-level
-cutoff diagnostics confirming the localization estimate.
+diagnostics along one fixed dyadic cutoff ladder (x-scales from pi/2,
+collar radii from r = 1) confirming the localization estimate.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ __all__ = [
     "ConvergenceDiagnostics",
     "InfinitesimalOperator",
     "infinitesimal",
-    "ConsistencyReport",
-    "consistency_check",
 ]
 
 
@@ -301,11 +300,10 @@ def _feasible_scales(base: float, h: float) -> int:
     return int(np.floor(np.log2(base / (3.0 * h)))) + 1
 
 
-def _cutoff_ladder(
-    g: Geometry, z: float, base_scale: Optional[float]
-) -> tuple[tuple[float, ...], list[np.ndarray]]:
-    """Dyadic localization ladder: x-cutoffs around z on circle strata,
-    collar cutoffs toward the tip on cones, their product on edges.
+def _cutoff_ladder(g: Geometry, z: float) -> tuple[tuple[float, ...], list[np.ndarray]]:
+    """Dyadic localization ladder: x-cutoffs of base scale pi/2 around z
+    on circle strata, collar cutoffs from r = 1 toward the tip on cones,
+    their product on edges.
     Returns (lambda values, flat diagonal value vectors in the layout of
     g's operators). Ladders run as deep as the grid resolves, at most 16
     rungs on cones and edges; on edges the x-window holds at its
@@ -314,27 +312,24 @@ def _cutoff_ladder(
     lambdas: list[float] = []
     diags: list[np.ndarray] = []
     if isinstance(g, Circle):
-        base_x = base_scale if base_scale is not None else np.pi / 2.0
-        m = _feasible_scales(base_x, g.h_x)
+        m = _feasible_scales(np.pi / 2.0, g.h_x)
         if m < 2:
             raise CalculusError("grid too coarse for a localization ladder")
-        fam = cutoff_family(g, z, m, base_x)
+        fam = cutoff_family(g, z, m, np.pi / 2.0)
         for i in range(len(fam)):
             lambdas.append(2.0**i)
             diags.append(axis_layout(g, "x").spread(fam[i]))
     elif isinstance(g, Cone):
-        base_r = base_scale if base_scale is not None else 1.0
         r_floor = float(np.exp(-g.T + 3.0 * g.h_t))  # collar support must stay on the grid
         for i in range(16):
-            r1 = base_r / 2.0**i
+            r1 = 1.0 / 2.0**i
             if r1 < r_floor:
                 break
             lambdas.append(2.0**i)
             diags.append(axis_layout(g, "t").spread(collar_cutoff(g, r1)))
     elif isinstance(g, Edge):
-        base_x = base_scale if base_scale is not None else np.pi / 2.0
-        kx = _feasible_scales(base_x, g.circle.h_x)
-        fam = cutoff_family(g.circle, z, kx, base_x) if kx >= 1 else None
+        kx = _feasible_scales(np.pi / 2.0, g.circle.h_x)
+        fam = cutoff_family(g.circle, z, kx, np.pi / 2.0) if kx >= 1 else None
         cone = g.cone
         r_floor = float(np.exp(-cone.T + 3.0 * cone.h_t))
         x_lay, t_lay = axis_layout(g, "x"), axis_layout(g, "t")
@@ -358,7 +353,6 @@ def infinitesimal(
     expr: ExprLike,
     z: float = 0.0,
     v: float = 0.0,
-    base_scale: Optional[float] = None,
 ) -> InfinitesimalOperator:
     """Infinitesimal operator at a stratum point z.
 
@@ -387,7 +381,7 @@ def infinitesimal(
     else:
         source_norm = A.norm()
     Dm = subtract_quantized(A.matrix, g, frozen_expr, v=v, freeze_r=True)
-    lambdas, diags = _cutoff_ladder(g, z, base_scale)
+    lambdas, diags = _cutoff_ladder(g, z)
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)
     d_left = tuple(side_norm(Dm, w, "left") for w in diags)
     non_inc = all(d_right[i + 1] <= 1.1 * d_right[i] + 1e-14 for i in range(len(d_right) - 1))
@@ -397,32 +391,3 @@ def infinitesimal(
     )
     return InfinitesimalOperator(g, float(z), frozen_expr, float(v), diag, source_norm)
 
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    frozen_gap: float
-    final_a: float
-    final_b: float
-    within: bool
-    tol: float
-
-
-def consistency_check(
-    g: Geometry,
-    expr: ExprLike,
-    z: float = 0.0,
-    v: float = 0.0,
-    base_scales: tuple[Optional[float], Optional[float]] = (None, None),
-) -> ConsistencyReport:
-    """Uniqueness of the infinitesimal operator across cutoff ladders.
-
-    The frozen operator is cutoff-independent by construction (the gap
-    is reported and should be exactly 0); the two ladders' limiting
-    diagnostics must agree within twice the tolerance 1e-3 of
-    `infinitesimal`.
-    """
-    ia = infinitesimal(g, expr, z=z, v=v, base_scale=base_scales[0])
-    ib = infinitesimal(g, expr, z=z, v=v, base_scale=base_scales[1])
-    gap = float(np.max(np.abs(ia.operator.matrix - ib.operator.matrix)))
-    fa, fb = ia.diagnostics.final, ib.diagnostics.final
-    return ConsistencyReport(gap, fa, fb, bool(abs(fa - fb) <= 2e-3), 1e-3)

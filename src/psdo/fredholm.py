@@ -241,13 +241,12 @@ def interval_section(
     n_t: int,
     base: Union[Point, Circle] = Point(),
     q: int = 1,
-    freeze_r: bool = False,
 ) -> DiscretizedOperator:
     """One rung of a finite-section ladder held at step h_t: the family
     quantized on the interval cone with n_t nodes, T = h_t n_t / 2, so
     refining the section extends the window instead of crowding it."""
     cone = Cone(base, T=h_t * n_t / 2.0, n_t=n_t, boundary="interval", q=q)
-    return op_mellin(cone, expr, freeze_r=freeze_r)
+    return op_mellin(cone, expr)
 
 
 def _near_null_pairs(M: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -330,12 +330,7 @@ def describe_geometry(g: Geometry) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Translations and dilations
-
-
-def translation_matrix(n: int, steps: int) -> np.ndarray:
-    """Circular shift by `steps` grid nodes: (T u)_j = u_{j-steps}."""
-    return np.roll(np.eye(n), steps, axis=0)
+# Dilations
 
 
 @dataclass(frozen=True)
@@ -370,49 +365,10 @@ class DilationAction:
         c, d = self.cone, self.geometry.dim_total
         return d // c.dim_total, c.n_t, c.dim_total // c.n_t
 
-    def flat_matrix(self) -> np.ndarray:
-        """Matrix of kappa on flat-representation vectors (pure shift)."""
-        d = self.geometry.dim_total
-        return np.roll(np.eye(d).reshape(self._grid + (d,)), self.k, axis=1).reshape(d, d)
-
     def conjugate(self, M: np.ndarray) -> np.ndarray:
         """kappa M kappa^{-1} for a flat-representation matrix M, as a
         t-axis roll of its rows and columns."""
         return np.roll(M.reshape(self._grid * 2), (self.k, self.k), axis=(1, 4)).reshape(M.shape)
-
-    def check_relations(self, other_k: int = 3) -> dict[str, float]:
-        """Residuals of the dilation-group relations on this grid.
-
-        group_law and unitarity are exact permutation identities; the
-        Mellin generator commutes exactly (both are circulant in t). The
-        radial homogeneity relation kappa r kappa^{-1} = lambda^{-1} r
-        holds off the k wrapped seam nodes only, and is reported on that
-        domain.
-        """
-        ka = self.flat_matrix()
-        kb = DilationAction(self.geometry, other_k).flat_matrix()
-        kab = DilationAction(self.geometry, self.k + other_k).flat_matrix()
-        group = float(np.max(np.abs(ka @ kb - kab)))
-        unit = float(np.max(np.abs(ka @ ka.conj().T - np.eye(ka.shape[0]))))
-        c = self.cone
-        # Mellin generator as a t-circulant: gen[j, l] = ifft(p)[j - l]
-        js = np.arange(c.n_t)
-        gen = np.fft.ifft(c.p)[(js[:, None] - js[None, :]) % c.n_t]
-        shift = translation_matrix(c.n_t, self.k)
-        mellin = float(np.max(np.abs(shift @ gen - gen @ shift)))
-        # radial homogeneity off the wrapped nodes
-        r_op = np.diag(c.r)
-        conj_r = shift @ r_op @ shift.conj().T
-        off_seam = (js - self.k >= 0) & (js - self.k < c.n_t)
-        resid = np.abs(conj_r - self.lam * r_op)
-        radial = float(np.max(resid[np.ix_(off_seam, off_seam)])) if off_seam.any() else 0.0
-        rel = radial / (self.lam * float(np.max(c.r)))
-        return {
-            "group_law": group,
-            "unitarity": unit,
-            "mellin_commutation": mellin,
-            "radial_homogeneity_offseam": rel,
-        }
 
 
 # ---------------------------------------------------------------------------

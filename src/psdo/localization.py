@@ -1,8 +1,7 @@
 """Desk-scale verification of the abstract localization principle:
 local norms along shrinking cutoffs, continuity of center-indexed
-operator families, gluing through partitions of unity, the partition
-norm bound, and the cross-tabulation of local invertibility proxies
-against global finite-section verdicts.
+operator families, gluing through partitions of unity and the partition
+norm bound.
 
 Restricted norms follow the column convention: ||B||_Q is the norm of B
 applied to vectors supported in the node set Q. Continuity auto-fit
@@ -19,7 +18,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from psdo.fredholm import SECTION_STEP, FredholmReport, finite_section, interval_section
 from psdo.geometry import (
     CutoffFamily,
     Geometry,
@@ -28,8 +26,6 @@ from psdo.geometry import (
     plateau_profile,
 )
 from psdo.quantize import DiscretizedOperator, side_norm
-from psdo.symbols import SymbolTuple
-from psdo.symexpr import Const, substitute
 
 __all__ = [
     "LocalizationError",
@@ -43,8 +39,6 @@ __all__ = [
     "glue",
     "PartitionBoundReport",
     "partition_bound_check",
-    "FredholmVsLocalReport",
-    "fredholm_vs_local",
 ]
 
 
@@ -325,57 +319,3 @@ def partition_bound_check(
         lhs, cover_max, tuple(restricted), bound, slack, bool(slack >= -1e-12), 1e-12
     )
 
-
-# ---------------------------------------------------------------------------
-# Local proxies vs global sections
-
-
-@dataclass(frozen=True)
-class FredholmVsLocalReport:
-    centers: tuple
-    local_smin: tuple[float, ...]
-    floor: float
-    local_pass: bool
-    global_report: FredholmReport = field(repr=False)
-    global_ok: bool = False
-    agree: bool = False
-    note: str = ""
-
-
-def fredholm_vs_local(t: SymbolTuple, sizes: Sequence[int] = (128, 256)) -> FredholmVsLocalReport:
-    """Cross-tabulate per-center invertibility proxies against the
-    global finite-section verdict.
-
-    Each center freezes the cone family's coefficients: the tip keeps
-    r -> 0 with the wedge slots alive, the center t = 0 pins r = 1.
-    The proxy is the smallest singular value of the frozen operator on
-    the interval grid; the global side sections the full family on the
-    growing-window ladder at step SECTION_STEP with tau_coef 1e-4.
-    Agreement means: all proxies clear the floor 1e-3 exactly when the
-    sections are determinate with zero kernel and cokernel.
-    """
-    centers, floor = ("tip", 0.0), 1e-3
-    expr, base, q = t.sigma1.expr, t.sigma1.base, t.sigma1.q
-    smins = []
-    for c in centers:
-        if c == "tip":
-            frozen = interval_section(expr, SECTION_STEP, max(sizes), base, q, freeze_r=True)
-        else:
-            pinned = substitute(expr, {"r": Const(float(np.exp(-float(c))))})
-            frozen = interval_section(pinned, SECTION_STEP, max(sizes), base, q)
-        smins.append(float(frozen.singular_values()[-1]))
-    local_pass = all(s >= floor for s in smins)
-    rep = finite_section(
-        lambda n_t: interval_section(expr, SECTION_STEP, n_t, base, q),
-        sizes=tuple(sizes),
-        tau_coef=1e-4,
-    )
-    global_ok = bool(rep.determinate and rep.kernel == 0 and rep.cokernel == 0)
-    agree = local_pass == global_ok
-    note = "" if agree else (
-        "section_vs_symbol: per-center proxies and finite sections disagree; "
-        "reported, not reconciled"
-    )
-    return FredholmVsLocalReport(
-        tuple(centers), tuple(smins), floor, local_pass, rep, global_ok, agree, note
-    )

@@ -284,11 +284,18 @@ def _interior_nodes(g: Union[Cone, Edge]) -> np.ndarray:
 def _restrict_t_axis(A: np.ndarray, g: Union[Cone, Edge]) -> np.ndarray:
     """Matrices (..., d, d) assembled on g's full periodic grid, as
     operators on g: principal submatrices on the interior t nodes on an
-    interval cone, A itself otherwise."""
-    if (g if isinstance(g, Cone) else g.cone).boundary != "interval":
+    interval cone, A itself otherwise. The submatrices are copied by one
+    basic slice into a fresh C-contiguous array, since callers hand the
+    result to in-place kernels and a view would write through to A."""
+    cone = g if isinstance(g, Cone) else g.cone
+    if cone.boundary != "interval":
         return A
-    keep = _interior_nodes(g)
-    return A[..., keep[:, None], keep[None, :]]
+    pre, n, post = g.dim_total // cone.dim_total, cone.n_t, cone.dim_total // cone.n_t
+    stack = A.shape[:-2]
+    out = np.empty(stack + (pre * (n - 1) * post,) * 2, dtype=A.dtype)
+    interior = A.reshape(stack + (pre, n, post) * 2)[..., :, 1:, :, :, 1:, :]
+    out.reshape(interior.shape)[...] = interior
+    return out
 
 
 # ---------------------------------------------------------------------------

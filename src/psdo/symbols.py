@@ -4,9 +4,9 @@ Three layers: interior symbols a(x, xi, v) on the smooth stratum,
 operator-valued edge symbols built from cone families P(x, r, w, eta, p),
 and conormal symbols P(0,0,0,0,p) on the weight line, the cone families
 that `conormal` freezes. The checks in this module are the desk
-versions of the structural conditions the calculus imposes: degree-0
-homogeneity in (xi, v), twisted homogeneity under the weighted dilation
-group, and compatibility of the two principal symbols where strata meet.
+versions of two structural conditions the calculus imposes: twisted
+homogeneity under the weighted dilation group, and compatibility of the
+two principal symbols where strata meet.
 
 Coordinate changes act by pushforward. On the interior this is the exact
 substitution (x, xi) -> (f(x), xi / f'(x)); on the edge fiber it is
@@ -54,12 +54,8 @@ __all__ = [
     "ConeSymbolFamily",
     "EdgeSymbol",
     "SymbolTuple",
-    "HomogeneityReport",
     "TwistedHomogeneityReport",
-    "SmoothnessReport",
     "CompatReport",
-    "check_homogeneity",
-    "check_family_smoothness",
     "check_twisted_homogeneity",
     "conormal",
     "compat_check",
@@ -79,7 +75,6 @@ FiberConjugation = Callable[[float], tuple[np.ndarray, np.ndarray]]
 
 _INTERIOR_VARS = frozenset({"x", "xi", "v", "r"})
 _FAMILY_VARS = frozenset({"x", "r", "w", "eta", "p", "t", "v"})
-_FAMILY_SCALARS = ("x", "r", "w", "eta", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +84,9 @@ _FAMILY_SCALARS = ("x", "r", "w", "eta", "p")
 @dataclass(frozen=True)
 class InteriorSymbol:
     """Symbol a(x, xi, v) on the smooth stratum, degree-0 positively
-    homogeneous in (xi, v) jointly for |(xi, v)| >= R0.
+    homogeneous in (xi, v) jointly at large |(xi, v)|. No check reads
+    the degree itself; `compat_check` compares the symbol's radial
+    limits with the edge family.
 
     An r slot is permitted so that interior symbols on cone and edge
     geometries can vanish toward the singular stratum.
@@ -97,59 +94,18 @@ class InteriorSymbol:
 
     expr: Node
     q: int = 1
-    R0: float = 1e3
 
     def __post_init__(self):
         object.__setattr__(self, "expr", as_node(self.expr))
         got = shape_of(self.expr)
         if got != self.q:
             raise SymbolError(f"expression has fiber dim {got}, symbol declares {self.q}")
-        if not self.R0 > 0:
-            raise SymbolError("homogeneity radius R0 must be positive")
         extra = variables_of(self.expr) - _INTERIOR_VARS
         if extra:
             raise SymbolError(f"interior symbol uses non-interior variables {sorted(extra)}")
 
     def value(self, x, xi, v=0.0, r=0.0) -> np.ndarray:
         return evaluate(self.expr, {"x": x, "xi": xi, "v": v, "r": r})
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    max_violation: float
-    tol: float
-    passed: bool
-    worst_point: tuple[float, float, float, float]  # (x, xi, v, lam)
-
-
-def check_homogeneity(a: InteriorSymbol) -> HomogeneityReport:
-    """Sampled check of a(x, lam xi, lam v) = a(x, xi, v) outside R0,
-    for lam = 2 and 4, at 8 x nodes, to tolerance 1e-9.
-
-    Base points run over |(xi, v)| in R0 * (1, 2, 4) along 8 equally
-    spaced directions (8 keeps the axes and diagonals, so a
-    chi(xi)-type profile is probed no closer to its transition region
-    than R0 / sqrt(2)). Violations are relative to max(1, |a|).
-    """
-    xs = 2.0 * np.pi * np.arange(8) / 8
-    thetas = 2.0 * np.pi * np.arange(8) / 8
-    r_samples = (0.0, 0.7, 2.5) if "r" in variables_of(a.expr) else (0.0,)
-    worst = 0.0
-    worst_pt = (0.0, 0.0, 0.0, 0.0)
-    for rho_fac in (1.0, 2.0, 4.0):
-        rho = a.R0 * rho_fac
-        for th in thetas:
-            xi0, v0 = rho * np.cos(th), rho * np.sin(th)
-            for r0 in r_samples:
-                base = a.value(xs, xi0, v0, r=r0)
-                scale = np.maximum(1.0, np.max(np.abs(base)))
-                for lam in (2.0, 4.0):
-                    dilated = a.value(xs, lam * xi0, lam * v0, r=r0)
-                    viol = float(np.max(np.abs(dilated - base)) / scale)
-                    if viol > worst:
-                        worst = viol
-                        worst_pt = (float(xs[0]), float(xi0), float(v0), float(lam))
-    return HomogeneityReport(worst, 1e-9, worst <= 1e-9, worst_pt)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +128,6 @@ class ConeSymbolFamily:
     base: Geometry = field(default_factory=Point)
     q: int = 1
     conj: Optional[FiberConjugation] = field(default=None, compare=False, repr=False)
-    _derivs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.expr = as_node(self.expr)
@@ -189,19 +144,6 @@ class ConeSymbolFamily:
             raise SymbolError("mode variable t requires a Circle base")
         if isinstance(self.base, Circle) and self.q != 1:
             raise SymbolError("circle-base families are scalar (q = 1) per fiber mode")
-
-    @property
-    def fiber_dim(self) -> int:
-        if isinstance(self.base, Circle):
-            return self.base.n_x * self.q
-        return self.q
-
-    def derivative(self, var: str) -> Node:
-        if var not in _FAMILY_SCALARS:
-            raise SymbolError(f"no stored derivative in {var}")
-        if var not in self._derivs:
-            self._derivs[var] = diff(self.expr, var)
-        return self._derivs[var]
 
     def _bindings(self, x, r, w, eta, p, v) -> dict:
         b = {"x": x, "r": r, "w": w, "eta": eta, "p": p, "v": v}
@@ -252,52 +194,6 @@ class ConeSymbolFamily:
         frozen limits."""
         m = self.value([p_large * factor, -p_large * factor, p_large, -p_large])
         return float(np.max(spectral_norms(m[:2] - m[2:])))
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    errors: dict
-    max_error: float
-    tol: float
-    passed: bool
-
-
-def check_family_smoothness(P: ConeSymbolFamily) -> SmoothnessReport:
-    """Finite-difference consistency of the stored symbolic derivatives.
-
-    Central differences of step 1e-5 at 12 sample points drawn with
-    seed 0, per scalar argument the family actually uses; errors are
-    relative to max(1, |derivative|) and pass at 1e-7.
-    """
-    h = 1e-5
-    rng = np.random.default_rng(0)
-    used = variables_of(P.expr) & set(_FAMILY_SCALARS)
-    errors: dict[str, float] = {}
-    worst = 0.0
-    modes = P.base.modes.astype(float) if isinstance(P.base, Circle) else np.array([0.0])
-    for var in sorted(used):
-        err = 0.0
-        d_expr = P.derivative(var)
-        for _ in range(12):
-            pt = {
-                "x": rng.uniform(-2.0, 2.0),
-                "r": rng.uniform(0.1, 3.0),
-                "w": rng.uniform(-2.0, 2.0),
-                "eta": rng.uniform(-2.0, 2.0),
-                "p": rng.uniform(-4.0, 4.0),
-                "v": rng.uniform(-2.0, 2.0),
-            }
-            pt["t"] = modes
-            exact = evaluate(d_expr, pt)
-            up, dn = dict(pt), dict(pt)
-            up[var] = pt[var] + h
-            dn[var] = pt[var] - h
-            fd = (evaluate(P.expr, up) - evaluate(P.expr, dn)) / (2.0 * h)
-            scale = max(1.0, float(np.max(np.abs(exact))))
-            err = max(err, float(np.max(np.abs(fd - exact))) / scale)
-        errors[var] = err
-        worst = max(worst, err)
-    return SmoothnessReport(errors, worst, 1e-7, worst <= 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +349,13 @@ def compat_check(t: SymbolTuple) -> CompatReport:
 # Pushforward along coordinate changes
 
 
-def _check_diffeo(f: Node, df: Node) -> np.ndarray:
+def _check_diffeo(f: Node, df: Node) -> None:
     xs = 2.0 * np.pi * np.arange(64) / 64
     dvals = evaluate(df, {"x": xs}).reshape(-1)
     if float(np.max(np.abs(dvals.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(dvals)))):
         raise SymbolError("diffeomorphism derivative is not real on the circle")
-    dreal = dvals.real
-    if float(np.min(np.abs(dreal))) < 1e-8:
+    if float(np.min(np.abs(dvals.real))) < 1e-8:
         raise SymbolError("diffeomorphism derivative vanishes at a sample node")
-    return dreal
 
 
 def circle_inverse(f: ExprLike, df: Optional[ExprLike] = None) -> Node:
@@ -524,7 +418,7 @@ def pushforward_interior(
     """
     f = as_node(f)
     df_n = diff(f, "x") if df is None else as_node(df)
-    dreal = _check_diffeo(f, df_n)
+    _check_diffeo(f, df_n)
     f_inv = circle_inverse(f, df_n) if f_inv is None else as_node(f_inv)
     xs = 2.0 * np.pi * np.arange(64) / 64
     round_trip = evaluate(substitute(f, {"x": f_inv}), {"x": xs}).reshape(-1)
@@ -535,8 +429,7 @@ def pushforward_interior(
         )
     df_at_inv = substitute(df_n, {"x": f_inv})
     b = substitute(a.expr, {"x": f_inv, "xi": mul(Var("xi"), df_at_inv)})
-    r0 = a.R0 / min(1.0, float(np.min(dreal)))
-    return InteriorSymbol(b, a.q, r0)
+    return InteriorSymbol(b, a.q)
 
 
 def base_pullback(

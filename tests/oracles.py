@@ -21,7 +21,7 @@ import numpy as np
 
 from psdo.calculus import _cutoff_ladder
 from psdo.fredholm import _collar_fraction
-from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, axis_layout, translation_matrix
+from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, axis_layout
 from psdo.quantize import _BLOCK, AxisKind, _dft_matrix, _interior_nodes, analysis_matrix, quantize, synthesis
 from psdo.symexpr import BinOp, Call, Const, Neg, Pow, Var, evaluate, parse, shape_of, substitute, variables_of
 
@@ -373,10 +373,15 @@ def out_of_place_evaluate(e, b):
     return out
 
 
+def translation_matrix(n: int, steps: int) -> np.ndarray:
+    """Circular shift by `steps` grid nodes: (T u)_j = u_{j-steps}."""
+    return np.roll(np.eye(n), steps, axis=0)
+
+
 def kron_flat_matrix(d: DilationAction) -> np.ndarray:
     """The dilation's flat matrix as a dense kron product of a t-axis
-    translation with identities. Reference for `DilationAction.
-    flat_matrix` and `conjugate`, which permute indices instead."""
+    translation with identities. Reference for `DilationAction.conjugate`,
+    which permutes indices instead."""
     g = d.geometry
     blocks = [translation_matrix(d.cone.n_t, d.k)]
     if isinstance(d.cone.base, Circle):
@@ -422,7 +427,7 @@ def dense_infinitesimal_detail(g, expr, z) -> str:
     suite's streamed, in-place and mode-block norms."""
     A = quantize(g, expr)
     F = quantize(g, substitute(expr, {"x": Const(float(z))}), freeze_r=True).matrix
-    _, diags = _cutoff_ladder(g, z, None)
+    _, diags = _cutoff_ladder(g, z)
     final = np.linalg.norm((A.matrix - F) * diags[-1][None, :], 2)
     tdef = 0.0
     if not isinstance(g, Cone):

@@ -1,6 +1,6 @@
 """The symbol calculus: composition remainders, symbol extraction and
 its homomorphism, infinitesimal operators with their freezing ladders,
-norms and memory, consistency of two ladders, adjoints, and coherent
+norms and memory, repeatability of the ladder, adjoints, and coherent
 probes; the hand-built mode-space operators are Kohn-Nirenberg products
 of oracles.py."""
 
@@ -14,7 +14,6 @@ from psdo.calculus import (
     CalculusError,
     NotTranslationInvariant,
     compose_symbols,
-    consistency_check,
     extract_symbol,
     infinitesimal,
     probe_symbol,
@@ -369,7 +368,7 @@ def test_ladder_respects_grid_resolution():
 
 
 # ---------------------------------------------------------------------------
-# Consistency
+# Repeatability
 
 
 def test_consistency_identical_ladders():
@@ -378,25 +377,6 @@ def test_consistency_identical_ladders():
     a = infinitesimal(g, expr, z=0.0)
     b = infinitesimal(g, expr, z=0.0)
     assert a.diagnostics.d_right == b.diagnostics.d_right
-
-
-def test_consistency_shifted_scales():
-    rep = consistency_check(
-        Cone(Point(), T=8.0, n_t=96), "chi(p) + r / (1 + r)", base_scales=(1.0, 1.4)
-    )
-    assert rep.frozen_gap == 0.0
-    assert rep.within
-    rep2 = consistency_check(
-        Circle(256), "chi(xi) + (1 - cos(x))^2", z=0.0, base_scales=(None, 2.0)
-    )
-    assert rep2.frozen_gap == 0.0
-    assert rep2.within
-
-
-def test_consistency_frozen_input():
-    rep = consistency_check(Circle(64), "chi(xi)", z=0.0, base_scales=(None, 2.0))
-    assert rep.frozen_gap == 0.0
-    assert rep.final_a <= 1e-10 and rep.final_b <= 1e-10
 
 
 # ---------------------------------------------------------------------------

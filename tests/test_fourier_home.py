@@ -1,5 +1,5 @@
 """psdo.quantize as the one home of the Fourier phases: op_circle,
-_op_interior_on_edge, extract_symbol, the dilation flat matrices,
+_op_interior_on_edge, extract_symbol, the dilation conjugation,
 circle-base symbol values, base_pullback and kn_circulant's blocks hold
 the dense references of oracles.py (whole phase tables, one einsum).
 
@@ -207,13 +207,6 @@ DILATION_GEOMETRIES = [
     Edge(Circle(8), POINT_CONE),
     Edge(Circle(8), Cone(Circle(8), T=5.0, n_t=8)),
 ]
-
-
-@pytest.mark.parametrize("g", DILATION_GEOMETRIES, ids=["point", "circle", "circle-q2", "edge", "edge-circle"])
-@pytest.mark.parametrize("k", [-3, 0, 1, 5])
-def test_dilation_flat_matrix_equals_kron_build(g, k):
-    d = DilationAction(g, k)
-    assert np.array_equal(d.flat_matrix(), kron_flat_matrix(d))
 
 
 @pytest.mark.parametrize("g", DILATION_GEOMETRIES, ids=["point", "circle", "circle-q2", "edge", "edge-circle"])

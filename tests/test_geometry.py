@@ -21,9 +21,15 @@ from psdo.geometry import (
     cutoff_family,
     describe_geometry,
     plateau_profile,
-    translation_matrix,
 )
-from oracles import identity_dim, phase_pair, written_out_interior, written_out_layout
+from oracles import (
+    identity_dim,
+    kron_flat_matrix,
+    phase_pair,
+    translation_matrix,
+    written_out_interior,
+    written_out_layout,
+)
 from psdo.quantize import _dft_matrix, _interior_nodes, synthesis
 
 
@@ -120,20 +126,21 @@ class TestDilation:
         g = Cone(Point(), T=6.0, n_t=64)
         d = DilationAction(g, 0)
         assert d.lam == pytest.approx(1.0)
-        assert np.array_equal(d.flat_matrix(), np.eye(64))
+        assert np.array_equal(kron_flat_matrix(d), np.eye(64))
 
     def test_group_law_and_unitarity_exact(self):
         g = Cone(Point(), T=6.0, n_t=64)
-        rel = DilationAction(g, 5).check_relations(other_k=7)
-        assert rel["group_law"] == 0.0
-        assert rel["unitarity"] == 0.0
-        assert rel["mellin_commutation"] < 1e-12
-        assert rel["radial_homogeneity_offseam"] < 1e-12
+        M = np.random.default_rng(3).normal(size=(64, 64)) + 0j
+        a, b = DilationAction(g, 5), DilationAction(g, 7)
+        assert np.array_equal(a.conjugate(b.conjugate(M)), DilationAction(g, 12).conjugate(M))
+        assert np.array_equal(DilationAction(g, -5).conjugate(a.conjugate(M)), M)
+        K = kron_flat_matrix(a)
+        assert np.array_equal(K @ K.conj().T, np.eye(64))
 
     def test_edge_action_leaves_x_alone(self):
         g = Edge(Circle(8), Cone(Point(), n_t=16))
         d = DilationAction(g, 2)
-        m = d.flat_matrix()
+        m = kron_flat_matrix(d)
         assert m.shape == (8 * 16, 8 * 16)
         # block diagonal over x
         blocks = m.reshape(8, 16, 8, 16)
@@ -255,7 +262,7 @@ def test_dilation_is_weighted_radial_rescaling(g):
         return (slot * (1.0 / (1.0 + r) + 0.25 * np.sin(r))[None, :, None]).reshape(-1)
 
     W = spread(cone.r**e)
-    got = (act.flat_matrix() @ (W * u(cone.r))) / W
+    got = (kron_flat_matrix(act) @ (W * u(cone.r))) / W
     want = act.lam**e * u(act.lam * cone.r)
     off_seam = spread(np.arange(cone.n_t) >= k)
     assert off_seam.sum() == pre * (cone.n_t - k) * post

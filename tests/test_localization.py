@@ -1,6 +1,5 @@
 """Localization tests: partitions of unity, local norms, eps-continuity,
-gluing, the partition norm bound, and the local-vs-global Fredholm
-cross-tabulation.
+gluing and the partition norm bound.
 
 The gluing ladder uses one fixed stock operator, 2 + 0.2 sin(x) chi(xi)
 on a 64-node circle, with frozen-coefficient representatives at
@@ -18,20 +17,17 @@ import numpy as np
 import pytest
 
 from psdo.calculus import DiscretizedOperator
-from psdo.fredholm import extract_tuple
 from psdo.geometry import Circle, Cone, Point, axis_layout, cutoff_family, plateau_profile
 from psdo.localization import (
     LocalFamily,
     LocalizationError,
     continuity_check,
-    fredholm_vs_local,
     glue,
     local_norm,
     partition_bound_check,
     partition_of_unity,
 )
 from psdo.quantize import op_circle, quantize, side_norm
-from psdo.symbols import ConeSymbolFamily
 from psdo.symexpr import Const, parse, substitute
 
 STOCK = "2 + 0.2 * sin(x) * chi(xi)"
@@ -320,47 +316,3 @@ def test_partition_bound_rejects_negative_functions(g64):
     with pytest.raises(LocalizationError, match="negative"):
         partition_bound_check([f], [A])
 
-
-# ---------------------------------------------------------------------------
-# Local proxies vs global sections
-
-
-def test_fredholm_vs_local_elliptic_agrees():
-    t = extract_tuple(ConeSymbolFamily("(p - (0,1)) / (p + (0,1)) + 2"))
-    rep = fredholm_vs_local(t, sizes=(64, 128))
-    assert rep.agree
-    assert rep.local_pass and rep.global_ok
-    assert all(s >= 1.0 for s in rep.local_smin)
-    assert rep.note == ""
-
-
-def test_fredholm_vs_local_identity_agrees():
-    t = extract_tuple(ConeSymbolFamily("1 + 0*p"))
-    rep = fredholm_vs_local(t, sizes=(64, 128))
-    assert rep.agree
-    assert rep.local_pass and rep.global_ok
-
-
-def test_fredholm_vs_local_degenerate_agrees():
-    # order-two interior zero at p = 2: the tip proxy collapses and the
-    # sections stay indeterminate, so both sides say "not invertible"
-    t = extract_tuple(ConeSymbolFamily("(0.2*(p - 2) / (0.2*(p - 2) + (0,1)))^2"))
-    rep = fredholm_vs_local(t, sizes=(128, 256))
-    assert rep.agree
-    assert not rep.local_pass
-    assert min(rep.local_smin) <= 1e-3
-    assert not rep.global_report.determinate
-    assert not rep.global_ok
-
-
-def test_fredholm_vs_local_index_instance_disagrees():
-    # winding +1 family: every frozen coefficient operator is invertible
-    # but the global sections carry a kernel; the report flags the
-    # mismatch instead of papering over it
-    t = extract_tuple(ConeSymbolFamily("1 + (1 / (1 + r)) * ((p - (0,1)) / (p + (0,1)) - 1)"))
-    rep = fredholm_vs_local(t, sizes=(128, 256))
-    assert not rep.agree
-    assert rep.local_pass
-    assert rep.global_report.determinate
-    assert rep.global_report.kernel == 1
-    assert "section_vs_symbol" in rep.note

@@ -17,6 +17,7 @@ from oracles import (
     circle_reference,
     edge_reference,
     extract_reference,
+    kron_flat_matrix,
     mellin_reference,
     phase_pair,
 )
@@ -225,7 +226,7 @@ class TestInvariants:
             moved = np.linalg.norm(phi_l @ Delta.matrix @ phi_l, 2)
             assert abs(moved - base) < 1e-10 * max(1.0, base)
             # and the operator itself is dilation invariant
-            K = d.flat_matrix()
+            K = kron_flat_matrix(d)
             assert np.max(np.abs(K @ Delta.matrix @ K.conj().T - Delta.matrix)) < 1e-10
 
     def test_identity_and_adjoint(self):

@@ -1,9 +1,12 @@
-"""No dead parameters, no dead imports and no dead test helpers in
-src/psdo, tests and bench, and one home for the tests' references.
+"""No dead parameters, no dead imports, no library-only src functions
+and no dead test helpers in src/psdo, tests and bench, and one home for
+the tests' references.
 
 Every defaulted parameter of a psdo function, and every defaulted init
 field of a psdo dataclass, is set by some call in the scanned trees;
-every name a module imports is referenced there; every module-level
+every name a module imports is referenced there; every function or
+method defined in src/psdo is referenced by name in src/psdo outside its
+own definition, so no src code lives for its tests alone; every module-level
 function or class under tests/ is referenced somewhere under tests/ (a
 fixture by a parameter of its name); and no test module imports another
 test module, so shared references live in tests/oracles.py.
@@ -25,6 +28,7 @@ unused import) is kept for its side effect.
 """
 
 import ast
+import collections
 import functools
 import pathlib
 import re
@@ -254,3 +258,65 @@ def test_every_test_helper_is_referenced():
                 read.add(node.arg)
     unread = sorted(where for name, where in defined.items() if name not in read)
     assert not unread, f"{len(unread)} test helpers never referenced: {unread}"
+
+
+# Functions and methods that no src code reads, each kept for a reason.
+LIBRARY_API = {
+    "cli.read_container": "public API of the container format",
+    "cli.canonical_report_bytes": "public API of the report format",
+    "cli._ArgumentParser.error": "argparse calls it",
+    "quantize.DiscretizedOperator.adjoint": "object API",
+    "symbols.EdgeSymbol.at": "object API",
+    "calculus.InfinitesimalOperator.operator": "object API",
+    "symbols.pushforward_interior": "paper checker awaiting a verify suite",
+    "symbols.pushforward_edge": "paper checker awaiting a verify suite",
+    "fredholm.quantize_tuple": "paper checker awaiting a verify suite",
+}
+
+
+def _names_read(node) -> collections.Counter:
+    """How often each name is read under node, as `f` or as `obj.f`."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _src_functions():
+    """(module.qualname, name, names read inside it) of every function
+    and method defined in src/psdo, nested ones included, and the names
+    read anywhere in src/psdo."""
+    found, read = [], collections.Counter()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((prefix + child.name, child.name, _names_read(child)))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix)
+
+    for path in sorted((ROOT / "src/psdo").glob("*.py")):
+        module = ast.parse(path.read_text())
+        read += _names_read(module)
+        visit(module, path.stem + ".")
+    return found, read
+
+
+def test_every_src_function_is_referenced_in_src():
+    found, read = _src_functions()
+    unread = [
+        qualname
+        for qualname, name, inside in found
+        if read[name] <= inside[name]
+        and not (name.startswith("__") and name.endswith("__"))  # called by the language
+        and qualname not in LIBRARY_API
+    ]
+    assert not unread, f"{len(unread)} src functions only tests reach: {unread}"
+
+
+def test_library_api_names_existing_functions():
+    defined = {qualname for qualname, _, _ in _src_functions()[0]}
+    missing = sorted(set(LIBRARY_API) - defined)
+    assert not missing, f"LIBRARY_API names no src function: {missing}"

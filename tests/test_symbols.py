@@ -1,4 +1,4 @@
-"""Symbol classes: interior homogeneity, edge symbols and their
+"""Symbol classes: interior symbol validation, edge symbols and their
 fibers, twisted homogeneity, conormal families, compatibility of
 tuples, and pushforwards by circle diffeomorphisms, against mode-space
 matrices built from the phase pairs of oracles.py."""
@@ -16,8 +16,6 @@ from psdo.symbols import (
     SymbolError,
     SymbolTuple,
     base_pullback,
-    check_family_smoothness,
-    check_homogeneity,
     check_twisted_homogeneity,
     circle_inverse,
     compat_check,
@@ -49,38 +47,7 @@ def band_limited_probes(c: Circle, k_max: int, count: int, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Interior symbols and homogeneity
-
-
-def test_homogeneity_constant_symbol():
-    rep = check_homogeneity(InteriorSymbol("1"))
-    assert rep.max_violation == 0.0
-    assert rep.passed
-
-
-def test_homogeneity_exact_rational():
-    a = InteriorSymbol("(xi^2 - v^2)/(xi^2 + v^2)")
-    rep = check_homogeneity(a)
-    assert rep.max_violation <= 1e-9
-    assert rep.passed
-
-
-def test_homogeneity_chi_example():
-    # chi(lam s) - chi(s) = O(s^-2); worst sampled direction has
-    # |xi| = R0/sqrt(2), giving ~9.4e-7 at R0 = 1e3
-    rep = check_homogeneity(InteriorSymbol("chi(xi)", R0=1e3))
-    assert 1e-8 < rep.max_violation <= 1e-6
-
-
-def test_homogeneity_degree_one_fails():
-    rep = check_homogeneity(InteriorSymbol("xi"))
-    assert not rep.passed
-    assert rep.max_violation > 0.5
-
-
-def test_homogeneity_matrix_symbol():
-    a = InteriorSymbol("[[(xi^2 - v^2)/(xi^2 + v^2), 0], [0, 1]]", q=2)
-    assert check_homogeneity(a).passed
+# Interior symbols
 
 
 def test_interior_symbol_validation():
@@ -88,8 +55,6 @@ def test_interior_symbol_validation():
         InteriorSymbol("p")  # not an interior variable
     with pytest.raises(SymbolError):
         InteriorSymbol("chi(xi)", q=2)
-    with pytest.raises(SymbolError):
-        InteriorSymbol("1", R0=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +95,6 @@ def test_cone_family_validation():
         ConeSymbolFamily("xi")
     with pytest.raises(SymbolError):
         ConeSymbolFamily("[[p, 0], [0, p]]", base=Circle(8), q=2)
-
-
-def test_family_smoothness_report():
-    P = ConeSymbolFamily("exp(-w^2) * p/(p + (0,1)) + eta^2/(1 + eta^2)")
-    rep = check_family_smoothness(P)
-    assert rep.passed
-    assert rep.max_error < 1e-7
-    assert set(rep.errors) == {"eta", "p", "w"}
-
-
-def test_family_smoothness_circle_base():
-    P = ConeSymbolFamily("(p - (0,1)*(1 + t^2))/(p + (0,1)*(1 + t^2))", base=Circle(8))
-    assert check_family_smoothness(P).passed
 
 
 # ---------------------------------------------------------------------------
