@@ -153,24 +153,20 @@ class ExtractedSymbol:
     operator_norm: float
 
 
-def extract_symbol(
-    A: DiscretizedOperator,
-    axis: Optional[str] = None,
-    require_invariant: bool = True,
-) -> ExtractedSymbol:
-    """Conjugate by the axis DFT and read off the diagonal blocks.
+def extract_symbol(A: DiscretizedOperator) -> ExtractedSymbol:
+    """Conjugate by the DFT of the geometry's default axis (t on a cone,
+    x otherwise) and read off the diagonal blocks.
 
     For an operator commuting with the axis translations the conjugated
     matrix is exactly block diagonal and the blocks are the symbol
     values B(xi_k); the esssup identity sup_k ||B(xi_k)|| = ||A|| then
     holds to rounding. Off-diagonal mass beyond 1e-8 (relative to ||A||)
-    raises NotTranslationInvariant unless require_invariant is False, in
-    which case the diagonal blocks are returned with the off-diagonal
-    maximum recorded.
+    raises NotTranslationInvariant, which carries the off-diagonal
+    maximum.
     """
     if A.interior:
         raise CalculusError("interval-mode operators have no periodic axis to extract along")
-    lay = axis_layout(A.geometry, axis)
+    lay = axis_layout(A.geometry)
     pre, n, post, covar = lay.pre, lay.n, lay.post, lay.covar
     iF = synthesis(lay.nodes, covar)
     F = analysis_matrix(iF)
@@ -181,7 +177,7 @@ def extract_symbol(
     D = D.transpose(1, 4, 0, 2, 3, 5).reshape(n, n, d, d)
     norm_A = A.norm()
     off = spectral_norm(D[~np.eye(n, dtype=bool)])
-    if require_invariant and off > 1e-8 * max(norm_A, 1e-300):
+    if off > 1e-8 * max(norm_A, 1e-300):
         raise NotTranslationInvariant(off, norm_A)
     blocks = np.ascontiguousarray(D[np.arange(n), np.arange(n)])
     esssup = spectral_norm(blocks)
@@ -214,8 +210,7 @@ def probe_symbol(A: DiscretizedOperator, x0: float, k: int) -> complex:
 @dataclass(frozen=True)
 class ConvergenceDiagnostics:
     lambdas: tuple[float, ...]
-    d_right: tuple[float, ...]  # ||(A - A_z) Phi_lambda||, the asserted placement
-    d_left: tuple[float, ...]  # ||Phi_lambda (A - A_z)||, recorded for audit
+    d_right: tuple[float, ...]  # ||(A - A_z) Phi_lambda||
     final: float
     non_increasing: bool  # within 10% jitter
     converged: bool
@@ -383,11 +378,8 @@ def infinitesimal(
     Dm = subtract_quantized(A.matrix, g, frozen_expr, v=v, freeze_r=True)
     lambdas, diags = _cutoff_ladder(g, z)
     d_right = tuple(side_norm(Dm, w, "right") for w in diags)
-    d_left = tuple(side_norm(Dm, w, "left") for w in diags)
     non_inc = all(d_right[i + 1] <= 1.1 * d_right[i] + 1e-14 for i in range(len(d_right) - 1))
     final = d_right[-1]
-    diag = ConvergenceDiagnostics(
-        lambdas, d_right, d_left, final, non_inc, bool(final <= 1e-3), 1e-3
-    )
+    diag = ConvergenceDiagnostics(lambdas, d_right, final, non_inc, bool(final <= 1e-3), 1e-3)
     return InfinitesimalOperator(g, float(z), frozen_expr, float(v), diag, source_norm)
 

@@ -379,35 +379,26 @@ class WindingReport:
     )
 
 
-def _contour(
-    g: Union[ConeSymbolFamily, Node, str, Callable[[float], complex]], p_max: float, n: int
-) -> np.ndarray:
-    """det g(p) on the grid p = tan u, or g(p) for a scalar callable.
+def _contour(g: Union[ConeSymbolFamily, Node, str], p_max: float, n: int) -> np.ndarray:
+    """det g(p) on the grid p = tan u, from one evaluation on the whole
+    grid.
 
-    A DSL string or tree is read as a point-base family. Families are
-    evaluated once on the whole grid; a plain callable is called once
-    per node, since its contract is scalar. A circle-base fiber is
-    diagonal in base modes up to its conjugation pair (L, R), so its
-    determinant is the product of the mode values times det(L R), with
-    no nodal matrix formed.
+    A DSL string or tree is read as a point-base family. A circle-base
+    fiber is diagonal in base modes up to its unitary frame, which
+    leaves the determinant unchanged, so the determinant is the product
+    of the mode values, with no nodal matrix formed.
     """
     u_max = math.atan(p_max)
     ps = np.tan(np.linspace(-u_max, u_max, n))
     if isinstance(g, (Node, str)):
         expr = as_node(g)
         g = ConeSymbolFamily(expr, q=shape_of(expr))
-    if not isinstance(g, ConeSymbolFamily):
-        return np.array([g(float(p)) for p in ps])
     if isinstance(g.base, Point):
         return np.linalg.det(g.value(ps))
-    det = np.prod(g.mode_values(ps), axis=-1)
-    if g.conj is not None:
-        L, R = g.conj(0.0)
-        det = det * np.linalg.det(L @ R)
-    return det
+    return np.prod(g.mode_values(ps), axis=-1)
 
 
-def winding_oracle(g: Union[ConeSymbolFamily, Node, str, Callable[[float], complex]]) -> WindingReport:
+def winding_oracle(g: Union[ConeSymbolFamily, Node, str]) -> WindingReport:
     """Accumulated argument change of det g(p) along the weight line,
     in units of 2 pi.
 
@@ -424,8 +415,8 @@ def winding_oracle(g: Union[ConeSymbolFamily, Node, str, Callable[[float], compl
     The messages print the gap relative to the peak, which
     `closure_gap` also reports, and min |g| itself.
     g is a cone family, read through its determinant with its other
-    arguments at 0 (pass `conormal(P)` for the tip of P); a DSL string
-    or tree, read as a family on a Point base; or a scalar callable.
+    arguments at 0 (pass `conormal(P)` for the tip of P), or a DSL
+    string or tree, read as a family on a Point base.
     """
     vals = _contour(g, 1e6, 4097)
     mags = np.abs(vals)
@@ -457,7 +448,7 @@ def extract_tuple(fam: ConeSymbolFamily) -> SymbolTuple:
     covariables (w -> v, eta -> xi). Compatibility then holds exactly,
     so extract-then-quantize round trips stay inside the ideal.
     """
-    if fam.conj is not None:
+    if fam.frame is not None:
         raise FredholmError("pushforward-conjugated families have no expression-level tuple")
     if not isinstance(fam.base, Point):
         raise FredholmError("tuple extraction supports point-base cone fibers only")
@@ -504,7 +495,7 @@ def quantize_tuple(
             f"tuple incompatible: equator mismatch {comp.mismatch:.3e} exceeds tolerance {comp.tol:.1e}"
         )
     fam = t.sigma1
-    if fam.conj is not None:
+    if fam.frame is not None:
         raise FredholmError("pushforward-conjugated families have no direct quantization")
     A = op_edge(g, fam.expr, v=v)
     r_var = Var("r")
@@ -534,15 +525,10 @@ class LargeParameterReport:
     passed: bool
 
 
-def large_parameter_scan(
-    g: Geometry,
-    expr: ExprLike,
-    v_values: Sequence[float] = (8.0, 16.0, 32.0, 64.0),
-    lower_bound: float = 1e-3,
-) -> LargeParameterReport:
+def large_parameter_scan(g: Geometry, expr: ExprLike) -> LargeParameterReport:
     """Invertibility for large |v|: the smallest singular value along
-    the parameter ladder must sit above lower_bound and be
-    non-decreasing within a 10% jitter.
+    the parameter ladder |v| = 8, 16, 32, 64 must sit above the lower
+    bound 0.5 and be non-decreasing within a 10% jitter.
 
     When the symbol is an interior one (x, xi, v), joint parameter
     ellipticity is verified first on the (xi, v)-sphere (16 x nodes,
@@ -558,6 +544,7 @@ def large_parameter_scan(
     if variables_of(expr) <= {"x", "xi", "v"}:
         sphere_min = _sphere_min(expr, 16, 32, 1e6)
         ewp = sphere_min >= 1e-6
+    v_values, lower_bound = (8.0, 16.0, 32.0, 64.0), 0.5
     s_min = []
     for u in v_values:
         A = quantize(g, expr, v=float(u))
@@ -565,7 +552,7 @@ def large_parameter_scan(
     ok_low = all(s >= lower_bound for s in s_min)
     ok_mono = all(s_min[i + 1] >= 0.9 * s_min[i] for i in range(len(s_min) - 1))
     return LargeParameterReport(
-        v_values=tuple(float(u) for u in v_values),
+        v_values=v_values,
         s_min=tuple(s_min),
         sphere_min=sphere_min,
         elliptic_with_parameter=ewp,

@@ -391,11 +391,9 @@ def plateau_profile(d: np.ndarray, a: float, b: float) -> np.ndarray:
 
 @dataclass
 class CutoffFamily:
-    """Nested dyadic cutoffs on an x or t axis: phi_i phi_{i+1} = phi_{i+1} exactly."""
+    """Nested dyadic cutoffs on the default axis of a geometry:
+    phi_i phi_{i+1} = phi_{i+1} exactly."""
 
-    geometry: Geometry
-    axis_name: str  # 'x' or 't'
-    center: float
     scales: tuple[float, ...]
     values: np.ndarray  # (len(scales), axis length)
 
@@ -411,12 +409,12 @@ def cutoff_family(
     center: float,
     n_scales: int,
     base_scale: float | None = None,
-    axis_name: str | None = None,
 ) -> CutoffFamily:
     """Dyadic family phi_i supported in |d| <= s_i, s_i = base_scale / 2^i,
-    plateau exactly 1 on |d| <= s_i/2. Smallest scale must be >= 3 grid steps.
+    plateau exactly 1 on |d| <= s_i/2, along the default axis of g (t on
+    a cone, x otherwise). Smallest scale must be >= 3 grid steps.
     """
-    lay = axis_layout(g, axis_name)
+    lay = axis_layout(g)
     if base_scale is None:
         base_scale = lay.span / 4.0
     scales = tuple(base_scale / 2.0**i for i in range(n_scales))
@@ -425,7 +423,7 @@ def cutoff_family(
             f"smallest cutoff scale {scales[-1]:.3g} is below 3 grid steps ({3*lay.step:.3g})"
         )
     rows = [plateau_profile(lay.distance(center), s / 2.0, s) for s in scales]
-    return CutoffFamily(g, lay.name, center, scales, np.array(rows))
+    return CutoffFamily(scales, np.array(rows))
 
 
 def collar_cutoff(g: Union[Cone, Edge], r1: float) -> np.ndarray:

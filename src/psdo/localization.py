@@ -3,28 +3,23 @@ local norms along shrinking cutoffs, continuity of center-indexed
 operator families, gluing through partitions of unity and the partition
 norm bound.
 
-Restricted norms follow the column convention: ||B||_Q is the norm of B
-applied to vectors supported in the node set Q. Continuity auto-fit
-keeps the fitted neighborhoods a cover of the axis (a partition of
-unity subordinate to them must exist), so it searches the smallest
-dyadic radius at or above the cover floor; families that need finer
-center sets at small eps fail honestly instead of passing vacuously.
+Everything runs along the default axis of the geometry (t on a cone,
+x otherwise). Restricted norms follow the column convention: ||B||_Q is
+the norm of B applied to vectors supported in the node set Q.
+Neighborhoods are fitted just above the cover floor, so they cover the
+axis (a partition of unity subordinate to them exists); families that
+need finer center sets at small eps fail honestly instead of passing
+vacuously.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from psdo.geometry import (
-    CutoffFamily,
-    Geometry,
-    axis_layout,
-    cutoff_family,
-    plateau_profile,
-)
+from psdo.geometry import Geometry, axis_layout, cutoff_family, plateau_profile
 from psdo.quantize import DiscretizedOperator, side_norm
 
 __all__ = [
@@ -58,7 +53,6 @@ class LocalFamily:
     geometry: Geometry
     centers: tuple[float, ...]
     operators: tuple[DiscretizedOperator, ...]
-    axis: str = "x"
 
     def __post_init__(self):
         object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
@@ -70,7 +64,7 @@ class LocalFamily:
         for op in self.operators:
             if op.geometry != self.geometry:
                 raise LocalizationError("representatives must share the geometry")
-        axis_layout(self.geometry, self.axis)
+        axis_layout(self.geometry)
 
     def __len__(self) -> int:
         return len(self.centers)
@@ -82,14 +76,13 @@ class PartitionOfUnity:
     the stated radius of its center."""
 
     geometry: Geometry
-    axis: str
     centers: tuple[float, ...]
     radii: tuple[float, ...]
     eps: float
     functions: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        lay = axis_layout(self.geometry, self.axis)
+        lay = axis_layout(self.geometry)
         f = np.asarray(self.functions, dtype=float)
         if f.shape != (len(self.centers), lay.n):
             raise LocalizationError("partition shape mismatch")
@@ -106,34 +99,21 @@ class PartitionOfUnity:
                 )
 
 
-def partition_of_unity(
-    g: Geometry,
-    centers: Sequence[float],
-    eps: float,
-    radii: Optional[Sequence[float]] = None,
-) -> PartitionOfUnity:
-    """Normalized plateau bumps at the centers, along the default axis
-    of g (t on a cone, x otherwise).
+def partition_of_unity(g: Geometry, centers: Sequence[float], eps: float) -> PartitionOfUnity:
+    """Normalized plateau bumps at the centers.
 
-    Default radii are 1.05 times the cover floor (the largest distance
-    from any node to its nearest center, doubled so plateaus overlap),
-    uniform across centers.
+    The radii are 1.05 times the cover floor (the largest distance from
+    any node to its nearest center, doubled so plateaus overlap),
+    uniform across centers. Every node then lies on the plateau of its
+    nearest center's bump, so the bumps cover the axis.
     """
     lay = axis_layout(g)
     cs = tuple(float(c) for c in centers)
     dists = np.stack([lay.distance(c) for c in cs])
-    if radii is None:
-        floor = 2.0 * float(dists.min(axis=0).max())
-        rs = tuple(1.05 * floor for _ in cs)
-    else:
-        rs = tuple(float(r) for r in radii)
-        if len(rs) != len(cs):
-            raise LocalizationError("one radius per center")
+    floor = 2.0 * float(dists.min(axis=0).max())
+    rs = tuple(1.05 * floor for _ in cs)
     bumps = np.stack([plateau_profile(d, r / 2.0, r) for d, r in zip(dists, rs)])
-    total = bumps.sum(axis=0)
-    if float(total.min()) <= 0.0:
-        raise LocalizationError("neighborhoods do not cover the axis; enlarge radii")
-    return PartitionOfUnity(g, lay.name, cs, rs, float(eps), bumps / total)
+    return PartitionOfUnity(g, cs, rs, float(eps), bumps / bumps.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +130,16 @@ class LocalNormReport:
     tol: float
 
 
-def local_norm(
-    A: DiscretizedOperator,
-    x: float,
-    ladder: Optional[CutoffFamily] = None,
-) -> LocalNormReport:
+def local_norm(A: DiscretizedOperator, x: float) -> LocalNormReport:
     """||A phi_s|| along a shrinking cutoff ladder at x; membership in
     the local ideal J_x is judged by the final value, against 1e-3.
 
-    Without an explicit ladder, the ladder descends dyadically from a
-    quarter of the axis span to the finest grid-resolvable scale.
+    The ladder descends dyadically from a quarter of the axis span to
+    the finest grid-resolvable scale.
     """
-    g = A.geometry
-    if ladder is None:
-        lay = axis_layout(g)
-        n_scales = max(2, int(np.floor(np.log2(lay.span / 4.0 / (3.0 * lay.step)))) + 1)
-        ladder = cutoff_family(g, x, n_scales)
-    elif abs(ladder.center - x) > 1e-12:
-        raise LocalizationError("ladder must be centered at x")
-    lay = axis_layout(g, ladder.axis_name)
+    lay = axis_layout(A.geometry)
+    n_scales = max(2, int(np.floor(np.log2(lay.span / 4.0 / (3.0 * lay.step)))) + 1)
+    ladder = cutoff_family(A.geometry, x, n_scales)
     norms = tuple(side_norm(A.matrix, lay.spread(ladder[i]), "right") for i in range(len(ladder)))
     limit = norms[-1]
     return LocalNormReport(float(x), ladder.scales, norms, limit, limit <= 1e-3, 1e-3)
@@ -192,7 +163,7 @@ def _pair_witnesses(
 ) -> np.ndarray:
     """Matrix of ||A_i - A_j|| restricted to columns in the overlap of
     the two neighborhoods; zero when the overlap is empty."""
-    lay = axis_layout(F.geometry, F.axis)
+    lay = axis_layout(F.geometry)
     masks = [lay.distance(c) < r for c, r in zip(F.centers, rs)]
     m = len(F)
     W = np.zeros((m, m))
@@ -210,30 +181,26 @@ def _pair_witnesses(
 def continuity_check(
     F: LocalFamily,
     eps_ladder: Sequence[float] = (0.5, 0.25, 0.125),
-    radii: Optional[Mapping[float, Sequence[float]]] = None,
 ) -> ContinuityReport:
     """Per-eps verdict on the continuity condition: all pairwise
     restricted norms over neighborhood overlaps stay <= eps.
 
-    Radii come from the argument where it names the eps, and are
-    otherwise auto-fitted. Witnesses only grow with the radius (larger
-    overlaps, larger column sets), so the smallest radii satisfying the
-    bound, whenever any do, are the smallest that keep the
-    neighborhoods a cover; auto-fit evaluates exactly there.
+    Witnesses only grow with the radius (larger overlaps, larger column
+    sets), so the smallest radii satisfying the bound, whenever any do,
+    are the smallest that keep the neighborhoods a cover: the radii are
+    fitted there, 1.02 times the cover floor, and so are the same for
+    every eps.
     """
-    lay = axis_layout(F.geometry, F.axis)
+    lay = axis_layout(F.geometry)
     dists = np.stack([lay.distance(c) for c in F.centers])
     cover_floor = 2.0 * float(dists.min(axis=0).max())
+    rs = tuple(1.02 * cover_floor for _ in F.centers)
+    W = _pair_witnesses(F, rs)
     fitted: dict = {}
     witnesses: dict = {}
     per_eps: dict = {}
     for eps in eps_ladder:
         eps = float(eps)
-        if radii is not None and eps in radii:
-            rs = tuple(float(r) for r in radii[eps])
-        else:
-            rs = tuple(1.02 * cover_floor for _ in F.centers)
-        W = _pair_witnesses(F, rs)
         fitted[eps] = rs
         witnesses[eps] = W
         per_eps[eps] = bool(W.max() <= eps)
@@ -253,15 +220,15 @@ def glue(F: LocalFamily, P: PartitionOfUnity) -> DiscretizedOperator:
     neighborhoods; the glued operator then reproduces each local
     representative near its center up to 2 eps.
     """
-    if P.centers != F.centers or P.axis != F.axis:
-        raise LocalizationError("partition and family disagree on centers or axis")
+    if P.centers != F.centers:
+        raise LocalizationError("partition and family disagree on centers")
     W = _pair_witnesses(F, P.radii)
     if W.max() > P.eps:
         raise LocalizationError(
             f"family is not {P.eps:g}-continuous on the partition neighborhoods "
             f"(worst witness {W.max():.3g})"
         )
-    lay = axis_layout(F.geometry, F.axis)
+    lay = axis_layout(F.geometry)
     M = np.zeros_like(F.operators[0].matrix)
     for i, op in enumerate(F.operators):
         d = lay.spread(P.functions[i])

@@ -822,9 +822,9 @@ def subtract_quantized(
 # Parameter-dependent families
 
 
-def dyadic_ladder(k_max: int = 6) -> tuple[float, ...]:
-    """0 and +-2^k for k = 0..k_max, ascending."""
-    vals = [2.0**k for k in range(k_max + 1)]
+def dyadic_ladder() -> tuple[float, ...]:
+    """0 and +-2^k for k = 0..6, ascending."""
+    vals = [2.0**k for k in range(7)]
     return tuple(sorted({0.0, *vals, *(-u for u in vals)}))
 
 
@@ -844,14 +844,15 @@ class NegligibleVerdict:
 def negligible_test(
     build: Callable[[float], DiscretizedOperator],
     order: int = 4,
-    tau: float = 50.0,
     v_values: Optional[Sequence[float]] = None,
 ) -> NegligibleVerdict:
-    """Decide whether a parameter family decays like (1+|v|)^-order.
+    """Decide whether a parameter family decays like (1+|v|)^-order:
+    sup_v ||D(v)|| (1+|v|)^order <= tau = 50.
 
     `build` is a callable v -> operator. At least three parameter
     samples are required.
     """
+    tau = 50.0
     vs = tuple(float(u) for u in (v_values if v_values is not None else dyadic_ladder()))
     if len(vs) < 3:
         raise QuantizeError("negligibility needs at least 3 parameter samples")

@@ -14,7 +14,7 @@ of crowding the nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -173,17 +173,17 @@ def toeplitz_shift(n: int) -> DiscretizedOperator:
     return op_circle(Circle(n), parse(f"exp((0,1)*x)*{H} + 1 - {H}"))
 
 
-def partition_stock(seed: int = 0, count: int = 100) -> Iterator[PartitionInstance]:
-    """Randomized instances on which the partition norm bound is exact
-    or provably dominated: diagonal multiplier tuples and nonnegative
-    multiples of one common unitary.
+def partition_stock(seed: int = 0) -> Iterator[PartitionInstance]:
+    """100 randomized instances on which the partition norm bound is
+    exact or provably dominated: diagonal multiplier tuples and
+    nonnegative multiples of one common unitary.
 
     Both classes satisfy the bound pointwise, so violations beyond
     floating-point noise indicate a broken restricted norm, not a bad
     draw.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(count):
+    for _ in range(100):
         n = int(rng.choice((16, 24, 32)))
         m = int(rng.integers(2, 5))
         g = Circle(n)
@@ -276,22 +276,19 @@ def gluing_expr() -> Node:
     return parse("2 + 0.2 * sin(x) * chi(xi)")
 
 
-def gluing_families(eps_values: Sequence[float] = tuple(GLUING_COUNTS)) -> dict[float, LocalFamily]:
+def gluing_families() -> dict[float, LocalFamily]:
     """Frozen-coefficient representatives of the gluing stock symbol at
-    equispaced centers on Circle(64), one family per eps; center count
-    doubles as eps halves.
+    equispaced centers on Circle(64), one family per eps of
+    GLUING_COUNTS; center count doubles as eps halves.
 
     The center sets are nested (2 pi i/8 is 2 pi (4 i)/32 exactly in
-    floating point), so each operator is built once, on the finest
-    requested set, and the coarser families share it.
+    floating point), so each operator is built once, on the finest set,
+    and the coarser families share it.
     """
-    for eps in eps_values:
-        if eps not in GLUING_COUNTS:
-            raise KeyError(f"no stock center count for eps = {eps}")
     g = Circle(64)
     expr = gluing_expr()
-    n_max = max(GLUING_COUNTS[eps] for eps in eps_values)
+    n_max = max(GLUING_COUNTS.values())
     centers = [2.0 * np.pi * i / n_max for i in range(n_max)]
     ops = [op_circle(g, substitute(expr, {"x": Const(c)})) for c in centers]
-    steps = {eps: n_max // GLUING_COUNTS[eps] for eps in eps_values}
+    steps = {eps: n_max // count for eps, count in GLUING_COUNTS.items()}
     return {eps: LocalFamily(g, centers[::step], ops[::step]) for eps, step in steps.items()}

@@ -547,13 +547,12 @@ def _ev(e: Node, b: dict[str, np.ndarray]) -> tuple[np.ndarray, bool, int]:
     raise TypeError(f"not a node: {e!r}")
 
 
-def evaluate(e: Node, bindings: dict[str, object], as_matrix: bool = True, check: bool = True) -> np.ndarray:
+def evaluate(e: Node, bindings: dict[str, object]) -> np.ndarray:
     """Evaluate over numpy-broadcastable bindings.
 
-    Returns a complex array. With as_matrix=True (default) the result has
-    trailing axes (q, q), scalars promoted to (..., 1, 1). With check=True
-    a non-finite result (overflow, division by zero, log branch point)
-    raises EvalError rather than propagating inf/nan.
+    Returns a complex array with trailing axes (q, q), scalars promoted
+    to (..., 1, 1). A non-finite result (overflow, division by zero, log
+    branch point) raises EvalError rather than propagating inf/nan.
 
     Memory: an intermediate the evaluator made is overwritten by the step
     that consumes it whenever it already has that step's shape, and the
@@ -565,11 +564,11 @@ def evaluate(e: Node, bindings: dict[str, object], as_matrix: bool = True, check
     with np.errstate(all="ignore"):
         out, _, q = _ev(e, b)
     out = np.asarray(out, dtype=complex)
-    if as_matrix and q == 1:
+    if q == 1:
         out = out[..., None, None]
-    if as_matrix and q > 1 and out.ndim < 2:
+    elif out.ndim < 2:
         out = np.broadcast_to(out, (q, q)).copy()
-    if check and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise EvalError("evaluation produced a non-finite value (overflow, division by zero or log branch violation)")
     return out
 

@@ -285,7 +285,7 @@ def suite_partition_bound(seed: int) -> SuiteResult:
     """Randomized partition norm bound instances; seeded draws."""
     worst = 0.0
     count = 0
-    for inst in partition_stock(seed=seed, count=100):
+    for inst in partition_stock(seed=seed):
         rep = partition_bound_check(inst.functions, inst.operators)
         worst = min(worst, rep.slack)
         count += 1
@@ -342,7 +342,7 @@ def suite_gluing(seed: int) -> SuiteResult:
 def suite_large_parameter(seed: int) -> SuiteResult:
     """Invertibility of the parameter multiplier family for large v."""
     g, expr = parameter_family()
-    rep = large_parameter_scan(g, expr, lower_bound=0.5)
+    rep = large_parameter_scan(g, expr)
     monotone = all(b >= 0.9 * a for a, b in zip(rep.s_min, rep.s_min[1:]))
     checks = [
         CheckResult(

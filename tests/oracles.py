@@ -23,7 +23,7 @@ from psdo.calculus import _cutoff_ladder
 from psdo.fredholm import _collar_fraction
 from psdo.geometry import Circle, Cone, DilationAction, Edge, Point, axis_layout
 from psdo.quantize import _BLOCK, AxisKind, _dft_matrix, _interior_nodes, analysis_matrix, quantize, synthesis
-from psdo.symexpr import BinOp, Call, Const, Neg, Pow, Var, evaluate, parse, shape_of, substitute, variables_of
+from psdo.symexpr import BinOp, Call, Const, Neg, Pow, Var, diff, evaluate, parse, shape_of, substitute, variables_of
 
 # ---------------------------------------------------------------------------
 # Shared inputs of the circle, fiber and streaming tests
@@ -87,6 +87,18 @@ def circle_analysis(n: int) -> np.ndarray:
     """F[k, l] = exp(-i m_k x_l) / n of a circle x axis, the FFT of the
     whole identity: `_dft_matrix`'s bits, built without its slabs."""
     return np.fft.fft(np.eye(n), axis=0) / n
+
+
+def raw_pullback(c: Circle, g) -> np.ndarray:
+    """The discrete pullback u -> sqrt(g') u(g(omega)) on c: the whole
+    phase table at the warped nodes, weighted by the half-density
+    factor, times the DFT matrix. Reference for `base_pullback`, which
+    returns its polar unitary factor."""
+    g = parse(g) if isinstance(g, str) else g
+    gvals = np.broadcast_to(evaluate(g, {"x": c.x}).reshape(-1).real, c.x.shape)
+    dvals = np.broadcast_to(evaluate(diff(g, "x"), {"x": c.x}).reshape(-1).real, c.x.shape)
+    E = phase_pair(gvals, c.modes.astype(float))[0]
+    return np.diag(np.sqrt(dvals)) @ E @ circle_analysis(c.n_x)
 
 
 def assert_matches_oracle(A: np.ndarray, want: np.ndarray, expr, cone=None, x_axis=True) -> None:
@@ -408,12 +420,12 @@ def translation_commutator(M: np.ndarray, n_x: int, steps: int) -> np.ndarray:
     return M[T.argmax(axis=1)] - M[:, T.argmax(axis=0)]
 
 
-def twisted_loop_violations(sigma, ks) -> tuple[float, ...]:
-    """`check_twisted_homogeneity`'s violations, one `at()` call per
-    fiber. Reference for its batched fibers."""
+def twisted_loop_violations(sigma) -> tuple[float, ...]:
+    """`check_twisted_homogeneity`'s violations at k = 1..8, one `at()`
+    call per fiber. Reference for its batched fibers."""
     base_m = sigma.at(x=0.0, xi=1.0, v=1.0).matrix
     out = []
-    for k in ks:
+    for k in range(1, 9):
         act = DilationAction(sigma.cone, k)
         dilated = sigma.at(x=0.0, xi=act.lam, v=act.lam).matrix
         denom = max(1.0, float(np.linalg.norm(dilated, 2)))
@@ -471,8 +483,8 @@ def full_svd_rows(build, sizes, tau_coef):
 
 
 def scalar_tip(tip: str):
-    """The tip as a scalar callable, one evaluate per point: the loop
-    `winding_oracle` keeps for callables, reference for its array path."""
+    """The tip as a scalar function of p, one evaluate per point: through
+    `loop_contour`, the reference for `_contour`'s one evaluate."""
     expr = parse(tip)
     return lambda p: complex(np.asarray(evaluate(expr, {"p": p, "t": 0.0})).reshape(-1)[0])
 
@@ -495,9 +507,8 @@ def loop_value(c, p: float) -> np.ndarray:
         d = np.broadcast_to(evaluate(c.expr, {"p": p, "t": modes}).reshape(-1), modes.shape)
         iFw, Fw = phase_pair(c.base.x, modes)
         m = iFw @ np.diag(d.astype(complex)) @ Fw
-    if c.conj is not None:
-        L, R = c.conj(0.0)
-        m = L @ m @ R
+    if c.frame is not None:
+        m = c.frame.conj().T @ m @ c.frame
     return m
 
 

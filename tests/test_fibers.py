@@ -181,8 +181,7 @@ def test_edge_symbol_fibers_equal_fiber_loop(i):
 @pytest.mark.parametrize("i", range(len(TWISTED_IDS)), ids=TWISTED_IDS)
 def test_twisted_homogeneity_equals_fiber_loop(i):
     sigma = twisted_symbols()[i]
-    ks = (1, 2, 3) if TWISTED_IDS[i] == "pushforward" else tuple(range(1, 9))
-    assert check_twisted_homogeneity(sigma, ks=ks).violations == twisted_loop_violations(sigma, ks)
+    assert check_twisted_homogeneity(sigma).violations == twisted_loop_violations(sigma)
 
 
 def test_edge_symbol_fibers_need_periodic_cone():

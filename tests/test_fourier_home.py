@@ -22,7 +22,6 @@ from oracles import (
     X_DEP_Q2,
     X_FREE,
     assert_matches_oracle,
-    circle_analysis,
     circle_base_cone,
     circle_reference,
     edge_reference,
@@ -33,6 +32,7 @@ from oracles import (
     mellin_reference,
     phase_pair,
     point_cone,
+    raw_pullback,
 )
 from psdo.calculus import extract_symbol
 from psdo.fredholm import _op_interior_on_edge
@@ -50,13 +50,17 @@ from psdo.quantize import (
 )
 from psdo.stock import homogeneity_stock
 from psdo.symbols import ConeSymbolFamily, base_pullback
-from psdo.symexpr import evaluate, parse
+from psdo.symexpr import evaluate, parse, variables_of
 
 
 # x-free, xi-free and constant symbols: their grids broadcast with stride
 # 0, where the operand order of the complex product decides the bits.
 # "xfree" takes the DFT-matrix branch, compared exactly; "xifree" depends
-# on x only and takes the FFT branch, compared within the bound.
+# on x only and takes the FFT branch, compared within the bound with the
+# multiplier diag(e^{i x_j}) it quantizes to (the FFT branch gives it
+# exactly at n = 8, 256 and 1024), not with the einsum reference, whose
+# rounding depends on the BLAS kernel: 2.9e-15 off at n = 256 under
+# OpenBLAS's Haswell kernels.
 BROADCAST = {
     "xfree": (1, "1 + chi(xi)"),
     "xifree": (1, "exp((0,1) * x)"),
@@ -77,7 +81,11 @@ CIRCLE_CASES = [
 def test_op_circle_equals_contraction(n, q, src):
     g = Circle(n, q=q)
     expr = parse(src)
-    assert_matches_oracle(op_circle(g, expr).matrix, circle_reference(g, expr), expr)
+    if variables_of(expr) == {"x"}:
+        want = np.diag(evaluate(expr, {"x": g.x}).reshape(-1))
+    else:
+        want = circle_reference(g, expr)
+    assert_matches_oracle(op_circle(g, expr).matrix, want, expr)
 
 
 @pytest.mark.parametrize(
@@ -175,28 +183,26 @@ CIRCLE_CONE = Cone(Circle(8), T=5.0, n_t=16)
 
 
 @pytest.mark.parametrize(
-    "g, src, axis",
+    "g, src",
     [
-        (Circle(64), "1 + chi(xi)", "x"),
-        (Circle(32, q=2), "[[1 + chi(xi), 0.5], [chi(xi), 2]]", "x"),
-        (POINT_CONE, "1 + chi(p)", "t"),
-        (CIRCLE_CONE, "1 + chi(p)*chi(t)", "t"),
-        (Edge(Circle(8), POINT_CONE), "1 + chi(p) + 0.5*eta/(1 + eta^2)", "x"),
-        (Edge(Circle(8), POINT_CONE), "1 + chi(p) + 0.5*eta/(1 + eta^2)", "t"),
+        (Circle(64), "1 + chi(xi)"),
+        (Circle(32, q=2), "[[1 + chi(xi), 0.5], [chi(xi), 2]]"),
+        (POINT_CONE, "1 + chi(p)"),
+        (CIRCLE_CONE, "1 + chi(p)*chi(t)"),
+        (Edge(Circle(8), POINT_CONE), "1 + chi(p) + 0.5*eta/(1 + eta^2)"),
     ],
-    ids=["circle-x", "circle-q2-x", "point-cone-t", "circle-cone-t", "edge-x", "edge-t"],
+    ids=["circle-x", "circle-q2-x", "point-cone-t", "circle-cone-t", "edge-x"],
 )
-def test_extract_symbol_blocks_equal_contraction(g, src, axis):
+def test_extract_symbol_blocks_equal_contraction(g, src):
+    # extraction runs along the default axis: t on a cone, x otherwise
     A = quantize(g, parse(src), v=1.0)
-    ex = extract_symbol(A, axis=axis, require_invariant=False)
-    if axis == "x":
-        circ = g if isinstance(g, Circle) else g.circle
-        pre, n, nodes, covar = 1, circ.n_x, circ.x, circ.modes.astype(float)
+    ex = extract_symbol(A)
+    if isinstance(g, Cone):
+        n, nodes, covar = g.n_t, g.t, g.p
     else:
-        cone = g if isinstance(g, Cone) else g.cone
-        pre, n, nodes, covar = g.dim_total // cone.dim_total, cone.n_t, cone.t, cone.p
-    post = g.dim_total // (pre * n)
-    D = extract_reference(A, pre, n, post, nodes, covar)
+        circ = g if isinstance(g, Circle) else g.circle
+        n, nodes, covar = circ.n_x, circ.x, circ.modes.astype(float)
+    D = extract_reference(A, 1, n, g.dim_total // n, nodes, covar)
     assert np.array_equal(ex.blocks, D[np.arange(n), np.arange(n)])
 
 
@@ -246,10 +252,8 @@ def test_circle_base_symbol_values_equal_matrix_products():
 def test_base_pullback_equals_matrix_product():
     c = Circle(32)
     g = parse("x + 0.2*sin(x)")
-    gvals = evaluate(g, {"x": c.x}).reshape(-1).real
-    dvals = evaluate(parse("1 + 0.2*cos(x)"), {"x": c.x}).reshape(-1).real
-    E = phase_pair(gvals, c.modes.astype(float))[0]
-    assert np.array_equal(base_pullback(c, g, polar=False), np.diag(np.sqrt(dvals)) @ E @ circle_analysis(c.n_x))
+    U, _, Vh = np.linalg.svd(raw_pullback(c, g))
+    assert np.array_equal(base_pullback(c, g), U @ Vh)
 
 
 # (j, B shape) of kn_circulant's call sites, at the shapes the quantizers,

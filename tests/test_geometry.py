@@ -181,7 +181,7 @@ class TestCutoffs:
 
     def test_cone_t_axis_family(self):
         g = Cone(Point(), T=6.0, n_t=128)
-        fam = cutoff_family(g, center=0.0, n_scales=3, base_scale=3.0, axis_name="t")
+        fam = cutoff_family(g, center=0.0, n_scales=3, base_scale=3.0)
         for i in range(2):
             assert np.max(np.abs(fam[i] * fam[i + 1] - fam[i + 1])) < 1e-12
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from psdo.calculus import DiscretizedOperator
-from psdo.geometry import Circle, Cone, Point, axis_layout, cutoff_family, plateau_profile
+from psdo.geometry import Circle, Cone, Point, axis_layout, plateau_profile
 from psdo.localization import (
     LocalFamily,
     LocalizationError,
@@ -58,7 +58,7 @@ def frozen_family(name, n_c):
     g, (src, frozen_at) = GEOMETRIES[name], STOCKS[name]
     centers = axis_centers(g, n_c)
     ops = [quantize(g, substitute(parse(src), frozen_at(c))) for c in centers]
-    return LocalFamily(g, centers, ops, axis=axis_layout(g).name)
+    return LocalFamily(g, centers, ops)
 
 
 def outlier_family(g):
@@ -81,17 +81,6 @@ def test_partition_sums_to_one_and_is_subordinate(g64):
     for f, c, r in zip(P.functions, P.centers, P.radii):
         d = np.abs(np.angle(np.exp(1j * (g64.x - c))))
         assert np.all(f[d >= r] == 0.0)
-
-
-def test_partition_needs_covering_radii(g64):
-    centers = [0.0, np.pi]
-    with pytest.raises(LocalizationError, match="cover"):
-        partition_of_unity(g64, centers, eps=0.5, radii=(0.1, 0.1))
-
-
-def test_partition_radii_length_checked(g64):
-    with pytest.raises(LocalizationError, match="one radius"):
-        partition_of_unity(g64, [0.0, np.pi], eps=0.5, radii=(1.0,))
 
 
 def test_local_family_validates_lengths(g64):
@@ -146,18 +135,10 @@ def test_local_norm_explicit_ladder_reads_interior_columns():
     # on those nodes, with no shift onto the seam node t_0
     g = INTERVAL_CONE
     A = quantize(g, parse("2 + chi(p) + r / (1 + r)"))
-    ladder = cutoff_family(g, center=0.5, n_scales=2, base_scale=2.0)
-    rep = local_norm(A, 0.5, ladder)
+    rep = local_norm(A, 0.5)
     d = np.abs(g.t[1:] - 0.5)
-    want = tuple(side_norm(A.matrix, plateau_profile(d, s / 2.0, s), "right") for s in (2.0, 1.0))
+    want = tuple(side_norm(A.matrix, plateau_profile(d, s / 2.0, s), "right") for s in rep.scales)
     assert rep.norms == want
-
-
-def test_local_norm_rejects_offcenter_ladder(g64):
-    A = op_circle(g64, parse("1"))
-    ladder = cutoff_family(g64, center=1.0, n_scales=2)
-    with pytest.raises(LocalizationError, match="centered"):
-        local_norm(A, 0.0, ladder=ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +149,7 @@ def test_local_norm_rejects_offcenter_ladder(g64):
 def test_continuity_constant_family_passes_every_eps(name):
     g = GEOMETRIES[name]
     A = quantize(g, parse("3"))
-    F = LocalFamily(g, axis_centers(g, 8), [A] * 8, axis=axis_layout(g).name)
+    F = LocalFamily(g, axis_centers(g, 8), [A] * 8)
     rep = continuity_check(F, eps_ladder=(0.5, 0.25, 0.125))
     assert rep.passed
     for eps in rep.eps_ladder:
@@ -186,7 +167,7 @@ def test_continuity_frozen_family_autofit():
 
 def test_continuity_flags_outlier_representative(g64):
     F = outlier_family(g64)
-    rep = continuity_check(F, eps_ladder=(0.5,), radii={0.5: (1.7,) * 8})
+    rep = continuity_check(F, eps_ladder=(0.5,))
     assert not rep.passed
     assert rep.witnesses[0.5].max() >= 1.0
 

@@ -217,7 +217,7 @@ class TestInvariants:
 
         g = Cone(Point(), T=6.0, n_t=128)
         Delta = op_mellin(g, parse("(p-(0,1))/(p+(0,1)) - 1"))
-        fam = cutoff_family(g, center=0.0, n_scales=1, base_scale=2.0, axis_name="t")
+        fam = cutoff_family(g, center=0.0, n_scales=1, base_scale=2.0)
         phi = np.diag(fam[0].astype(complex))
         base = np.linalg.norm(phi @ Delta.matrix @ phi, 2)
         for k in (4, 9):
@@ -237,14 +237,14 @@ class TestInvariants:
 
 class TestFamilies:
     def test_dyadic_ladder(self):
-        vs = dyadic_ladder(3)
-        assert 0.0 in vs and 8.0 in vs and -8.0 in vs
-        assert len(vs) == 9
+        vs = dyadic_ladder()
+        assert 0.0 in vs and 64.0 in vs and -64.0 in vs
+        assert len(vs) == 15
 
     def test_negligible_accepts_decaying_family(self):
         g = Circle(16)
         expr = parse("exp(-abs(v))*chi(xi)")
-        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4, tau=50.0)
+        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4)
         assert isinstance(verdict, NegligibleVerdict)
         assert verdict.accepted
         assert len(verdict.v_values) >= 3
@@ -252,7 +252,7 @@ class TestFamilies:
     def test_negligible_rejects_identity(self):
         g = Circle(16)
         expr = parse("1 + 0*chi(xi)")
-        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4, tau=50.0, v_values=dyadic_ladder())
+        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4, v_values=dyadic_ladder())
         assert not verdict.accepted
 
     def test_negligible_needs_three_samples(self):

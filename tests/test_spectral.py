@@ -26,7 +26,7 @@ import pytest
 
 from oracles import dense_side, extract_reference, translation_commutator
 from psdo import blas
-from psdo.calculus import _shift_commutator_in_place, extract_symbol, infinitesimal
+from psdo.calculus import NotTranslationInvariant, _shift_commutator_in_place, extract_symbol, infinitesimal
 from psdo.geometry import Circle, Cone, Edge, Point, axis_layout
 from psdo.quantize import (
     _BLOCK,
@@ -59,16 +59,6 @@ def _frozen_stock(kind):
 def _random(shape, scale=1.0, seed=3):
     rng = np.random.default_rng(seed)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-@pytest.mark.parametrize("shape", [(40, 90), (90, 40), (64, 64)])
-@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200, 1e-310])
-def test_gram_norm_matches_dense(shape, scale):
-    M = _random(shape, scale)
-    want = np.linalg.norm(M, 2)
-    assert spectral_norm(M) == pytest.approx(want, rel=1e-13, abs=0.0)
-    X = np.array(M if shape[0] <= shape[1] else M.T)
-    assert gram_norm(X, X[:, : len(X)]) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_gram_norm_blocks_cover_every_row():
@@ -324,7 +314,8 @@ def test_extraction_norms_match_block_loop():
     # the largest per-block norm over every mode pair k != m.
     c = Circle(16)
     A = op_circle(c, parse("(2 + sin(x)) * chi(xi)"))
-    ex = extract_symbol(A, require_invariant=False)
+    with pytest.raises(NotTranslationInvariant) as info:
+        extract_symbol(A)
     D = extract_reference(A, 1, 16, 1, c.x, c.modes.astype(float))[..., 0, 0]
     off = max(abs(D[k, m]) for k in range(16) for m in range(16) if k != m)
-    assert ex.max_offdiag == pytest.approx(off, rel=1e-12)
+    assert info.value.max_offdiag == pytest.approx(off, rel=1e-12)

@@ -105,15 +105,15 @@ def test_toeplitz_shift_section_rows():
 
 
 def test_partition_stock_never_violates_bound():
-    for inst in partition_stock(seed=0, count=100):
+    for inst in partition_stock(seed=0):
         rep = partition_bound_check(inst.functions, inst.operators)
         assert rep.slack >= -1e-12, inst.kind
 
 
 def test_partition_stock_is_seeded():
-    a = next(iter(partition_stock(seed=3, count=1)))
-    b = next(iter(partition_stock(seed=3, count=1)))
-    c = next(iter(partition_stock(seed=4, count=1)))
+    a = next(iter(partition_stock(seed=3)))
+    b = next(iter(partition_stock(seed=3)))
+    c = next(iter(partition_stock(seed=4)))
     assert np.array_equal(a.functions[0], b.functions[0])
     assert not np.array_equal(a.functions[0], c.functions[0])
 
@@ -147,11 +147,10 @@ def test_parameter_family_is_scalar_multiplier():
 
 
 def test_gluing_family_counts_match_eps():
+    families = gluing_families()
+    assert list(families) == list(GLUING_COUNTS)
     for eps, n_c in GLUING_COUNTS.items():
-        F = gluing_families((eps,))[eps]
-        assert len(F) == n_c
-    with pytest.raises(KeyError):
-        gluing_families((0.3,))
+        assert len(families[eps]) == n_c
 
 
 def test_gluing_families_build_each_center_once(monkeypatch):

@@ -3,8 +3,10 @@ and no dead test helpers in src/psdo, tests and bench, and one home for
 the tests' references.
 
 Every defaulted parameter of a psdo function, and every defaulted init
-field of a psdo dataclass, is set by some call in the scanned trees;
-every name a module imports is referenced there; every function or
+field of a psdo dataclass, is set by some call in src/psdo or bench: a
+call under tests/ does not keep a src parameter alive, since a value
+only tests vary is a constant of every command. Every name a module
+imports is referenced in src/psdo, tests or bench; every function or
 method defined in src/psdo is referenced by name in src/psdo outside its
 own definition, so no src code lives for its tests alone; every module-level
 function or class under tests/ is referenced somewhere under tests/ (a
@@ -18,9 +20,10 @@ unpacking. Calls match definitions by name alone (`f(...)` and
 its `__init__`, so the scan over-approximates what is set. A dataclass
 field counts as set the same way by a call to its class, its position
 counted among the init fields, or by a `replace(..., field=)` keyword
-on any object. A parameter that no call sets is a constant in disguise:
-write it into the body; a field that no call sets is a class constant
-or a cache, declared with `init=False`.
+on any object. A parameter that no such call sets is a constant in
+disguise: write it into the body, or derive it from the geometry; a
+field that no such call sets is a class constant or a cache, declared
+with `init=False`. The exemptions below give their reasons.
 
 An imported name counts as referenced when the module reads it or lists
 it in `__all__`; an import marked `# noqa: F401` (flake8's code for an
@@ -35,11 +38,15 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANNED = ("src/psdo", "tests", "bench")
+# the trees whose calls keep a src parameter alive
+SETTERS = ("src/psdo", "bench")
 
-# Inputs kept as parameters although no call sets them: the edge
-# parameter v and the symbol variables of the `value` methods are
-# evaluation inputs, and the derivative and inverse of a pushforward are
-# alternate inputs (the pushforward_interior error asks for f_inv).
+# Inputs kept as parameters although no src or bench call sets them: the
+# edge parameter v and the symbol variables of the `value` methods are
+# evaluation inputs; the derivative and inverse of a pushforward are
+# alternate inputs (the pushforward_interior error asks for f_inv); and
+# the parameters of a LIBRARY_API member (below) are its callers' to
+# set, since no src code calls it.
 EVALUATION_INPUT = "v"
 ALTERNATE_INPUTS = {
     "symbols.pushforward_interior": {"df", "f_inv"},
@@ -47,12 +54,12 @@ ALTERNATE_INPUTS = {
 }
 
 
-
 def _allowed(qualname: str, param: str) -> bool:
     return (
         param == EVALUATION_INPUT
         or qualname.split(".")[-1] == "value"
         or param in ALTERNATE_INPUTS.get(qualname, ())
+        or qualname in LIBRARY_API
     )
 
 
@@ -127,11 +134,11 @@ def _defaulted_fields():
 
 
 def _calls():
-    """What the calls in the scanned trees set: (name, keyword) pairs,
+    """What the calls in src/psdo and bench set: (name, keyword) pairs,
     (name, position) pairs, the first `*` position per name, and the
     names called with `**`."""
     keywords, positions, star_from, double_star = set(), set(), {}, set()
-    for tree in SCANNED:
+    for tree in SETTERS:
         for path in sorted((ROOT / tree).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(node, ast.Call):

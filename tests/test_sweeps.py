@@ -4,7 +4,7 @@ The winding contour, the conormal profile and the ellipticity spheres
 are each one `evaluate` on the whole grid plus one stacked SVD or
 determinant; their references in oracles.py are the per-point loops,
 one scalar `evaluate` and one small SVD per grid point. Winding reports
-and oracle errors match the callable form's loop, and
+and oracle errors match those of the looped contour, and
 ConeSymbolFamily.value, min_singular and limit_drift on a stacked p grid
 match one evaluation per p (`oracles.loop_value`, which calls neither
 of value's paths).
@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+import psdo.fredholm as fredholm
 from oracles import loop_contour, loop_sphere_min, loop_value, scalar_tip
 from psdo.fredholm import (
     FredholmError,
@@ -54,10 +55,17 @@ def test_contour_matches_scalar_loop(tip):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+def loop_oracle(monkeypatch, tip):
+    """winding_oracle on the tip's looped contour `oracles.loop_contour`
+    in place of `_contour`."""
+    monkeypatch.setattr(fredholm, "_contour", lambda g, p_max, n: loop_contour(scalar_tip(tip), p_max, n))
+    return winding_oracle(tip)
+
+
 @pytest.mark.parametrize("tip", TIPS)
-def test_winding_report_matches_scalar_loop(tip):
+def test_winding_report_matches_scalar_loop(tip, monkeypatch):
     got = winding_oracle(tip)
-    want = winding_oracle(scalar_tip(tip))  # the callable form keeps its loop
+    want = loop_oracle(monkeypatch, tip)
     assert got.winding == want.winding
     assert got.residual == pytest.approx(want.residual, rel=0.0, abs=1e-12)
     assert got.min_abs == pytest.approx(want.min_abs, rel=1e-14)
@@ -78,20 +86,20 @@ def test_p_free_tip_winds_zero():
     ("tip", "match"),
     [("p / (p + (0,1))", "zero"), ("p + (0,1)", "close")],
 )
-def test_oracle_errors_match_scalar_loop(tip, match):
+def test_oracle_errors_match_scalar_loop(tip, match, monkeypatch):
     with pytest.raises(FredholmError, match=match) as got:
         winding_oracle(tip)
     with pytest.raises(FredholmError) as want:
-        winding_oracle(scalar_tip(tip))
+        loop_oracle(monkeypatch, tip)
     assert str(got.value) == str(want.value)
 
 
-def test_non_finite_tip_raises_eval_error():
+def test_non_finite_tip_raises_eval_error(monkeypatch):
     """p = 0 is on the grid, so 1/p is infinite there."""
     with pytest.raises(EvalError) as got:
         winding_oracle("1 / p")
     with pytest.raises(EvalError) as want:
-        winding_oracle(scalar_tip("1 / p"))
+        loop_oracle(monkeypatch, "1 / p")
     assert str(got.value) == str(want.value)
 
 
@@ -180,7 +188,7 @@ def test_check_elliptic_matches_loops(inst):
 
 def test_parameter_family_sphere_matches_loop():
     g, expr = parameter_family()
-    rep = large_parameter_scan(g, expr, lower_bound=0.5)
+    rep = large_parameter_scan(g, expr)
     assert rep.sphere_min == pytest.approx(loop_sphere_min(expr, 16), rel=1e-14)
     assert rep.passed
 
@@ -197,7 +205,7 @@ def test_parameter_family_sphere_matches_loop():
 )
 def test_large_parameter_sphere_matches_loop(expr):
     e = parse(expr)
-    rep = large_parameter_scan(Circle(32, q=shape_of(e)), e, v_values=(8.0, 16.0))
+    rep = large_parameter_scan(Circle(32, q=shape_of(e)), e)
     want = loop_sphere_min(e, 16)
     assert rep.sphere_min == pytest.approx(want, rel=1e-14, abs=1e-16)
     assert rep.elliptic_with_parameter == (want >= 1e-6)

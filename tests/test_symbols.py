@@ -6,7 +6,7 @@ matrices built from the phase pairs of oracles.py."""
 import numpy as np
 import pytest
 
-from oracles import phase_pair
+from oracles import phase_pair, raw_pullback
 from psdo.geometry import Circle, Cone, Point
 from psdo.quantize import op_circle
 from psdo.symbols import (
@@ -172,7 +172,7 @@ def test_conormal_multiplicative():
 def test_conormal_continuity_and_limits():
     c = conormal(ConeSymbolFamily("p/(p + (0,1))"))
     # |c(1e9) - c(1e6)| ~ 1e-6: converged to the frozen limit
-    assert c.limit_drift(p_large=1e6, factor=1e3) < 1e-5
+    assert c.limit_drift() < 1e-5
 
 
 def test_conormal_circle_base_nodal_values():
@@ -289,7 +289,7 @@ def test_pushforward_egorov_intertwining():
         b = pushforward_interior(a, f)
         A = op_circle(g, a.expr).matrix
         B = op_circle(g, b.expr).matrix
-        V = base_pullback(g, f, polar=False)
+        V = raw_pullback(g, f)
         M = A @ V - V @ B
         residuals[n] = max(
             np.linalg.norm(M @ u) for u in band_limited_probes(g, n // 8, 20)
@@ -304,8 +304,8 @@ def test_pushforward_egorov_intertwining():
 
 def test_base_pullback_rotation_is_unitary_shift():
     c = Circle(16)
-    Q = base_pullback(c, "x + 0.9", polar=True)
-    G = base_pullback(c, "x + 0.9", polar=False)
+    Q = base_pullback(c, "x + 0.9")
+    G = raw_pullback(c, "x + 0.9")
     assert np.max(np.abs(Q - G)) < 1e-12
     assert np.max(np.abs(Q.conj().T @ Q - np.eye(16))) < 1e-12
 
@@ -315,8 +315,8 @@ def test_base_pullback_polar_matches_raw_on_low_modes():
     gaps = {}
     for n in (16, 32):
         c = Circle(n)
-        Q = base_pullback(c, "x + 0.2*sin(x)", polar=True)
-        G = base_pullback(c, "x + 0.2*sin(x)", polar=False)
+        Q = base_pullback(c, "x + 0.2*sin(x)")
+        G = raw_pullback(c, "x + 0.2*sin(x)")
         gaps[n] = np.linalg.norm((Q - G) @ band_projector(c, n // 8), 2)
     assert gaps[16] < 2e-3
     assert gaps[32] < 0.25 * gaps[16]
@@ -356,7 +356,7 @@ def test_pushforward_edge_conjugated_family_stays_twisted():
     P = ConeSymbolFamily("(p - (0,1)*(1 + t^2))/(p + (0,1)*(1 + t^2))", base=base)
     Pg = pushforward_edge(P, "x + 0.2*sin(x)")
     sig = EdgeSymbol(Pg, Cone(base=base, T=12.0, n_t=32))
-    assert check_twisted_homogeneity(sig, ks=(1, 2, 3)).max_violation <= 1e-10
+    assert check_twisted_homogeneity(sig).max_violation <= 1e-10
 
 
 def test_pushforward_edge_requires_circle_base():
