@@ -196,21 +196,9 @@ def continuity_check(
     cover_floor = 2.0 * float(dists.min(axis=0).max())
     rs = tuple(1.02 * cover_floor for _ in F.centers)
     W = _pair_witnesses(F, rs)
-    fitted: dict = {}
-    witnesses: dict = {}
-    per_eps: dict = {}
-    for eps in eps_ladder:
-        eps = float(eps)
-        fitted[eps] = rs
-        witnesses[eps] = W
-        per_eps[eps] = bool(W.max() <= eps)
-    return ContinuityReport(
-        tuple(float(e) for e in eps_ladder),
-        fitted,
-        witnesses,
-        per_eps,
-        all(per_eps.values()),
-    )
+    epss = tuple(float(e) for e in eps_ladder)
+    per_eps = {eps: bool(W.max() <= eps) for eps in epss}
+    return ContinuityReport(epss, dict.fromkeys(epss, rs), dict.fromkeys(epss, W), per_eps, all(per_eps.values()))
 
 
 def glue(F: LocalFamily, P: PartitionOfUnity) -> DiscretizedOperator:

@@ -566,8 +566,6 @@ def evaluate(e: Node, bindings: dict[str, object]) -> np.ndarray:
     out = np.asarray(out, dtype=complex)
     if q == 1:
         out = out[..., None, None]
-    elif out.ndim < 2:
-        out = np.broadcast_to(out, (q, q)).copy()
     if not np.all(np.isfinite(out)):
         raise EvalError("evaluation produced a non-finite value (overflow, division by zero or log branch violation)")
     return out
