@@ -80,7 +80,6 @@ class NotTranslationInvariant(CalculusError):
 
 @dataclass(frozen=True)
 class CompositionResult:
-    n_terms: int
     expansion: Node
     xi_samples: tuple[float, ...]
     remainder_norms: tuple[float, ...]
@@ -127,7 +126,7 @@ def compose_symbols(left: ExprLike, right: ExprLike, n_terms: int) -> Compositio
     )
     logs = np.log(np.maximum(norms, 1e-300))
     slope = float(np.polyfit(np.log(np.asarray(xi_samples, dtype=float)), logs, 1)[0])
-    return CompositionResult(n_terms, expansion, tuple(float(s) for s in xi_samples), norms, slope)
+    return CompositionResult(expansion, tuple(float(s) for s in xi_samples), norms, slope)
 
 
 def _probe_block(g: Circle, xi0: float) -> np.ndarray:
@@ -150,7 +149,6 @@ class ExtractedSymbol:
     blocks: np.ndarray  # (n_modes, d, d)
     max_offdiag: float
     esssup_gap: float
-    operator_norm: float
 
 
 def extract_symbol(A: DiscretizedOperator) -> ExtractedSymbol:
@@ -181,7 +179,7 @@ def extract_symbol(A: DiscretizedOperator) -> ExtractedSymbol:
         raise NotTranslationInvariant(off, norm_A)
     blocks = np.ascontiguousarray(D[np.arange(n), np.arange(n)])
     esssup = spectral_norm(blocks)
-    return ExtractedSymbol(lay.name, covar.copy(), blocks, off, abs(esssup - norm_A), norm_A)
+    return ExtractedSymbol(lay.name, covar.copy(), blocks, off, abs(esssup - norm_A))
 
 
 def probe_symbol(A: DiscretizedOperator, x0: float, k: int) -> complex:
@@ -229,7 +227,6 @@ class InfinitesimalOperator:
     where it has them."""
 
     geometry: Geometry
-    z: float
     frozen_expr: Node
     v: float
     diagnostics: ConvergenceDiagnostics
@@ -377,9 +374,9 @@ def infinitesimal(
         source_norm = A.norm()
     Dm = subtract_quantized(A.matrix, g, frozen_expr, v=v, freeze_r=True)
     lambdas, diags = _cutoff_ladder(g, z)
-    d_right = tuple(side_norm(Dm, w, "right") for w in diags)
+    d_right = tuple(side_norm(Dm, w) for w in diags)
     non_inc = all(d_right[i + 1] <= 1.1 * d_right[i] + 1e-14 for i in range(len(d_right) - 1))
     final = d_right[-1]
     diag = ConvergenceDiagnostics(lambdas, d_right, final, non_inc, bool(final <= 1e-3), 1e-3)
-    return InfinitesimalOperator(g, float(z), frozen_expr, float(v), diag, source_norm)
+    return InfinitesimalOperator(g, frozen_expr, float(v), diag, source_norm)
 

@@ -46,7 +46,6 @@ import struct
 import sys
 import tempfile
 import time
-import warnings
 from datetime import datetime, timezone
 from typing import Callable, Optional
 
@@ -312,9 +311,7 @@ def cmd_check(cfg: dict) -> tuple[dict, int]:
     if not comp.passed:
         result["verdict"] = "incompatible"
         return result, EXIT_COMPAT
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # compat already gated above
-        ell = check_elliptic(t)
+    ell = check_elliptic(t)
     result["ellipticity"] = {
         "interior_min": ell.interior_min,
         "conormal_min": ell.conormal_min,

@@ -24,7 +24,6 @@ genuine cokernel; adjoints flip both signs consistently.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -105,21 +104,15 @@ class EllipticityReport:
 
     interior_min is the smallest singular value of sigma0 over sampled
     (x, sphere direction) pairs at the homogeneity radius; the conormal
-    profile scans the weight line including p = 0 and the large-|p|
-    limits. overall is the conjunction of the two conditions.
+    profile scans the weight line including p = 0, and large_p_pass
+    judges the large-|p| limits. overall is the conjunction of the
+    interior and conormal conditions.
     """
 
     interior_min: float
     conormal_min: float
-    large_p_min: float
-    large_p_drift: float
-    floor: float
-    interior_pass: bool
-    conormal_pass: bool
     large_p_pass: bool
     overall: bool
-    compat_mismatch: float
-    p_values: np.ndarray = field(repr=False)
     conormal_profile: np.ndarray = field(repr=False)
 
 
@@ -132,38 +125,23 @@ def check_elliptic(t: SymbolTuple) -> EllipticityReport:
     the large-|p| limits, which must drift by at most 1e-5. Every
     minimum must clear the floor 1e-6. The p-grid has odd cardinality
     so p = 0 is always sampled (a zero at the origin is the canonical
-    failure). Compatibility failure warns but the scan still runs.
+    failure). Compatibility is the caller's to check first
+    (`compat_check`); the scan does not repeat it.
     """
-    comp = compat_check(t)
-    if not comp.passed:
-        warnings.warn(
-            f"symbol tuple fails compatibility at {comp.mismatch:.3e}; ellipticity scan may be meaningless",
-            stacklevel=2,
-        )
     floor = 1e-6
     interior_min = _sphere_min(t.sigma0.expr, 64, 32, 1e6)
     con = conormal(t.sigma1)
-    ps = np.linspace(-64.0, 64.0, 513)
-    profile = con.min_singular(ps)
+    profile = con.min_singular(np.linspace(-64.0, 64.0, 513))
     conormal_min = float(np.min(profile))
     large_ps = [s * 64.0 * f for s in (1.0, -1.0) for f in (8.0, 64.0, 512.0)]
     large_p_min = float(np.min(con.min_singular(large_ps)))
     drift = con.limit_drift()
-    interior_pass = interior_min >= floor
     large_p_pass = large_p_min >= floor and drift <= 1e-5
-    conormal_pass = conormal_min >= floor and large_p_pass
     return EllipticityReport(
         interior_min=interior_min,
         conormal_min=conormal_min,
-        large_p_min=large_p_min,
-        large_p_drift=drift,
-        floor=floor,
-        interior_pass=interior_pass,
-        conormal_pass=conormal_pass,
         large_p_pass=large_p_pass,
-        overall=interior_pass and conormal_pass,
-        compat_mismatch=comp.mismatch,
-        p_values=ps,
+        overall=interior_min >= floor and conormal_min >= floor and large_p_pass,
         conormal_profile=profile,
     )
 
@@ -176,7 +154,6 @@ def check_elliptic(t: SymbolTuple) -> EllipticityReport:
 class SectionStats:
     size: int
     dim: int
-    sigma_max: float
     tau: float
     smallest: tuple[float, ...]
     gap_ratio: float
@@ -191,7 +168,6 @@ class FredholmReport:
     sizes: tuple[int, ...]
     stats: tuple[SectionStats, ...]
     determinate: bool
-    indeterminate: bool
     kernel: Optional[int]
     cokernel: Optional[int]
     index: Optional[int]
@@ -336,7 +312,6 @@ def finite_section(
             SectionStats(
                 size=int(size),
                 dim=dim,
-                sigma_max=sigma_max,
                 tau=tau,
                 smallest=tuple(float(x) for x in s[-8:][::-1]),
                 gap_ratio=gap,
@@ -356,7 +331,6 @@ def finite_section(
         sizes=tuple(int(s) for s in sizes),
         stats=tuple(stats),
         determinate=determinate,
-        indeterminate=not determinate,
         kernel=last.kernel if determinate else None,
         cokernel=last.cokernel if determinate else None,
         index=last.index if determinate else None,
@@ -520,8 +494,6 @@ class LargeParameterReport:
     s_min: tuple[float, ...]
     sphere_min: Optional[float]
     elliptic_with_parameter: Optional[bool]
-    lower_bound: float
-    jitter: float
     passed: bool
 
 
@@ -544,19 +516,17 @@ def large_parameter_scan(g: Geometry, expr: ExprLike) -> LargeParameterReport:
     if variables_of(expr) <= {"x", "xi", "v"}:
         sphere_min = _sphere_min(expr, 16, 32, 1e6)
         ewp = sphere_min >= 1e-6
-    v_values, lower_bound = (8.0, 16.0, 32.0, 64.0), 0.5
+    v_values = (8.0, 16.0, 32.0, 64.0)
     s_min = []
     for u in v_values:
         A = quantize(g, expr, v=float(u))
         s_min.append(float(A.singular_values()[-1]))
-    ok_low = all(s >= lower_bound for s in s_min)
+    ok_low = all(s >= 0.5 for s in s_min)
     ok_mono = all(s_min[i + 1] >= 0.9 * s_min[i] for i in range(len(s_min) - 1))
     return LargeParameterReport(
         v_values=v_values,
         s_min=tuple(s_min),
         sphere_min=sphere_min,
         elliptic_with_parameter=ewp,
-        lower_bound=lower_bound,
-        jitter=0.10,
         passed=ok_low and ok_mono and (ewp is not False),
     )

@@ -122,7 +122,6 @@ def partition_of_unity(g: Geometry, centers: Sequence[float], eps: float) -> Par
 
 @dataclass(frozen=True)
 class LocalNormReport:
-    center: float
     scales: tuple[float, ...]
     norms: tuple[float, ...]
     limit: float
@@ -140,9 +139,9 @@ def local_norm(A: DiscretizedOperator, x: float) -> LocalNormReport:
     lay = axis_layout(A.geometry)
     n_scales = max(2, int(np.floor(np.log2(lay.span / 4.0 / (3.0 * lay.step)))) + 1)
     ladder = cutoff_family(A.geometry, x, n_scales)
-    norms = tuple(side_norm(A.matrix, lay.spread(ladder[i]), "right") for i in range(len(ladder)))
+    norms = tuple(side_norm(A.matrix, lay.spread(ladder[i])) for i in range(len(ladder)))
     limit = norms[-1]
-    return LocalNormReport(float(x), ladder.scales, norms, limit, limit <= 1e-3, 1e-3)
+    return LocalNormReport(ladder.scales, norms, limit, limit <= 1e-3, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +150,9 @@ def local_norm(A: DiscretizedOperator, x: float) -> LocalNormReport:
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    eps_ladder: tuple[float, ...]
-    radii: dict
-    witnesses: dict = field(repr=False)
-    per_eps: dict
+    eps: float
+    radii: tuple[float, ...]
+    witnesses: np.ndarray = field(repr=False)
     passed: bool
 
 
@@ -178,27 +176,21 @@ def _pair_witnesses(
     return W
 
 
-def continuity_check(
-    F: LocalFamily,
-    eps_ladder: Sequence[float] = (0.5, 0.25, 0.125),
-) -> ContinuityReport:
-    """Per-eps verdict on the continuity condition: all pairwise
+def continuity_check(F: LocalFamily, eps: float) -> ContinuityReport:
+    """Verdict on the eps-continuity condition: all pairwise
     restricted norms over neighborhood overlaps stay <= eps.
 
     Witnesses only grow with the radius (larger overlaps, larger column
     sets), so the smallest radii satisfying the bound, whenever any do,
     are the smallest that keep the neighborhoods a cover: the radii are
-    fitted there, 1.02 times the cover floor, and so are the same for
-    every eps.
+    fitted there, 1.02 times the cover floor, whatever eps is.
     """
     lay = axis_layout(F.geometry)
     dists = np.stack([lay.distance(c) for c in F.centers])
     cover_floor = 2.0 * float(dists.min(axis=0).max())
     rs = tuple(1.02 * cover_floor for _ in F.centers)
     W = _pair_witnesses(F, rs)
-    epss = tuple(float(e) for e in eps_ladder)
-    per_eps = {eps: bool(W.max() <= eps) for eps in epss}
-    return ContinuityReport(epss, dict.fromkeys(epss, rs), dict.fromkeys(epss, W), per_eps, all(per_eps.values()))
+    return ContinuityReport(float(eps), rs, W, bool(W.max() <= eps))
 
 
 def glue(F: LocalFamily, P: PartitionOfUnity) -> DiscretizedOperator:
@@ -231,8 +223,6 @@ def glue(F: LocalFamily, P: PartitionOfUnity) -> DiscretizedOperator:
 @dataclass(frozen=True)
 class PartitionBoundReport:
     lhs: float
-    cover_max: float
-    restricted_norms: tuple[float, ...]
     bound: float
     slack: float
     passed: bool
@@ -270,7 +260,5 @@ def partition_bound_check(
     cover_max = float(stacked.sum(axis=0).max())
     bound = cover_max * max(restricted)
     slack = bound - lhs
-    return PartitionBoundReport(
-        lhs, cover_max, tuple(restricted), bound, slack, bool(slack >= -1e-12), 1e-12
-    )
+    return PartitionBoundReport(lhs, bound, slack, bool(slack >= -1e-12), 1e-12)
 

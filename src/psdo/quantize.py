@@ -256,19 +256,17 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(spectral_norms(M).max(initial=0.0))
 
 
-def side_norm(M: np.ndarray, vals: np.ndarray, side: str) -> float:
-    """||M diag(vals)|| (side "right") or ||diag(vals) M|| ("left"),
-    using only the support of vals.
+def side_norm(M: np.ndarray, vals: np.ndarray) -> float:
+    """||M diag(vals)||, using only the support of vals.
 
     On a support of k nodes the restricted factor is copied once, as
-    the k x n rows diag(vals) M^T or diag(vals) M, and `gram_norm` forms
-    its k x k Gram in that copy: besides it, at most two blocks are
-    live.
+    the k x n rows diag(vals) M^T, and `gram_norm` forms its k x k Gram
+    in that copy: besides it, at most two blocks are live.
     """
     idx = np.nonzero(np.abs(vals) > 1e-300)[0]
     if idx.size == 0:
         return 0.0
-    X = (M.T if side == "right" else M)[idx]
+    X = M.T[idx]
     X *= vals[idx][:, None]
     return gram_norm(X, X[:, : len(idx)])
 
@@ -822,12 +820,6 @@ def subtract_quantized(
 # Parameter-dependent families
 
 
-def dyadic_ladder() -> tuple[float, ...]:
-    """0 and +-2^k for k = 0..6, ascending."""
-    vals = [2.0**k for k in range(7)]
-    return tuple(sorted({0.0, *vals, *(-u for u in vals)}))
-
-
 @dataclass
 class NegligibleVerdict:
     """Result of testing sup_v ||D(v)|| (1+|v|)^N <= tau on a sample ladder."""
@@ -836,35 +828,32 @@ class NegligibleVerdict:
     tau: float
     v_values: tuple[float, ...]
     norms: tuple[float, ...]
-    weighted: tuple[float, ...]
     sup_weighted: float
     accepted: bool
 
 
 def negligible_test(
     build: Callable[[float], DiscretizedOperator],
-    order: int = 4,
-    v_values: Optional[Sequence[float]] = None,
+    order: int,
+    v_values: Sequence[float],
 ) -> NegligibleVerdict:
     """Decide whether a parameter family decays like (1+|v|)^-order:
-    sup_v ||D(v)|| (1+|v|)^order <= tau = 50.
+    sup_v ||D(v)|| (1+|v|)^order <= tau = 50 over the samples v_values.
 
     `build` is a callable v -> operator. At least three parameter
     samples are required.
     """
     tau = 50.0
-    vs = tuple(float(u) for u in (v_values if v_values is not None else dyadic_ladder()))
+    vs = tuple(float(u) for u in v_values)
     if len(vs) < 3:
         raise QuantizeError("negligibility needs at least 3 parameter samples")
     norms = tuple(build(u).norm() for u in vs)
-    weighted = tuple(nm * (1.0 + abs(u)) ** order for u, nm in zip(vs, norms))
-    sup_w = max(weighted)
+    sup_w = max(nm * (1.0 + abs(u)) ** order for u, nm in zip(vs, norms))
     return NegligibleVerdict(
         order=order,
         tau=tau,
         v_values=vs,
         norms=norms,
-        weighted=weighted,
         sup_weighted=sup_w,
         accepted=bool(sup_w <= tau),
     )

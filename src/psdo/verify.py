@@ -306,7 +306,7 @@ def suite_gluing(seed: int) -> SuiteResult:
     families = gluing_families()
     for eps in sorted(GLUING_COUNTS, reverse=True):
         F = families[eps]
-        cont = continuity_check(F, eps_ladder=(eps,))
+        cont = continuity_check(F, eps)
         P = partition_of_unity(F.geometry, F.centers, eps)
         G = glue(F, P)
         glued[eps] = G
@@ -319,7 +319,7 @@ def suite_gluing(seed: int) -> SuiteResult:
             CheckResult(
                 f"reproduction/eps={eps:g}",
                 cont.passed and worst <= 2.0 * eps,
-                f"witness {cont.witnesses[eps].max():.4f}, "
+                f"witness {cont.witnesses.max():.4f}, "
                 f"worst local norm {worst:.4f} <= {2.0 * eps:g}",
             )
         )

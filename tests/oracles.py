@@ -451,10 +451,10 @@ def dense_infinitesimal_detail(g, expr, z) -> str:
     )
 
 
-def dense_side(M: np.ndarray, vals: np.ndarray, side: str) -> float:
-    """||M diag(vals)||_2 or ||diag(vals) M||_2 of the full product.
-    Reference for `side_norm`, a Gram of the support's rows only."""
-    return np.linalg.norm(M * vals[None, :] if side == "right" else vals[:, None] * M, 2)
+def dense_side(M: np.ndarray, vals: np.ndarray) -> float:
+    """||M diag(vals)||_2 of the full product. Reference for
+    `side_norm`, a Gram of the support's rows only."""
+    return np.linalg.norm(M * vals[None, :], 2)
 
 
 # ---------------------------------------------------------------------------

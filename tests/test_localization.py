@@ -137,7 +137,7 @@ def test_local_norm_explicit_ladder_reads_interior_columns():
     A = quantize(g, parse("2 + chi(p) + r / (1 + r)"))
     rep = local_norm(A, 0.5)
     d = np.abs(g.t[1:] - 0.5)
-    want = tuple(side_norm(A.matrix, plateau_profile(d, s / 2.0, s), "right") for s in rep.scales)
+    want = tuple(side_norm(A.matrix, plateau_profile(d, s / 2.0, s)) for s in rep.scales)
     assert rep.norms == want
 
 
@@ -150,26 +150,26 @@ def test_continuity_constant_family_passes_every_eps(name):
     g = GEOMETRIES[name]
     A = quantize(g, parse("3"))
     F = LocalFamily(g, axis_centers(g, 8), [A] * 8)
-    rep = continuity_check(F, eps_ladder=(0.5, 0.25, 0.125))
-    assert rep.passed
-    for eps in rep.eps_ladder:
-        assert rep.witnesses[eps].max() == 0.0
+    for eps in (0.5, 0.25, 0.125):
+        rep = continuity_check(F, eps)
+        assert rep.passed
+        assert rep.witnesses.max() == 0.0
 
 
 def test_continuity_frozen_family_autofit():
     F = frozen_family("circle", 16)
-    rep = continuity_check(F, eps_ladder=(0.25,))
-    r = rep.radii[0.25][0]
-    assert abs(r - 0.4006) <= 2e-3
-    assert rep.witnesses[0.25].max() <= 0.16
+    rep = continuity_check(F, 0.25)
+    assert rep.eps == 0.25
+    assert abs(rep.radii[0] - 0.4006) <= 2e-3
+    assert rep.witnesses.max() <= 0.16
     assert rep.passed
 
 
 def test_continuity_flags_outlier_representative(g64):
     F = outlier_family(g64)
-    rep = continuity_check(F, eps_ladder=(0.5,))
+    rep = continuity_check(F, 0.5)
     assert not rep.passed
-    assert rep.witnesses[0.5].max() >= 1.0
+    assert rep.witnesses.max() >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_glue_reproduces_representatives_locally(name):
     glued = {}
     for eps, n_c in CENTER_COUNTS.items():
         F = frozen_family(name, n_c)
-        rep = continuity_check(F, eps_ladder=(eps,))
+        rep = continuity_check(F, eps)
         assert rep.passed, f"stock family not {eps}-continuous"
         P = partition_of_unity(g, F.centers, eps)
         G = glue(F, P)

@@ -29,7 +29,6 @@ from psdo.quantize import (
     _dft_matrix,
     _mellin_fibers,
     analysis_matrix,
-    dyadic_ladder,
     kn_circulant,
     negligible_test,
     op_circle,
@@ -235,16 +234,15 @@ class TestInvariants:
         assert np.max(np.abs(A.adjoint().matrix - A.matrix.conj().T)) == 0.0
 
 
-class TestFamilies:
-    def test_dyadic_ladder(self):
-        vs = dyadic_ladder()
-        assert 0.0 in vs and 64.0 in vs and -64.0 in vs
-        assert len(vs) == 15
+# 0 and +-2^k for k = 0..6
+DYADIC = tuple(sorted({0.0, *(s * 2.0**k for k in range(7) for s in (1.0, -1.0))}))
 
+
+class TestFamilies:
     def test_negligible_accepts_decaying_family(self):
         g = Circle(16)
         expr = parse("exp(-abs(v))*chi(xi)")
-        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4)
+        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4, v_values=DYADIC)
         assert isinstance(verdict, NegligibleVerdict)
         assert verdict.accepted
         assert len(verdict.v_values) >= 3
@@ -252,7 +250,7 @@ class TestFamilies:
     def test_negligible_rejects_identity(self):
         g = Circle(16)
         expr = parse("1 + 0*chi(xi)")
-        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4, v_values=dyadic_ladder())
+        verdict = negligible_test(lambda v: op_circle(g, expr, v), order=4, v_values=DYADIC)
         assert not verdict.accepted
 
     def test_negligible_needs_three_samples(self):
@@ -265,7 +263,7 @@ class TestFamilies:
             return op_circle(g, expr, v)
 
         with pytest.raises(QuantizeError):
-            negligible_test(build, v_values=(0.0, 1.0))
+            negligible_test(build, order=4, v_values=(0.0, 1.0))
         assert built == []  # the ladder is checked before any operator is built
 
     def test_quantize_dispatch(self):

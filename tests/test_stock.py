@@ -120,9 +120,10 @@ def test_partition_stock_is_seeded():
 
 def test_negligible_stock_verdicts():
     smoothing, identity = negligible_stock()
+    vs = negligible_v_values(0)
     for order in (1, 2, 4):
-        assert negligible_test(smoothing, order=order).accepted
-    assert not negligible_test(identity, order=4).accepted
+        assert negligible_test(smoothing, order=order, v_values=vs).accepted
+    assert not negligible_test(identity, order=4, v_values=vs).accepted
 
 
 def test_negligible_verdicts_seed_stable():

@@ -1,6 +1,6 @@
-"""No dead parameters, no dead imports, no library-only src functions
-and no dead test helpers in src/psdo, tests and bench, and one home for
-the tests' references.
+"""No dead parameters, no unread report fields, no dead imports, no
+library-only src functions and no dead test helpers in src/psdo, tests
+and bench, and one home for the tests' references.
 
 Every defaulted parameter of a psdo function, and every defaulted init
 field of a psdo dataclass, is set by some call in src/psdo or bench: a
@@ -24,6 +24,15 @@ on any object. A parameter that no such call sets is a constant in
 disguise: write it into the body, or derive it from the geometry; a
 field that no such call sets is a class constant or a cache, declared
 with `init=False`. The exemptions below give their reasons.
+
+Every field of a dataclass or NamedTuple in src/psdo is read as
+`obj.field` somewhere in src/psdo, tests or bench; an attribute of a
+name the module imports (`np.floor`) is not a field read, and reads
+match fields by name alone. Unlike a parameter, a field counts as read
+under tests/ too: a report is what the acceptance tests assert on (A01
+to A11 read `SuiteResult.measured`), so a field a test reads serves the
+contract that test checks. A field nobody reads is work recorded for
+nobody: delete it, with whatever computes it alone.
 
 An imported name counts as referenced when the module reads it or lists
 it in `__all__`; an import marked `# noqa: F401` (flake8's code for an
@@ -101,6 +110,13 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return any(
         getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
         for d in cls.decorator_list
+    )
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple subclass."""
+    return _is_dataclass(cls) or any(
+        getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in cls.bases
     )
 
 
@@ -195,6 +211,57 @@ def test_alternate_inputs_name_existing_parameters():
             assert (qualname, p) in defaulted, f"{qualname}({p}) is not a defaulted parameter"
 
 
+def _record_fields():
+    """(module.Class.field, field) of every field of a dataclass or
+    NamedTuple in src/psdo."""
+    found = []
+    for path in sorted((ROOT / "src/psdo").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                found += [
+                    (f"{path.stem}.{cls.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return found
+
+
+def _imports(module):
+    """(name, line) of every name an import in module binds."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names)
+
+
+def _attributes_read() -> set:
+    """Every attribute read as `obj.name` in src/psdo, tests or bench,
+    where obj is not a name its module imports."""
+    read = set()
+    for tree in SCANNED:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            module = ast.parse(path.read_text())
+            imported = {name for name, _ in _imports(module)}
+            read.update(
+                n.attr
+                for n in ast.walk(module)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Load)
+                and not (isinstance(n.value, ast.Name) and n.value.id in imported)
+            )
+    return read
+
+
+def test_every_field_is_read():
+    read = _attributes_read()
+    unread = [qualname for qualname, name in _record_fields() if name not in read]
+    assert not unread, f"{len(unread)} fields no code reads: {unread}"
+
+
 # flake8's marker for an import kept for its side effect
 NOQA_F401 = re.compile(r"#\s*noqa:[^#]*\bF401\b")
 
@@ -207,16 +274,7 @@ def _unused_imports():
             source = path.read_text()
             lines = source.splitlines()
             module = ast.parse(source)
-            imported = {}
-            for node in ast.walk(module):
-                if isinstance(node, ast.Import):
-                    names = [a.asname or a.name.split(".")[0] for a in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                    names = [a.asname or a.name for a in node.names]
-                else:
-                    continue
-                if not NOQA_F401.search(lines[node.lineno - 1]):
-                    imported.update((name, node.lineno) for name in names)
+            imported = {name: line for name, line in _imports(module) if not NOQA_F401.search(lines[line - 1])}
             read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
             for node in module.body:
                 if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):

@@ -10,7 +10,6 @@ match one evaluation per p (`oracles.loop_value`, which calls neither
 of value's paths).
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -172,9 +171,7 @@ def test_stacked_reductions_match_loops(name):
 )
 def test_check_elliptic_matches_loops(inst):
     t = extract_tuple(inst.family)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = check_elliptic(t)
+    rep = check_elliptic(t)
     interior = loop_sphere_min(t.sigma0.expr, 64, r=0.0)
     assert rep.interior_min == pytest.approx(interior, rel=1e-14, abs=1e-16)
     con = conormal(t.sigma1)
